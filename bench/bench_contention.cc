@@ -38,7 +38,10 @@ class SemaphoreAsLock {
 // skipped entry with an error string — the honest datum for that shape).
 bool RefuseContendedOn1Cpu(benchmark::State& state) {
   const unsigned n = std::thread::hardware_concurrency();
-  state.counters["num_cpus"] = static_cast<double>(n);
+  // kAvgThreads: every benchmark thread sets it, and plain counters are
+  // summed across threads.
+  state.counters["num_cpus"] = benchmark::Counter(
+      static_cast<double>(n), benchmark::Counter::kAvgThreads);
   if (state.threads() > 1 && n <= 1) {
     state.SkipWithError(
         "1 CPU: contended lock numbers would be scheduling noise");

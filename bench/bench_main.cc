@@ -25,20 +25,6 @@ bool GlobalLockModeFromEnv() {
   return v != nullptr && v[0] == '1';
 }
 
-// The waiter-queue substrate selection, resolved the same way the Nub does
-// at startup: the TAOS_WAITQ env var wins, else the compiled-in default.
-// (bench_main can't ask the Nub directly — it links below taos_threads.)
-bool WaitqModeFromConfig() {
-  if (const char* v = std::getenv("TAOS_WAITQ")) {
-    return v[0] == '1';
-  }
-#ifdef TAOS_WAITQ_DEFAULT
-  return true;
-#else
-  return false;
-#endif
-}
-
 }  // namespace
 
 int Run(int argc, char** argv, const char* bench_name) {
@@ -92,7 +78,6 @@ int Run(int argc, char** argv, const char* bench_name) {
     // can't mix up runs.
     obs::SetTraceMetadata("bench", bench_name);
     obs::SetTraceMetadata("lock_backend", LockBackendName(SpinLock::backend()));
-    obs::SetTraceMetadata("waitq", WaitqModeFromConfig() ? "waitq" : "classic");
     obs::SetTraceMetadata("global_lock",
                           GlobalLockModeFromEnv() ? "global" : "sharded");
     if (const char* parker = std::getenv("TAOS_WAITQ_PARKER")) {

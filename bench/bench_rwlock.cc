@@ -25,7 +25,10 @@ void RunRW(benchmark::State& state) {
   // a single-CPU host the throughput is scheduling noise, not reader
   // concurrency. Record num_cpus and refuse to report in that case.
   const unsigned num_cpus = std::thread::hardware_concurrency();
-  state.counters["num_cpus"] = static_cast<double>(num_cpus);
+  // kAvgThreads: every benchmark thread sets it, and plain counters are
+  // summed across threads.
+  state.counters["num_cpus"] = benchmark::Counter(
+      static_cast<double>(num_cpus), benchmark::Counter::kAvgThreads);
   if (num_cpus <= 1 && readers + writers > 1) {
     state.SkipWithError(
         "1 CPU: reader/writer throughput would be scheduling noise");

@@ -41,10 +41,6 @@ constexpr PointInfo kPoints[kNumPoints] = {
     {"timer.cancel", Category::kTimer},
     {"timer.expiry_to_cancel", Category::kCancel},
     {"timer.batch_gap", Category::kTimer},
-    {"waitq.claim", Category::kAfterCas},
-    {"waitq.install", Category::kAfterCas},
-    {"waitq.resume", Category::kGeneric},
-    {"waitq.cancel", Category::kCancel},
     {"parker.before_park", Category::kBeforePark},
     {"parker.before_unpark", Category::kBeforeUnpark},
     {"parker.timed_return", Category::kTimer},

@@ -26,7 +26,7 @@
 // interleaving — but in practice a seed that found a window keeps finding
 // it; TAOS_CHECK failures print the active triple via PanicImpl.)
 //
-// Layering: this header is included by spinlock.h and the waitq, so it must
+// Layering: this header is included by spinlock.h and the parker, so it must
 // not use any taos synchronization — std::atomic, thread_local and pure code
 // only. Injection actions use std::this_thread and a raw pause instruction.
 
@@ -43,17 +43,18 @@ namespace taos {
 namespace chaos {
 
 // One enumerator per named race window. The enumerator's value is its bit in
-// the point mask, so the list is append-only (reordering would change what a
-// recorded mask replays). Grouped by the subsystem that owns the seam.
+// the point mask, so new points go at the end (reordering or removing one
+// changes what a recorded mask replays). Grouped by the subsystem that owns
+// the seam.
 enum class Point : std::uint32_t {
   // Spin-lock seams: every NubGuard / record-lock crossing. A sleep here
   // stretches critical sections, which is what makes rule 3's try-lock dance
   // and the guard-ordered paths actually contend.
   kSpinAcquired = 0,     // holding the lock, before the caller's work
   kSpinBeforeRelease,    // still holding, after the caller's work
-  // Mutex slow paths (classic intrusive queue and waitq cell, both).
-  kMutexEnqueuedToTest,  // queued/claimed, before re-testing the Lock-bit
-  kMutexBackout,         // bit found free: before withdrawing the claim
+  // Mutex slow paths.
+  kMutexEnqueuedToTest,  // queued, before re-testing the Lock-bit
+  kMutexBackout,         // bit found free: before leaving the queue
   kMutexWakeToRetry,     // unparked, before retrying the test-and-set
   kMutexReleaseWindow,   // Release: bit cleared, before the queue_len scan
   kMutexTimedFinish,     // timed: timer cancelled, before the final retest
@@ -65,24 +66,19 @@ enum class Point : std::uint32_t {
   kSemTimedFinish,
   // Condition slow paths.
   kCondReleaseToBlock,   // Wait: m released, before blocking (wakeup-waiting)
-  kCondClaimToRecheck,   // Block: queued/claimed, before re-reading the ec
+  kCondClaimToRecheck,   // Block: c locked, before re-reading the ec
   kCondSignalToResume,   // Signal: ec advanced, before picking a waiter
   kCondTimedFinish,      // timed: timer cancelled, before reacquiring m
   // Alert: the cancellation seams.
-  kAlertFlagToCancel,    // alerted flag set, before cancelling the wait
+  kAlertFlagToCancel,    // alerted flag set, before dequeuing the waiter
   kAlertLockRetry,       // rule 3: object try-lock failed, before retrying
   kAlertWaitWindow,      // AlertWait/AlertP: holding the record lock across
-                         // the alerted-flag check and the install
+                         // the alerted-flag check and the enqueue
   // Timer wheel.
   kTimerArm,             // deadline published, before the wheel insert
   kTimerCancel,          // before the gen-validated unlink
   kTimerExpiryToCancel,  // expiry batch entry, before the cancel/dequeue
   kTimerBatchGap,        // wheel lock dropped, before expiring the batch
-  // waitq cell state machine.
-  kWaitqClaim,           // cell claimed (fetch_add), before returning it
-  kWaitqInstall,         // before the EMPTY -> WAITING install CAS
-  kWaitqResume,          // ResumeOne: before the WAITING/EMPTY resume CAS
-  kWaitqCancel,          // before the cancel CAS loop
   // Parker park/unpark edges (both backends).
   kParkerBeforePark,
   kParkerBeforeUnpark,

@@ -2,6 +2,11 @@
 
 #include <sstream>
 
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
+
 #include "src/base/alerted.h"
 #include "src/base/check.h"
 #include "src/obs/metrics.h"
@@ -10,6 +15,53 @@ namespace taos::firefly {
 
 namespace {
 thread_local Fiber* tls_fiber = nullptr;
+
+// The driver and the fibers hand control to each other through semaphores,
+// and exactly one of them runs at any moment. Keeping all of a machine's
+// threads on one host CPU makes each handoff a local context switch rather
+// than a cross-CPU wakeup: schedule enumeration ran 2.6x faster that way on
+// a 4-vCPU VM. Best effort, Linux only; a failed call costs only speed.
+#if defined(__linux__)
+int CurrentCpu() { return sched_getcpu(); }
+
+void PinThread(pthread_t t, int cpu) {
+  if (cpu >= 0) {
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    CPU_SET(cpu, &set);
+    pthread_setaffinity_np(t, sizeof(set), &set);
+  }
+}
+
+// Pins the calling thread (the driver) for one Run, then restores its mask.
+class ScopedDriverPin {
+ public:
+  explicit ScopedDriverPin(int cpu)
+      : ok_(cpu >= 0 && pthread_getaffinity_np(pthread_self(), sizeof(saved_),
+                                               &saved_) == 0) {
+    if (ok_) {
+      PinThread(pthread_self(), cpu);
+    }
+  }
+  ~ScopedDriverPin() {
+    if (ok_) {
+      pthread_setaffinity_np(pthread_self(), sizeof(saved_), &saved_);
+    }
+  }
+  ScopedDriverPin(const ScopedDriverPin&) = delete;
+  ScopedDriverPin& operator=(const ScopedDriverPin&) = delete;
+
+ private:
+  cpu_set_t saved_;
+  bool ok_;
+};
+#else
+int CurrentCpu() { return -1; }
+void PinThread(std::thread::native_handle_type, int) {}
+struct ScopedDriverPin {
+  explicit ScopedDriverPin(int) {}
+};
+#endif
 }  // namespace
 
 std::string RunResult::ToString() const {
@@ -31,7 +83,8 @@ std::string RunResult::ToString() const {
   return os.str();
 }
 
-Machine::Machine(MachineConfig config) : config_(config) {
+Machine::Machine(MachineConfig config)
+    : config_(config), host_cpu_(CurrentCpu()) {
   TAOS_CHECK(config_.cpus >= 1);
   if (config_.chooser != nullptr) {
     chooser_ = config_.chooser;
@@ -78,6 +131,7 @@ FiberHandle Machine::Fork(std::function<void()> body, int priority,
   f->run_state = Fiber::Run::kReadyPool;
   ready_pool_[priority].PushBack(f);
   f->os = std::thread([this, f] { FiberMain(f); });
+  PinThread(f->os.native_handle(), host_cpu_);
   fibers_.push_back(std::move(fiber));
   return FiberHandle{f};
 }
@@ -326,6 +380,7 @@ void Machine::CollectRunnable(std::vector<Fiber*>* out) const {
 RunResult Machine::Run() {
   TAOS_CHECK(!ran_);
   ran_ = true;
+  ScopedDriverPin pin(host_cpu_);
   RunResult result;
   std::vector<Fiber*> runnable;
   for (;;) {

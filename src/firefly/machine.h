@@ -205,6 +205,7 @@ class Machine {
 
   std::binary_semaphore driver_sem_{0};
   bool shutting_down_ = false;
+  const int host_cpu_;  // the host CPU every thread of this machine runs on
   bool ran_ = false;
   bool aborted_ = false;
 

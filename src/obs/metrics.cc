@@ -53,13 +53,6 @@ constexpr const char* kCounterNames[] = {
     "mcs_queued_acquires",
     "clh_queued_acquires",
     "eventcount_advances",
-    "waitq_enqueues",
-    "waitq_resumes",
-    "waitq_immediate_grants",
-    "waitq_cancels",
-    "waitq_cancel_skips",
-    "waitq_segments_allocated",
-    "waitq_segments_retired",
     "park_futex_waits",
     "park_condvar_waits",
     "timers_armed",

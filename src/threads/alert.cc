@@ -27,64 +27,6 @@ void Alert(ThreadHandle h) {
   ThreadRecord* self = nub.Current();
   ThreadRecord* t = h.rec;
 
-  if (!nub.tracing() && nub.waitq_mode()) {
-    // Waiter-queue mode, production: Alert needs no object lock at all.
-    // Cancelling the published cell is one CAS; losing that CAS means a
-    // V/Signal resume is already in flight, and the flag alone suffices
-    // (exactly the classic behaviour when Alert runs after the dequeue).
-    // The blocked_obj dereference is safe for the usual rule-3 reason:
-    // while t's record lock is held and t is observed blocked, t has not
-    // returned from its blocking call, so the object is alive.
-    waitq::Parker* unpark = nullptr;
-    t->lock.Acquire();
-    t->alerted.store(true, std::memory_order_seq_cst);
-    // The Alert-vs-grant window: the cancel CAS below races a V/Signal
-    // resume on the same cell.
-    TAOS_CHAOS(kAlertFlagToCancel);
-    if ((t->block_kind == ThreadRecord::BlockKind::kPollAny ||
-         t->block_kind == ThreadRecord::BlockKind::kPollAll) &&
-        t->alertable) {
-      // Alertable Poll waiters publish no cell and no object lock: the
-      // record lock alone covers their blocked state (the notify-latch
-      // protocol, src/threads/poll.cc). Dequeue = clear + receipt + unpark;
-      // the waiter re-scans once, then raises/returns kAlerted.
-      t->alert_woken = true;
-      ClearBlockedLocked(t);
-      unpark = &t->park;
-    } else if (t->block_kind != ThreadRecord::BlockKind::kNone &&
-               t->alertable &&
-        t->wait_cell != nullptr &&
-        t->wait_cell->Cancel() == waitq::WaitCell::CancelOutcome::kCancelled) {
-      switch (t->block_kind) {
-        case ThreadRecord::BlockKind::kSemaphore:
-          static_cast<Semaphore*>(t->blocked_obj)
-              ->queue_len_.fetch_sub(1, std::memory_order_relaxed);
-          break;
-        case ThreadRecord::BlockKind::kCondition:
-          static_cast<Condition*>(t->blocked_obj)
-              ->waiters_.fetch_sub(1, std::memory_order_relaxed);
-          break;
-        case ThreadRecord::BlockKind::kMutex:
-        case ThreadRecord::BlockKind::kRwShared:
-        case ThreadRecord::BlockKind::kRwExclusive:
-        case ThreadRecord::BlockKind::kEvent:  // Event::Wait is never alertable
-        case ThreadRecord::BlockKind::kPollAny:
-        case ThreadRecord::BlockKind::kPollAll:  // handled above
-        case ThreadRecord::BlockKind::kNone:
-          TAOS_PANIC("alertable thread blocked on a mutex");
-      }
-      t->alert_woken = true;
-      ClearBlockedLocked(t);
-      unpark = &t->park;
-    }
-    t->lock.Release();
-    if (unpark != nullptr) {
-      obs::Inc(obs::Counter::kHandoffs);
-      unpark->Unpark();
-    }
-    return;
-  }
-
   for (;;) {
     t->lock.Acquire();
     if (t->block_kind == ThreadRecord::BlockKind::kNone || !t->alertable) {
@@ -130,34 +72,16 @@ void Alert(ThreadHandle h) {
     // alert and emit its Raises action before this Alert's own emission.)
     t->alerted.store(true, std::memory_order_relaxed);
     TAOS_CHAOS(kAlertFlagToCancel);
-    if (nub.waitq_mode()) {
-      // Traced run on the waiter-queue backend: the dequeue is a cancel CAS
-      // on t's published cell. Losing it means a resume — emitted earlier
-      // under this same object lock — is in flight and t has not yet
-      // cleaned up; deliver the flag only, like the not-blocked branch.
-      TAOS_CHECK(t->wait_cell != nullptr);
-      if (t->wait_cell->Cancel() !=
-          waitq::WaitCell::CancelOutcome::kCancelled) {
-        nub.EmitTraced(spec::MakeAlert(self->id, t->id));
-        obj_lock->Release();
-        t->lock.Release();
-        return;
-      }
-    }
     switch (t->block_kind) {
       case ThreadRecord::BlockKind::kSemaphore: {
         auto* s = static_cast<Semaphore*>(t->blocked_obj);
-        if (!nub.waitq_mode()) {
-          s->queue_.Remove(t);
-        }
+        s->queue_.Remove(t);
         s->queue_len_.fetch_sub(1, std::memory_order_relaxed);
         break;
       }
       case ThreadRecord::BlockKind::kCondition: {
         auto* c = static_cast<Condition*>(t->blocked_obj);
-        if (!nub.waitq_mode()) {
-          c->queue_.Remove(t);
-        }
+        c->queue_.Remove(t);
         if (nub.tracing()) {
           // The alerted thread will raise; it stays a spec-member of c
           // until its AlertResume action fires (corrected AlertWait
@@ -232,7 +156,6 @@ void AlertWait(Mutex& m, Condition& c) {
     // lock is held across the alerted check AND the block-state
     // publication, so an Alert cannot slip between them (it would see "not
     // blocked", leave only the flag, and strand us parked).
-    waitq::WaitCell* cell = nullptr;
     bool parked = false;
     bool raise = false;
     {
@@ -251,26 +174,14 @@ void AlertWait(Mutex& m, Condition& c) {
         obs::Inc(obs::Counter::kWakeupWaitingHits);
       } else {
         TAOS_CHECK(c.EraseWindow(self));
-        if (nub.waitq_mode()) {
-          cell = c.wqueue_.Enqueue();
-          // Cannot fail: resumers hold c's ObjLock, which we hold.
-          TAOS_CHECK(InstallBlockedLocked(self, cell,
-                                          ThreadRecord::BlockKind::kCondition,
-                                          &c, c.id(), &c.nub_lock_,
-                                          /*alertable=*/true));
-        } else {
-          c.queue_.PushBack(self);
-          SetBlockedLocked(self, ThreadRecord::BlockKind::kCondition, &c, c.id(),
-                           &c.nub_lock_, /*alertable=*/true);
-        }
+        c.queue_.PushBack(self);
+        SetBlockedLocked(self, ThreadRecord::BlockKind::kCondition, &c, c.id(),
+                         &c.nub_lock_, /*alertable=*/true);
         parked = true;
       }
     }
     if (parked) {
       ParkBlocked(self);
-      if (cell != nullptr) {
-        FinishWaitCell(self, cell);
-      }
       // Woken either by Alert (alert_woken, already in pending_raise_) or
       // by Signal/Broadcast (removed from c). If an alert is pending in
       // either case, this implementation chooses to raise — the spec
@@ -309,63 +220,6 @@ void AlertWait(Mutex& m, Condition& c) {
   nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
   bool parked = false;
   bool raise = false;
-  if (nub.waitq_mode()) {
-    // As in Condition::Block, the cell claim (before the eventcount
-    // re-read) is the Dekker pairing with Signal's advance-then-scan. The
-    // record lock is held across the alerted check and the install so an
-    // Alert cannot slip between them.
-    waitq::WaitCell* cell = c.wqueue_.Enqueue();
-    {
-      SpinGuard sg(self->lock);
-      // Stalling with the record lock held stretches the check-to-install
-      // window an Alert must not be able to slip through.
-      TAOS_CHAOS(kAlertWaitWindow);
-      if (self->alerted.load(std::memory_order_relaxed)) {
-        raise = true;
-        if (cell->Cancel() == waitq::WaitCell::CancelOutcome::kCancelled) {
-          c.waiters_.fetch_sub(1, std::memory_order_relaxed);
-        }
-        // Cancel lost: a signaller consumed the claim (and decremented
-        // waiters_). Both an alert and a signal were delivered; raising is
-        // the outcome this implementation picks, which the spec permits.
-      } else if (c.ec_.Read() != i) {
-        if (cell->Cancel() == waitq::WaitCell::CancelOutcome::kCancelled) {
-          c.waiters_.fetch_sub(1, std::memory_order_relaxed);
-          c.absorbed_.fetch_add(1, std::memory_order_relaxed);
-          obs::Inc(obs::Counter::kWakeupWaitingHits);
-        }
-      } else {
-        parked = InstallBlockedLocked(self, cell,
-                                      ThreadRecord::BlockKind::kCondition, &c, c.id(),
-                                      &c.nub_lock_, /*alertable=*/true);
-      }
-    }
-    if (parked) {
-      ParkBlocked(self);
-      // A cancelled cell means Alert dequeued us (it set alert_woken); a
-      // resumed one means Signal/Broadcast did. Either way pick up a
-      // pending alert, as the classic path does.
-      raise =
-          FinishWaitCell(self, cell) == waitq::WaitCell::State::kCancelled;
-      SpinGuard sg(self->lock);
-      raise = raise || self->alert_woken ||
-              self->alerted.load(std::memory_order_relaxed);
-    } else {
-      waitq::WaitQueue::Detach(cell);
-    }
-    m.Acquire();
-    {
-      SpinGuard sg(self->lock);
-      self->alert_woken = false;
-      if (raise) {
-        self->alerted.store(false, std::memory_order_relaxed);
-      }
-    }
-    if (raise) {
-      throw Alerted();
-    }
-    return;
-  }
   {
     NubGuard g(c.nub_lock_);
     SpinGuard sg(self->lock);
@@ -438,7 +292,6 @@ WaitResult AlertWaitFor(Mutex& m, Condition& c,
 
     // AlertBlock with a deadline: as in AlertWait, the record lock covers
     // the alerted check and the block-state publication together.
-    waitq::WaitCell* cell = nullptr;
     bool parked = false;
     bool raise = false;
     std::uint64_t gen = 0;
@@ -456,18 +309,9 @@ WaitResult AlertWaitFor(Mutex& m, Condition& c,
       } else {
         TAOS_CHECK(c.EraseWindow(self));
         gen = ++self->next_timer_gen;
-        if (nub.waitq_mode()) {
-          cell = c.wqueue_.Enqueue();
-          // Cannot fail: resumers hold c's ObjLock, which we hold.
-          TAOS_CHECK(InstallBlockedLocked(self, cell,
-                                          ThreadRecord::BlockKind::kCondition,
-                                          &c, c.id(), &c.nub_lock_,
-                                          /*alertable=*/true));
-        } else {
-          c.queue_.PushBack(self);
-          SetBlockedLocked(self, ThreadRecord::BlockKind::kCondition, &c, c.id(),
-                           &c.nub_lock_, /*alertable=*/true);
-        }
+        c.queue_.PushBack(self);
+        SetBlockedLocked(self, ThreadRecord::BlockKind::kCondition, &c, c.id(),
+                         &c.nub_lock_, /*alertable=*/true);
         PublishTimedLocked(self, gen);
         parked = true;
       }
@@ -477,9 +321,6 @@ WaitResult AlertWaitFor(Mutex& m, Condition& c,
       Timer::Get().Arm(self, gen, deadline);
       ParkBlocked(self);
       Timer::Get().Cancel(self, gen);
-      if (cell != nullptr) {
-        FinishWaitCell(self, cell);
-      }
       expired = ConsumeTimeoutWoken(self);
       if (!expired) {
         SpinGuard sg(self->lock);
@@ -526,85 +367,37 @@ WaitResult AlertWaitFor(Mutex& m, Condition& c,
     bool parked = false;
     bool raise = false;
     bool expired = false;
-    if (nub.waitq_mode()) {
-      waitq::WaitCell* cell = c.wqueue_.Enqueue();
-      std::uint64_t gen = 0;
-      {
-        SpinGuard sg(self->lock);
-        TAOS_CHAOS(kAlertWaitWindow);
-        if (self->alerted.load(std::memory_order_relaxed)) {
-          raise = true;
-          if (cell->Cancel() == waitq::WaitCell::CancelOutcome::kCancelled) {
-            c.waiters_.fetch_sub(1, std::memory_order_relaxed);
-          }
-        } else if (c.ec_.Read() != i) {
-          if (cell->Cancel() == waitq::WaitCell::CancelOutcome::kCancelled) {
-            c.waiters_.fetch_sub(1, std::memory_order_relaxed);
-            c.absorbed_.fetch_add(1, std::memory_order_relaxed);
-            obs::Inc(obs::Counter::kWakeupWaitingHits);
-          }
-        } else {
-          parked = InstallBlockedLocked(self, cell,
-                                        ThreadRecord::BlockKind::kCondition,
-                                        &c, c.id(), &c.nub_lock_, /*alertable=*/true);
-          if (parked) {
-            gen = ++self->next_timer_gen;
-            PublishTimedLocked(self, gen);
-          }
-        }
-      }
-      if (parked) {
-        Timer::Get().Arm(self, gen, deadline);
-        ParkBlocked(self);
-        Timer::Get().Cancel(self, gen);
-        // A cancelled cell means Alert OR the timer dequeued us; the
-        // timeout_woken receipt says which. A resumed one means
-        // Signal/Broadcast did.
-        const bool cancelled = FinishWaitCell(self, cell) ==
-                               waitq::WaitCell::State::kCancelled;
-        SpinGuard sg(self->lock);
-        expired = self->timeout_woken;
-        self->timeout_woken = false;
-        if (!expired) {
-          raise = cancelled || self->alert_woken ||
-                  self->alerted.load(std::memory_order_relaxed);
-        }
+    std::uint64_t gen = 0;
+    {
+      NubGuard g(c.nub_lock_);
+      SpinGuard sg(self->lock);
+      TAOS_CHAOS(kAlertWaitWindow);
+      if (self->alerted.load(std::memory_order_relaxed)) {
+        raise = true;
+        c.waiters_.fetch_sub(1, std::memory_order_relaxed);
+      } else if (c.ec_.Read() == i) {
+        c.queue_.PushBack(self);
+        SetBlockedLocked(self, ThreadRecord::BlockKind::kCondition, &c, c.id(),
+                         &c.nub_lock_, /*alertable=*/true);
+        gen = ++self->next_timer_gen;
+        PublishTimedLocked(self, gen);
+        parked = true;
       } else {
-        waitq::WaitQueue::Detach(cell);
+        c.waiters_.fetch_sub(1, std::memory_order_relaxed);
+        c.absorbed_.fetch_add(1, std::memory_order_relaxed);
+        obs::Inc(obs::Counter::kWakeupWaitingHits);
       }
-    } else {
-      std::uint64_t gen = 0;
-      {
-        NubGuard g(c.nub_lock_);
-        SpinGuard sg(self->lock);
-        TAOS_CHAOS(kAlertWaitWindow);
-        if (self->alerted.load(std::memory_order_relaxed)) {
-          raise = true;
-          c.waiters_.fetch_sub(1, std::memory_order_relaxed);
-        } else if (c.ec_.Read() == i) {
-          c.queue_.PushBack(self);
-          SetBlockedLocked(self, ThreadRecord::BlockKind::kCondition, &c, c.id(),
-                           &c.nub_lock_, /*alertable=*/true);
-          gen = ++self->next_timer_gen;
-          PublishTimedLocked(self, gen);
-          parked = true;
-        } else {
-          c.waiters_.fetch_sub(1, std::memory_order_relaxed);
-          c.absorbed_.fetch_add(1, std::memory_order_relaxed);
-          obs::Inc(obs::Counter::kWakeupWaitingHits);
-        }
-      }
-      if (parked) {
-        Timer::Get().Arm(self, gen, deadline);
-        ParkBlocked(self);
-        Timer::Get().Cancel(self, gen);
-        SpinGuard sg(self->lock);
-        expired = self->timeout_woken;
-        self->timeout_woken = false;
-        if (!expired) {
-          raise = self->alert_woken ||
-                  self->alerted.load(std::memory_order_relaxed);
-        }
+    }
+    if (parked) {
+      Timer::Get().Arm(self, gen, deadline);
+      ParkBlocked(self);
+      Timer::Get().Cancel(self, gen);
+      SpinGuard sg(self->lock);
+      expired = self->timeout_woken;
+      self->timeout_woken = false;
+      if (!expired) {
+        raise = self->alert_woken ||
+                self->alerted.load(std::memory_order_relaxed);
       }
     }
 
@@ -649,8 +442,6 @@ void AlertP(Semaphore& s) {
     nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
     obs::Inc(obs::Counter::kNubAlertP);
     for (;;) {
-      waitq::WaitCell* cell = nullptr;
-      bool parked = false;
       {
         NubGuard g(s.nub_lock_);
         SpinGuard sg(self->lock);
@@ -665,37 +456,21 @@ void AlertP(Semaphore& s) {
           nub.EmitTraced(spec::MakeAlertPReturns(self->id, s.id_));
           return;
         }
-        if (nub.waitq_mode()) {
-          cell = s.wqueue_.Enqueue();
-          s.queue_len_.fetch_add(1, std::memory_order_relaxed);
-          // Cannot fail: resumers hold s's ObjLock, which we hold.
-          TAOS_CHECK(InstallBlockedLocked(self, cell,
-                                          ThreadRecord::BlockKind::kSemaphore,
-                                          &s, s.id(), &s.nub_lock_,
-                                          /*alertable=*/true));
-        } else {
-          s.queue_.PushBack(self);
-          s.queue_len_.fetch_add(1, std::memory_order_relaxed);
-          SetBlockedLocked(self, ThreadRecord::BlockKind::kSemaphore, &s, s.id(),
-                           &s.nub_lock_, /*alertable=*/true);
-        }
-        parked = true;
+        s.queue_.PushBack(self);
+        s.queue_len_.fetch_add(1, std::memory_order_relaxed);
+        SetBlockedLocked(self, ThreadRecord::BlockKind::kSemaphore, &s, s.id(),
+                         &s.nub_lock_, /*alertable=*/true);
       }
-      if (parked) {
-        ParkBlocked(self);
-        if (cell != nullptr) {
-          FinishWaitCell(self, cell);
-        }
-        SpinGuard sg(self->lock);
-        if (self->alert_woken) {
-          self->alert_woken = false;
-          self->alerted.store(false, std::memory_order_relaxed);
-          // The Alert that woke us already dequeued SELF and emitted its own
-          // action; this one touches only the alert flag, under the record
-          // lock.
-          nub.EmitTraced(spec::MakeAlertPRaises(self->id, s.id_));
-          throw Alerted();
-        }
+      ParkBlocked(self);
+      SpinGuard sg(self->lock);
+      if (self->alert_woken) {
+        self->alert_woken = false;
+        self->alerted.store(false, std::memory_order_relaxed);
+        // The Alert that woke us already dequeued SELF and emitted its own
+        // action; this one touches only the alert flag, under the record
+        // lock.
+        nub.EmitTraced(spec::MakeAlertPRaises(self->id, s.id_));
+        throw Alerted();
       }
     }
   }
@@ -714,73 +489,6 @@ void AlertP(Semaphore& s) {
   nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
   s.slow_ps_.fetch_add(1, std::memory_order_relaxed);
   obs::Inc(obs::Counter::kNubAlertP);
-
-  if (nub.waitq_mode()) {
-    for (;;) {
-      {
-        SpinGuard sg(self->lock);
-        if (self->alerted.load(std::memory_order_relaxed)) {
-          self->alerted.store(false, std::memory_order_relaxed);
-          self->alert_woken = false;
-          throw Alerted();
-        }
-      }
-      waitq::WaitCell* cell = s.wqueue_.Enqueue();
-      s.queue_len_.fetch_add(1, std::memory_order_seq_cst);
-      bool parked = false;
-      bool raise = false;
-      {
-        SpinGuard sg(self->lock);
-        TAOS_CHAOS(kAlertWaitWindow);
-        if (self->alerted.load(std::memory_order_relaxed)) {
-          // An Alert slipped in after the check above; it saw this thread
-          // unpublished and left only the flag. Withdraw the claim and
-          // raise — unless a V's resume already landed on the cell, in
-          // which case the wakeup must stand (raising here would lose the
-          // V): proceed to the retry with the flag still pending.
-          if (cell->Cancel() == waitq::WaitCell::CancelOutcome::kCancelled) {
-            s.queue_len_.fetch_sub(1, std::memory_order_relaxed);
-            self->alerted.store(false, std::memory_order_relaxed);
-            self->alert_woken = false;
-            raise = true;
-          }
-        } else if (s.bit_.load(std::memory_order_seq_cst) != 0) {
-          parked = InstallBlockedLocked(self, cell,
-                                        ThreadRecord::BlockKind::kSemaphore,
-                                        &s, s.id(), &s.nub_lock_, /*alertable=*/true);
-        } else {
-          // Available in the meantime: withdraw the claim and retry.
-          if (cell->Cancel() == waitq::WaitCell::CancelOutcome::kCancelled) {
-            s.queue_len_.fetch_sub(1, std::memory_order_relaxed);
-          }
-        }
-      }
-      if (raise) {
-        waitq::WaitQueue::Detach(cell);
-        throw Alerted();
-      }
-      if (parked) {
-        ParkBlocked(self);
-        if (FinishWaitCell(self, cell) ==
-            waitq::WaitCell::State::kCancelled) {
-          // Alert dequeued us with its cancel CAS.
-          SpinGuard sg(self->lock);
-          self->alerted.store(false, std::memory_order_relaxed);
-          self->alert_woken = false;
-          throw Alerted();
-        }
-      } else {
-        waitq::WaitQueue::Detach(cell);
-      }
-      if (s.bit_.exchange(1, std::memory_order_acquire) == 0) {
-        return;
-      }
-      obs::Inc(obs::Counter::kLockBitRetries);
-      if (parked) {
-        obs::Inc(obs::Counter::kSpuriousWakeups);
-      }
-    }
-  }
 
   for (;;) {
     bool parked = false;

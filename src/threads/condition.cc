@@ -16,7 +16,6 @@ Condition::Condition() : id_(Nub::Get().NextObjId()) {}
 
 Condition::~Condition() {
   TAOS_CHECK(queue_.Empty());
-  TAOS_CHECK(wqueue_.DrainedForDebug());
   TAOS_CHECK(window_.empty());
   TAOS_CHECK(pending_raise_.empty());
   TAOS_CHECK(pending_timeout_.empty());
@@ -83,42 +82,12 @@ void Condition::Block(ThreadRecord* self, EventCount::Value i) {
   Nub& nub = Nub::Get();
   nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
   obs::Inc(obs::Counter::kNubWait);
-  if (nub.waitq_mode()) {
-    // Lock-free Block: claim a cell, then re-read the eventcount. The
-    // claim-then-read here against Signal's advance-then-scan is the Dekker
-    // pairing that closes the wakeup-waiting race on this backend (both the
-    // cell claim and EventCount accesses are seq_cst); a Signal that
-    // advanced past i either sees our claim, or we see its advance.
-    waitq::WaitCell* cell = wqueue_.Enqueue();
-    TAOS_CHAOS(kCondClaimToRecheck);
-    if (ec_.Read() != i) {
-      // A Signal or Broadcast intervened: withdraw the claim and return. If
-      // its resume already landed on the cell, accept the wakeup (the
-      // signaller then did the waiters_ decrement).
-      if (cell->Cancel() == waitq::WaitCell::CancelOutcome::kCancelled) {
-        waiters_.fetch_sub(1, std::memory_order_relaxed);
-        absorbed_.fetch_add(1, std::memory_order_relaxed);
-        obs::Inc(obs::Counter::kWakeupWaitingHits);
-      }
-      waitq::WaitQueue::Detach(cell);
-      return;
-    }
-    bool parked;
-    {
-      SpinGuard tg(self->lock);
-      parked = InstallBlockedLocked(self, cell,
-                                    ThreadRecord::BlockKind::kCondition, this, id_,
-                                    &nub_lock_, /*alertable=*/false);
-    }
-    if (parked) {
-      ParkBlocked(self);
-    }
-    FinishWaitCell(self, cell);
-    return;
-  }
   bool parked = false;
   {
     NubGuard g(nub_lock_);
+    // Holding c's lock, before re-reading the eventcount: a Signal that
+    // advanced it in the meantime must be seen here.
+    TAOS_CHAOS(kCondClaimToRecheck);
     if (ec_.Read() == i) {
       queue_.PushBack(self);
       MarkBlocked(self, ThreadRecord::BlockKind::kCondition, this, id_, &nub_lock_,
@@ -143,46 +112,11 @@ bool Condition::BlockFor(ThreadRecord* self, EventCount::Value i,
   Nub& nub = Nub::Get();
   nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
   obs::Inc(obs::Counter::kNubWait);
-  if (nub.waitq_mode()) {
-    // As Block, plus the arm/park/cancel episode; the timer's cell-cancel
-    // CAS against a signaller's resume decides expiry-vs-wakeup, so a
-    // Signal that dequeues this thread can never be turned into a timeout.
-    waitq::WaitCell* cell = wqueue_.Enqueue();
-    TAOS_CHAOS(kCondClaimToRecheck);
-    if (ec_.Read() != i) {
-      if (cell->Cancel() == waitq::WaitCell::CancelOutcome::kCancelled) {
-        waiters_.fetch_sub(1, std::memory_order_relaxed);
-        absorbed_.fetch_add(1, std::memory_order_relaxed);
-        obs::Inc(obs::Counter::kWakeupWaitingHits);
-      }
-      waitq::WaitQueue::Detach(cell);
-      return false;
-    }
-    bool parked;
-    std::uint64_t gen = 0;
-    {
-      SpinGuard tg(self->lock);
-      parked = InstallBlockedLocked(self, cell,
-                                    ThreadRecord::BlockKind::kCondition, this, id_,
-                                    &nub_lock_, /*alertable=*/false);
-      if (parked) {
-        gen = ++self->next_timer_gen;
-        PublishTimedLocked(self, gen);
-      }
-    }
-    if (parked) {
-      Timer::Get().Arm(self, gen, deadline_ns);
-      ParkBlocked(self);
-      Timer::Get().Cancel(self, gen);
-      TAOS_CHAOS(kCondTimedFinish);
-    }
-    FinishWaitCell(self, cell);
-    return parked && ConsumeTimeoutWoken(self);
-  }
   bool parked = false;
   std::uint64_t gen = 0;
   {
     NubGuard g(nub_lock_);
+    TAOS_CHAOS(kCondClaimToRecheck);
     if (ec_.Read() == i) {
       queue_.PushBack(self);
       gen = ++self->next_timer_gen;
@@ -230,29 +164,20 @@ void Condition::NubSignal() {
   nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
   nub_signals_.fetch_add(1, std::memory_order_relaxed);
   obs::Inc(obs::Counter::kNubSignal);
-  waitq::Parker* unpark = nullptr;
+  ThreadRecord* wake = nullptr;
   {
     NubGuard g(nub_lock_);
     ec_.Advance();
     TAOS_CHAOS(kCondSignalToResume);
-    if (nub.waitq_mode()) {
-      const waitq::WaitQueue::Resumed r = wqueue_.ResumeOne();
-      if (r.resumed) {
-        waiters_.fetch_sub(1, std::memory_order_relaxed);
-        unpark = r.parker;  // null on an immediate grant
-      }
-    } else {
-      ThreadRecord* wake = queue_.PopFront();
-      if (wake != nullptr) {
-        waiters_.fetch_sub(1, std::memory_order_relaxed);
-        MarkUnblocked(wake);
-        unpark = &wake->park;
-      }
+    wake = queue_.PopFront();
+    if (wake != nullptr) {
+      waiters_.fetch_sub(1, std::memory_order_relaxed);
+      MarkUnblocked(wake);
     }
   }
-  if (unpark != nullptr) {
+  if (wake != nullptr) {
     obs::Inc(obs::Counter::kHandoffs);
-    unpark->Unpark();
+    wake->park.Unpark();
   }
 }
 
@@ -277,33 +202,20 @@ void Condition::NubBroadcast() {
   Nub& nub = Nub::Get();
   nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
   obs::Inc(obs::Counter::kNubBroadcast);
-  std::vector<waitq::Parker*> unpark;
+  std::vector<ThreadRecord*> wake;
   {
     NubGuard g(nub_lock_);
     ec_.Advance();
     TAOS_CHAOS(kCondSignalToResume);
-    if (nub.waitq_mode()) {
-      for (;;) {
-        const waitq::WaitQueue::Resumed r = wqueue_.ResumeOne();
-        if (!r.resumed) {
-          break;
-        }
-        waiters_.fetch_sub(1, std::memory_order_relaxed);
-        if (r.parker != nullptr) {  // immediate grants need no unpark
-          unpark.push_back(r.parker);
-        }
-      }
-    } else {
-      while (ThreadRecord* t = queue_.PopFront()) {
-        waiters_.fetch_sub(1, std::memory_order_relaxed);
-        MarkUnblocked(t);
-        unpark.push_back(&t->park);
-      }
+    while (ThreadRecord* t = queue_.PopFront()) {
+      waiters_.fetch_sub(1, std::memory_order_relaxed);
+      MarkUnblocked(t);
+      wake.push_back(t);
     }
   }
-  obs::Add(obs::Counter::kHandoffs, unpark.size());
-  for (waitq::Parker* p : unpark) {
-    p->Unpark();
+  obs::Add(obs::Counter::kHandoffs, wake.size());
+  for (ThreadRecord* t : wake) {
+    t->park.Unpark();
   }
 }
 
@@ -358,7 +270,6 @@ void Condition::TracedWait(Mutex& m, ThreadRecord* self) {
   }
 
   // Nub subroutine Block(c, i).
-  waitq::WaitCell* cell = nullptr;
   bool parked = false;
   {
     NubGuard g(nub_lock_);
@@ -371,27 +282,14 @@ void Condition::TracedWait(Mutex& m, ThreadRecord* self) {
       obs::Inc(obs::Counter::kWakeupWaitingHits);
     } else {
       TAOS_CHECK(EraseWindow(self));
-      if (nub.waitq_mode()) {
-        cell = wqueue_.Enqueue();
-        SpinGuard tg(self->lock);
-        // Cannot fail: resumers hold this ObjLock, which we hold.
-        TAOS_CHECK(InstallBlockedLocked(self, cell,
-                                        ThreadRecord::BlockKind::kCondition,
-                                        this, id_, &nub_lock_,
-                                        /*alertable=*/false));
-      } else {
-        queue_.PushBack(self);
-        MarkBlocked(self, ThreadRecord::BlockKind::kCondition, this, id_,
-                    &nub_lock_, /*alertable=*/false);
-      }
+      queue_.PushBack(self);
+      MarkBlocked(self, ThreadRecord::BlockKind::kCondition, this, id_,
+                  &nub_lock_, /*alertable=*/false);
       parked = true;
     }
   }
   if (parked) {
     ParkBlocked(self);
-    if (cell != nullptr) {
-      FinishWaitCell(self, cell);
-    }
   }
 
   // Atomic action Resume, emitted at the instant m is regained. Its WHEN
@@ -423,7 +321,6 @@ WaitResult Condition::TracedWaitFor(Mutex& m, ThreadRecord* self,
   }
 
   // Block(c, i) with a deadline.
-  waitq::WaitCell* cell = nullptr;
   bool parked = false;
   std::uint64_t gen = 0;
   {
@@ -436,22 +333,11 @@ WaitResult Condition::TracedWaitFor(Mutex& m, ThreadRecord* self,
     } else {
       TAOS_CHECK(EraseWindow(self));
       gen = ++self->next_timer_gen;
-      if (nub.waitq_mode()) {
-        cell = wqueue_.Enqueue();
-        SpinGuard tg(self->lock);
-        // Cannot fail: resumers hold this ObjLock, which we hold.
-        TAOS_CHECK(InstallBlockedLocked(self, cell,
-                                        ThreadRecord::BlockKind::kCondition,
-                                        this, id_, &nub_lock_,
-                                        /*alertable=*/false));
-        PublishTimedLocked(self, gen);
-      } else {
-        queue_.PushBack(self);
-        SpinGuard tg(self->lock);
-        SetBlockedLocked(self, ThreadRecord::BlockKind::kCondition, this, id_,
-                         &nub_lock_, /*alertable=*/false);
-        PublishTimedLocked(self, gen);
-      }
+      queue_.PushBack(self);
+      SpinGuard tg(self->lock);
+      SetBlockedLocked(self, ThreadRecord::BlockKind::kCondition, this, id_,
+                       &nub_lock_, /*alertable=*/false);
+      PublishTimedLocked(self, gen);
       parked = true;
     }
   }
@@ -460,9 +346,6 @@ WaitResult Condition::TracedWaitFor(Mutex& m, ThreadRecord* self,
     Timer::Get().Arm(self, gen, deadline_ns);
     ParkBlocked(self);
     Timer::Get().Cancel(self, gen);
-    if (cell != nullptr) {
-      FinishWaitCell(self, cell);
-    }
     expired = ConsumeTimeoutWoken(self);
   }
 
@@ -490,20 +373,10 @@ void Condition::TracedSignal(ThreadRecord* self) {
     NubGuard g(nub_lock_);
     ec_.Advance();
     spec::ThreadSet removed;
-    if (nub.waitq_mode()) {
-      const waitq::WaitQueue::Resumed r = wqueue_.ResumeOne();
-      if (r.resumed) {
-        wake = static_cast<ThreadRecord*>(r.tag);
-        TAOS_CHECK(wake != nullptr);  // no immediate grants in traced mode
-        removed = removed.Insert(wake->id);
-        // The waiter unblocks itself in FinishWaitCell.
-      }
-    } else {
-      wake = queue_.PopFront();
-      if (wake != nullptr) {
-        removed = removed.Insert(wake->id);
-        MarkUnblocked(wake);
-      }
+    wake = queue_.PopFront();
+    if (wake != nullptr) {
+      removed = removed.Insert(wake->id);
+      MarkUnblocked(wake);
     }
     // Every thread in the wakeup-waiting window absorbs this increment, so
     // this Signal removes them all from c.
@@ -543,23 +416,10 @@ void Condition::TracedBroadcast(ThreadRecord* self) {
     NubGuard g(nub_lock_);
     ec_.Advance();
     spec::ThreadSet removed;
-    if (nub.waitq_mode()) {
-      for (;;) {
-        const waitq::WaitQueue::Resumed r = wqueue_.ResumeOne();
-        if (!r.resumed) {
-          break;
-        }
-        ThreadRecord* t = static_cast<ThreadRecord*>(r.tag);
-        TAOS_CHECK(t != nullptr);  // no immediate grants in traced mode
-        removed = removed.Insert(t->id);
-        wake.push_back(t);
-      }
-    } else {
-      while (ThreadRecord* t = queue_.PopFront()) {
-        removed = removed.Insert(t->id);
-        MarkUnblocked(t);
-        wake.push_back(t);
-      }
+    while (ThreadRecord* t = queue_.PopFront()) {
+      removed = removed.Insert(t->id);
+      MarkUnblocked(t);
+      wake.push_back(t);
     }
     for (ThreadRecord* r : window_) {
       removed = removed.Insert(r->id);

@@ -44,7 +44,6 @@
 #include "src/threads/mutex.h"
 #include "src/threads/thread_record.h"
 #include "src/threads/wait_result.h"
-#include "src/waitq/waitq.h"
 
 namespace taos {
 
@@ -131,8 +130,7 @@ class Condition {
 
   EventCount ec_;
   ObjLock nub_lock_;  // guards queue_, window_, pending_raise_
-  IntrusiveQueue<ThreadRecord> queue_;  // classic backend
-  waitq::WaitQueue wqueue_;             // waiter-queue backend (TAOS_WAITQ)
+  IntrusiveQueue<ThreadRecord> queue_;
   std::atomic<std::int32_t> waiters_{0};
   spec::ObjId id_;
 

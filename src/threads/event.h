@@ -22,13 +22,10 @@
 // a notification that reaches a waiter that no longer wants the event
 // consumes nothing (see poll.h for the full argument).
 //
-// Beyond the plain waiter queues (classic intrusive / waitq cells, exactly
-// Semaphore's), an Event carries a *pollable list*: registrations by
-// Poll::WaitAny/WaitAll waiters that Set must notify. In classic mode this
-// is an intrusive doubly-linked list of stack-resident PollNodes guarded by
-// the event's ObjLock; in waitq mode it is a second CQS queue whose cells
-// tag the registrant's ThreadRecord, giving deregistration the same O(1)
-// abort-as-cancellation path as Alert.
+// Beyond the plain waiter queue (an intrusive queue, exactly Semaphore's),
+// an Event carries a *pollable list*: registrations by Poll::WaitAny/WaitAll
+// waiters that Set must notify, kept as an intrusive doubly-linked list of
+// stack-resident PollNodes guarded by the event's ObjLock.
 
 #ifndef TAOS_SRC_THREADS_EVENT_H_
 #define TAOS_SRC_THREADS_EVENT_H_
@@ -43,7 +40,7 @@
 #include "src/threads/nub.h"
 #include "src/threads/thread_record.h"
 #include "src/threads/wait_result.h"
-#include "src/waitq/waitq.h"
+#include "src/waitq/parker.h"
 
 namespace taos {
 
@@ -57,18 +54,13 @@ enum class EventReset : std::uint8_t {
 
 // One Poll waiter's registration on one Event. Lives in the waiter's frame
 // for the duration of the WaitAny/WaitAll call. The list links and `linked`
-// are guarded by the event's ObjLock (classic mode); `cell` is
-// waiter-private bookkeeping naming the current waitq registration cell
-// (refreshed under the event's ObjLock when a notification consumes it).
-// Granters never dereference a PollNode outside the event's ObjLock, and
-// never at all in waitq mode — the cell's tag carries the process-lifetime
-// ThreadRecord* instead.
+// are guarded by the event's ObjLock; granters never dereference a PollNode
+// outside it.
 struct PollNode {
   PollNode* prev = nullptr;
   PollNode* next = nullptr;
   ThreadRecord* rec = nullptr;
   Event* event = nullptr;
-  waitq::WaitCell* cell = nullptr;
   bool linked = false;
 };
 
@@ -112,9 +104,7 @@ class Event {
   friend void Alert(ThreadHandle t);
 
   void NubWait(ThreadRecord* self);
-  void WaitqWait(ThreadRecord* self);
   bool NubWaitFor(ThreadRecord* self, std::uint64_t deadline_ns);
-  bool WaitqWaitFor(ThreadRecord* self, std::uint64_t deadline_ns);
   void NubSet();
   void ResumeForSetLocked(std::vector<waitq::Parker*>* unparks);
   void TracedSet(ThreadRecord* self);
@@ -133,15 +123,11 @@ class Event {
 
   // --- pollable-list plumbing (called by Poll and by Set) ---
 
-  // Registers / refreshes `node` on this event's pollable list. REQUIRES
-  // nub_lock_ held and node->event == this. In waitq mode a consumed
-  // (terminal) cell is detached and replaced; holding the event's ObjLock
-  // across Enqueue+Install means the Install cannot lose to a resumer.
+  // Registers `node` on this event's pollable list (a no-op when it is
+  // already linked). REQUIRES nub_lock_ held and node->event == this.
   void RegisterPollerLocked(PollNode* node);
 
-  // Removes `node`'s registration. Classic mode takes the event's ObjLock
-  // to unlink; waitq mode is the O(1) lock-free cancel CAS (kLostToResume
-  // means a Set's notification won — harmless, notifications only hint).
+  // Removes `node`'s registration, taking the event's ObjLock to unlink.
   void DeregisterPoller(PollNode* node);
 
   // Notifies every registered poller (latch 0->1 edge does the record-lock
@@ -153,11 +139,9 @@ class Event {
 
   std::atomic<std::uint32_t> set_;      // 1 iff set
   ObjLock nub_lock_;                    // guards the queues and poller list
-  IntrusiveQueue<ThreadRecord> queue_;  // plain waiters, classic backend
-  waitq::WaitQueue wqueue_;             // plain waiters, waitq backend
+  IntrusiveQueue<ThreadRecord> queue_;  // plain waiters
   std::atomic<std::int32_t> queue_len_{0};
-  PollNode pollers_;  // classic poller list: circular, sentinel node
-  waitq::WaitQueue pqueue_;  // waitq poller registrations
+  PollNode pollers_;  // poller list: circular, sentinel node
   std::atomic<std::int32_t> pollers_len_{0};
   const EventReset reset_;
   spec::ObjId id_;

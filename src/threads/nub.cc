@@ -15,23 +15,10 @@ bool GlobalLockModeFromEnv() {
   const char* v = std::getenv("TAOS_NUB_GLOBAL_LOCK");
   return v != nullptr && *v != '\0' && std::strcmp(v, "0") != 0;
 }
-
-bool WaitqModeFromEnv() {
-  const char* v = std::getenv("TAOS_WAITQ");
-  if (v == nullptr) {
-#if defined(TAOS_WAITQ_DEFAULT)
-    return true;
-#else
-    return false;
-#endif
-  }
-  return *v != '\0' && std::strcmp(v, "0") != 0;
-}
 }  // namespace
 
 Nub::Nub() {
   global_lock_mode_.store(GlobalLockModeFromEnv());
-  waitq_mode_.store(WaitqModeFromEnv());
 }
 
 Nub& Nub::Get() {

@@ -90,29 +90,18 @@ class Nub {
     global_lock_mode_.store(on, std::memory_order_relaxed);
   }
 
-  // True when the slow paths run on the waiter-queue substrate (src/waitq):
-  // lock-free segment-queue enqueue, FIFO resume, Alert-as-cancellation —
-  // instead of the classic ObjLock-guarded intrusive queues. Initialized
-  // from the TAOS_WAITQ environment variable (compile-time default via the
-  // TAOS_WAITQ CMake option). Orthogonal to global_lock_mode: the resume
-  // side still serializes on the ObjLock either way.
-  bool waitq_mode() const {
-    return waitq_mode_.load(std::memory_order_relaxed);
-  }
-
-  // Quiescent-only, like SetGlobalLockMode: a thread enqueued by one
-  // backend must be resumed by the same backend.
-  void SetWaitqMode(bool on) {
-    waitq_mode_.store(on, std::memory_order_relaxed);
-  }
+  // Always false: every slow path runs on the ObjLock-guarded intrusive
+  // queues. Kept only because the repository benchmark (perfbench/main.cc)
+  // stamps it into its results.
+  bool waitq_mode() const { return false; }
 
   // The mutual-exclusion core under every ObjLock and record lock
   // (TAOS_LOCK={tas,mcs,clh}; see src/base/spinlock.h). Process-wide state
-  // on SpinLock itself; surfaced here so callers switch all three runtime
-  // policies — sharding, waiter queue, lock core — through one interface.
+  // on SpinLock itself; surfaced here so callers switch both runtime
+  // policies — sharding and lock core — through one interface.
   LockBackend lock_backend() const { return SpinLock::backend(); }
 
-  // Quiescent-only, stricter than SetWaitqMode: every SpinLock in the
+  // Quiescent-only, stricter than SetGlobalLockMode: every SpinLock in the
   // process must be free, because each core keeps its own "held" state.
   // The caller quiesces its own threads by joining them; the timer thread
   // — detached, and a SpinLock user on every tick — is quiesced here, so
@@ -174,7 +163,6 @@ class Nub {
 
   SpinLock lock_;
   std::atomic<bool> global_lock_mode_{false};
-  std::atomic<bool> waitq_mode_{false};
   std::atomic<spec::TraceSink*> trace_{nullptr};
   std::atomic<spec::ObjId> next_obj_id_{1};
   std::atomic<std::uint64_t> next_seq_{0};

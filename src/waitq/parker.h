@@ -1,6 +1,6 @@
-// Parker: the one-permit park/unpark primitive the waiter-queue substrate
-// (waitq.h) suspends threads on. It is the "de-schedule this thread / add it
-// to the ready pool" substitution point of the Nub, factored out of
+// Parker: the one-permit park/unpark primitive every Nub slow path suspends
+// threads on (ThreadRecord::park). It is the "de-schedule this thread / add
+// it to the ready pool" substitution point of the Nub, factored out of
 // ThreadRecord so the blocking mechanism is pluggable:
 //
 //   - kFutex    — a 3-state futex protocol (Linux only): EMPTY/PARKED/
@@ -13,14 +13,14 @@
 // The permit discipline matches std::binary_semaphore{0}: Unpark deposits at
 // most one permit; Park consumes one, sleeping until it arrives. An Unpark
 // that races ahead of the Park is never lost (the permit waits), and a
-// spurious futex return re-checks the word. The waitq cell protocol
+// spurious futex return re-checks the word. The Nub's queue discipline
 // guarantees at most one Unpark per Park, but the parker itself also
 // tolerates Unpark-with-no-parker (the permit is consumed by the next Park).
 //
 // Memory ordering (the fence argument): Park-returns is an acquire edge
 // paired with Unpark's release on the permit word, in BOTH backends. The
 // unparker writes the reason for the wakeup (a granted mutex bit, a filled
-// condition slot, a cancelled wait cell) before Unpark; the parked thread
+// condition slot, an alert or timeout receipt) before Unpark; the parked thread
 // reads it right after Park returns. Those payload reads must not be
 // reorderable above the observation of kNotified, so the edge has to stand
 // on the permit word itself:

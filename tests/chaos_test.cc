@@ -153,17 +153,14 @@ class ChaosRuntimeTest : public ::testing::Test {
   void SetUp() override {
     saved_backend_ = SpinLock::backend();
     saved_lock_mode_ = Nub::Get().global_lock_mode();
-    saved_waitq_mode_ = Nub::Get().waitq_mode();
   }
   void TearDown() override {
     chaos::Disable();
     Nub::Get().SetLockBackend(saved_backend_);
     Nub::Get().SetGlobalLockMode(saved_lock_mode_);
-    Nub::Get().SetWaitqMode(saved_waitq_mode_);
   }
   LockBackend saved_backend_ = LockBackend::kTas;
   bool saved_lock_mode_ = false;
-  bool saved_waitq_mode_ = false;
 };
 
 // One pass of mixed production traffic: contended mutexes (grants, timeouts,
@@ -171,9 +168,9 @@ class ChaosRuntimeTest : public ::testing::Test {
 // signaller, AlertWait/AlertP against an alerter, rwlock readers against a
 // writer, poll/event/message-queue fan-in, and raw spin-lock contention
 // under whichever TAOS_LOCK core is active. Everything the named points
-// instrument, in whichever lock/queue mode
-// the caller configured. The diagnosis layer is switched on for the pass
-// and a snapshotter thread races SnapshotBlocked against the workload, so
+// instrument, in whichever lock mode the caller configured. The diagnosis
+// layer is switched on for the pass and a snapshotter thread races
+// SnapshotBlocked against the workload, so
 // the three diag windows (publish-to-park, owner-stamp, snapshot-read) are
 // crossed under injection too.
 void MixedWorkloadPass() {
@@ -389,11 +386,10 @@ TEST_F(ChaosRuntimeTest, FixedSeedMatrixCoversEveryPoint) {
   obs::ResetCoverage();
   // Uniform pressure, fixed seed, all points enabled — the acceptance
   // configuration. The workload runs over the same backend matrix as the
-  // conformance suite so every subsystem's slow path is on the table: the
-  // full lock x queue grid under the TAS core, plus one sharded/classic
-  // pass under each queue core for the MCS/CLH-only seams (the Nub-mode
-  // points are core-independent, so those passes need not re-span the
-  // grid).
+  // conformance suite so every subsystem's slow path is on the table: both
+  // lock modes under the TAS core, plus one sharded pass under each queue
+  // core for the MCS/CLH-only seams (the Nub-mode points are
+  // core-independent, so those passes need not re-span the modes).
   chaos::Configure(chaos::Config{.seed = 7,
                                  .strategy = chaos::Strategy::kUniform});
   ASSERT_TRUE(chaos::Active());
@@ -406,14 +402,10 @@ TEST_F(ChaosRuntimeTest, FixedSeedMatrixCoversEveryPoint) {
   // accumulating coverage, rather than gate on one roll of the scheduler.
   for (int round = 0; round < 3 && hit < chaos::kNumPoints; ++round) {
     for (bool global : {false, true}) {
-      for (bool waitq : {false, true}) {
-        Nub::Get().SetGlobalLockMode(global);
-        Nub::Get().SetWaitqMode(waitq);
-        MixedWorkloadPass();
-      }
+      Nub::Get().SetGlobalLockMode(global);
+      MixedWorkloadPass();
     }
     Nub::Get().SetGlobalLockMode(false);
-    Nub::Get().SetWaitqMode(false);
     for (LockBackend backend : {LockBackend::kMcs, LockBackend::kClh}) {
       Nub::Get().SetLockBackend(backend);
       MixedWorkloadPass();
@@ -440,8 +432,8 @@ TEST_F(ChaosRuntimeTest, FixedSeedMatrixCoversEveryPoint) {
                 missed.empty() ? " none missed" : " missed:", missed.c_str());
   }
   chaos::Disable();
-  // Every named window must have been crossed (hit) — the point list is
-  // append-only and each addition must arrive with workload that reaches
+  // Every named window must have been crossed (hit) — new points go at the
+  // end of the list and each addition must arrive with workload that reaches
   // it. Points that never fire under this seed are visible in the fires
   // column but only crossings gate.
   EXPECT_EQ(hit, chaos::kNumPoints) << "missed:" << missed;
@@ -519,7 +511,6 @@ bool SeedCatchesLostAlert(std::uint64_t seed) {
 }
 
 TEST_F(ChaosRuntimeTest, LostAlertBugIsCaughtAndReproducesFromSeed) {
-  Nub::Get().SetWaitqMode(true);  // the cancel-CAS arbitration path
   std::uint64_t found = 0;
   for (std::uint64_t seed = 1; seed <= 8 && found == 0; ++seed) {
     if (SeedCatchesLostAlert(seed)) {

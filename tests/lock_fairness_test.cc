@@ -1,5 +1,5 @@
 // FIFO-fairness regression tests for the queue-lock cores (TAOS_LOCK=mcs
-// and clh), mirroring waitq_fairness_test at the spin-lock layer.
+// and clh).
 //
 // Both queue cores promise grant-in-arrival-order by construction: a waiter
 // takes its place with one exchange on the tail and the lock then travels

@@ -1,8 +1,6 @@
-// taos::ReaderWriterMutex: the two-layer readers-writer primitive. Each
-// scenario runs under both waiter-queue backends (classic intrusive queues
-// and TAOS_WAITQ cells) — the rwlock keeps two queues per object, so the
-// substrate switch touches every slow path here. Spec conformance of the
-// traced paths lives in threads_conformance_test; this suite pins the
+// taos::ReaderWriterMutex: the two-layer readers-writer primitive, which
+// keeps two Nub queues per object (readers, writers). Spec conformance of
+// the traced paths lives in threads_conformance_test; this suite pins the
 // runtime behaviour: admission rules, the wakeup policy (exclusive release
 // drains all readers + one writer; last reader out wakes a writer), timed
 // grants racing deadlines, and the workload harness invariant.
@@ -23,25 +21,13 @@ namespace {
 
 using namespace std::chrono_literals;
 
-class RwMutexTest : public ::testing::TestWithParam<bool> {
- protected:
-  void SetUp() override {
-    saved_ = Nub::Get().waitq_mode();
-    Nub::Get().SetWaitqMode(GetParam());
-  }
-  void TearDown() override { Nub::Get().SetWaitqMode(saved_); }
-
- private:
-  bool saved_ = false;
-};
-
 void AwaitParked(const Thread& t) {
   while (t.Handle().rec->parks.load(std::memory_order_acquire) == 0) {
     std::this_thread::yield();
   }
 }
 
-TEST_P(RwMutexTest, UncontendedModes) {
+TEST(RwMutexTest, UncontendedModes) {
   ReaderWriterMutex rw;
   rw.Acquire();
   EXPECT_EQ(rw.HolderForDebug(), Thread::Self().id());
@@ -64,7 +50,7 @@ TEST_P(RwMutexTest, UncontendedModes) {
 
 // Readers genuinely overlap: all of them must be inside their sections at
 // one moment (a mutex in reader's clothing would deadlock this test).
-TEST_P(RwMutexTest, ReadersOverlap) {
+TEST(RwMutexTest, ReadersOverlap) {
   constexpr int kReaders = 4;
   ReaderWriterMutex rw;
   std::atomic<int> inside{0};
@@ -89,7 +75,7 @@ TEST_P(RwMutexTest, ReadersOverlap) {
 
 // Mixed readers and writers over a shared variable: writers see and leave
 // consistent state, readers never observe a torn update.
-TEST_P(RwMutexTest, WritersExcludeEveryone) {
+TEST(RwMutexTest, WritersExcludeEveryone) {
   constexpr int kThreads = 6;
   const int iters = 200;
   ReaderWriterMutex rw;
@@ -126,7 +112,7 @@ TEST_P(RwMutexTest, WritersExcludeEveryone) {
 // The wakeup policy, reader half: an exclusive release must wake every
 // queued reader at once (not one per subsequent release, as a mutex-like
 // chain would).
-TEST_P(RwMutexTest, ExclusiveReleaseDrainsAllQueuedReaders) {
+TEST(RwMutexTest, ExclusiveReleaseDrainsAllQueuedReaders) {
   constexpr int kReaders = 4;
   ReaderWriterMutex rw;
   std::atomic<int> admitted{0};
@@ -153,7 +139,7 @@ TEST_P(RwMutexTest, ExclusiveReleaseDrainsAllQueuedReaders) {
 
 // The wakeup policy, writer half: the LAST reader out wakes the queued
 // writer (earlier releases must not).
-TEST_P(RwMutexTest, LastReaderWakesQueuedWriter) {
+TEST(RwMutexTest, LastReaderWakesQueuedWriter) {
   ReaderWriterMutex rw;
   std::atomic<bool> wrote{false};
   std::atomic<bool> go{false};
@@ -183,7 +169,7 @@ TEST_P(RwMutexTest, LastReaderWakesQueuedWriter) {
   EXPECT_TRUE(wrote.load(std::memory_order_acquire));
 }
 
-TEST_P(RwMutexTest, TimedAcquireTimesOutAgainstReaderAndSatisfies) {
+TEST(RwMutexTest, TimedAcquireTimesOutAgainstReaderAndSatisfies) {
   ReaderWriterMutex rw;
   rw.AcquireShared();
   EXPECT_EQ(rw.AcquireFor(2ms), WaitResult::kTimeout);
@@ -193,7 +179,7 @@ TEST_P(RwMutexTest, TimedAcquireTimesOutAgainstReaderAndSatisfies) {
   rw.Release();
 }
 
-TEST_P(RwMutexTest, TimedSharedTimesOutAgainstWriterAndSatisfies) {
+TEST(RwMutexTest, TimedSharedTimesOutAgainstWriterAndSatisfies) {
   ReaderWriterMutex rw;
   rw.Acquire();
   EXPECT_EQ(rw.AcquireSharedFor(2ms), WaitResult::kTimeout);
@@ -206,7 +192,7 @@ TEST_P(RwMutexTest, TimedSharedTimesOutAgainstWriterAndSatisfies) {
 // A grant racing the deadline is kept: the writer releases just as the
 // timed waiter's deadline approaches, and a satisfied result must mean a
 // real hold (released afterwards without dying).
-TEST_P(RwMutexTest, TimedGrantRacingDeadlineIsKept) {
+TEST(RwMutexTest, TimedGrantRacingDeadlineIsKept) {
   ReaderWriterMutex rw;
   for (int i = 0; i < 20; ++i) {
     rw.Acquire();
@@ -224,7 +210,7 @@ TEST_P(RwMutexTest, TimedGrantRacingDeadlineIsKept) {
   rw.Release();
 }
 
-TEST_P(RwMutexTest, StatsSplitFastFromSlow) {
+TEST(RwMutexTest, StatsSplitFastFromSlow) {
   ReaderWriterMutex rw;
   rw.ResetStats();
   rw.AcquireShared();
@@ -248,7 +234,7 @@ TEST_P(RwMutexTest, StatsSplitFastFromSlow) {
 // The workload harness over the real primitive: the reader/writer invariant
 // (never a writer with readers, never two writers) holds under the mixed
 // load the E4b benchmark measures.
-TEST_P(RwMutexTest, WorkloadHarnessInvariant) {
+TEST(RwMutexTest, WorkloadHarnessInvariant) {
   workload::NativeRWLock lock;
   auto r = workload::RunReadersWriters(lock, /*readers=*/3, /*writers=*/2,
                                        /*iters=*/150, /*read_work=*/5,
@@ -256,11 +242,6 @@ TEST_P(RwMutexTest, WorkloadHarnessInvariant) {
   EXPECT_TRUE(r.invariant_ok);
   EXPECT_EQ(r.writes, 2u * 150u);
 }
-
-INSTANTIATE_TEST_SUITE_P(Backends, RwMutexTest, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& mode) {
-                           return mode.param ? "Waitq" : "Classic";
-                         });
 
 }  // namespace
 }  // namespace taos

@@ -16,6 +16,13 @@
 namespace taos {
 namespace {
 
+// Blocks until `t` has parked at least once, and is therefore queued.
+void AwaitParked(const Thread& t) {
+  while (t.Handle().rec->parks.load(std::memory_order_acquire) == 0) {
+    std::this_thread::yield();
+  }
+}
+
 TEST(AlertTest, TestAlertSeesAndClearsPendingAlert) {
   // Alert a thread that is not blocked: the request stays pending.
   std::atomic<bool> first_saw{false};
@@ -294,6 +301,64 @@ TEST(AlertTest, AlertIsStickyAcrossOperations) {
   t.Join();
   EXPECT_TRUE(raised.load());
   s.V();
+}
+
+// N waiters in AlertWait on one condition, queued in a known arrival order;
+// the middle one is alerted, then signals are delivered one at a time. The
+// alerted waiter must raise without consuming a signal, and every other
+// waiter must be woken by one of the remaining signals. The order of those
+// grants is not asserted (the spec says nothing about it).
+TEST(AlertTest, SignalsSkipAlertedWaiterAndReachTheRest) {
+  constexpr int kWaiters = 5;
+  constexpr int kAlerted = 2;
+  Mutex m;
+  Condition c;
+  std::vector<int> grant_order;             // guarded by m
+  std::atomic<bool> raised[kWaiters] = {};  // one flag per waiter
+
+  std::vector<Thread> waiters;
+  for (int i = 0; i < kWaiters; ++i) {
+    waiters.push_back(Thread::Fork([&, i] {
+      m.Acquire();
+      try {
+        AlertWait(m, c);
+        grant_order.push_back(i);
+      } catch (const Alerted&) {
+        raised[i].store(true, std::memory_order_release);
+      }
+      m.Release();
+    }));
+    AwaitParked(waiters.back());
+  }
+
+  Alert(waiters[kAlerted].Handle());
+  waiters[kAlerted].Join();
+  EXPECT_TRUE(raised[kAlerted].load(std::memory_order_acquire));
+
+  for (int delivered = 1; delivered < kWaiters; ++delivered) {
+    c.Signal();
+    // Each signal wakes exactly one waiter; wait for it to record itself so
+    // the next signal finds a quiet queue.
+    for (;;) {
+      m.Acquire();
+      const std::size_t n = grant_order.size();
+      m.Release();
+      if (n == static_cast<std::size_t>(delivered)) {
+        break;
+      }
+      std::this_thread::yield();
+    }
+  }
+  for (Thread& t : waiters) {
+    if (t.Joinable()) {  // the alerted waiter was already joined
+      t.Join();
+    }
+  }
+
+  ASSERT_EQ(grant_order.size(), static_cast<std::size_t>(kWaiters - 1));
+  for (int i = 0; i < kWaiters; ++i) {
+    EXPECT_EQ(raised[i].load(std::memory_order_acquire), i == kAlerted);
+  }
 }
 
 }  // namespace

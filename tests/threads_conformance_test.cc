@@ -2,14 +2,10 @@
 // production primitives in spec-tracing mode, and every recorded trace is
 // replayed through the executable specification's checker. Each scenario
 // runs over the full backend matrix — {tas, mcs, clh} spin-lock cores
-// (TAOS_LOCK) x {per-object locks, TAOS_NUB_GLOBAL_LOCK semantics} x
-// {classic intrusive queues, the TAOS_WAITQ waiter-queue substrate} — so
+// (TAOS_LOCK) x {per-object locks, TAOS_NUB_GLOBAL_LOCK semantics} — so
 // every slow-path configuration is held to exactly the serializations the
-// paper-faithful one admits. The waitq rows are the spec gate the substrate
-// must pass: AlertWait's UNCHANGED [c] ghost check and the AlertP
-// RETURNS/RAISES overlap both bite on its cancel CAS; the queue-core rows
-// hold the MCS/CLH handoff chains to the same serializations as the TAS
-// bit they replace.
+// paper-faithful one admits. The queue-core rows hold the MCS/CLH handoff
+// chains to the same serializations as the TAS bit they replace.
 //
 // The trace is sorted by the global sequence stamp (src/spec/trace.h), so a
 // passing check here is evidence for the serialization argument in
@@ -47,9 +43,7 @@ int Scale() {
 }
 
 enum class LockMode { kSharded, kGlobal };
-enum class QueueMode { kClassic, kWaitq };
-
-using BackendTuple = std::tuple<LockBackend, LockMode, QueueMode>;
+using BackendTuple = std::tuple<LockBackend, LockMode>;
 
 std::string ModeName(const ::testing::TestParamInfo<BackendTuple>& info) {
   std::string name;
@@ -65,7 +59,6 @@ std::string ModeName(const ::testing::TestParamInfo<BackendTuple>& info) {
       break;
   }
   name += std::get<1>(info.param) == LockMode::kSharded ? "Sharded" : "Global";
-  name += std::get<2>(info.param) == QueueMode::kClassic ? "Classic" : "Waitq";
   return name;
 }
 
@@ -75,11 +68,9 @@ class ConformanceTest : public ::testing::TestWithParam<BackendTuple> {
     ASSERT_FALSE(Nub::Get().tracing());
     saved_backend_ = SpinLock::backend();
     saved_lock_mode_ = Nub::Get().global_lock_mode();
-    saved_waitq_mode_ = Nub::Get().waitq_mode();
     // The system is quiescent between tests, so switching is legal.
     Nub::Get().SetLockBackend(std::get<0>(GetParam()));
     Nub::Get().SetGlobalLockMode(std::get<1>(GetParam()) == LockMode::kGlobal);
-    Nub::Get().SetWaitqMode(std::get<2>(GetParam()) == QueueMode::kWaitq);
     Nub::Get().SetTrace(&trace_);
   }
 
@@ -87,7 +78,6 @@ class ConformanceTest : public ::testing::TestWithParam<BackendTuple> {
     Nub::Get().SetTrace(nullptr);
     Nub::Get().SetLockBackend(saved_backend_);
     Nub::Get().SetGlobalLockMode(saved_lock_mode_);
-    Nub::Get().SetWaitqMode(saved_waitq_mode_);
   }
 
   void CheckConformance() {
@@ -104,7 +94,6 @@ class ConformanceTest : public ::testing::TestWithParam<BackendTuple> {
   spec::CheckResult checked_;
   LockBackend saved_backend_ = LockBackend::kTas;
   bool saved_lock_mode_ = false;
-  bool saved_waitq_mode_ = false;
 };
 
 // Many threads over many mutexes: the scenario sharding exists for. Each
@@ -562,9 +551,8 @@ INSTANTIATE_TEST_SUITE_P(
     Backends, ConformanceTest,
     ::testing::Combine(::testing::Values(LockBackend::kTas, LockBackend::kMcs,
                                          LockBackend::kClh),
-                       ::testing::Values(LockMode::kSharded, LockMode::kGlobal),
-                       ::testing::Values(QueueMode::kClassic,
-                                         QueueMode::kWaitq)),
+                       ::testing::Values(LockMode::kSharded,
+                                         LockMode::kGlobal)),
     ModeName);
 
 // ---------------------------------------------------------------------------

@@ -3,13 +3,22 @@
 
 #include "src/threads/threads.h"
 
+#include <algorithm>
 #include <atomic>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 namespace taos {
 namespace {
+
+// Blocks until `t` has parked at least once, and is therefore queued.
+void AwaitParked(const Thread& t) {
+  while (t.Handle().rec->parks.load(std::memory_order_acquire) == 0) {
+    std::this_thread::yield();
+  }
+}
 
 TEST(MutexTest, AcquireReleaseSingleThread) {
   Mutex m;
@@ -144,6 +153,38 @@ TEST_P(MutexContentionSweep, CounterExact) {
     w.Join();
   }
   EXPECT_EQ(counter, static_cast<std::int64_t>(threads) * kIters);
+}
+
+// N waiters queued on one mutex in a known arrival order (waiter i forks
+// only after waiter i-1 has parked); one Release starts a chain of handoffs
+// that must grant every waiter exactly once. The order is not asserted:
+// Report 20's Mutex promises no fairness, and barging is legal.
+TEST(MutexTest, HandoffChainGrantsEveryQueuedWaiter) {
+  constexpr int kWaiters = 8;
+  Mutex m;
+  std::vector<int> grant_order;  // guarded by m
+
+  m.Acquire();
+  std::vector<Thread> waiters;
+  for (int i = 0; i < kWaiters; ++i) {
+    waiters.push_back(Thread::Fork([&m, &grant_order, i] {
+      m.Acquire();
+      grant_order.push_back(i);
+      m.Release();
+    }));
+    AwaitParked(waiters.back());
+  }
+
+  m.Release();
+  for (Thread& t : waiters) {
+    t.Join();
+  }
+
+  ASSERT_EQ(grant_order.size(), static_cast<std::size_t>(kWaiters));
+  std::sort(grant_order.begin(), grant_order.end());
+  for (int i = 0; i < kWaiters; ++i) {
+    EXPECT_EQ(grant_order[i], i);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, MutexContentionSweep,

@@ -2,8 +2,8 @@
 # Seed-sweep driver for the chaos schedule-injection harness.
 #
 # Runs the conformance, timed, stress, rwlock, and poll suites (which fan
-# out over the lock-sharding x waiter-queue matrix via their registered
-# ctest variants) under every strategy for each seed, and repeats the whole
+# out over the lock-sharding modes via their registered ctest variants)
+# under every strategy for each seed, and repeats the whole
 # grid once per lock backend (TAOS_LOCK=tas|mcs|clh) so the MCS/CLH handoff
 # seams see every strategy too. On any failure it prints the {seed,
 # strategy, backend, point-mask} replay quadruple and the exact environment
