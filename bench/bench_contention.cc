@@ -18,6 +18,7 @@
 #include "src/baseline/reed_kanodia.h"
 #include "src/baseline/std_sync.h"
 #include "src/baseline/ticket_lock.h"
+#include "src/obs/metrics.h"
 #include "src/threads/threads.h"
 #include "src/workload/work.h"
 
@@ -71,11 +72,14 @@ void ContendedLoop(benchmark::State& state, LockT& lock) {
 
 taos::Mutex g_taos_mutex;
 void BM_TaosMutex(benchmark::State& state) {
+  // Thread 0's snapshots bracket every thread's loop: the loop starts and
+  // ends on a barrier shared by all threads.
+  const std::uint64_t before =
+      taos::obs::Snapshot().Count(taos::obs::Counter::kNubAcquire);
   ContendedLoop(state, g_taos_mutex);
   if (state.thread_index() == 0) {
-    state.counters["slow_acquires"] =
-        static_cast<double>(g_taos_mutex.slow_acquires());
-    g_taos_mutex.ResetStats();
+    state.counters["slow_acquires"] = static_cast<double>(
+        taos::obs::Snapshot().Count(taos::obs::Counter::kNubAcquire) - before);
   }
 }
 

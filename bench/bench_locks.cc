@@ -15,6 +15,7 @@
 #include <thread>
 
 #include "src/base/spinlock.h"
+#include "src/obs/metrics.h"
 #include "src/threads/threads.h"
 #include "src/workload/rwlock.h"
 #include "src/workload/work.h"
@@ -85,11 +86,14 @@ void BM_SpinClh(benchmark::State& state) { ContendedLoop(state, g_spin); }
 
 taos::Mutex g_mutex;
 void MutexLoop(benchmark::State& state) {
+  // Thread 0's snapshots bracket every thread's loop: the loop starts and
+  // ends on a barrier shared by all threads.
+  const std::uint64_t before =
+      taos::obs::Snapshot().Count(taos::obs::Counter::kNubAcquire);
   ContendedLoop(state, g_mutex);
   if (state.thread_index() == 0) {
-    state.counters["slow_acquires"] =
-        static_cast<double>(g_mutex.slow_acquires());
-    g_mutex.ResetStats();
+    state.counters["slow_acquires"] = static_cast<double>(
+        taos::obs::Snapshot().Count(taos::obs::Counter::kNubAcquire) - before);
   }
 }
 void BM_MutexTas(benchmark::State& state) { MutexLoop(state); }

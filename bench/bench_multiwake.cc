@@ -14,6 +14,7 @@
 #include <atomic>
 #include <vector>
 
+#include "src/obs/metrics.h"
 #include "src/threads/threads.h"
 
 namespace {
@@ -25,6 +26,7 @@ void BM_WindowAbsorption(benchmark::State& state) {
   std::uint64_t tickets = 0;  // protected by m
   bool stop = false;          // protected by m
   std::atomic<std::uint64_t> consumed{0};
+  const taos::obs::Stats before = taos::obs::Snapshot();
 
   std::vector<taos::Thread> threads;
   for (int i = 0; i < waiters; ++i) {
@@ -61,13 +63,19 @@ void BM_WindowAbsorption(benchmark::State& state) {
     t.Join();
   }
 
-  state.counters["absorbed"] = static_cast<double>(c.absorbed_wakeups());
+  // The obs cells of every thread, the joined waiters' included.
+  using taos::obs::Counter;
+  const taos::obs::Stats after = taos::obs::Snapshot();
+  auto since = [&](Counter k) {
+    return static_cast<double>(after.Count(k) - before.Count(k));
+  };
+  const double absorbed = since(Counter::kWakeupWaitingHits);
+  state.counters["absorbed"] = absorbed;
   state.counters["absorbed_per_1k_signals"] =
-      produced == 0 ? 0.0
-                    : 1000.0 * static_cast<double>(c.absorbed_wakeups()) /
-                          static_cast<double>(produced);
-  state.counters["nub_signals"] = static_cast<double>(c.nub_signals());
-  state.counters["fast_signals"] = static_cast<double>(c.fast_signals());
+      produced == 0 ? 0.0 : 1000.0 * absorbed / static_cast<double>(produced);
+  state.counters["nub_signals"] = since(Counter::kNubSignal);
+  state.counters["fast_signals"] =
+      since(Counter::kFastSignal) + since(Counter::kFastBroadcast);
 }
 BENCHMARK(BM_WindowAbsorption)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 

@@ -6,21 +6,20 @@
 
 #include <benchmark/benchmark.h>
 
+#include "src/obs/metrics.h"
 #include "src/threads/threads.h"
 
 namespace {
 
 void BM_PVPair(benchmark::State& state) {
   taos::Semaphore s;
-  const std::uint64_t nub_before =
-      taos::Nub::Get().nub_entries.load(std::memory_order_relaxed);
+  const std::uint64_t nub_before = taos::obs::Snapshot().NubEntries();
   for (auto _ : state) {
     s.P();
     s.V();
   }
   state.counters["nub_entries"] = static_cast<double>(
-      taos::Nub::Get().nub_entries.load(std::memory_order_relaxed) -
-      nub_before);
+      taos::obs::Snapshot().NubEntries() - nub_before);
 }
 BENCHMARK(BM_PVPair);
 

@@ -18,43 +18,51 @@
 #include <thread>
 #include <vector>
 
+#include "src/obs/metrics.h"
 #include "src/threads/threads.h"
 
 namespace {
 
+using taos::obs::Counter;
+
+// Events of kind `c` counted by the obs cells since `before`.
+double CountSince(const taos::obs::Stats& before, Counter c) {
+  return static_cast<double>(taos::obs::Snapshot().Count(c) - before.Count(c));
+}
+
 void BM_SignalNoWaiters(benchmark::State& state) {
   taos::Condition c;
-  const std::uint64_t nub_before =
-      taos::Nub::Get().nub_entries.load(std::memory_order_relaxed);
+  const taos::obs::Stats before = taos::obs::Snapshot();
   for (auto _ : state) {
     c.Signal();
   }
   state.counters["nub_entries"] = static_cast<double>(
-      taos::Nub::Get().nub_entries.load(std::memory_order_relaxed) -
-      nub_before);
-  state.counters["fast_signals"] = static_cast<double>(c.fast_signals());
+      taos::obs::Snapshot().NubEntries() - before.NubEntries());
+  state.counters["fast_signals"] = CountSince(before, Counter::kFastSignal);
 }
 BENCHMARK(BM_SignalNoWaiters);
 
 void BM_BroadcastNoWaiters(benchmark::State& state) {
   taos::Condition c;
+  const taos::obs::Stats before = taos::obs::Snapshot();
   for (auto _ : state) {
     c.Broadcast();
   }
-  state.counters["fast_signals"] = static_cast<double>(c.fast_signals());
+  state.counters["fast_signals"] = CountSince(before, Counter::kFastBroadcast);
 }
 BENCHMARK(BM_BroadcastNoWaiters);
 
 // Ablation: the cost a Signal pays when it cannot skip the Nub.
 void BM_SignalNubAlways(benchmark::State& state) {
   taos::Condition c;
+  const taos::obs::Stats before = taos::obs::Snapshot();
   // Every Signal forced down the Nub path (spin-lock, eventcount advance,
   // queue inspection): the per-signal cost the user-code no-waiters gate
   // saves. Compare against BM_SignalNoWaiters.
   for (auto _ : state) {
     c.SignalNubPathForBench();
   }
-  state.counters["nub_signals"] = static_cast<double>(c.nub_signals());
+  state.counters["nub_signals"] = CountSince(before, Counter::kNubSignal);
 }
 BENCHMARK(BM_SignalNubAlways);
 
@@ -65,6 +73,7 @@ void BM_SignalWakeRoundTrip(benchmark::State& state) {
   taos::Condition c;
   int token = 0;  // 0: consumer's turn to sleep, 1: consumer may go
   bool stop = false;
+  const taos::obs::Stats before = taos::obs::Snapshot();
   taos::Thread consumer = taos::Thread::Fork([&] {
     taos::Lock lock(m);
     for (;;) {
@@ -92,7 +101,7 @@ void BM_SignalWakeRoundTrip(benchmark::State& state) {
   }
   c.Broadcast();
   consumer.Join();
-  state.counters["absorbed"] = static_cast<double>(c.absorbed_wakeups());
+  state.counters["absorbed"] = CountSince(before, Counter::kWakeupWaitingHits);
 }
 BENCHMARK(BM_SignalWakeRoundTrip)->UseRealTime();
 

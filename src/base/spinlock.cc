@@ -283,7 +283,10 @@ bool SpinLock::QueueTryAcquire() {
   n->next.store(nullptr, std::memory_order_relaxed);
   n->locked.store(true, std::memory_order_relaxed);
   LockQNode* expected = nullptr;
-  if (tail_.compare_exchange_strong(expected, n, std::memory_order_acquire,
+  // acq_rel, like the acquire paths' tail exchange: publishing the node
+  // releases its initialization to the next arrival, which writes
+  // prev->next (MCS) or spins on prev->locked (CLH).
+  if (tail_.compare_exchange_strong(expected, n, std::memory_order_acq_rel,
                                     std::memory_order_relaxed)) {
     holder_node_.store(n, std::memory_order_relaxed);
     return true;

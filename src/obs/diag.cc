@@ -11,13 +11,7 @@
 
 namespace taos::obs::diag {
 
-namespace internal {
-std::atomic<bool> g_diag_enabled{false};
-}  // namespace internal
-
-void SetEnabled(bool on) {
-  internal::g_diag_enabled.store(on, std::memory_order_relaxed);
-}
+void SetEnabled(bool on) { SetSlowMode(SlowMode::kDiag, on); }
 
 const char* WaitKindName(WaitKind k) {
   switch (k) {

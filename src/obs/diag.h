@@ -18,9 +18,9 @@
 //
 //   - An owner table maps object id -> holding thread for the primitives
 //     that have an owner (Mutex, ReaderWriterMutex writers). Stamped from
-//     the acquire epilogues behind the Enabled() gate, so the uncontended
-//     fast path pays one relaxed load and a predicted branch when
-//     diagnosis is off — the same budget discipline as the recorder.
+//     the acquire slow paths behind the Enabled() gate, one bit of the
+//     slow-mode word the in-line fast paths already test, so diagnosis
+//     costs them nothing when off — the same budget as the recorder.
 //
 //   - SnapshotBlocked() + FindCycles() turn the two tables into the
 //     thread -> object -> owner graph and its cycles; Watchdog runs them
@@ -36,9 +36,9 @@
 // freed memory.
 //
 // Layering: taos_obs is the bottom library (src/base links against it), so
-// this header and diag.cc use the standard library only. The chaos probe
-// and banner hooks exist so higher layers can inject their seams without a
-// dependency inversion.
+// this header and diag.cc use the standard library and metrics.h only. The
+// chaos probe and banner hooks exist so higher layers can inject their
+// seams without a dependency inversion.
 
 #ifndef TAOS_SRC_OBS_DIAG_H_
 #define TAOS_SRC_OBS_DIAG_H_
@@ -52,6 +52,8 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "src/obs/metrics.h"
 
 namespace taos::obs::diag {
 
@@ -84,15 +86,10 @@ struct alignas(64) WaiterSlot {
   std::uint64_t tid = 0;                   // set once at registration
 };
 
-namespace internal {
-extern std::atomic<bool> g_diag_enabled;
-}  // namespace internal
-
-// The owner-stamp gate: the only cost diagnosis adds to an uncontended
-// acquire when off is this relaxed load and a predicted branch.
-inline bool Enabled() {
-  return internal::g_diag_enabled.load(std::memory_order_relaxed);
-}
+// The owner-stamp gate, one bit of the slow-mode word (metrics.h): when
+// diagnosis is off it costs an uncontended acquire nothing beyond the
+// fast path's single test of that word.
+inline bool Enabled() { return SlowModeOn(SlowMode::kDiag); }
 
 // Runtime switch for the owner stamps (blocked-slot publication is
 // unconditional — it lives on paths that are about to de-schedule anyway).

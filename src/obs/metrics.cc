@@ -44,6 +44,8 @@ constexpr const char* kCounterNames[] = {
     "nub_alert",
     "nub_alert_wait",
     "nub_alert_p",
+    "nub_event_wait",
+    "nub_event_set",
     "wakeup_waiting_hits",
     "spurious_wakeups",
     "handoffs",
@@ -92,8 +94,18 @@ const char* HistogramName(Histogram h) {
 }
 
 namespace internal {
-thread_local Cell* g_cell = nullptr;
+constinit thread_local Cell* g_cell = nullptr;
+std::atomic<std::uint32_t> g_slow_mode{0};
 }  // namespace internal
+
+void SetSlowMode(SlowMode m, bool on) {
+  const auto bit = static_cast<std::uint32_t>(m);
+  if (on) {
+    internal::g_slow_mode.fetch_or(bit, std::memory_order_relaxed);
+  } else {
+    internal::g_slow_mode.fetch_and(~bit, std::memory_order_relaxed);
+  }
+}
 
 Cell* RegisterCell() {
   Cell* cell = new Cell();  // value-initialized: all slots zero
@@ -123,6 +135,15 @@ std::uint64_t Stats::HistogramTotal(Histogram h) const {
   std::uint64_t total = 0;
   for (int b = 0; b < kHistogramBuckets; ++b) {
     total += histograms[static_cast<int>(h)][b];
+  }
+  return total;
+}
+
+std::uint64_t Stats::NubEntries() const {
+  std::uint64_t total = 0;
+  for (int c = static_cast<int>(Counter::kNubAcquire);
+       c <= static_cast<int>(Counter::kNubEventSet); ++c) {
+    total += counters[c];
   }
   return total;
 }

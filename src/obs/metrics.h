@@ -33,8 +33,9 @@ namespace taos::obs {
 
 // One slot per distinguishable runtime event. Grouped: the user-code fast
 // paths (the ops the paper compiles in-line), the Nub slow-path entries by
-// operation kind (the per-op split of Nub::nub_entries), the race/rescue
-// accounting, and the spin-lock / eventcount internals.
+// operation kind, the race/rescue accounting, and the spin-lock /
+// eventcount internals. These cells are the runtime's only event counters:
+// the primitives keep no per-object statistics.
 enum class Counter : int {
   // --- user-code fast paths (never entered the Nub) ---
   kFastMutexAcquire,   // Acquire/TryAcquire won the in-line test-and-set
@@ -44,7 +45,8 @@ enum class Counter : int {
   kFastSignal,         // Signal skipped the Nub: no threads to unblock
   kFastBroadcast,      // Broadcast skipped the Nub likewise
 
-  // --- Nub (slow-path) entries, by operation kind ---
+  // --- Nub (slow-path) entries, by operation kind; contiguous, from
+  // kNubAcquire to kNubEventSet, for Stats::NubEntries ---
   kNubAcquire,
   kNubRelease,
   kNubWait,            // every Wait enters Block, the Nub subroutine
@@ -55,6 +57,8 @@ enum class Counter : int {
   kNubAlert,
   kNubAlertWait,
   kNubAlertP,
+  kNubEventWait,       // Event Wait/WaitFor that entered the Nub
+  kNubEventSet,        // Event Set that entered the Nub (waiters/pollers)
 
   // --- races covered and work handed over ---
   kWakeupWaitingHits,  // Block returned without sleeping: the eventcount
@@ -128,10 +132,10 @@ struct alignas(kCacheLineBytes) Cell {
 Cell* RegisterCell();
 
 namespace internal {
-// Namespace-scope with constant (zero) initialization: access compiles to a
-// plain TLS load with no init-on-first-use guard, which matters because
+// Namespace-scope and constinit: access compiles to a plain TLS load with
+// no init-on-first-use guard or TLS wrapper call, which matters because
 // every fast-path increment goes through here. RegisterCell() sets it.
-extern thread_local Cell* g_cell;
+extern constinit thread_local Cell* g_cell;
 }  // namespace internal
 
 inline Cell& LocalCell() {
@@ -168,6 +172,33 @@ inline void Record(Histogram h, std::uint64_t value) {
       LocalCell().histograms[static_cast<int>(h)][HistogramBucket(value)], 1);
 }
 
+// The slow-mode word: one bit per runtime switch that sends every
+// synchronization call off its in-line fast path — spec tracing
+// (Nub::SetTrace), the flight recorder (SetRecorderEnabled) and diagnosis
+// owner stamps (diag::SetEnabled). An in-line fast path tests the whole
+// word once, relaxed, and takes its out-of-line path if any bit is set;
+// that path then asks which switch is on. Flip switches while quiescent.
+enum class SlowMode : std::uint32_t {
+  kTrace = 1u << 0,
+  kRecorder = 1u << 1,
+  kDiag = 1u << 2,
+};
+
+namespace internal {
+extern std::atomic<std::uint32_t> g_slow_mode;
+}  // namespace internal
+
+inline bool AnySlowMode() {
+  return internal::g_slow_mode.load(std::memory_order_relaxed) != 0;
+}
+
+inline bool SlowModeOn(SlowMode m) {
+  return (internal::g_slow_mode.load(std::memory_order_relaxed) &
+          static_cast<std::uint32_t>(m)) != 0;
+}
+
+void SetSlowMode(SlowMode m, bool on);
+
 // Monotonic nanoseconds since the first call in the process (steady clock).
 // Shared by the latency histograms and the flight recorder so their
 // timestamps are directly comparable.
@@ -183,6 +214,8 @@ struct Stats {
   }
   // Total samples recorded into a histogram.
   std::uint64_t HistogramTotal(Histogram h) const;
+  // Every Nub (slow-path) entry, all operation kinds: the kNub* sum.
+  std::uint64_t NubEntries() const;
 };
 
 Stats Snapshot();

@@ -12,10 +12,6 @@
 
 namespace taos::obs {
 
-namespace internal {
-std::atomic<bool> g_recorder_enabled{false};
-}  // namespace internal
-
 namespace {
 
 // 4096 events * 40 bytes = 160 KiB per recording thread.
@@ -110,7 +106,7 @@ void ScopedEvent::Finish() {
 }
 
 void SetRecorderEnabled(bool on) {
-  internal::g_recorder_enabled.store(on, std::memory_order_relaxed);
+  SetSlowMode(SlowMode::kRecorder, on);
 }
 
 void RecordEvent(Op op, std::uint64_t obj, std::uint64_t ts_ns,

@@ -79,13 +79,7 @@ struct Event {
   std::uint16_t pad = 0;
 };
 
-namespace internal {
-extern std::atomic<bool> g_recorder_enabled;
-}  // namespace internal
-
-inline bool RecorderEnabled() {
-  return internal::g_recorder_enabled.load(std::memory_order_relaxed);
-}
+inline bool RecorderEnabled() { return SlowModeOn(SlowMode::kRecorder); }
 
 // Runtime switch. Enabling is cheap and safe at any quiescent point;
 // disabling leaves the rings intact for draining.

@@ -170,7 +170,6 @@ void AlertWait(Mutex& m, Condition& c) {
       } else if (c.ec_.Read() != snapshot) {
         // Absorbed by an intervening Signal/Broadcast (which removed us
         // from c when it emitted): resume normally.
-        c.absorbed_.fetch_add(1, std::memory_order_relaxed);
         obs::Inc(obs::Counter::kWakeupWaitingHits);
       } else {
         TAOS_CHECK(c.EraseWindow(self));
@@ -217,7 +216,6 @@ void AlertWait(Mutex& m, Condition& c) {
   c.waiters_.fetch_add(1, std::memory_order_seq_cst);
   m.Release();
 
-  nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
   bool parked = false;
   bool raise = false;
   {
@@ -234,7 +232,6 @@ void AlertWait(Mutex& m, Condition& c) {
       parked = true;
     } else {
       c.waiters_.fetch_sub(1, std::memory_order_relaxed);
-      c.absorbed_.fetch_add(1, std::memory_order_relaxed);
       obs::Inc(obs::Counter::kWakeupWaitingHits);
     }
   }
@@ -304,7 +301,6 @@ WaitResult AlertWaitFor(Mutex& m, Condition& c,
           c.pending_raise_.push_back(self);
         }
       } else if (c.ec_.Read() != snapshot) {
-        c.absorbed_.fetch_add(1, std::memory_order_relaxed);
         obs::Inc(obs::Counter::kWakeupWaitingHits);
       } else {
         TAOS_CHECK(c.EraseWindow(self));
@@ -363,7 +359,6 @@ WaitResult AlertWaitFor(Mutex& m, Condition& c,
     c.waiters_.fetch_add(1, std::memory_order_seq_cst);
     m.Release();
 
-    nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
     bool parked = false;
     bool raise = false;
     bool expired = false;
@@ -384,7 +379,6 @@ WaitResult AlertWaitFor(Mutex& m, Condition& c,
         parked = true;
       } else {
         c.waiters_.fetch_sub(1, std::memory_order_relaxed);
-        c.absorbed_.fetch_add(1, std::memory_order_relaxed);
         obs::Inc(obs::Counter::kWakeupWaitingHits);
       }
     }
@@ -439,7 +433,6 @@ void AlertP(Semaphore& s) {
     // the record lock (the alert flag is part of the action's state); this
     // path prefers the RAISES outcome when both WHEN clauses hold, which
     // the spec allows.
-    nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
     obs::Inc(obs::Counter::kNubAlertP);
     for (;;) {
       {
@@ -480,14 +473,10 @@ void AlertP(Semaphore& s) {
   // pending — the source of the RETURNS/RAISES nondeterminism the paper
   // discusses (the implementor kept it for efficiency; the released spec
   // legitimized it).
-  if (s.bit_.exchange(1, std::memory_order_acquire) == 0) {
-    s.fast_ps_.fetch_add(1, std::memory_order_relaxed);
-    obs::Inc(obs::Counter::kFastSemP);
+  if (s.TestAndSet()) {
     return;
   }
 
-  nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
-  s.slow_ps_.fetch_add(1, std::memory_order_relaxed);
   obs::Inc(obs::Counter::kNubAlertP);
 
   for (;;) {

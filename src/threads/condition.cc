@@ -79,8 +79,6 @@ WaitResult Condition::WaitFor(Mutex& m, std::chrono::nanoseconds timeout) {
 }
 
 void Condition::Block(ThreadRecord* self, EventCount::Value i) {
-  Nub& nub = Nub::Get();
-  nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
   obs::Inc(obs::Counter::kNubWait);
   bool parked = false;
   {
@@ -98,7 +96,6 @@ void Condition::Block(ThreadRecord* self, EventCount::Value i) {
       // now: return immediately. This is how the wakeup-waiting race is
       // covered, and why one Signal can unblock several threads.
       waiters_.fetch_sub(1, std::memory_order_relaxed);
-      absorbed_.fetch_add(1, std::memory_order_relaxed);
       obs::Inc(obs::Counter::kWakeupWaitingHits);
     }
   }
@@ -109,8 +106,6 @@ void Condition::Block(ThreadRecord* self, EventCount::Value i) {
 
 bool Condition::BlockFor(ThreadRecord* self, EventCount::Value i,
                          std::uint64_t deadline_ns) {
-  Nub& nub = Nub::Get();
-  nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
   obs::Inc(obs::Counter::kNubWait);
   bool parked = false;
   std::uint64_t gen = 0;
@@ -127,7 +122,6 @@ bool Condition::BlockFor(ThreadRecord* self, EventCount::Value i,
       parked = true;
     } else {
       waiters_.fetch_sub(1, std::memory_order_relaxed);
-      absorbed_.fetch_add(1, std::memory_order_relaxed);
       obs::Inc(obs::Counter::kWakeupWaitingHits);
     }
   }
@@ -151,7 +145,6 @@ void Condition::Signal() {
     }
     // User code: avoid calling the Nub if there are no threads to unblock.
     if (waiters_.load(std::memory_order_seq_cst) == 0) {
-      fast_signals_.fetch_add(1, std::memory_order_relaxed);
       obs::Inc(obs::Counter::kFastSignal);
       return;
     }
@@ -160,9 +153,6 @@ void Condition::Signal() {
 }
 
 void Condition::NubSignal() {
-  Nub& nub = Nub::Get();
-  nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
-  nub_signals_.fetch_add(1, std::memory_order_relaxed);
   obs::Inc(obs::Counter::kNubSignal);
   ThreadRecord* wake = nullptr;
   {
@@ -190,7 +180,6 @@ void Condition::Broadcast() {
       return;
     }
     if (waiters_.load(std::memory_order_seq_cst) == 0) {
-      fast_signals_.fetch_add(1, std::memory_order_relaxed);
       obs::Inc(obs::Counter::kFastBroadcast);
       return;
     }
@@ -199,8 +188,6 @@ void Condition::Broadcast() {
 }
 
 void Condition::NubBroadcast() {
-  Nub& nub = Nub::Get();
-  nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
   obs::Inc(obs::Counter::kNubBroadcast);
   std::vector<ThreadRecord*> wake;
   {
@@ -278,7 +265,6 @@ void Condition::TracedWait(Mutex& m, ThreadRecord* self) {
       // from window_) when it emitted its action.
       TAOS_DCHECK(std::find(window_.begin(), window_.end(), self) ==
                   window_.end());
-      absorbed_.fetch_add(1, std::memory_order_relaxed);
       obs::Inc(obs::Counter::kWakeupWaitingHits);
     } else {
       TAOS_CHECK(EraseWindow(self));
@@ -328,7 +314,6 @@ WaitResult Condition::TracedWaitFor(Mutex& m, ThreadRecord* self,
     if (ec_.Read() != snapshot) {
       TAOS_DCHECK(std::find(window_.begin(), window_.end(), self) ==
                   window_.end());
-      absorbed_.fetch_add(1, std::memory_order_relaxed);
       obs::Inc(obs::Counter::kWakeupWaitingHits);
     } else {
       TAOS_CHECK(EraseWindow(self));
@@ -367,7 +352,6 @@ WaitResult Condition::TracedWaitFor(Mutex& m, ThreadRecord* self,
 
 void Condition::TracedSignal(ThreadRecord* self) {
   Nub& nub = Nub::Get();
-  nub_signals_.fetch_add(1, std::memory_order_relaxed);
   ThreadRecord* wake = nullptr;
   {
     NubGuard g(nub_lock_);

@@ -84,25 +84,6 @@ class Condition {
   // no-waiters gate. Semantically a valid Signal.
   void SignalNubPathForBench() { NubSignal(); }
 
-  // --- statistics (relaxed counters) ---
-  std::uint64_t fast_signals() const {
-    return fast_signals_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t nub_signals() const {
-    return nub_signals_.load(std::memory_order_relaxed);
-  }
-  // Waits that returned from Block without sleeping because a Signal or
-  // Broadcast intervened in the window (the "extra" threads a Signal
-  // unblocks).
-  std::uint64_t absorbed_wakeups() const {
-    return absorbed_.load(std::memory_order_relaxed);
-  }
-  void ResetStats() {
-    fast_signals_.store(0, std::memory_order_relaxed);
-    nub_signals_.store(0, std::memory_order_relaxed);
-    absorbed_.store(0, std::memory_order_relaxed);
-  }
-
  private:
   friend class Timer;
   friend void Alert(ThreadHandle t);
@@ -142,10 +123,6 @@ class Condition {
   std::vector<ThreadRecord*> window_;
   std::vector<ThreadRecord*> pending_raise_;
   std::vector<ThreadRecord*> pending_timeout_;
-
-  std::atomic<std::uint64_t> fast_signals_{0};
-  std::atomic<std::uint64_t> nub_signals_{0};
-  std::atomic<std::uint64_t> absorbed_{0};
 };
 
 }  // namespace taos

@@ -116,8 +116,7 @@ WaitResult Event::WaitFor(std::chrono::nanoseconds timeout) {
 }
 
 void Event::NubWait(ThreadRecord* self) {
-  Nub& nub = Nub::Get();
-  nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
+  obs::Inc(obs::Counter::kNubEventWait);
   for (;;) {
     bool parked = false;
     {
@@ -146,8 +145,7 @@ void Event::NubWait(ThreadRecord* self) {
 }
 
 bool Event::NubWaitFor(ThreadRecord* self, std::uint64_t deadline_ns) {
-  Nub& nub = Nub::Get();
-  nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
+  obs::Inc(obs::Counter::kNubEventWait);
   for (;;) {
     bool parked = false;
     std::uint64_t gen = 0;
@@ -188,8 +186,7 @@ bool Event::NubWaitFor(ThreadRecord* self, std::uint64_t deadline_ns) {
 }
 
 void Event::NubSet() {
-  Nub& nub = Nub::Get();
-  nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
+  obs::Inc(obs::Counter::kNubEventSet);
   std::vector<waitq::Parker*> unparks;
   {
     NubGuard g(nub_lock_);
@@ -285,8 +282,8 @@ void Event::DeregisterPoller(PollNode* node) {
 }
 
 void Event::TracedSet(ThreadRecord* self) {
+  obs::Inc(obs::Counter::kNubEventSet);
   Nub& nub = Nub::Get();
-  nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
   std::vector<waitq::Parker*> unparks;
   {
     NubGuard g(nub_lock_);
@@ -308,8 +305,8 @@ void Event::TracedReset(ThreadRecord* self) {
 }
 
 void Event::TracedWait(ThreadRecord* self) {
+  obs::Inc(obs::Counter::kNubEventWait);
   Nub& nub = Nub::Get();
-  nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
   for (;;) {
     {
       NubGuard g(nub_lock_);
@@ -332,8 +329,8 @@ void Event::TracedWait(ThreadRecord* self) {
 }
 
 bool Event::TracedWaitFor(ThreadRecord* self, std::uint64_t deadline_ns) {
+  obs::Inc(obs::Counter::kNubEventWait);
   Nub& nub = Nub::Get();
-  nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
   for (;;) {
     std::uint64_t gen = 0;
     {

@@ -17,7 +17,7 @@ Mutex::~Mutex() {
   TAOS_CHECK(bit_.load(std::memory_order_relaxed) == 0);
 }
 
-void Mutex::Acquire() {
+void Mutex::AcquireSlow() {
   obs::WithEvent(obs::Op::kAcquire, id_, [&] {
     Nub& nub = Nub::Get();
     ThreadRecord* self = nub.Current();
@@ -26,19 +26,18 @@ void Mutex::Acquire() {
       TracedAcquire(self, spec::MakeAcquire(self->id, id_));
       return;
     }
-    // User-code fast path: one test-and-set when there is no contention.
+    // The user-code test-and-set again (the in-line one may not have run):
+    // the Nub is entered only if it fails.
     if (bit_.exchange(1, std::memory_order_acquire) == 0) {
-      fast_acquires_.fetch_add(1, std::memory_order_relaxed);
       obs::Inc(obs::Counter::kFastMutexAcquire);
-      NoteAcquired(self);
-      return;
+    } else {
+      NubAcquire(self);
     }
-    NubAcquire(self);
     NoteAcquired(self);
   });
 }
 
-bool Mutex::TryAcquire() {
+bool Mutex::TryAcquireSlow() {
   Nub& nub = Nub::Get();
   ThreadRecord* self = nub.Current();
   if (nub.tracing()) {
@@ -51,13 +50,12 @@ bool Mutex::TryAcquire() {
     nub.EmitTraced(spec::MakeAcquire(self->id, id_));
     return true;
   }
-  if (bit_.exchange(1, std::memory_order_acquire) == 0) {
-    fast_acquires_.fetch_add(1, std::memory_order_relaxed);
-    obs::Inc(obs::Counter::kFastMutexAcquire);
-    NoteAcquired(self);
-    return true;
+  if (bit_.exchange(1, std::memory_order_acquire) != 0) {
+    return false;
   }
-  return false;
+  obs::Inc(obs::Counter::kFastMutexAcquire);
+  NoteAcquired(self);
+  return true;
 }
 
 WaitResult Mutex::AcquireFor(std::chrono::nanoseconds timeout) {
@@ -76,7 +74,6 @@ WaitResult Mutex::AcquireFor(std::chrono::nanoseconds timeout) {
     } else if (bit_.exchange(1, std::memory_order_acquire) == 0) {
       // Same user-code fast path as Acquire — tried even with an expired
       // deadline, so AcquireFor(0) is TryAcquire with a WaitResult.
-      fast_acquires_.fetch_add(1, std::memory_order_relaxed);
       obs::Inc(obs::Counter::kFastMutexAcquire);
       NoteAcquired(self);
     } else if (timeout.count() <= 0) {
@@ -94,9 +91,6 @@ WaitResult Mutex::AcquireFor(std::chrono::nanoseconds timeout) {
 }
 
 void Mutex::NubAcquire(ThreadRecord* self) {
-  Nub& nub = Nub::Get();
-  nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
-  slow_acquires_.fetch_add(1, std::memory_order_relaxed);
   obs::Inc(obs::Counter::kNubAcquire);
   for (;;) {
     bool parked = false;
@@ -138,9 +132,6 @@ void Mutex::NubAcquire(ThreadRecord* self) {
 }
 
 bool Mutex::NubAcquireFor(ThreadRecord* self, std::uint64_t deadline_ns) {
-  Nub& nub = Nub::Get();
-  nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
-  slow_acquires_.fetch_add(1, std::memory_order_relaxed);
   obs::Inc(obs::Counter::kNubAcquire);
   for (;;) {
     bool parked = false;
@@ -190,36 +181,24 @@ bool Mutex::NubAcquireFor(ThreadRecord* self, std::uint64_t deadline_ns) {
   }
 }
 
-void Mutex::Release() {
+void Mutex::ReleaseSlow() {
   obs::WithEvent(obs::Op::kRelease, id_, [&] {
     Nub& nub = Nub::Get();
     ThreadRecord* self = nub.Current();
-    // REQUIRES m = SELF. (Checked here as a library extension; the paper's
-    // implementation trusted the caller.)
-    TAOS_CHECK(holder_.load(std::memory_order_relaxed) == self->id);
     if (nub.tracing()) {
+      // TracedReleaseLocked checks REQUIRES m = SELF.
       obs::Inc(obs::Counter::kNubRelease);
       TracedRelease(self);
       return;
     }
-    NoteReleased();
-    // User code: clear the Lock-bit; call the Nub only if the Queue is
-    // non-empty. The seq_cst store/load pair below pairs with the
-    // enqueue-then-test in NubAcquire so that at least one side sees the
-    // other (no thread is left parked with the mutex free).
-    bit_.store(0, std::memory_order_seq_cst);
-    TAOS_CHAOS(kMutexReleaseWindow);
-    if (queue_len_.load(std::memory_order_seq_cst) > 0) {
-      NubRelease();
-    } else {
-      obs::Inc(obs::Counter::kFastMutexRelease);
+    if (obs::diag::Enabled()) [[unlikely]] {
+      obs::diag::ClearOwner(id_);
     }
+    ClearBit(self);
   });
 }
 
 void Mutex::NubRelease() {
-  Nub& nub = Nub::Get();
-  nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
   obs::Inc(obs::Counter::kNubRelease);
   ThreadRecord* wake = nullptr;
   {
@@ -245,7 +224,6 @@ void Mutex::TracedAcquire(ThreadRecord* self, const spec::Action& emit,
                           ObjLock* co_lock,
                           const std::function<void()>& at_success) {
   Nub& nub = Nub::Get();
-  nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
   for (;;) {
     {
       NubGuard2 g(nub_lock_, co_lock);
@@ -272,7 +250,6 @@ void Mutex::TracedAcquire(ThreadRecord* self, const spec::Action& emit,
 
 bool Mutex::TracedAcquireFor(ThreadRecord* self, std::uint64_t deadline_ns) {
   Nub& nub = Nub::Get();
-  nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
   for (;;) {
     std::uint64_t gen = 0;
     {
@@ -326,7 +303,10 @@ ThreadRecord* Mutex::TracedReleaseLocked(ThreadRecord* self,
                                          bool emit_release) {
   Nub& nub = Nub::Get();
   TAOS_CHECK(holder_.load(std::memory_order_relaxed) == self->id);
-  NoteReleased();
+  holder_.store(spec::kNil, std::memory_order_relaxed);
+  if (obs::diag::Enabled()) [[unlikely]] {
+    obs::diag::ClearOwner(id_);
+  }
   bit_.store(0, std::memory_order_relaxed);
   if (emit_release) {
     nub.EmitTraced(spec::MakeRelease(self->id, id_));

@@ -9,12 +9,14 @@
 //     REQUIRES m = SELF  MODIFIES AT MOST [m]  ENSURES mpost = NIL
 //
 // Implementation (faithful to the paper's): a mutex is a pair
-// (Lock-bit, Queue). The user-code fast path is an inline test-and-set for
-// Acquire and a clear for Release; the Nub slow paths enqueue the caller /
-// unblock one queued thread under the global spin-lock. The design barges:
-// a releasing thread makes one queued thread ready, but any thread may win
-// the retried test-and-set first, so the spec deliberately does not say
-// which blocked thread acquires next.
+// (Lock-bit, Queue). The user-code fast path, compiled in-line below, is a
+// test-and-set for Acquire and a clear for Release — one atomic
+// read-modify-write per transition, after one relaxed test of the
+// slow-mode word (src/obs/metrics.h). The Nub slow paths in mutex.cc
+// enqueue the caller / unblock one queued thread under the spin-lock. The
+// design barges: a releasing thread makes one queued thread ready, but any
+// thread may win the retried test-and-set first, so the spec deliberately
+// does not say which blocked thread acquires next.
 //
 // Departures from the paper, documented in DESIGN.md:
 //  - holder_ records the owning thread. The paper's implementation kept no
@@ -34,7 +36,10 @@
 #include <cstdint>
 #include <functional>
 
+#include "src/base/chaos.h"
+#include "src/base/check.h"
 #include "src/base/intrusive_queue.h"
+#include "src/obs/metrics.h"
 #include "src/spec/action.h"
 #include "src/spec/state.h"
 #include "src/threads/nub.h"
@@ -52,11 +57,21 @@ class Mutex {
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
 
-  void Acquire();
+  void Acquire() {
+    if (!obs::AnySlowMode() && TestAndSet()) [[likely]] {
+      return;
+    }
+    AcquireSlow();
+  }
 
   // Single attempt; returns true on success. (Not in the paper's interface,
   // but implied by the user-code fast path; handy for tests.)
-  bool TryAcquire();
+  bool TryAcquire() {
+    if (obs::AnySlowMode()) [[unlikely]] {
+      return TryAcquireSlow();
+    }
+    return TestAndSet();
+  }
 
   // Acquire with a deadline: kSatisfied with the mutex held, or kTimeout
   // (mutex not held) once `timeout` has elapsed. A zero or negative timeout
@@ -66,7 +81,13 @@ class Mutex {
   // kept, never converted into a timeout.
   WaitResult AcquireFor(std::chrono::nanoseconds timeout);
 
-  void Release();
+  void Release() {
+    if (obs::AnySlowMode()) [[unlikely]] {
+      ReleaseSlow();
+      return;
+    }
+    ClearBit(Nub::Current());
+  }
 
   // The thread currently holding the mutex, or kNil. Racy; for debuggers and
   // tests only — the spec exposes no such query to clients.
@@ -76,24 +97,49 @@ class Mutex {
 
   spec::ObjId id() const { return id_; }
 
-  // --- statistics (relaxed counters) ---
-  std::uint64_t fast_acquires() const {
-    return fast_acquires_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t slow_acquires() const {
-    return slow_acquires_.load(std::memory_order_relaxed);
-  }
-  void ResetStats() {
-    fast_acquires_.store(0, std::memory_order_relaxed);
-    slow_acquires_.store(0, std::memory_order_relaxed);
-  }
-
  private:
   friend class Condition;
   friend class Timer;
   friend void AlertWait(Mutex& m, Condition& c);
   friend WaitResult AlertWaitFor(Mutex& m, Condition& c,
                                  std::chrono::nanoseconds timeout);
+
+  // The user-code test-and-set of Acquire and TryAcquire. On success it
+  // counts the fast acquire and records the holder; diagnosis is off here
+  // (its bit is in the slow-mode word), so there is no owner stamp.
+  bool TestAndSet() {
+    if (bit_.exchange(1, std::memory_order_acquire) != 0) {
+      return false;
+    }
+    obs::Inc(obs::Counter::kFastMutexAcquire);
+    holder_.store(Nub::Current()->id, std::memory_order_relaxed);
+    return true;
+  }
+
+  // Release's user code: clear the Lock-bit; call the Nub only if the Queue
+  // is non-empty. The seq_cst store/load pair pairs with the
+  // enqueue-then-test in NubAcquire so that at least one side sees the
+  // other (no thread is left parked with the mutex free).
+  void ClearBit(ThreadRecord* self) {
+    // REQUIRES m = SELF. (Checked here as a library extension; the paper's
+    // implementation trusted the caller.)
+    TAOS_CHECK(holder_.load(std::memory_order_relaxed) == self->id);
+    holder_.store(spec::kNil, std::memory_order_relaxed);
+    bit_.store(0, std::memory_order_seq_cst);
+    TAOS_CHAOS(kMutexReleaseWindow);
+    if (queue_len_.load(std::memory_order_seq_cst) > 0) {
+      NubRelease();
+    } else {
+      obs::Inc(obs::Counter::kFastMutexRelease);
+    }
+  }
+
+  // The out-of-line paths the in-line ones fall back to: taken when a
+  // slow-mode bit is set (they emit recorder events, stamp diag owners and
+  // divert to the traced paths) or, for Acquire, when the bit is held.
+  void AcquireSlow();
+  bool TryAcquireSlow();
+  void ReleaseSlow();
 
   // Nub subroutine for Acquire: enqueue, re-test the lock bit, de-schedule
   // if still held; retry the whole Acquire from the test-and-set.
@@ -109,22 +155,13 @@ class Mutex {
   // Nub subroutine for Release: unblock one queued thread.
   void NubRelease();
 
-  // Marks `self` as the holder (fast- and slow-path epilogue). The diag
-  // owner stamp rides the same funnel: one predicted branch on the
-  // uncontended path when diagnosis is off.
+  // Marks `self` as the holder (out-of-line epilogue; the in-line one is
+  // TestAndSet), with the diag owner stamp when diagnosis is on.
   void NoteAcquired(ThreadRecord* self) {
     holder_.store(self->id, std::memory_order_relaxed);
     if (obs::diag::Enabled()) [[unlikely]] {
       TAOS_CHAOS(kDiagOwnerStamp);
       obs::diag::StampOwner(id_, self->id);
-    }
-  }
-
-  // Clears the holder (every Release path, traced included).
-  void NoteReleased() {
-    holder_.store(spec::kNil, std::memory_order_relaxed);
-    if (obs::diag::Enabled()) [[unlikely]] {
-      obs::diag::ClearOwner(id_);
     }
   }
 
@@ -155,9 +192,6 @@ class Mutex {
   std::atomic<std::int32_t> queue_len_{0};
   std::atomic<spec::ThreadId> holder_{spec::kNil};
   spec::ObjId id_;
-
-  std::atomic<std::uint64_t> fast_acquires_{0};
-  std::atomic<std::uint64_t> slow_acquires_{0};
 };
 
 }  // namespace taos

@@ -8,9 +8,11 @@
 
 namespace taos {
 
-namespace {
-thread_local ThreadRecord* tls_record = nullptr;
+namespace internal {
+constinit thread_local ThreadRecord* g_current = nullptr;
+}  // namespace internal
 
+namespace {
 bool GlobalLockModeFromEnv() {
   const char* v = std::getenv("TAOS_NUB_GLOBAL_LOCK");
   return v != nullptr && *v != '\0' && std::strcmp(v, "0") != 0;
@@ -19,12 +21,6 @@ bool GlobalLockModeFromEnv() {
 
 Nub::Nub() {
   global_lock_mode_.store(GlobalLockModeFromEnv());
-}
-
-Nub& Nub::Get() {
-  static Nub* nub = new Nub();  // intentionally leaked; records must outlive
-                                // any late thread exit
-  return *nub;
 }
 
 void Nub::SetLockBackend(LockBackend b) {
@@ -53,15 +49,13 @@ ThreadRecord* Nub::CreateRecord() {
 }
 
 void Nub::AdoptRecord(ThreadRecord* rec) {
-  TAOS_CHECK(tls_record == nullptr || tls_record == rec);
-  tls_record = rec;
+  TAOS_CHECK(internal::g_current == nullptr || internal::g_current == rec);
+  internal::g_current = rec;
 }
 
-ThreadRecord* Nub::Current() {
-  if (tls_record == nullptr) {
-    tls_record = CreateRecord();
-  }
-  return tls_record;
+ThreadRecord* Nub::RegisterCurrent() {
+  internal::g_current = Get().CreateRecord();
+  return internal::g_current;
 }
 
 ThreadRecord* Nub::RecordFor(spec::ThreadId id) {

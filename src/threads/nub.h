@@ -59,14 +59,25 @@
 #include <vector>
 
 #include "src/base/spinlock.h"
+#include "src/obs/metrics.h"
 #include "src/spec/trace.h"
 #include "src/threads/thread_record.h"
 
 namespace taos {
 
+namespace internal {
+// The calling thread's record. constinit, like obs::internal::g_cell: the
+// in-line fast paths read it as a plain TLS load, with no init guard.
+extern constinit thread_local ThreadRecord* g_current;
+}  // namespace internal
+
 class Nub {
  public:
-  static Nub& Get();
+  static Nub& Get() {
+    static Nub* nub = new Nub();  // intentionally leaked; records must
+                                  // outlive any late thread exit
+    return *nub;
+  }
 
   Nub(const Nub&) = delete;
   Nub& operator=(const Nub&) = delete;
@@ -109,8 +120,14 @@ class Nub {
   // waits. Out of line: the timer gate lives above the base layer.
   void SetLockBackend(LockBackend b);
 
-  // The calling thread's record, registering it on first use.
-  ThreadRecord* Current();
+  // The calling thread's record, registering it on first use (out of line).
+  static ThreadRecord* Current() {
+    ThreadRecord* rec = internal::g_current;
+    if (rec == nullptr) [[unlikely]] {
+      rec = RegisterCurrent();
+    }
+    return rec;
+  }
 
   // Creates a record for a thread that has not started yet (Thread::Fork
   // allocates the child's record up front so the parent gets a handle
@@ -121,8 +138,11 @@ class Nub {
   ThreadRecord* RecordFor(spec::ThreadId id);
 
   // --- spec tracing ---
+  // Also flips the tracing bit of the slow-mode word (src/obs/metrics.h),
+  // which is what sends the in-line fast paths to their traced paths.
   void SetTrace(spec::TraceSink* sink) {
     trace_.store(sink, std::memory_order_release);
+    obs::SetSlowMode(obs::SlowMode::kTrace, sink != nullptr);
   }
   spec::TraceSink* trace() const {
     return trace_.load(std::memory_order_acquire);
@@ -153,13 +173,10 @@ class Nub {
     return next_obj_id_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  // --- global statistics (relaxed counters; see EXPERIMENTS.md) ---
-  std::atomic<std::uint64_t> nub_entries{0};  // slow-path entries, all ops
-
-  void ResetStats() { nub_entries.store(0, std::memory_order_relaxed); }
-
  private:
   Nub();
+
+  static ThreadRecord* RegisterCurrent();
 
   SpinLock lock_;
   std::atomic<bool> global_lock_mode_{false};

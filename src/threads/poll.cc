@@ -173,7 +173,6 @@ Poll::Outcome Poll::WaitInternal(bool all, bool alertable, bool timed,
   if (nub.tracing()) {
     return TracedWait(self, all, alertable, timed, deadline_ns);
   }
-  nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
 
   PollNode nodes[kMaxWait];
   for (std::size_t i = 0; i < n_; ++i) {
@@ -268,7 +267,6 @@ Poll::Outcome Poll::WaitInternal(bool all, bool alertable, bool timed,
 Poll::Outcome Poll::TracedWait(ThreadRecord* self, bool all, bool alertable,
                                bool timed, std::uint64_t deadline_ns) {
   Nub& nub = Nub::Get();
-  nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
   const spec::ObjIdSet ws = WaitSetIds();
 
   PollNode nodes[kMaxWait];

@@ -20,23 +20,9 @@ ReaderWriterMutex::~ReaderWriterMutex() {
   TAOS_CHECK(word_.load(std::memory_order_relaxed) == 0);
 }
 
-bool ReaderWriterMutex::SharedCasLoop() {
-  std::uint32_t w = word_.load(std::memory_order_relaxed);
-  while ((w & kWriterBit) == 0) {
-    if (word_.compare_exchange_weak(w, w + 1, std::memory_order_acquire,
-                                    std::memory_order_relaxed)) {
-      // The reader-admission commit point: a writer's enqueue-then-test may
-      // be racing this CAS.
-      TAOS_CHAOS(kRwlockReaderCas);
-      return true;
-    }
-  }
-  return false;
-}
-
 // --- exclusive (writer) mode ---
 
-void ReaderWriterMutex::Acquire() {
+void ReaderWriterMutex::AcquireSlow() {
   obs::WithEvent(obs::Op::kAcquire, id_, [&] {
     Nub& nub = Nub::Get();
     ThreadRecord* self = nub.Current();
@@ -45,17 +31,11 @@ void ReaderWriterMutex::Acquire() {
       TracedAcquire(self);
       return;
     }
-    // User-code fast path: one CAS of 0 -> writer-bit when uncontended.
-    std::uint32_t expected = 0;
-    if (word_.compare_exchange_strong(expected, kWriterBit,
-                                      std::memory_order_acquire,
-                                      std::memory_order_relaxed)) {
-      fast_acquires_.fetch_add(1, std::memory_order_relaxed);
+    if (WriterCas()) {
       obs::Inc(obs::Counter::kFastMutexAcquire);
-      NoteAcquired(self);
-      return;
+    } else {
+      NubAcquire(self);
     }
-    NubAcquire(self);
     NoteAcquired(self);
   });
 }
@@ -73,16 +53,12 @@ bool ReaderWriterMutex::TryAcquire() {
     nub.EmitTraced(spec::MakeRwAcquire(self->id, id_));
     return true;
   }
-  std::uint32_t expected = 0;
-  if (word_.compare_exchange_strong(expected, kWriterBit,
-                                    std::memory_order_acquire,
-                                    std::memory_order_relaxed)) {
-    fast_acquires_.fetch_add(1, std::memory_order_relaxed);
-    obs::Inc(obs::Counter::kFastMutexAcquire);
-    NoteAcquired(self);
-    return true;
+  if (!WriterCas()) {
+    return false;
   }
-  return false;
+  obs::Inc(obs::Counter::kFastMutexAcquire);
+  NoteAcquired(self);
+  return true;
 }
 
 WaitResult ReaderWriterMutex::AcquireFor(std::chrono::nanoseconds timeout) {
@@ -90,17 +66,13 @@ WaitResult ReaderWriterMutex::AcquireFor(std::chrono::nanoseconds timeout) {
   obs::WithEvent(obs::Op::kAcquire, id_, [&] {
     Nub& nub = Nub::Get();
     ThreadRecord* self = nub.Current();
-    std::uint32_t expected = 0;
     if (nub.tracing()) {
       obs::Inc(obs::Counter::kNubAcquire);
       const std::uint64_t deadline =
           timeout.count() > 0 ? DeadlineAfter(timeout) : 0;
       result = TracedAcquireFor(self, deadline) ? WaitResult::kSatisfied
                                                 : WaitResult::kTimeout;
-    } else if (word_.compare_exchange_strong(expected, kWriterBit,
-                                             std::memory_order_acquire,
-                                             std::memory_order_relaxed)) {
-      fast_acquires_.fetch_add(1, std::memory_order_relaxed);
+    } else if (WriterCas()) {
       obs::Inc(obs::Counter::kFastMutexAcquire);
       NoteAcquired(self);
     } else if (timeout.count() <= 0) {
@@ -117,36 +89,26 @@ WaitResult ReaderWriterMutex::AcquireFor(std::chrono::nanoseconds timeout) {
   return result;
 }
 
-void ReaderWriterMutex::Release() {
+void ReaderWriterMutex::ReleaseSlow() {
   obs::WithEvent(obs::Op::kRelease, id_, [&] {
     Nub& nub = Nub::Get();
     ThreadRecord* self = nub.Current();
-    // REQUIRES rw.writer = SELF (library extension; the spec trusts the
-    // caller, the implementation does not).
-    TAOS_CHECK(holder_.load(std::memory_order_relaxed) == self->id);
     if (nub.tracing()) {
+      // TracedRelease checks REQUIRES rw.writer = SELF.
       obs::Inc(obs::Counter::kNubRelease);
       TracedRelease(self);
       return;
     }
-    NoteReleased();
-    // User code: clear the word; call the Nub only if someone is queued.
-    // The seq_cst store/load pairs with the enqueue-then-test in the
-    // acquire slow paths (both reader and writer sides), so no waiter is
-    // left parked with the lock free.
-    word_.store(0, std::memory_order_seq_cst);
-    if (reader_q_len_.load(std::memory_order_seq_cst) > 0 ||
-        writer_q_len_.load(std::memory_order_seq_cst) > 0) {
-      NubReleaseExclusive();
-    } else {
-      obs::Inc(obs::Counter::kFastMutexRelease);
+    if (obs::diag::Enabled()) [[unlikely]] {
+      obs::diag::ClearOwner(id_);
     }
+    ClearWriter(self);
   });
 }
 
 // --- shared (reader) mode ---
 
-void ReaderWriterMutex::AcquireShared() {
+void ReaderWriterMutex::AcquireSharedSlow() {
   obs::WithEvent(obs::Op::kAcquire, id_, [&] {
     Nub& nub = Nub::Get();
     ThreadRecord* self = nub.Current();
@@ -156,7 +118,6 @@ void ReaderWriterMutex::AcquireShared() {
       return;
     }
     if (SharedCasLoop()) {
-      fast_acquires_.fetch_add(1, std::memory_order_relaxed);
       obs::Inc(obs::Counter::kFastMutexAcquire);
       return;
     }
@@ -177,12 +138,11 @@ bool ReaderWriterMutex::TryAcquireShared() {
     nub.EmitTraced(spec::MakeRwAcquireShared(self->id, id_));
     return true;
   }
-  if (SharedCasLoop()) {
-    fast_acquires_.fetch_add(1, std::memory_order_relaxed);
-    obs::Inc(obs::Counter::kFastMutexAcquire);
-    return true;
+  if (!SharedCasLoop()) {
+    return false;
   }
-  return false;
+  obs::Inc(obs::Counter::kFastMutexAcquire);
+  return true;
 }
 
 WaitResult ReaderWriterMutex::AcquireSharedFor(
@@ -199,7 +159,6 @@ WaitResult ReaderWriterMutex::AcquireSharedFor(
                    ? WaitResult::kSatisfied
                    : WaitResult::kTimeout;
     } else if (SharedCasLoop()) {
-      fast_acquires_.fetch_add(1, std::memory_order_relaxed);
       obs::Inc(obs::Counter::kFastMutexAcquire);
     } else if (timeout.count() <= 0) {
       result = WaitResult::kTimeout;
@@ -215,42 +174,21 @@ WaitResult ReaderWriterMutex::AcquireSharedFor(
   return result;
 }
 
-void ReaderWriterMutex::ReleaseShared() {
+void ReaderWriterMutex::ReleaseSharedSlow() {
   obs::WithEvent(obs::Op::kRelease, id_, [&] {
     Nub& nub = Nub::Get();
-    ThreadRecord* self = nub.Current();
     if (nub.tracing()) {
       obs::Inc(obs::Counter::kNubRelease);
-      TracedReleaseShared(self);
+      TracedReleaseShared(nub.Current());
       return;
     }
-    // REQUIRES SELF IN rw.readers: the word cannot show a writer and must
-    // count at least this reader (set membership proper is the trace
-    // checker's job; the count catches both misuse death-test shapes).
-    const std::uint32_t prev = word_.fetch_sub(1, std::memory_order_seq_cst);
-    TAOS_CHECK((prev & kWriterBit) == 0 && prev != 0);
-    if (prev == 1) {
-      // Last reader out: wake one queued writer. The seq_cst fetch_sub
-      // above against the writer's enqueue-then-test is the same Dekker
-      // pairing as Release's clear-then-scan.
-      TAOS_CHAOS(kRwlockLastReaderWake);
-      if (writer_q_len_.load(std::memory_order_seq_cst) > 0) {
-        NubWakeOneWriter();
-      } else {
-        obs::Inc(obs::Counter::kFastMutexRelease);
-      }
-    } else {
-      obs::Inc(obs::Counter::kFastMutexRelease);
-    }
+    DropReader();
   });
 }
 
 // --- Nub (slow-path) subroutines, untimed ---
 
 void ReaderWriterMutex::NubAcquire(ThreadRecord* self) {
-  Nub& nub = Nub::Get();
-  nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
-  slow_acquires_.fetch_add(1, std::memory_order_relaxed);
   obs::Inc(obs::Counter::kNubAcquire);
   for (;;) {
     bool parked = false;
@@ -274,10 +212,7 @@ void ReaderWriterMutex::NubAcquire(ThreadRecord* self) {
     }
     // Retry the entire acquisition from the CAS; barging is possible
     // exactly as in Mutex.
-    std::uint32_t expected = 0;
-    if (word_.compare_exchange_strong(expected, kWriterBit,
-                                      std::memory_order_acquire,
-                                      std::memory_order_relaxed)) {
+    if (WriterCas()) {
       return;
     }
     obs::Inc(obs::Counter::kLockBitRetries);
@@ -288,9 +223,6 @@ void ReaderWriterMutex::NubAcquire(ThreadRecord* self) {
 }
 
 void ReaderWriterMutex::NubAcquireShared(ThreadRecord* self) {
-  Nub& nub = Nub::Get();
-  nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
-  slow_acquires_.fetch_add(1, std::memory_order_relaxed);
   obs::Inc(obs::Counter::kNubAcquire);
   for (;;) {
     bool parked = false;
@@ -326,9 +258,6 @@ void ReaderWriterMutex::NubAcquireShared(ThreadRecord* self) {
 
 bool ReaderWriterMutex::NubAcquireFor(ThreadRecord* self,
                                       std::uint64_t deadline_ns) {
-  Nub& nub = Nub::Get();
-  nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
-  slow_acquires_.fetch_add(1, std::memory_order_relaxed);
   obs::Inc(obs::Counter::kNubAcquire);
   for (;;) {
     bool parked = false;
@@ -357,10 +286,7 @@ bool ReaderWriterMutex::NubAcquireFor(ThreadRecord* self,
     const bool expired = parked && ConsumeTimeoutWoken(self);
     // CAS first, deadline second: a wake delivered because the lock was
     // released must never be thrown away on a co-incident expiry.
-    std::uint32_t expected = 0;
-    if (word_.compare_exchange_strong(expected, kWriterBit,
-                                      std::memory_order_acquire,
-                                      std::memory_order_relaxed)) {
+    if (WriterCas()) {
       return true;
     }
     obs::Inc(obs::Counter::kLockBitRetries);
@@ -375,9 +301,6 @@ bool ReaderWriterMutex::NubAcquireFor(ThreadRecord* self,
 
 bool ReaderWriterMutex::NubAcquireSharedFor(ThreadRecord* self,
                                             std::uint64_t deadline_ns) {
-  Nub& nub = Nub::Get();
-  nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
-  slow_acquires_.fetch_add(1, std::memory_order_relaxed);
   obs::Inc(obs::Counter::kNubAcquire);
   for (;;) {
     bool parked = false;
@@ -420,8 +343,6 @@ bool ReaderWriterMutex::NubAcquireSharedFor(ThreadRecord* self,
 // --- Nub (slow-path) subroutines, release side ---
 
 void ReaderWriterMutex::NubReleaseExclusive() {
-  Nub& nub = Nub::Get();
-  nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
   obs::Inc(obs::Counter::kNubRelease);
   // An exclusive release wakes EVERY queued reader plus one queued writer:
   // the readers can all be admitted together, and the writer contends with
@@ -449,8 +370,6 @@ void ReaderWriterMutex::NubReleaseExclusive() {
 }
 
 void ReaderWriterMutex::NubWakeOneWriter() {
-  Nub& nub = Nub::Get();
-  nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
   obs::Inc(obs::Counter::kNubRelease);
   ThreadRecord* wake = nullptr;
   {
@@ -471,7 +390,6 @@ void ReaderWriterMutex::NubWakeOneWriter() {
 
 void ReaderWriterMutex::TracedAcquire(ThreadRecord* self) {
   Nub& nub = Nub::Get();
-  nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
   for (;;) {
     {
       NubGuard g(nub_lock_);
@@ -494,7 +412,6 @@ void ReaderWriterMutex::TracedAcquire(ThreadRecord* self) {
 
 void ReaderWriterMutex::TracedAcquireShared(ThreadRecord* self) {
   Nub& nub = Nub::Get();
-  nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
   for (;;) {
     {
       NubGuard g(nub_lock_);
@@ -519,7 +436,6 @@ void ReaderWriterMutex::TracedAcquireShared(ThreadRecord* self) {
 bool ReaderWriterMutex::TracedAcquireFor(ThreadRecord* self,
                                          std::uint64_t deadline_ns) {
   Nub& nub = Nub::Get();
-  nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
   for (;;) {
     std::uint64_t gen = 0;
     {
@@ -556,7 +472,6 @@ bool ReaderWriterMutex::TracedAcquireFor(ThreadRecord* self,
 bool ReaderWriterMutex::TracedAcquireSharedFor(ThreadRecord* self,
                                                std::uint64_t deadline_ns) {
   Nub& nub = Nub::Get();
-  nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
   for (;;) {
     std::uint64_t gen = 0;
     {
@@ -594,7 +509,10 @@ void ReaderWriterMutex::TracedRelease(ThreadRecord* self) {
   {
     NubGuard g(nub_lock_);
     TAOS_CHECK(holder_.load(std::memory_order_relaxed) == self->id);
-    NoteReleased();
+    holder_.store(spec::kNil, std::memory_order_relaxed);
+    if (obs::diag::Enabled()) [[unlikely]] {
+      obs::diag::ClearOwner(id_);
+    }
     word_.store(0, std::memory_order_relaxed);
     nub.EmitTraced(spec::MakeRwRelease(self->id, id_));
     for (ThreadRecord* wake = readers_queue_.PopFront(); wake != nullptr;

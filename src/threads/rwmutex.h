@@ -24,14 +24,15 @@
 // Implementation: the same two-layer design as Mutex. The user-code state
 // is one word — a writer bit plus a 31-bit reader count. The reader fast
 // path is a CAS increment while the writer bit is clear; the writer fast
-// path is a CAS of 0 -> writer-bit. The Nub slow paths keep two queues
-// (readers, writers) under the object's ObjLock — intrusive lists, exactly
-// as Mutex — with atomic length
-// mirrors so the release-side "anyone queued?" test is a data-race-free
-// load. The design barges like Mutex: a release makes waiters ready, but
-// any thread may win the retried CAS first, so the spec deliberately says
-// nothing about fairness (the writer-starvation litmus in src/model
-// measures the consequence).
+// path is a CAS of 0 -> writer-bit. Both, and their releases, are compiled
+// in-line below behind one test of the slow-mode word, as in Mutex. The
+// Nub slow paths keep two queues (readers, writers) under the object's
+// ObjLock — intrusive lists, exactly as Mutex — with atomic length mirrors
+// so the release-side "anyone queued?" test is a data-race-free load. The
+// design barges like Mutex: a release makes waiters ready, but any thread
+// may win the retried CAS first, so the spec deliberately says nothing
+// about fairness (the writer-starvation litmus in src/model measures the
+// consequence).
 //
 // Wakeup policy: an exclusive release wakes every queued reader and one
 // queued writer; the last shared release wakes one queued writer. Readers
@@ -48,7 +49,10 @@
 #include <chrono>
 #include <cstdint>
 
+#include "src/base/chaos.h"
+#include "src/base/check.h"
 #include "src/base/intrusive_queue.h"
+#include "src/obs/metrics.h"
 #include "src/spec/action.h"
 #include "src/spec/state.h"
 #include "src/threads/nub.h"
@@ -65,16 +69,41 @@ class ReaderWriterMutex {
   ReaderWriterMutex& operator=(const ReaderWriterMutex&) = delete;
 
   // --- exclusive (writer) mode ---
-  void Acquire();
+  void Acquire() {
+    if (!obs::AnySlowMode() && WriterCas()) [[likely]] {
+      obs::Inc(obs::Counter::kFastMutexAcquire);
+      holder_.store(Nub::Current()->id, std::memory_order_relaxed);
+      return;
+    }
+    AcquireSlow();
+  }
   bool TryAcquire();
   WaitResult AcquireFor(std::chrono::nanoseconds timeout);
-  void Release();
+  void Release() {
+    if (obs::AnySlowMode()) [[unlikely]] {
+      ReleaseSlow();
+      return;
+    }
+    ClearWriter(Nub::Current());
+  }
 
   // --- shared (reader) mode ---
-  void AcquireShared();
+  void AcquireShared() {
+    if (!obs::AnySlowMode() && SharedCasLoop()) [[likely]] {
+      obs::Inc(obs::Counter::kFastMutexAcquire);
+      return;
+    }
+    AcquireSharedSlow();
+  }
   bool TryAcquireShared();
   WaitResult AcquireSharedFor(std::chrono::nanoseconds timeout);
-  void ReleaseShared();
+  void ReleaseShared() {
+    if (obs::AnySlowMode()) [[unlikely]] {
+      ReleaseSharedSlow();
+      return;
+    }
+    DropReader();
+  }
 
   // The exclusive holder, or kNil. Racy; for debuggers and tests only.
   spec::ThreadId HolderForDebug() const {
@@ -87,26 +116,79 @@ class ReaderWriterMutex {
 
   spec::ObjId id() const { return id_; }
 
-  // --- statistics (relaxed counters) ---
-  std::uint64_t fast_acquires() const {
-    return fast_acquires_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t slow_acquires() const {
-    return slow_acquires_.load(std::memory_order_relaxed);
-  }
-  void ResetStats() {
-    fast_acquires_.store(0, std::memory_order_relaxed);
-    slow_acquires_.store(0, std::memory_order_relaxed);
-  }
-
  private:
   friend class Timer;
 
   static constexpr std::uint32_t kWriterBit = 1u << 31;
 
+  // The writer's user-code CAS of 0 -> writer-bit (fast path and the Nub
+  // retries alike; the caller counts).
+  bool WriterCas() {
+    std::uint32_t expected = 0;
+    return word_.compare_exchange_strong(expected, kWriterBit,
+                                         std::memory_order_acquire,
+                                         std::memory_order_relaxed);
+  }
+
   // The reader fast path: CAS-increment while the writer bit is clear.
   // Returns false once it observes the writer bit (never blocks).
-  bool SharedCasLoop();
+  bool SharedCasLoop() {
+    std::uint32_t w = word_.load(std::memory_order_relaxed);
+    while ((w & kWriterBit) == 0) {
+      if (word_.compare_exchange_weak(w, w + 1, std::memory_order_acquire,
+                                      std::memory_order_relaxed)) {
+        // The reader-admission commit point: a writer's enqueue-then-test
+        // may be racing this CAS.
+        TAOS_CHAOS(kRwlockReaderCas);
+        return true;
+      }
+    }
+    return false;
+  }
+
+  // Release's user code: clear the word; call the Nub only if someone is
+  // queued. The seq_cst store/load pairs with the enqueue-then-test in the
+  // acquire slow paths (both reader and writer sides), so no waiter is
+  // left parked with the lock free.
+  void ClearWriter(ThreadRecord* self) {
+    // REQUIRES rw.writer = SELF (library extension; the spec trusts the
+    // caller, the implementation does not).
+    TAOS_CHECK(holder_.load(std::memory_order_relaxed) == self->id);
+    holder_.store(spec::kNil, std::memory_order_relaxed);
+    word_.store(0, std::memory_order_seq_cst);
+    if (reader_q_len_.load(std::memory_order_seq_cst) > 0 ||
+        writer_q_len_.load(std::memory_order_seq_cst) > 0) {
+      NubReleaseExclusive();
+    } else {
+      obs::Inc(obs::Counter::kFastMutexRelease);
+    }
+  }
+
+  // ReleaseShared's user code.
+  void DropReader() {
+    // REQUIRES SELF IN rw.readers: the word cannot show a writer and must
+    // count at least this reader (set membership proper is the trace
+    // checker's job; the count catches both misuse death-test shapes).
+    const std::uint32_t prev = word_.fetch_sub(1, std::memory_order_seq_cst);
+    TAOS_CHECK((prev & kWriterBit) == 0 && prev != 0);
+    if (prev == 1) {
+      // Last reader out: wake one queued writer. The seq_cst fetch_sub
+      // above against the writer's enqueue-then-test is the same Dekker
+      // pairing as Release's clear-then-scan.
+      TAOS_CHAOS(kRwlockLastReaderWake);
+      if (writer_q_len_.load(std::memory_order_seq_cst) > 0) {
+        NubWakeOneWriter();
+        return;
+      }
+    }
+    obs::Inc(obs::Counter::kFastMutexRelease);
+  }
+
+  // Out-of-line paths: a slow-mode bit is set, or the acquire CAS failed.
+  void AcquireSlow();
+  void ReleaseSlow();
+  void AcquireSharedSlow();
+  void ReleaseSharedSlow();
 
   // Nub subroutines: enqueue on the respective queue, re-test the word,
   // de-schedule if still excluded; retry the whole acquisition from the
@@ -122,7 +204,8 @@ class ReaderWriterMutex {
   void NubReleaseExclusive();
   void NubWakeOneWriter();
 
-  // Exclusive-acquire epilogue; owner stamps mirror Mutex::NoteAcquired.
+  // Out-of-line exclusive-acquire epilogue; owner stamps mirror
+  // Mutex::NoteAcquired.
   // Shared holders are deliberately NOT stamped: a reader-held rwmutex has
   // no single owner, so the waits-for graph treats it as owner-unknown
   // (which can hide a reader-writer deadlock from the cycle finder, but
@@ -132,13 +215,6 @@ class ReaderWriterMutex {
     if (obs::diag::Enabled()) [[unlikely]] {
       TAOS_CHAOS(kDiagOwnerStamp);
       obs::diag::StampOwner(id_, self->id);
-    }
-  }
-
-  void NoteReleased() {
-    holder_.store(spec::kNil, std::memory_order_relaxed);
-    if (obs::diag::Enabled()) [[unlikely]] {
-      obs::diag::ClearOwner(id_);
     }
   }
 
@@ -161,9 +237,6 @@ class ReaderWriterMutex {
   std::atomic<std::int32_t> writer_q_len_{0};
   std::atomic<spec::ThreadId> holder_{spec::kNil};
   spec::ObjId id_;
-
-  std::atomic<std::uint64_t> fast_acquires_{0};
-  std::atomic<std::uint64_t> slow_acquires_{0};
 };
 
 // RAII brackets, mirroring Lock (threads.h) for the two modes.

@@ -16,25 +16,21 @@ Semaphore::~Semaphore() {
   TAOS_CHECK(queue_.Empty());
 }
 
-void Semaphore::P() {
+void Semaphore::PSlow() {
   obs::WithEvent(obs::Op::kP, id_, [&] {
     Nub& nub = Nub::Get();
-    ThreadRecord* self = nub.Current();
     if (nub.tracing()) {
       obs::Inc(obs::Counter::kNubP);
-      TracedP(self);
+      TracedP(nub.Current());
       return;
     }
-    if (bit_.exchange(1, std::memory_order_acquire) == 0) {
-      fast_ps_.fetch_add(1, std::memory_order_relaxed);
-      obs::Inc(obs::Counter::kFastSemP);
-      return;
+    if (!TestAndSet()) {
+      NubP(nub.Current());
     }
-    NubP(self);
   });
 }
 
-bool Semaphore::TryP() {
+bool Semaphore::TryPSlow() {
   Nub& nub = Nub::Get();
   if (nub.tracing()) {
     ThreadRecord* self = nub.Current();
@@ -46,12 +42,7 @@ bool Semaphore::TryP() {
     nub.EmitTraced(spec::MakeP(self->id, id_));
     return true;
   }
-  if (bit_.exchange(1, std::memory_order_acquire) == 0) {
-    fast_ps_.fetch_add(1, std::memory_order_relaxed);
-    obs::Inc(obs::Counter::kFastSemP);
-    return true;
-  }
-  return false;
+  return TestAndSet();
 }
 
 WaitResult Semaphore::PFor(std::chrono::nanoseconds timeout) {
@@ -65,11 +56,9 @@ WaitResult Semaphore::PFor(std::chrono::nanoseconds timeout) {
           timeout.count() > 0 ? DeadlineAfter(timeout) : 0;
       result = TracedPFor(self, deadline) ? WaitResult::kSatisfied
                                           : WaitResult::kTimeout;
-    } else if (bit_.exchange(1, std::memory_order_acquire) == 0) {
+    } else if (TestAndSet()) {
       // Fast path tried even with an expired deadline: PFor(0) is TryP with
       // a WaitResult.
-      fast_ps_.fetch_add(1, std::memory_order_relaxed);
-      obs::Inc(obs::Counter::kFastSemP);
     } else if (timeout.count() <= 0) {
       result = WaitResult::kTimeout;
     } else if (!NubPFor(self, DeadlineAfter(timeout))) {
@@ -83,9 +72,6 @@ WaitResult Semaphore::PFor(std::chrono::nanoseconds timeout) {
 }
 
 void Semaphore::NubP(ThreadRecord* self) {
-  Nub& nub = Nub::Get();
-  nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
-  slow_ps_.fetch_add(1, std::memory_order_relaxed);
   obs::Inc(obs::Counter::kNubP);
   for (;;) {
     bool parked = false;
@@ -119,9 +105,6 @@ void Semaphore::NubP(ThreadRecord* self) {
 }
 
 bool Semaphore::NubPFor(ThreadRecord* self, std::uint64_t deadline_ns) {
-  Nub& nub = Nub::Get();
-  nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
-  slow_ps_.fetch_add(1, std::memory_order_relaxed);
   obs::Inc(obs::Counter::kNubP);
   for (;;) {
     bool parked = false;
@@ -166,7 +149,7 @@ bool Semaphore::NubPFor(ThreadRecord* self, std::uint64_t deadline_ns) {
   }
 }
 
-void Semaphore::V() {
+void Semaphore::VSlow() {
   obs::WithEvent(obs::Op::kV, id_, [&] {
     Nub& nub = Nub::Get();
     if (nub.tracing()) {
@@ -174,19 +157,11 @@ void Semaphore::V() {
       TracedV(nub.Current());
       return;
     }
-    bit_.store(0, std::memory_order_seq_cst);
-    TAOS_CHAOS(kSemReleaseWindow);
-    if (queue_len_.load(std::memory_order_seq_cst) > 0) {
-      NubV();
-    } else {
-      obs::Inc(obs::Counter::kFastSemV);
-    }
+    ClearBit();
   });
 }
 
 void Semaphore::NubV() {
-  Nub& nub = Nub::Get();
-  nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
   obs::Inc(obs::Counter::kNubV);
   ThreadRecord* wake = nullptr;
   {
@@ -205,7 +180,6 @@ void Semaphore::NubV() {
 
 void Semaphore::TracedP(ThreadRecord* self) {
   Nub& nub = Nub::Get();
-  nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
   for (;;) {
     {
       NubGuard g(nub_lock_);
@@ -225,7 +199,6 @@ void Semaphore::TracedP(ThreadRecord* self) {
 
 bool Semaphore::TracedPFor(ThreadRecord* self, std::uint64_t deadline_ns) {
   Nub& nub = Nub::Get();
-  nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
   for (;;) {
     std::uint64_t gen = 0;
     {

@@ -22,7 +22,9 @@
 #include <chrono>
 #include <cstdint>
 
+#include "src/base/chaos.h"
 #include "src/base/intrusive_queue.h"
+#include "src/obs/metrics.h"
 #include "src/spec/state.h"
 #include "src/threads/nub.h"
 #include "src/threads/thread_record.h"
@@ -38,11 +40,22 @@ class Semaphore {
   Semaphore& operator=(const Semaphore&) = delete;
 
   // Blocks until the semaphore is available, then atomically makes it
-  // unavailable.
-  void P();
+  // unavailable. In-line like Mutex::Acquire: one test of the slow-mode
+  // word, one test-and-set.
+  void P() {
+    if (!obs::AnySlowMode() && TestAndSet()) [[likely]] {
+      return;
+    }
+    PSlow();
+  }
 
   // Single attempt; returns true if the semaphore was taken.
-  bool TryP();
+  bool TryP() {
+    if (obs::AnySlowMode()) [[unlikely]] {
+      return TryPSlow();
+    }
+    return TestAndSet();
+  }
 
   // P with a deadline: kSatisfied with the semaphore taken, or kTimeout
   // (not taken) once `timeout` has elapsed. A zero or negative timeout
@@ -53,7 +66,13 @@ class Semaphore {
 
   // Makes the semaphore available. Safe to call from any thread — including
   // one acting as an interrupt routine — with no precondition.
-  void V();
+  void V() {
+    if (obs::AnySlowMode()) [[unlikely]] {
+      VSlow();
+      return;
+    }
+    ClearBit();
+  }
 
   spec::ObjId id() const { return id_; }
 
@@ -62,22 +81,33 @@ class Semaphore {
     return bit_.load(std::memory_order_relaxed) == 0;
   }
 
-  // --- statistics (relaxed counters) ---
-  std::uint64_t fast_ps() const {
-    return fast_ps_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t slow_ps() const {
-    return slow_ps_.load(std::memory_order_relaxed);
-  }
-  void ResetStats() {
-    fast_ps_.store(0, std::memory_order_relaxed);
-    slow_ps_.store(0, std::memory_order_relaxed);
-  }
-
  private:
   friend class Timer;
   friend void Alert(ThreadHandle t);
   friend void AlertP(Semaphore& s);
+
+  // The user-code halves of P (and TryP, PFor, AlertP) and V, as in Mutex.
+  bool TestAndSet() {
+    if (bit_.exchange(1, std::memory_order_acquire) != 0) {
+      return false;
+    }
+    obs::Inc(obs::Counter::kFastSemP);
+    return true;
+  }
+  void ClearBit() {
+    bit_.store(0, std::memory_order_seq_cst);
+    TAOS_CHAOS(kSemReleaseWindow);
+    if (queue_len_.load(std::memory_order_seq_cst) > 0) {
+      NubV();
+    } else {
+      obs::Inc(obs::Counter::kFastSemV);
+    }
+  }
+
+  // Out-of-line paths: a slow-mode bit is set, or P found the bit taken.
+  void PSlow();
+  bool TryPSlow();
+  void VSlow();
 
   void NubP(ThreadRecord* self);
   void NubV();
@@ -94,9 +124,6 @@ class Semaphore {
   IntrusiveQueue<ThreadRecord> queue_;
   std::atomic<std::int32_t> queue_len_{0};
   spec::ObjId id_;
-
-  std::atomic<std::uint64_t> fast_ps_{0};
-  std::atomic<std::uint64_t> slow_ps_{0};
 };
 
 }  // namespace taos

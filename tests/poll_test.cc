@@ -154,13 +154,11 @@ TEST(EventTest, SetThenWaitStaysOnFastPath) {
   // path: waiter-side consumption is a single atomic on the flag.
   Event e;
   e.Set();
-  const std::uint64_t nub_before =
-      Nub::Get().nub_entries.load(std::memory_order_relaxed);
+  const std::uint64_t nub_before = obs::Snapshot().NubEntries();
   for (int i = 0; i < 1000; ++i) {
     e.Wait();
   }
-  EXPECT_EQ(Nub::Get().nub_entries.load(std::memory_order_relaxed),
-            nub_before);
+  EXPECT_EQ(obs::Snapshot().NubEntries(), nub_before);
 }
 
 // --- Poll ---

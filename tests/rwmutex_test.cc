@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/obs/metrics.h"
 #include "src/threads/threads.h"
 #include "src/workload/rwlock.h"
 
@@ -211,14 +212,21 @@ TEST(RwMutexTest, TimedGrantRacingDeadlineIsKept) {
 }
 
 TEST(RwMutexTest, StatsSplitFastFromSlow) {
+  using obs::Counter;
   ReaderWriterMutex rw;
-  rw.ResetStats();
+  obs::Stats before = obs::Snapshot();
   rw.AcquireShared();
   rw.ReleaseShared();
   rw.Acquire();
   rw.Release();
-  EXPECT_EQ(rw.fast_acquires(), 2u);
-  EXPECT_EQ(rw.slow_acquires(), 0u);
+  obs::Stats after = obs::Snapshot();
+  EXPECT_EQ(after.Count(Counter::kFastMutexAcquire) -
+                before.Count(Counter::kFastMutexAcquire),
+            2u);
+  EXPECT_EQ(after.Count(Counter::kNubAcquire),
+            before.Count(Counter::kNubAcquire));
+
+  before = after;
 
   rw.Acquire();
   Thread waiter = Thread::Fork([&] {
@@ -228,7 +236,9 @@ TEST(RwMutexTest, StatsSplitFastFromSlow) {
   AwaitParked(waiter);
   rw.Release();
   waiter.Join();
-  EXPECT_GE(rw.slow_acquires(), 1u);
+  EXPECT_GE(obs::Snapshot().Count(Counter::kNubAcquire) -
+                before.Count(Counter::kNubAcquire),
+            1u);
 }
 
 // The workload harness over the real primitive: the reader/writer invariant

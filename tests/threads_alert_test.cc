@@ -164,7 +164,11 @@ TEST(AlertTest, UncaughtAlertedEndsTheThreadQuietly) {
 
 TEST(AlertTest, NondeterminismBothOutcomesOccur) {
   // E10: when an alert and an available semaphore race, AlertP sometimes
-  // returns and sometimes raises. Hammer the race and require both.
+  // returns and sometimes raises. Hammer the race and require both. Even
+  // rounds leave the schedule to the host (Alert first usually raises).
+  // Odd rounds build the returning schedule: once the taker is parked in
+  // AlertP, V dequeues and readies it before the Alert lands, so it resumes
+  // with the semaphore available and an alert pending, and returns.
   std::atomic<int> normal{0};
   std::atomic<int> raised{0};
   for (int round = 0; round < 300 && (normal == 0 || raised == 0); ++round) {
@@ -188,6 +192,7 @@ TEST(AlertTest, NondeterminismBothOutcomesOccur) {
       Alert(taker.Handle());
       s.V();
     } else {
+      AwaitParked(taker);
       s.V();
       Alert(taker.Handle());
     }

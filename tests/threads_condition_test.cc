@@ -10,21 +10,25 @@
 
 #include <gtest/gtest.h>
 
+#include "src/obs/metrics.h"
+
 namespace taos {
 namespace {
 
 TEST(ConditionTest, SignalWithNoWaitersAvoidsTheNub) {
   Condition c;
-  const std::uint64_t nub_before =
-      Nub::Get().nub_entries.load(std::memory_order_relaxed);
+  const obs::Stats before = obs::Snapshot();
   for (int i = 0; i < 100; ++i) {
     c.Signal();
     c.Broadcast();
   }
-  EXPECT_EQ(c.fast_signals(), 200u);
-  EXPECT_EQ(c.nub_signals(), 0u);
-  EXPECT_EQ(Nub::Get().nub_entries.load(std::memory_order_relaxed),
-            nub_before);
+  const obs::Stats after = obs::Snapshot();
+  auto delta = [&](obs::Counter k) { return after.Count(k) - before.Count(k); };
+  EXPECT_EQ(delta(obs::Counter::kFastSignal) +
+                delta(obs::Counter::kFastBroadcast),
+            200u);
+  EXPECT_EQ(delta(obs::Counter::kNubSignal), 0u);
+  EXPECT_EQ(after.NubEntries(), before.NubEntries());
 }
 
 TEST(ConditionTest, WaitSignalHandoff) {

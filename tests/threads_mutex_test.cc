@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/obs/metrics.h"
+
 namespace taos {
 namespace {
 
@@ -28,20 +30,56 @@ TEST(MutexTest, AcquireReleaseSingleThread) {
   EXPECT_EQ(m.HolderForDebug(), spec::kNil);
 }
 
+// Events of kind `c` counted by the obs cells between two snapshots.
+std::uint64_t Delta(const obs::Stats& before, const obs::Stats& after,
+                    obs::Counter c) {
+  return after.Count(c) - before.Count(c);
+}
+
 TEST(MutexTest, UncontendedPairStaysOnFastPath) {
   Mutex m;
-  m.ResetStats();
-  const std::uint64_t nub_before =
-      Nub::Get().nub_entries.load(std::memory_order_relaxed);
+  const obs::Stats before = obs::Snapshot();
   for (int i = 0; i < 1000; ++i) {
     m.Acquire();
     m.Release();
   }
-  EXPECT_EQ(m.fast_acquires(), 1000u);
-  EXPECT_EQ(m.slow_acquires(), 0u);
+  const obs::Stats after = obs::Snapshot();
+  EXPECT_EQ(Delta(before, after, obs::Counter::kFastMutexAcquire), 1000u);
+  EXPECT_EQ(Delta(before, after, obs::Counter::kNubAcquire), 0u);
   // E1: with no contention, neither Acquire nor Release enters the Nub.
-  EXPECT_EQ(Nub::Get().nub_entries.load(std::memory_order_relaxed),
-            nub_before);
+  EXPECT_EQ(after.NubEntries(), before.NubEntries());
+}
+
+// The obs cells are the only fast-path counters, so they must lose no event
+// under concurrency: four threads each run uncontended pairs on a private
+// mutex and take one shared ReaderWriterMutex in shared mode (readers never
+// exclude readers, so every acquisition stays on its fast path). After the
+// join the fast-acquire total is exact.
+TEST(MutexTest, FastAcquireCountIsExactAcrossThreads) {
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 20000;
+  ReaderWriterMutex shared;
+  const obs::Stats before = obs::Snapshot();
+  std::vector<Thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.push_back(Thread::Fork([&] {
+      Mutex mine;
+      for (int i = 0; i < kRounds; ++i) {
+        mine.Acquire();
+        mine.Release();
+        shared.AcquireShared();
+        shared.ReleaseShared();
+      }
+    }));
+  }
+  for (Thread& t : threads) {
+    t.Join();
+  }
+  const obs::Stats after = obs::Snapshot();
+  constexpr std::uint64_t kAcquires = 2u * kThreads * kRounds;
+  EXPECT_EQ(Delta(before, after, obs::Counter::kFastMutexAcquire), kAcquires);
+  EXPECT_EQ(Delta(before, after, obs::Counter::kFastMutexRelease), kAcquires);
+  EXPECT_EQ(after.NubEntries(), before.NubEntries());
 }
 
 TEST(MutexTest, TryAcquire) {

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/obs/metrics.h"
+
 namespace taos {
 namespace {
 
@@ -44,17 +46,18 @@ TEST(SemaphoreTest, VIsIdempotentOnAvailable) {
 
 TEST(SemaphoreTest, UncontendedPVStaysOnFastPath) {
   Semaphore s;
-  s.ResetStats();
-  const std::uint64_t nub_before =
-      Nub::Get().nub_entries.load(std::memory_order_relaxed);
+  const obs::Stats before = obs::Snapshot();
   for (int i = 0; i < 1000; ++i) {
     s.P();
     s.V();
   }
-  EXPECT_EQ(s.fast_ps(), 1000u);
-  EXPECT_EQ(s.slow_ps(), 0u);
-  EXPECT_EQ(Nub::Get().nub_entries.load(std::memory_order_relaxed),
-            nub_before);
+  const obs::Stats after = obs::Snapshot();
+  EXPECT_EQ(after.Count(obs::Counter::kFastSemP) -
+                before.Count(obs::Counter::kFastSemP),
+            1000u);
+  EXPECT_EQ(after.Count(obs::Counter::kNubP),
+            before.Count(obs::Counter::kNubP));
+  EXPECT_EQ(after.NubEntries(), before.NubEntries());
 }
 
 TEST(SemaphoreTest, PBlocksUntilV) {
