@@ -12,6 +12,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <atomic>
 #include <thread>
 
 #include "src/baseline/handoff_mutex.h"
@@ -124,37 +125,30 @@ void BM_TaosMutexPairedObjects(benchmark::State& state) {
   }
 }
 
-// The spin-backoff A/B: the same contended loop over a raw Nub spin-lock,
-// with bounded-exponential backoff on (the default) and off. The spin-lock
-// feeds its iteration counts into the obs spin histograms either way, so the
-// BENCH json records how much spinning each policy cost.
+// The spin-backoff A/B (E27): the same contended loop over the Nub's
+// spin-lock, with its bounded-exponential backoff, and over the paper's raw
+// test-and-set loop with no backoff at all. Only the Nub spin-lock feeds the
+// obs spin histograms in the BENCH json.
 taos::SpinLock g_raw_spin_backoff;
 void BM_RawSpinBackoff(benchmark::State& state) {
-  struct AsLock {
-    taos::SpinLock& s;
-    void Acquire() { s.Acquire(); }
-    void Release() { s.Release(); }
-  } lock{g_raw_spin_backoff};
-  ContendedLoop(state, lock);
+  ContendedLoop(state, g_raw_spin_backoff);
 }
 
-taos::SpinLock g_raw_spin_no_backoff;
+// Test-then-test-and-set with a single pause per beat and no yield.
+struct NoBackoffSpin {
+  std::atomic_flag bit = ATOMIC_FLAG_INIT;
+  void Acquire() {
+    while (bit.test_and_set(std::memory_order_acquire)) {
+      while (bit.test(std::memory_order_relaxed)) {
+        taos::SpinLock::Pause();
+      }
+    }
+  }
+  void Release() { bit.clear(std::memory_order_release); }
+};
+NoBackoffSpin g_raw_spin_no_backoff;
 void BM_RawSpinNoBackoff(benchmark::State& state) {
-  struct AsLock {
-    taos::SpinLock& s;
-    void Acquire() { s.Acquire(); }
-    void Release() { s.Release(); }
-  } lock{g_raw_spin_no_backoff};
-  ContendedLoop(state, lock);
-}
-
-// Setup/Teardown run before any benchmark thread starts and after all have
-// joined, so the process-wide switch never flips mid-measurement.
-void DisableBackoff(const benchmark::State&) {
-  taos::SpinLock::SetBackoffEnabled(false);
-}
-void RestoreBackoff(const benchmark::State&) {
-  taos::SpinLock::SetBackoffEnabled(true);
+  ContendedLoop(state, g_raw_spin_no_backoff);
 }
 
 void Shapes(benchmark::internal::Benchmark* b) {
@@ -174,10 +168,7 @@ void PairShapes(benchmark::internal::Benchmark* b) {
 
 BENCHMARK(BM_TaosMutex)->Apply(Shapes);
 BENCHMARK(BM_RawSpinBackoff)->Apply(Shapes);
-BENCHMARK(BM_RawSpinNoBackoff)
-    ->Apply(Shapes)
-    ->Setup(DisableBackoff)
-    ->Teardown(RestoreBackoff);
+BENCHMARK(BM_RawSpinNoBackoff)->Apply(Shapes);
 BENCHMARK(BM_TaosMutexPairedObjects)->Apply(PairShapes);
 BENCHMARK(BM_SemaphoreLock)->Apply(Shapes);
 BENCHMARK(BM_TicketSpin)->Apply(Shapes);

@@ -13,7 +13,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/base/spinlock.h"
 #include "src/obs/metrics.h"
 #include "src/obs/recorder.h"
 
@@ -77,7 +76,6 @@ int Run(int argc, char** argv, const char* bench_name) {
     // the configuration that produced it, so taos-diag A/B comparisons
     // can't mix up runs.
     obs::SetTraceMetadata("bench", bench_name);
-    obs::SetTraceMetadata("lock_backend", LockBackendName(SpinLock::backend()));
     obs::SetTraceMetadata("global_lock",
                           GlobalLockModeFromEnv() ? "global" : "sharded");
     if (const char* parker = std::getenv("TAOS_WAITQ_PARKER")) {
@@ -125,10 +123,8 @@ int Run(int argc, char** argv, const char* bench_name) {
       << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
       << "  \"wall_seconds\": " << wall << ",\n"
       // Honesty stamp: contention claims are only meaningful relative to
-      // the cores the run actually had, and to the lock core it exercised.
+      // the cores the run actually had.
       << "  \"num_cpus\": " << std::thread::hardware_concurrency() << ",\n"
-      << "  \"lock_backend\": \""
-      << LockBackendName(SpinLock::backend()) << "\",\n"
       << "  \"global_lock_mode\": "
       << (GlobalLockModeFromEnv() ? "true" : "false") << ",\n"
       << "  \"metrics\": " << obs::ReportJson() << ",\n"

@@ -13,13 +13,12 @@
 // set — no registration, no park) that is meaningful on any host. Emits
 // BENCH_poll.json.
 //
-// Honesty rules match bench_locks (E31): every entry records num_cpus, and
+// Honesty rules match bench_contention: every entry records num_cpus, and
 // entries whose claim is about concurrent handoff REFUSE to report on a
 // single-CPU host — producers, consumers and the poller time-sharing one
 // core measure the scheduler, not the wait machinery. The refusal is a
 // skipped entry with an error string in the JSON, which is itself the
-// honest datum. (The process-wide lock backend is stamped at the report
-// level by bench_main.)
+// honest datum.
 
 #include <benchmark/benchmark.h>
 

@@ -44,9 +44,6 @@ constexpr PointInfo kPoints[kNumPoints] = {
     {"parker.before_park", Category::kBeforePark},
     {"parker.before_unpark", Category::kBeforeUnpark},
     {"parker.timed_return", Category::kTimer},
-    {"mcs.enqueue_to_spin", Category::kAfterCas},
-    {"mcs.release_to_successor", Category::kBeforeUnpark},
-    {"clh.pred_spin", Category::kAfterCas},
     {"rwlock.reader_cas", Category::kAfterCas},
     {"rwlock.last_reader_wake", Category::kBeforeUnpark},
     {"diag.publish_to_park", Category::kBeforePark},

@@ -84,11 +84,7 @@ enum class Point : std::uint32_t {
   kParkerBeforeUnpark,
   kParkerTimedReturn,    // timed park returned without a permit, before the
                          // caller learns it timed out
-  // Queue-lock cores (TAOS_LOCK=mcs|clh) and the rwlock fast path.
-  kMcsEnqueueToSpin,     // MCS: linked to the predecessor, before watching
-                         // the own-node flag
-  kMcsReleaseToSuccessor,// MCS: successor identified, before the handoff
-  kClhPredSpin,          // CLH: enqueued, before the first predecessor read
+  // The rwlock fast path.
   kRwlockReaderCas,      // rwlock: reader-count CAS won, before returning
   kRwlockLastReaderWake, // rwlock: count hit zero, before waking a writer
   // Contention-diagnosis seams (src/obs/diag).

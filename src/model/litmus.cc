@@ -623,8 +623,8 @@ class McsTimeoutAbandonTest : public LitmusTest {
             released_free_ = true;
             return;
           }
-          // Successor identified, grant not yet written — the seam the
-          // runtime marks with chaos point kMcsReleaseToSuccessor.
+          // Successor identified, grant not yet written — the seam a
+          // naive timeout-abandon protocol gets wrong.
           machine.Step();
           if (wnode_ == 0) {
             wnode_ = 1;  // the grant: ownership transfers to the waiter

@@ -52,8 +52,6 @@ constexpr const char* kCounterNames[] = {
     "lock_bit_retries",
     "spin_iterations",
     "contended_spin_acquires",
-    "mcs_queued_acquires",
-    "clh_queued_acquires",
     "eventcount_advances",
     "park_futex_waits",
     "park_condvar_waits",

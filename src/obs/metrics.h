@@ -69,9 +69,7 @@ enum class Counter : int {
 
   // --- spin-lock and eventcount internals ---
   kSpinIterations,        // total busy-wait beats across contended Acquires
-  kContendedSpinAcquires, // SpinLock::Acquire calls that had to spin (TAS)
-  kMcsQueuedAcquires,     // MCS acquisitions that queued behind a holder
-  kClhQueuedAcquires,     // CLH acquisitions that queued behind a holder
+  kContendedSpinAcquires, // SpinLock::Acquire calls that had to spin
   kEventCountAdvances,    // EventCount::Advance calls (Signal/Broadcast)
 
   // --- parker backends (src/waitq/parker) ---
@@ -98,7 +96,7 @@ enum class Counter : int {
 enum class Histogram : int {
   kSpinAcquireNanos,        // contended SpinLock::Acquire wall latency
   kSpinIterationsPerAcquire,// busy-wait beats per contended Acquire
-  kLockHandoffNanos,        // queue cores: releaser's stamp to waiter's wake
+  kLockHandoffNanos,        // diag on: releaser's stamp to spinner's win
   kBlockedNanos,            // park duration (de-scheduled time)
   kParkWaitNanos,           // Parker::Park wall latency (inside kBlockedNanos)
   kUnparkNanos,             // Parker::Unpark wall latency (the waker's cost)

@@ -98,7 +98,7 @@ void RecordEvent(Op op, std::uint64_t obj, std::uint64_t ts_ns,
 std::uint64_t NextFlowId();
 
 // Attaches a key/value pair to the next drained trace's otherData (e.g.
-// lock_backend, global_lock), so A/B trace artifacts are self-describing.
+// bench, global_lock), so A/B trace artifacts are self-describing.
 // Quiescent-only, like the drain; setting a key again overwrites it.
 void SetTraceMetadata(const std::string& key, const std::string& value);
 

@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "src/base/check.h"
-#include "src/threads/timer.h"
 
 namespace taos {
 
@@ -21,20 +20,6 @@ bool GlobalLockModeFromEnv() {
 
 Nub::Nub() {
   global_lock_mode_.store(GlobalLockModeFromEnv());
-}
-
-void Nub::SetLockBackend(LockBackend b) {
-  // The timer thread takes the wheel lock on every tick and record/object
-  // locks during expiry, and cannot be joined; park it at its gate (where it
-  // holds no SpinLock) for the duration of the switch.
-  Timer* timer = Timer::InstanceIfStarted();
-  if (timer != nullptr) {
-    timer->PauseForBackendSwitch();
-  }
-  SpinLock::SetBackend(b);
-  if (timer != nullptr) {
-    timer->ResumeAfterBackendSwitch();
-  }
 }
 
 ThreadRecord* Nub::CreateRecord() {

@@ -106,19 +106,10 @@ class Nub {
   // stamps it into its results.
   bool waitq_mode() const { return false; }
 
-  // The mutual-exclusion core under every ObjLock and record lock
-  // (TAOS_LOCK={tas,mcs,clh}; see src/base/spinlock.h). Process-wide state
-  // on SpinLock itself; surfaced here so callers switch both runtime
-  // policies — sharding and lock core — through one interface.
-  LockBackend lock_backend() const { return SpinLock::backend(); }
-
-  // Quiescent-only, stricter than SetGlobalLockMode: every SpinLock in the
-  // process must be free, because each core keeps its own "held" state.
-  // The caller quiesces its own threads by joining them; the timer thread
-  // — detached, and a SpinLock user on every tick — is quiesced here, so
-  // use this (not SpinLock::SetBackend) in any process that takes timed
-  // waits. Out of line: the timer gate lives above the base layer.
-  void SetLockBackend(LockBackend b);
+  // Always kTas: every ObjLock and record lock is the test-and-set
+  // SpinLock. Kept only because the repository benchmark
+  // (perfbench/main.cc) stamps it into its results.
+  LockBackend lock_backend() const { return LockBackend::kTas; }
 
   // The calling thread's record, registering it on first use (out of line).
   static ThreadRecord* Current() {

@@ -1,7 +1,6 @@
 #include "src/threads/timer.h"
 
 #include <algorithm>
-#include <atomic>
 #include <limits>
 #include <thread>
 
@@ -20,38 +19,11 @@ namespace taos {
 
 namespace {
 constexpr std::uint64_t kForever = std::numeric_limits<std::uint64_t>::max();
-std::atomic<Timer*> g_timer{nullptr};
 }  // namespace
 
 Timer& Timer::Get() {
-  static Timer* timer = [] {
-    Timer* t = new Timer();  // intentionally leaked; see header
-    g_timer.store(t, std::memory_order_release);
-    return t;
-  }();
+  static Timer* timer = new Timer();  // intentionally leaked; see header
   return *timer;
-}
-
-Timer* Timer::InstanceIfStarted() {
-  return g_timer.load(std::memory_order_acquire);
-}
-
-void Timer::PauseForBackendSwitch() {
-  {
-    std::lock_guard<std::mutex> g(pause_mu_);
-    pause_requested_ = true;
-  }
-  park_.Unpark();  // break an open-ended sleep; a pre-park permit is fine
-  std::unique_lock<std::mutex> g(pause_mu_);
-  pause_cv_.wait(g, [this] { return paused_; });
-}
-
-void Timer::ResumeAfterBackendSwitch() {
-  {
-    std::lock_guard<std::mutex> g(pause_mu_);
-    pause_requested_ = false;
-  }
-  pause_cv_.notify_all();
 }
 
 Timer::Timer() {
@@ -236,18 +208,6 @@ std::uint64_t Timer::NextWakeNsLocked() const {
 void Timer::ThreadMain() {
   std::vector<Expiry> expired;
   for (;;) {
-    {
-      // Backend-switch gate: every SpinLock acquisition this thread makes
-      // is downstream of this point, so parking here satisfies the switch's
-      // quiescence contract.
-      std::unique_lock<std::mutex> g(pause_mu_);
-      while (pause_requested_) {
-        paused_ = true;
-        pause_cv_.notify_all();
-        pause_cv_.wait(g);
-      }
-      paused_ = false;
-    }
     expired.clear();
     std::uint64_t next = 0;
     {

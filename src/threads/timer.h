@@ -46,10 +46,8 @@
 #define TAOS_SRC_THREADS_TIMER_H_
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <limits>
-#include <mutex>
 #include <vector>
 
 #include "src/base/spinlock.h"
@@ -92,20 +90,6 @@ class Timer {
 
   // Racy snapshot for tests.
   std::uint64_t ArmedForDebug();
-
-  // The instance if Get() has ever run, else nullptr — without starting the
-  // timer thread as a side effect. For Nub::SetLockBackend's quiesce.
-  static Timer* InstanceIfStarted();
-
-  // Parks the timer thread at a point where it holds no SpinLock and will
-  // acquire none until resumed. SetBackend's quiescence contract covers
-  // every lock a caller can drain by joining its own threads; the detached
-  // timer thread is the one holder nobody can join — it takes the wheel
-  // lock on every tick and record/object locks during expiry — so a
-  // process-wide backend switch must bracket itself with this pair.
-  // In-flight expiry batches drain before the pause takes effect.
-  void PauseForBackendSwitch();
-  void ResumeAfterBackendSwitch();
 
  private:
   // tick = 2^18 ns ~ 262 us; 4 levels of 64 slots cover ~4.7 days, and
@@ -159,14 +143,6 @@ class Timer {
   std::uint64_t wake_target_ns_ = 0;
 
   waitq::Parker park_;
-
-  // The backend-switch gate. Checked at the top of ThreadMain's loop, where
-  // the thread holds no SpinLock; std::mutex + condvar on purpose — the
-  // gate must not ride the very substrate being switched.
-  std::mutex pause_mu_;
-  std::condition_variable pause_cv_;
-  bool pause_requested_ = false;
-  bool paused_ = false;
 };
 
 }  // namespace taos

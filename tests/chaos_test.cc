@@ -150,28 +150,22 @@ TEST(ChaosCompiledOutTest, MacroAndRuntimeAreInert) {
 
 class ChaosRuntimeTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    saved_backend_ = SpinLock::backend();
-    saved_lock_mode_ = Nub::Get().global_lock_mode();
-  }
+  void SetUp() override { saved_lock_mode_ = Nub::Get().global_lock_mode(); }
   void TearDown() override {
     chaos::Disable();
-    Nub::Get().SetLockBackend(saved_backend_);
     Nub::Get().SetGlobalLockMode(saved_lock_mode_);
   }
-  LockBackend saved_backend_ = LockBackend::kTas;
   bool saved_lock_mode_ = false;
 };
 
 // One pass of mixed production traffic: contended mutexes (grants, timeouts,
 // back-outs), semaphore P/V and PFor, condition Wait/WaitFor against a
 // signaller, AlertWait/AlertP against an alerter, rwlock readers against a
-// writer, poll/event/message-queue fan-in, and raw spin-lock contention
-// under whichever TAOS_LOCK core is active. Everything the named points
-// instrument, in whichever lock mode the caller configured. The diagnosis
-// layer is switched on for the pass and a snapshotter thread races
-// SnapshotBlocked against the workload, so
-// the three diag windows (publish-to-park, owner-stamp, snapshot-read) are
+// writer, poll/event/message-queue fan-in, and raw spin-lock contention.
+// Everything the named points instrument, in whichever lock mode the caller
+// configured. The diagnosis layer is switched on for the pass and a
+// snapshotter thread races SnapshotBlocked against the workload, so the
+// three diag windows (publish-to-park, owner-stamp, snapshot-read) are
 // crossed under injection too.
 void MixedWorkloadPass() {
   Mutex m;
@@ -295,10 +289,8 @@ void MixedWorkloadPass() {
       }
     }
   }));
-  // Raw spin-lock contention with the holder stretched across a sleep: on
-  // the queue cores this forces real queueing, crossing the
-  // enqueue-to-spin / release-to-successor (MCS) and predecessor-spin (CLH)
-  // seams even on a single CPU.
+  // Raw spin-lock contention with the holder stretched across a sleep, so
+  // the contended acquire path spins even on a single CPU.
   SpinLock raw;
   for (int i = 0; i < 2; ++i) {
     threads.push_back(Thread::Fork([&, i] {
@@ -385,11 +377,8 @@ void MixedWorkloadPass() {
 TEST_F(ChaosRuntimeTest, FixedSeedMatrixCoversEveryPoint) {
   obs::ResetCoverage();
   // Uniform pressure, fixed seed, all points enabled — the acceptance
-  // configuration. The workload runs over the same backend matrix as the
-  // conformance suite so every subsystem's slow path is on the table: both
-  // lock modes under the TAS core, plus one sharded pass under each queue
-  // core for the MCS/CLH-only seams (the Nub-mode points are
-  // core-independent, so those passes need not re-span the modes).
+  // configuration. The workload runs in both lock modes, like the
+  // conformance suite, so every subsystem's slow path is on the table.
   chaos::Configure(chaos::Config{.seed = 7,
                                  .strategy = chaos::Strategy::kUniform});
   ASSERT_TRUE(chaos::Active());
@@ -406,11 +395,6 @@ TEST_F(ChaosRuntimeTest, FixedSeedMatrixCoversEveryPoint) {
       MixedWorkloadPass();
     }
     Nub::Get().SetGlobalLockMode(false);
-    for (LockBackend backend : {LockBackend::kMcs, LockBackend::kClh}) {
-      Nub::Get().SetLockBackend(backend);
-      MixedWorkloadPass();
-    }
-    Nub::Get().SetLockBackend(LockBackend::kTas);
     hit = 0;
     missed.clear();
     std::set<std::string> rows;

@@ -1,11 +1,9 @@
 // Conformance harness for the sharded Nub: real threads hammer the
 // production primitives in spec-tracing mode, and every recorded trace is
 // replayed through the executable specification's checker. Each scenario
-// runs over the full backend matrix — {tas, mcs, clh} spin-lock cores
-// (TAOS_LOCK) x {per-object locks, TAOS_NUB_GLOBAL_LOCK semantics} — so
-// every slow-path configuration is held to exactly the serializations the
-// paper-faithful one admits. The queue-core rows hold the MCS/CLH handoff
-// chains to the same serializations as the TAS bit they replace.
+// runs in both lock modes — per-object locks and TAOS_NUB_GLOBAL_LOCK
+// semantics — so the sharded configuration is held to exactly the
+// serializations the paper-faithful one admits.
 //
 // The trace is sorted by the global sequence stamp (src/spec/trace.h), so a
 // passing check here is evidence for the serialization argument in
@@ -16,7 +14,6 @@
 #include <cstdint>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -43,40 +40,23 @@ int Scale() {
 }
 
 enum class LockMode { kSharded, kGlobal };
-using BackendTuple = std::tuple<LockBackend, LockMode>;
 
-std::string ModeName(const ::testing::TestParamInfo<BackendTuple>& info) {
-  std::string name;
-  switch (std::get<0>(info.param)) {
-    case LockBackend::kTas:
-      name = "Tas";
-      break;
-    case LockBackend::kMcs:
-      name = "Mcs";
-      break;
-    case LockBackend::kClh:
-      name = "Clh";
-      break;
-  }
-  name += std::get<1>(info.param) == LockMode::kSharded ? "Sharded" : "Global";
-  return name;
+std::string ModeName(const ::testing::TestParamInfo<LockMode>& info) {
+  return info.param == LockMode::kSharded ? "Sharded" : "Global";
 }
 
-class ConformanceTest : public ::testing::TestWithParam<BackendTuple> {
+class ConformanceTest : public ::testing::TestWithParam<LockMode> {
  protected:
   void SetUp() override {
     ASSERT_FALSE(Nub::Get().tracing());
-    saved_backend_ = SpinLock::backend();
     saved_lock_mode_ = Nub::Get().global_lock_mode();
     // The system is quiescent between tests, so switching is legal.
-    Nub::Get().SetLockBackend(std::get<0>(GetParam()));
-    Nub::Get().SetGlobalLockMode(std::get<1>(GetParam()) == LockMode::kGlobal);
+    Nub::Get().SetGlobalLockMode(GetParam() == LockMode::kGlobal);
     Nub::Get().SetTrace(&trace_);
   }
 
   void TearDown() override {
     Nub::Get().SetTrace(nullptr);
-    Nub::Get().SetLockBackend(saved_backend_);
     Nub::Get().SetGlobalLockMode(saved_lock_mode_);
   }
 
@@ -92,7 +72,6 @@ class ConformanceTest : public ::testing::TestWithParam<BackendTuple> {
 
   spec::Trace trace_;
   spec::CheckResult checked_;
-  LockBackend saved_backend_ = LockBackend::kTas;
   bool saved_lock_mode_ = false;
 };
 
@@ -547,13 +526,10 @@ TEST_P(ConformanceTest, MessageQueueFanIn) {
   CheckConformance();
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Backends, ConformanceTest,
-    ::testing::Combine(::testing::Values(LockBackend::kTas, LockBackend::kMcs,
-                                         LockBackend::kClh),
-                       ::testing::Values(LockMode::kSharded,
-                                         LockMode::kGlobal)),
-    ModeName);
+INSTANTIATE_TEST_SUITE_P(LockModes, ConformanceTest,
+                         ::testing::Values(LockMode::kSharded,
+                                           LockMode::kGlobal),
+                         ModeName);
 
 // ---------------------------------------------------------------------------
 // Rwlock checker semantics on hand-built traces: what the storm above can

@@ -382,7 +382,7 @@ bool FormatBenchReport(const std::string& text, std::string* out,
   out->clear();
   AppendF(out, "=== taos-diag: bench report (%s) ===\n",
           bench->string.c_str());
-  for (const char* key : {"lock_backend", "global_lock_mode", "num_cpus"}) {
+  for (const char* key : {"global_lock_mode", "num_cpus"}) {
     if (const Value* v = doc->Find(key)) {
       if (v->IsString()) {
         AppendF(out, "%s: %s\n", key, v->string.c_str());
