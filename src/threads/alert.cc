@@ -126,7 +126,12 @@ bool TestAlert() {
   return self->alerted.exchange(false, std::memory_order_seq_cst);
 }
 
-void AlertWait(Mutex& m, Condition& c) {
+namespace internal {
+
+// AlertWait with a deadline (kNoDeadline for AlertWait itself; 0, always in
+// the past, for AlertWaitFor's nonpositive timeout), reporting the outcome
+// as a value.
+WaitResult AlertWaitUntil(Mutex& m, Condition& c, std::uint64_t deadline_ns) {
   obs::ScopedEvent ev(obs::Op::kAlertWait, c.id_);
   obs::Inc(obs::Counter::kNubAlertWait);
   Nub& nub = Nub::Get();
@@ -134,6 +139,11 @@ void AlertWait(Mutex& m, Condition& c) {
   // REQUIRES m = SELF.
   TAOS_CHECK(m.holder_.load(std::memory_order_relaxed) == self->id);
 
+  if (deadline_ns == 0) {
+    // Deadline already passed: no enqueue, no actions, m stays held, and a
+    // pending alert stays pending (the kTimeout outcome never consumes one).
+    return WaitResult::kTimeout;
+  }
   if (nub.tracing()) {
     // --- Traced (spec-emitting) path ---
     // Atomic action Enqueue (AlertWait flavour: UNCHANGED [alerts]). It
@@ -174,41 +184,56 @@ void AlertWait(Mutex& m, Condition& c) {
       } else {
         TAOS_CHECK(c.EraseWindow(self));
         c.queue_.PushBack(self);
-        SetBlockedLocked(self, ThreadRecord::BlockKind::kCondition, &c, c.id(),
-                         &c.nub_lock_, /*alertable=*/true);
+        PublishBlockedLocked(self, ThreadRecord::BlockKind::kCondition, &c,
+                             c.id(), &c.nub_lock_, /*alertable=*/true,
+                             deadline_ns);
         parked = true;
       }
     }
+    bool expired = false;
     if (parked) {
-      ParkBlocked(self);
-      // Woken either by Alert (alert_woken, already in pending_raise_) or
-      // by Signal/Broadcast (removed from c). If an alert is pending in
-      // either case, this implementation chooses to raise — the spec
-      // permits either outcome when both WHEN clauses hold.
-      SpinGuard sg(self->lock);
-      raise = self->alert_woken ||
-              self->alerted.load(std::memory_order_relaxed);
+      expired = ParkBlockedUntil(self, deadline_ns);
+      if (!expired) {
+        // Woken either by Alert (alert_woken, already in pending_raise_) or
+        // by Signal/Broadcast (removed from c). If an alert is pending in
+        // either case, this implementation chooses to raise — the spec
+        // permits either outcome when both WHEN clauses hold.
+        SpinGuard sg(self->lock);
+        raise = self->alert_woken ||
+                self->alerted.load(std::memory_order_relaxed);
+      }
     }
 
+    Condition* cp = &c;
+    if (expired) {
+      // Atomic action TimeoutResume. Its frame excludes the alerts set: a
+      // pending alert survives the timeout untouched.
+      m.TracedAcquireFor(self, kNoDeadline,
+                         spec::MakeTimeoutResume(self->id, m.id_, c.id_),
+                         &c.nub_lock_,
+                         [cp, self] { cp->ErasePendingTimeout(self); });
+      return WaitResult::kTimeout;
+    }
     if (raise) {
       // Atomic action AlertResume / RAISES: regain m, leave c and alerts.
-      // The action touches m, c and the alert flag, so TracedAcquire takes
-      // c's lock alongside m's on every attempt and runs the callback with
-      // self's record lock also held.
-      Condition* cp = &c;
-      m.TracedAcquire(self,
-                      spec::MakeAlertResumeRaises(self->id, m.id_, c.id_),
-                      &c.nub_lock_, [cp, self] {
-                        cp->ErasePendingRaise(self);
-                        self->alerted.store(false, std::memory_order_relaxed);
-                        self->alert_woken = false;
-                      });
-      throw Alerted();
+      // The action touches m, c and the alert flag, so TracedAcquireFor
+      // takes c's lock alongside m's on every attempt and runs the callback
+      // with self's record lock also held.
+      m.TracedAcquireFor(self, kNoDeadline,
+                         spec::MakeAlertResumeRaises(self->id, m.id_, c.id_),
+                         &c.nub_lock_, [cp, self] {
+                           cp->ErasePendingRaise(self);
+                           self->alerted.store(false,
+                                               std::memory_order_relaxed);
+                           self->alert_woken = false;
+                         });
+      return WaitResult::kAlerted;
     }
     // Atomic action AlertResume / RETURNS.
-    m.TracedAcquire(self, spec::MakeAlertResumeReturns(self->id, m.id_, c.id_),
-                    nullptr, [self] { self->alert_woken = false; });
-    return;
+    m.TracedAcquireFor(self, kNoDeadline,
+                       spec::MakeAlertResumeReturns(self->id, m.id_, c.id_),
+                       nullptr, [self] { self->alert_woken = false; });
+    return WaitResult::kSatisfied;
   }
 
   // --- Production path ---
@@ -227,187 +252,50 @@ void AlertWait(Mutex& m, Condition& c) {
       c.waiters_.fetch_sub(1, std::memory_order_relaxed);
     } else if (c.ec_.Read() == i) {
       c.queue_.PushBack(self);
-      SetBlockedLocked(self, ThreadRecord::BlockKind::kCondition, &c, c.id(),
-                       &c.nub_lock_, /*alertable=*/true);
+      PublishBlockedLocked(self, ThreadRecord::BlockKind::kCondition, &c,
+                           c.id(), &c.nub_lock_, /*alertable=*/true,
+                           deadline_ns);
       parked = true;
     } else {
       c.waiters_.fetch_sub(1, std::memory_order_relaxed);
       obs::Inc(obs::Counter::kWakeupWaitingHits);
     }
   }
+  bool expired = false;
   if (parked) {
-    ParkBlocked(self);
-    SpinGuard sg(self->lock);
-    raise = self->alert_woken ||
-            self->alerted.load(std::memory_order_relaxed);
+    expired = ParkBlockedUntil(self, deadline_ns);
+    if (!expired) {
+      SpinGuard sg(self->lock);
+      raise = self->alert_woken ||
+              self->alerted.load(std::memory_order_relaxed);
+    }
   }
 
   m.Acquire();
   {
     SpinGuard sg(self->lock);
     self->alert_woken = false;
-    if (raise) {
+    // kTimeout never consumes a pending alert; kAlerted always does.
+    if (!expired && raise) {
       self->alerted.store(false, std::memory_order_relaxed);
     }
   }
-  if (raise) {
+  return expired ? WaitResult::kTimeout
+                 : (raise ? WaitResult::kAlerted : WaitResult::kSatisfied);
+}
+
+}  // namespace internal
+
+void AlertWait(Mutex& m, Condition& c) {
+  if (internal::AlertWaitUntil(m, c, kNoDeadline) == WaitResult::kAlerted) {
     throw Alerted();
   }
 }
 
 WaitResult AlertWaitFor(Mutex& m, Condition& c,
                         std::chrono::nanoseconds timeout) {
-  obs::ScopedEvent ev(obs::Op::kAlertWait, c.id_);
-  obs::Inc(obs::Counter::kNubAlertWait);
-  Nub& nub = Nub::Get();
-  ThreadRecord* self = nub.Current();
-  // REQUIRES m = SELF.
-  TAOS_CHECK(m.holder_.load(std::memory_order_relaxed) == self->id);
-
-  WaitResult result = WaitResult::kSatisfied;
-  if (timeout.count() <= 0) {
-    // Deadline already passed: no enqueue, no actions, m stays held, and a
-    // pending alert stays pending (the kTimeout outcome never consumes one).
-    result = WaitResult::kTimeout;
-  } else if (nub.tracing()) {
-    // --- Traced (spec-emitting) path ---
-    const std::uint64_t deadline = DeadlineAfter(timeout);
-    // Atomic action AlertEnqueue, exactly as in AlertWait.
-    EventCount::Value snapshot = 0;
-    ThreadRecord* wake = nullptr;
-    {
-      NubGuard2 g(m.nub_lock_, &c.nub_lock_);
-      snapshot = c.ec_.Read();
-      wake = m.TracedReleaseLocked(self, /*emit_release=*/false);
-      c.window_.push_back(self);
-      nub.EmitTraced(spec::MakeAlertEnqueue(self->id, m.id_, c.id_));
-    }
-    if (wake != nullptr) {
-      obs::Inc(obs::Counter::kHandoffs);
-      wake->park.Unpark();
-    }
-
-    // AlertBlock with a deadline: as in AlertWait, the record lock covers
-    // the alerted check and the block-state publication together.
-    bool parked = false;
-    bool raise = false;
-    std::uint64_t gen = 0;
-    {
-      NubGuard g(c.nub_lock_);
-      SpinGuard sg(self->lock);
-      if (self->alerted.load(std::memory_order_relaxed)) {
-        raise = true;
-        if (c.EraseWindow(self)) {
-          c.pending_raise_.push_back(self);
-        }
-      } else if (c.ec_.Read() != snapshot) {
-        obs::Inc(obs::Counter::kWakeupWaitingHits);
-      } else {
-        TAOS_CHECK(c.EraseWindow(self));
-        gen = ++self->next_timer_gen;
-        c.queue_.PushBack(self);
-        SetBlockedLocked(self, ThreadRecord::BlockKind::kCondition, &c, c.id(),
-                         &c.nub_lock_, /*alertable=*/true);
-        PublishTimedLocked(self, gen);
-        parked = true;
-      }
-    }
-    bool expired = false;
-    if (parked) {
-      Timer::Get().Arm(self, gen, deadline);
-      ParkBlocked(self);
-      Timer::Get().Cancel(self, gen);
-      expired = ConsumeTimeoutWoken(self);
-      if (!expired) {
-        SpinGuard sg(self->lock);
-        raise = self->alert_woken ||
-                self->alerted.load(std::memory_order_relaxed);
-      }
-    }
-
-    if (expired) {
-      // Atomic action TimeoutResume. Its frame excludes the alerts set: a
-      // pending alert survives the timeout untouched.
-      Condition* cp = &c;
-      m.TracedAcquire(self, spec::MakeTimeoutResume(self->id, m.id_, c.id_),
-                      &c.nub_lock_,
-                      [cp, self] { cp->ErasePendingTimeout(self); });
-      result = WaitResult::kTimeout;
-    } else if (raise) {
-      // Atomic action AlertResume / RAISES — but reported as a value, not
-      // thrown: the alert and the pending-raise membership are consumed
-      // exactly as in AlertWait.
-      Condition* cp = &c;
-      m.TracedAcquire(self,
-                      spec::MakeAlertResumeRaises(self->id, m.id_, c.id_),
-                      &c.nub_lock_, [cp, self] {
-                        cp->ErasePendingRaise(self);
-                        self->alerted.store(false, std::memory_order_relaxed);
-                        self->alert_woken = false;
-                      });
-      result = WaitResult::kAlerted;
-    } else {
-      m.TracedAcquire(self,
-                      spec::MakeAlertResumeReturns(self->id, m.id_, c.id_),
-                      nullptr, [self] { self->alert_woken = false; });
-      result = WaitResult::kSatisfied;
-    }
-  } else {
-    // --- Production path ---
-    const std::uint64_t deadline = DeadlineAfter(timeout);
-    const EventCount::Value i = c.ec_.Read();
-    c.waiters_.fetch_add(1, std::memory_order_seq_cst);
-    m.Release();
-
-    bool parked = false;
-    bool raise = false;
-    bool expired = false;
-    std::uint64_t gen = 0;
-    {
-      NubGuard g(c.nub_lock_);
-      SpinGuard sg(self->lock);
-      TAOS_CHAOS(kAlertWaitWindow);
-      if (self->alerted.load(std::memory_order_relaxed)) {
-        raise = true;
-        c.waiters_.fetch_sub(1, std::memory_order_relaxed);
-      } else if (c.ec_.Read() == i) {
-        c.queue_.PushBack(self);
-        SetBlockedLocked(self, ThreadRecord::BlockKind::kCondition, &c, c.id(),
-                         &c.nub_lock_, /*alertable=*/true);
-        gen = ++self->next_timer_gen;
-        PublishTimedLocked(self, gen);
-        parked = true;
-      } else {
-        c.waiters_.fetch_sub(1, std::memory_order_relaxed);
-        obs::Inc(obs::Counter::kWakeupWaitingHits);
-      }
-    }
-    if (parked) {
-      Timer::Get().Arm(self, gen, deadline);
-      ParkBlocked(self);
-      Timer::Get().Cancel(self, gen);
-      SpinGuard sg(self->lock);
-      expired = self->timeout_woken;
-      self->timeout_woken = false;
-      if (!expired) {
-        raise = self->alert_woken ||
-                self->alerted.load(std::memory_order_relaxed);
-      }
-    }
-
-    m.Acquire();
-    {
-      SpinGuard sg(self->lock);
-      self->alert_woken = false;
-      // kTimeout never consumes a pending alert; kAlerted always does.
-      if (!expired && raise) {
-        self->alerted.store(false, std::memory_order_relaxed);
-      }
-    }
-    result = expired ? WaitResult::kTimeout
-                     : (raise ? WaitResult::kAlerted : WaitResult::kSatisfied);
-  }
-
+  const WaitResult result = internal::AlertWaitUntil(
+      m, c, timeout.count() > 0 ? DeadlineAfter(timeout) : 0);
   switch (result) {
     case WaitResult::kSatisfied:
       obs::Inc(obs::Counter::kTimedWaitSatisfied);

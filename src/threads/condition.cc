@@ -22,55 +22,13 @@ Condition::~Condition() {
 }
 
 void Condition::Wait(Mutex& m) {
-  obs::WithEvent(obs::Op::kWait, id_, [&] {
-    Nub& nub = Nub::Get();
-    ThreadRecord* self = nub.Current();
-    // REQUIRES m = SELF.
-    TAOS_CHECK(m.holder_.load(std::memory_order_relaxed) == self->id);
-    if (nub.tracing()) {
-      TracedWait(m, self);
-      return;
-    }
-    // First read c's Eventcount (still inside the critical section)...
-    const EventCount::Value i = ec_.Read();
-    // ...announce ourselves to Signal's fast path before the critical section
-    // ends, so "no waiters" can never be concluded while we are in flight...
-    waiters_.fetch_add(1, std::memory_order_seq_cst);
-    // ...then leave the critical section and call the Nub subroutine Block.
-    m.Release();
-    // The wakeup-waiting window: a Signal landing here must not be lost.
-    TAOS_CHAOS(kCondReleaseToBlock);
-    Block(self, i);
-    // On return from Block, re-enter a critical section.
-    m.Acquire();
-  });
+  obs::WithEvent(obs::Op::kWait, id_, [&] { WaitUntil(m, kNoDeadline); });
 }
 
 WaitResult Condition::WaitFor(Mutex& m, std::chrono::nanoseconds timeout) {
   WaitResult result = WaitResult::kSatisfied;
   obs::WithEvent(obs::Op::kWait, id_, [&] {
-    Nub& nub = Nub::Get();
-    ThreadRecord* self = nub.Current();
-    // REQUIRES m = SELF.
-    TAOS_CHECK(m.holder_.load(std::memory_order_relaxed) == self->id);
-    if (timeout.count() <= 0) {
-      // The deadline has already passed: don't enqueue (and in traced mode
-      // don't emit — nothing changed). m stays held throughout.
-      result = WaitResult::kTimeout;
-      return;
-    }
-    const std::uint64_t deadline = DeadlineAfter(timeout);
-    if (nub.tracing()) {
-      result = TracedWaitFor(m, self, deadline);
-      return;
-    }
-    const EventCount::Value i = ec_.Read();
-    waiters_.fetch_add(1, std::memory_order_seq_cst);
-    m.Release();
-    TAOS_CHAOS(kCondReleaseToBlock);
-    const bool expired = BlockFor(self, i, deadline);
-    m.Acquire();
-    result = expired ? WaitResult::kTimeout : WaitResult::kSatisfied;
+    result = WaitUntil(m, timeout.count() > 0 ? DeadlineAfter(timeout) : 0);
   });
   obs::Inc(result == WaitResult::kSatisfied
                ? obs::Counter::kTimedWaitSatisfied
@@ -78,7 +36,36 @@ WaitResult Condition::WaitFor(Mutex& m, std::chrono::nanoseconds timeout) {
   return result;
 }
 
-void Condition::Block(ThreadRecord* self, EventCount::Value i) {
+WaitResult Condition::WaitUntil(Mutex& m, std::uint64_t deadline_ns) {
+  Nub& nub = Nub::Get();
+  ThreadRecord* self = nub.Current();
+  // REQUIRES m = SELF.
+  TAOS_CHECK(m.holder_.load(std::memory_order_relaxed) == self->id);
+  if (deadline_ns == 0) {
+    // The deadline has already passed: don't enqueue (and in traced mode
+    // don't emit — nothing changed). m stays held throughout.
+    return WaitResult::kTimeout;
+  }
+  if (nub.tracing()) {
+    return TracedWaitFor(m, self, deadline_ns);
+  }
+  // First read c's Eventcount (still inside the critical section)...
+  const EventCount::Value i = ec_.Read();
+  // ...announce ourselves to Signal's fast path before the critical section
+  // ends, so "no waiters" can never be concluded while we are in flight...
+  waiters_.fetch_add(1, std::memory_order_seq_cst);
+  // ...then leave the critical section and call the Nub subroutine Block.
+  m.Release();
+  // The wakeup-waiting window: a Signal landing here must not be lost.
+  TAOS_CHAOS(kCondReleaseToBlock);
+  const bool expired = BlockFor(self, i, deadline_ns);
+  // On return from Block, re-enter a critical section.
+  m.Acquire();
+  return expired ? WaitResult::kTimeout : WaitResult::kSatisfied;
+}
+
+bool Condition::BlockFor(ThreadRecord* self, EventCount::Value i,
+                         std::uint64_t deadline_ns) {
   obs::Inc(obs::Counter::kNubWait);
   bool parked = false;
   {
@@ -88,8 +75,9 @@ void Condition::Block(ThreadRecord* self, EventCount::Value i) {
     TAOS_CHAOS(kCondClaimToRecheck);
     if (ec_.Read() == i) {
       queue_.PushBack(self);
-      MarkBlocked(self, ThreadRecord::BlockKind::kCondition, this, id_, &nub_lock_,
-                  /*alertable=*/false);
+      SpinGuard tg(self->lock);
+      PublishBlockedLocked(self, ThreadRecord::BlockKind::kCondition, this,
+                           id_, &nub_lock_, /*alertable=*/false, deadline_ns);
       parked = true;
     } else {
       // A Signal or Broadcast intervened between the eventcount read and
@@ -99,40 +87,14 @@ void Condition::Block(ThreadRecord* self, EventCount::Value i) {
       obs::Inc(obs::Counter::kWakeupWaitingHits);
     }
   }
-  if (parked) {
-    ParkBlocked(self);
-  }
-}
-
-bool Condition::BlockFor(ThreadRecord* self, EventCount::Value i,
-                         std::uint64_t deadline_ns) {
-  obs::Inc(obs::Counter::kNubWait);
-  bool parked = false;
-  std::uint64_t gen = 0;
-  {
-    NubGuard g(nub_lock_);
-    TAOS_CHAOS(kCondClaimToRecheck);
-    if (ec_.Read() == i) {
-      queue_.PushBack(self);
-      gen = ++self->next_timer_gen;
-      SpinGuard tg(self->lock);
-      SetBlockedLocked(self, ThreadRecord::BlockKind::kCondition, this, id_,
-                       &nub_lock_, /*alertable=*/false);
-      PublishTimedLocked(self, gen);
-      parked = true;
-    } else {
-      waiters_.fetch_sub(1, std::memory_order_relaxed);
-      obs::Inc(obs::Counter::kWakeupWaitingHits);
-    }
-  }
   if (!parked) {
     return false;
   }
-  Timer::Get().Arm(self, gen, deadline_ns);
-  ParkBlocked(self);
-  Timer::Get().Cancel(self, gen);
-  TAOS_CHAOS(kCondTimedFinish);
-  return ConsumeTimeoutWoken(self);
+  const bool expired = ParkBlockedUntil(self, deadline_ns);
+  if (deadline_ns != kNoDeadline) {
+    TAOS_CHAOS(kCondTimedFinish);
+  }
+  return expired;
 }
 
 void Condition::Signal() {
@@ -237,14 +199,17 @@ bool Condition::ErasePendingTimeout(ThreadRecord* rec) {
   return true;
 }
 
-void Condition::TracedWait(Mutex& m, ThreadRecord* self) {
+WaitResult Condition::TracedWaitFor(Mutex& m, ThreadRecord* self,
+                                    std::uint64_t deadline_ns) {
   Nub& nub = Nub::Get();
   obs::Inc(obs::Counter::kNubWait);
   EventCount::Value snapshot = 0;
   ThreadRecord* wake = nullptr;
   {
     // Atomic action Enqueue: insert SELF into c and set m to NIL. The action
-    // touches both objects, so both ObjLocks are held (NubGuard2 order).
+    // touches both objects, so both ObjLocks are held (NubGuard2 order). A
+    // timed wait enters c the same way an untimed one does; only the way it
+    // may leave differs.
     NubGuard2 g(m.nub_lock_, &nub_lock_);
     snapshot = ec_.Read();
     wake = m.TracedReleaseLocked(self, /*emit_release=*/false);
@@ -256,7 +221,7 @@ void Condition::TracedWait(Mutex& m, ThreadRecord* self) {
     wake->park.Unpark();
   }
 
-  // Nub subroutine Block(c, i).
+  // Nub subroutine Block(c, i), with the deadline.
   bool parked = false;
   {
     NubGuard g(nub_lock_);
@@ -269,84 +234,31 @@ void Condition::TracedWait(Mutex& m, ThreadRecord* self) {
     } else {
       TAOS_CHECK(EraseWindow(self));
       queue_.PushBack(self);
-      MarkBlocked(self, ThreadRecord::BlockKind::kCondition, this, id_,
-                  &nub_lock_, /*alertable=*/false);
-      parked = true;
-    }
-  }
-  if (parked) {
-    ParkBlocked(self);
-  }
-
-  // Atomic action Resume, emitted at the instant m is regained. Its WHEN
-  // clause reads c (SELF NOT-IN c) but the emission holds only m's lock:
-  // the Signal/Broadcast/Enqueue actions that changed SELF's membership all
-  // happened-before this point, so their stamps precede this one, and no
-  // other thread can re-insert SELF.
-  m.TracedAcquire(self, spec::MakeResume(self->id, m.id_, id_));
-}
-
-WaitResult Condition::TracedWaitFor(Mutex& m, ThreadRecord* self,
-                                    std::uint64_t deadline_ns) {
-  Nub& nub = Nub::Get();
-  obs::Inc(obs::Counter::kNubWait);
-  // Atomic action Enqueue, exactly as in TracedWait: a timed wait enters c
-  // the same way an untimed one does; only the way it may leave differs.
-  EventCount::Value snapshot = 0;
-  ThreadRecord* wake = nullptr;
-  {
-    NubGuard2 g(m.nub_lock_, &nub_lock_);
-    snapshot = ec_.Read();
-    wake = m.TracedReleaseLocked(self, /*emit_release=*/false);
-    window_.push_back(self);
-    nub.EmitTraced(spec::MakeEnqueue(self->id, m.id_, id_));
-  }
-  if (wake != nullptr) {
-    obs::Inc(obs::Counter::kHandoffs);
-    wake->park.Unpark();
-  }
-
-  // Block(c, i) with a deadline.
-  bool parked = false;
-  std::uint64_t gen = 0;
-  {
-    NubGuard g(nub_lock_);
-    if (ec_.Read() != snapshot) {
-      TAOS_DCHECK(std::find(window_.begin(), window_.end(), self) ==
-                  window_.end());
-      obs::Inc(obs::Counter::kWakeupWaitingHits);
-    } else {
-      TAOS_CHECK(EraseWindow(self));
-      gen = ++self->next_timer_gen;
-      queue_.PushBack(self);
       SpinGuard tg(self->lock);
-      SetBlockedLocked(self, ThreadRecord::BlockKind::kCondition, this, id_,
-                       &nub_lock_, /*alertable=*/false);
-      PublishTimedLocked(self, gen);
+      PublishBlockedLocked(self, ThreadRecord::BlockKind::kCondition, this,
+                           id_, &nub_lock_, /*alertable=*/false, deadline_ns);
       parked = true;
     }
   }
-  bool expired = false;
-  if (parked) {
-    Timer::Get().Arm(self, gen, deadline_ns);
-    ParkBlocked(self);
-    Timer::Get().Cancel(self, gen);
-    expired = ConsumeTimeoutWoken(self);
-  }
-
-  if (expired) {
+  if (parked && ParkBlockedUntil(self, deadline_ns)) {
     // Atomic action TimeoutResume: regain m and leave c in one step. The
     // timer left SELF in pending_timeout_ — still a spec-member of c, as a
     // raiser stays in pending_raise_ — so the action's delete(c, SELF) and
     // the bookkeeping erase happen together under m's and c's locks.
     Condition* cp = this;
-    m.TracedAcquire(self, spec::MakeTimeoutResume(self->id, m.id_, id_),
-                    &nub_lock_,
-                    [cp, self] { cp->ErasePendingTimeout(self); });
+    m.TracedAcquireFor(self, kNoDeadline,
+                       spec::MakeTimeoutResume(self->id, m.id_, id_),
+                       &nub_lock_,
+                       [cp, self] { cp->ErasePendingTimeout(self); });
     return WaitResult::kTimeout;
   }
-  // Atomic action Resume, as in TracedWait.
-  m.TracedAcquire(self, spec::MakeResume(self->id, m.id_, id_));
+  // Atomic action Resume, emitted at the instant m is regained. Its WHEN
+  // clause reads c (SELF NOT-IN c) but the emission holds only m's lock:
+  // the Signal/Broadcast/Enqueue actions that changed SELF's membership all
+  // happened-before this point, so their stamps precede this one, and no
+  // other thread can re-insert SELF.
+  m.TracedAcquireFor(self, kNoDeadline,
+                     spec::MakeResume(self->id, m.id_, id_));
   return WaitResult::kSatisfied;
 }
 

@@ -87,20 +87,22 @@ class Condition {
  private:
   friend class Timer;
   friend void Alert(ThreadHandle t);
-  friend void AlertWait(Mutex& m, Condition& c);
-  friend WaitResult AlertWaitFor(Mutex& m, Condition& c,
-                                 std::chrono::nanoseconds timeout);
+  friend WaitResult internal::AlertWaitUntil(Mutex& m, Condition& c,
+                                             std::uint64_t deadline_ns);
 
-  // Nub subroutine Block(c, i): sleep unless the eventcount moved past i.
-  void Block(ThreadRecord* self, EventCount::Value i);
-  // Block with a deadline; returns true iff the wait ended by expiry.
+  // The one body of Wait (kNoDeadline) and WaitFor (0 for a nonpositive
+  // timeout: return kTimeout at once, m held, nothing enqueued).
+  WaitResult WaitUntil(Mutex& m, std::uint64_t deadline_ns);
+
+  // Nub subroutine Block(c, i): sleep unless the eventcount moved past i,
+  // until the deadline (kNoDeadline for Wait). Returns true iff the wait
+  // ended by expiry.
   bool BlockFor(ThreadRecord* self, EventCount::Value i,
                 std::uint64_t deadline_ns);
   void NubSignal();
   void NubBroadcast();
 
-  // Traced (spec-emitting) paths.
-  void TracedWait(Mutex& m, ThreadRecord* self);
+  // Traced (spec-emitting) paths; Wait's takes kNoDeadline.
   WaitResult TracedWaitFor(Mutex& m, ThreadRecord* self,
                            std::uint64_t deadline_ns);
   void TracedSignal(ThreadRecord* self);

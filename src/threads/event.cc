@@ -80,13 +80,13 @@ void Event::Wait() {
     Nub& nub = Nub::Get();
     ThreadRecord* self = nub.Current();
     if (nub.tracing()) {
-      TracedWait(self);
+      TracedWaitFor(self, kNoDeadline);
       return;
     }
     if (TryConsume(std::memory_order_acquire)) {
       return;
     }
-    NubWait(self);
+    NubWaitFor(self, kNoDeadline);
   });
 }
 
@@ -115,62 +115,25 @@ WaitResult Event::WaitFor(std::chrono::nanoseconds timeout) {
   return result;
 }
 
-void Event::NubWait(ThreadRecord* self) {
-  obs::Inc(obs::Counter::kNubEventWait);
-  for (;;) {
-    bool parked = false;
-    {
-      NubGuard g(nub_lock_);
-      queue_.PushBack(self);
-      queue_len_.fetch_add(1, std::memory_order_seq_cst);
-      if (set_.load(std::memory_order_seq_cst) == 0) {
-        MarkBlocked(self, ThreadRecord::BlockKind::kEvent, this, id_,
-                    &nub_lock_, /*alertable=*/false);
-        parked = true;
-      } else {
-        queue_.Remove(self);
-        queue_len_.fetch_sub(1, std::memory_order_relaxed);
-      }
-    }
-    if (parked) {
-      ParkBlocked(self);
-    }
-    if (TryConsume(std::memory_order_acquire)) {
-      return;
-    }
-    if (parked) {
-      obs::Inc(obs::Counter::kSpuriousWakeups);
-    }
-  }
-}
-
 bool Event::NubWaitFor(ThreadRecord* self, std::uint64_t deadline_ns) {
   obs::Inc(obs::Counter::kNubEventWait);
   for (;;) {
     bool parked = false;
-    std::uint64_t gen = 0;
     {
       NubGuard g(nub_lock_);
       queue_.PushBack(self);
       queue_len_.fetch_add(1, std::memory_order_seq_cst);
       if (set_.load(std::memory_order_seq_cst) == 0) {
-        gen = ++self->next_timer_gen;
         SpinGuard tg(self->lock);
-        SetBlockedLocked(self, ThreadRecord::BlockKind::kEvent, this, id_,
-                         &nub_lock_, /*alertable=*/false);
-        PublishTimedLocked(self, gen);
+        PublishBlockedLocked(self, ThreadRecord::BlockKind::kEvent, this, id_,
+                             &nub_lock_, /*alertable=*/false, deadline_ns);
         parked = true;
       } else {
         queue_.Remove(self);
         queue_len_.fetch_sub(1, std::memory_order_relaxed);
       }
     }
-    if (parked) {
-      Timer::Get().Arm(self, gen, deadline_ns);
-      ParkBlocked(self);
-      Timer::Get().Cancel(self, gen);
-    }
-    const bool expired = parked && ConsumeTimeoutWoken(self);
+    const bool expired = parked && ParkBlockedUntil(self, deadline_ns);
     // Consume FIRST, deadline second: a Set's grant is never converted into
     // a timeout by a co-incident expiry.
     if (TryConsume(std::memory_order_acquire)) {
@@ -179,7 +142,7 @@ bool Event::NubWaitFor(ThreadRecord* self, std::uint64_t deadline_ns) {
     if (parked) {
       obs::Inc(obs::Counter::kSpuriousWakeups);
     }
-    if (expired || obs::NowNanos() >= deadline_ns) {
+    if (expired || DeadlinePassed(deadline_ns)) {
       return false;
     }
   }
@@ -304,50 +267,24 @@ void Event::TracedReset(ThreadRecord* self) {
   nub.EmitTraced(spec::MakeEventReset(self->id, id_));
 }
 
-void Event::TracedWait(ThreadRecord* self) {
-  obs::Inc(obs::Counter::kNubEventWait);
-  Nub& nub = Nub::Get();
-  for (;;) {
-    {
-      NubGuard g(nub_lock_);
-      if (set_.load(std::memory_order_relaxed) != 0) {
-        if (reset_ == EventReset::kAuto) {
-          set_.store(0, std::memory_order_relaxed);
-          nub.EmitTraced(spec::MakeEventConsume(self->id, id_));
-        } else {
-          nub.EmitTraced(spec::MakeEventWait(self->id, id_));
-        }
-        return;
-      }
-      queue_.PushBack(self);
-      queue_len_.fetch_add(1, std::memory_order_relaxed);
-      MarkBlocked(self, ThreadRecord::BlockKind::kEvent, this, id_,
-                  &nub_lock_, /*alertable=*/false);
-    }
-    ParkBlocked(self);
-  }
-}
-
 bool Event::TracedWaitFor(ThreadRecord* self, std::uint64_t deadline_ns) {
   obs::Inc(obs::Counter::kNubEventWait);
   Nub& nub = Nub::Get();
   for (;;) {
-    std::uint64_t gen = 0;
     {
       NubGuard g(nub_lock_);
       // Take-test before deadline-test: a grant beats a co-incident expiry.
       if (set_.load(std::memory_order_relaxed) != 0) {
-        if (reset_ == EventReset::kAuto) {
+        const bool consume = reset_ == EventReset::kAuto;
+        if (consume) {
           set_.store(0, std::memory_order_relaxed);
-          SpinGuard tg(self->lock);
-          nub.EmitTraced(spec::MakeEventConsume(self->id, id_));
-        } else {
-          SpinGuard tg(self->lock);
-          nub.EmitTraced(spec::MakeEventWait(self->id, id_));
         }
+        SpinGuard tg(self->lock);
+        nub.EmitTraced(consume ? spec::MakeEventConsume(self->id, id_)
+                               : spec::MakeEventWait(self->id, id_));
         return true;
       }
-      if (obs::NowNanos() >= deadline_ns) {
+      if (DeadlinePassed(deadline_ns)) {
         // WaitFor/TIMEOUT over the one-event set {e}: a no-op on s, one
         // atomic action under the object lock.
         spec::ObjIdSet ws;
@@ -356,18 +293,13 @@ bool Event::TracedWaitFor(ThreadRecord* self, std::uint64_t deadline_ns) {
         nub.EmitTraced(spec::MakePollTimeout(self->id, ws));
         return false;
       }
-      gen = ++self->next_timer_gen;
       queue_.PushBack(self);
       queue_len_.fetch_add(1, std::memory_order_relaxed);
       SpinGuard tg(self->lock);
-      SetBlockedLocked(self, ThreadRecord::BlockKind::kEvent, this, id_,
-                       &nub_lock_, /*alertable=*/false);
-      PublishTimedLocked(self, gen);
+      PublishBlockedLocked(self, ThreadRecord::BlockKind::kEvent, this, id_,
+                           &nub_lock_, /*alertable=*/false, deadline_ns);
     }
-    Timer::Get().Arm(self, gen, deadline_ns);
-    ParkBlocked(self);
-    Timer::Get().Cancel(self, gen);
-    ConsumeTimeoutWoken(self);  // loop-top deadline check decides
+    ParkBlockedUntil(self, deadline_ns);  // loop-top deadline check decides
   }
 }
 

@@ -103,14 +103,14 @@ class Event {
   friend class Timer;
   friend void Alert(ThreadHandle t);
 
-  void NubWait(ThreadRecord* self);
+  // The Nub and traced slow paths of Wait (kNoDeadline) and WaitFor.
+  // Return false on timeout.
   bool NubWaitFor(ThreadRecord* self, std::uint64_t deadline_ns);
+  bool TracedWaitFor(ThreadRecord* self, std::uint64_t deadline_ns);
   void NubSet();
   void ResumeForSetLocked(std::vector<waitq::Parker*>* unparks);
   void TracedSet(ThreadRecord* self);
   void TracedReset(ThreadRecord* self);
-  void TracedWait(ThreadRecord* self);
-  bool TracedWaitFor(ThreadRecord* self, std::uint64_t deadline_ns);
 
   // The waiter-side claim: auto-reset exchanges the flag away, manual-reset
   // observes it.

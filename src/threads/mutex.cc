@@ -23,7 +23,7 @@ void Mutex::AcquireSlow() {
     ThreadRecord* self = nub.Current();
     if (nub.tracing()) {
       obs::Inc(obs::Counter::kNubAcquire);
-      TracedAcquire(self, spec::MakeAcquire(self->id, id_));
+      TracedAcquireFor(self, kNoDeadline, spec::MakeAcquire(self->id, id_));
       return;
     }
     // The user-code test-and-set again (the in-line one may not have run):
@@ -31,7 +31,7 @@ void Mutex::AcquireSlow() {
     if (bit_.exchange(1, std::memory_order_acquire) == 0) {
       obs::Inc(obs::Counter::kFastMutexAcquire);
     } else {
-      NubAcquire(self);
+      NubAcquireFor(self, kNoDeadline);
     }
     NoteAcquired(self);
   });
@@ -69,8 +69,10 @@ WaitResult Mutex::AcquireFor(std::chrono::nanoseconds timeout) {
       // one locked attempt followed by the timeout action.
       const std::uint64_t deadline =
           timeout.count() > 0 ? DeadlineAfter(timeout) : 0;
-      result = TracedAcquireFor(self, deadline) ? WaitResult::kSatisfied
-                                                : WaitResult::kTimeout;
+      result = TracedAcquireFor(self, deadline,
+                                spec::MakeAcquire(self->id, id_))
+                   ? WaitResult::kSatisfied
+                   : WaitResult::kTimeout;
     } else if (bit_.exchange(1, std::memory_order_acquire) == 0) {
       // Same user-code fast path as Acquire — tried even with an expired
       // deadline, so AcquireFor(0) is TryAcquire with a WaitResult.
@@ -90,7 +92,7 @@ WaitResult Mutex::AcquireFor(std::chrono::nanoseconds timeout) {
   return result;
 }
 
-void Mutex::NubAcquire(ThreadRecord* self) {
+bool Mutex::NubAcquireFor(ThreadRecord* self, std::uint64_t deadline_ns) {
   obs::Inc(obs::Counter::kNubAcquire);
   for (;;) {
     bool parked = false;
@@ -101,10 +103,11 @@ void Mutex::NubAcquire(ThreadRecord* self) {
       queue_len_.fetch_add(1, std::memory_order_seq_cst);
       TAOS_CHAOS(kMutexEnqueuedToTest);
       if (bit_.load(std::memory_order_seq_cst) != 0) {
-        // Still held: de-schedule this thread. It stays queued; Release will
-        // make it ready.
-        MarkBlocked(self, ThreadRecord::BlockKind::kMutex, this, id_, &nub_lock_,
-                    /*alertable=*/false);
+        // Still held: de-schedule this thread. It stays queued; Release (or
+        // the timer, on expiry) will make it ready.
+        SpinGuard tg(self->lock);
+        PublishBlockedLocked(self, ThreadRecord::BlockKind::kMutex, this, id_,
+                             &nub_lock_, /*alertable=*/false, deadline_ns);
         parked = true;
       } else {
         // Released in the meantime: back out and retry the whole Acquire.
@@ -113,66 +116,28 @@ void Mutex::NubAcquire(ThreadRecord* self) {
         queue_len_.fetch_sub(1, std::memory_order_relaxed);
       }
     }
+    bool expired = false;
     if (parked) {
-      ParkBlocked(self);
+      expired = ParkBlockedUntil(self, deadline_ns);
+      if (deadline_ns != kNoDeadline) {
+        TAOS_CHAOS(kMutexTimedFinish);
+      }
     }
     TAOS_CHAOS(kMutexWakeToRetry);
     // Retry the entire Acquire operation, beginning at the test-and-set.
     // Another thread may barge in and win; the spec does not say which
-    // blocked thread acquires next.
+    // blocked thread acquires next. The exchange comes before the deadline
+    // test: a wake delivered because the mutex was released is never thrown
+    // away on a co-incident expiry.
     if (bit_.exchange(1, std::memory_order_acquire) == 0) {
-      return;
+      return true;
     }
     obs::Inc(obs::Counter::kLockBitRetries);
     if (parked) {
       // Unparked, but a barging thread won the retried test-and-set.
       obs::Inc(obs::Counter::kSpuriousWakeups);
     }
-  }
-}
-
-bool Mutex::NubAcquireFor(ThreadRecord* self, std::uint64_t deadline_ns) {
-  obs::Inc(obs::Counter::kNubAcquire);
-  for (;;) {
-    bool parked = false;
-    std::uint64_t gen = 0;
-    {
-      NubGuard g(nub_lock_);
-      queue_.PushBack(self);
-      queue_len_.fetch_add(1, std::memory_order_seq_cst);
-      TAOS_CHAOS(kMutexEnqueuedToTest);
-      if (bit_.load(std::memory_order_seq_cst) != 0) {
-        gen = ++self->next_timer_gen;
-        SpinGuard tg(self->lock);
-        SetBlockedLocked(self, ThreadRecord::BlockKind::kMutex, this, id_,
-                         &nub_lock_, /*alertable=*/false);
-        PublishTimedLocked(self, gen);
-        parked = true;
-      } else {
-        TAOS_CHAOS(kMutexBackout);
-        queue_.Remove(self);
-        queue_len_.fetch_sub(1, std::memory_order_relaxed);
-      }
-    }
-    if (parked) {
-      // Arm outside every lock (the wheel lock is a leaf); the parker's
-      // permit absorbs an expiry or grant that lands before the park.
-      Timer::Get().Arm(self, gen, deadline_ns);
-      ParkBlocked(self);
-      Timer::Get().Cancel(self, gen);
-      TAOS_CHAOS(kMutexTimedFinish);
-    }
-    const bool expired = parked && ConsumeTimeoutWoken(self);
-    // Exchange FIRST, deadline second: a wake delivered because the mutex
-    // was released must never be thrown away on a co-incident expiry.
-    if (bit_.exchange(1, std::memory_order_acquire) == 0) {
-      return true;
-    }
-    obs::Inc(obs::Counter::kLockBitRetries);
-    if (parked) {
-      obs::Inc(obs::Counter::kSpuriousWakeups);
-    }
-    if (expired || obs::NowNanos() >= deadline_ns) {
+    if (expired || DeadlinePassed(deadline_ns)) {
       // Timed out (or unparked by a grant, barged, and found the deadline
       // gone). Whoever dequeued this record — timer or releaser — already
       // removed it from the queue; there is nothing to back out.
@@ -216,17 +181,15 @@ void Mutex::NubRelease() {
   }
 }
 
-void Mutex::TracedAcquire(ThreadRecord* self, const spec::Action& emit) {
-  TracedAcquire(self, emit, nullptr, nullptr);
-}
-
-void Mutex::TracedAcquire(ThreadRecord* self, const spec::Action& emit,
-                          ObjLock* co_lock,
-                          const std::function<void()>& at_success) {
+bool Mutex::TracedAcquireFor(ThreadRecord* self, std::uint64_t deadline_ns,
+                             const spec::Action& emit, ObjLock* co_lock,
+                             const std::function<void()>& at_success) {
   Nub& nub = Nub::Get();
   for (;;) {
     {
       NubGuard2 g(nub_lock_, co_lock);
+      // The acquire test comes before the deadline test, so a grant always
+      // beats a co-incident expiry.
       if (bit_.load(std::memory_order_relaxed) == 0) {
         bit_.store(1, std::memory_order_relaxed);
         NoteAcquired(self);
@@ -237,33 +200,9 @@ void Mutex::TracedAcquire(ThreadRecord* self, const spec::Action& emit,
           at_success();
         }
         nub.EmitTraced(emit);
-        return;
-      }
-      queue_.PushBack(self);
-      queue_len_.fetch_add(1, std::memory_order_relaxed);
-      MarkBlocked(self, ThreadRecord::BlockKind::kMutex, this, id_, &nub_lock_,
-                  /*alertable=*/false);
-    }
-    ParkBlocked(self);
-  }
-}
-
-bool Mutex::TracedAcquireFor(ThreadRecord* self, std::uint64_t deadline_ns) {
-  Nub& nub = Nub::Get();
-  for (;;) {
-    std::uint64_t gen = 0;
-    {
-      NubGuard g(nub_lock_);
-      // The acquire test comes before the deadline test, so a grant always
-      // beats a co-incident expiry.
-      if (bit_.load(std::memory_order_relaxed) == 0) {
-        bit_.store(1, std::memory_order_relaxed);
-        NoteAcquired(self);
-        SpinGuard tg(self->lock);
-        nub.EmitTraced(spec::MakeAcquire(self->id, id_));
         return true;
       }
-      if (obs::NowNanos() >= deadline_ns) {
+      if (DeadlinePassed(deadline_ns)) {
         // Deadline passed with the mutex still held: the spec's
         // AcquireFor/TIMEOUT action, a no-op on m, emitted as one atomic
         // action under the object lock. This check subsumes timeout_woken —
@@ -272,18 +211,13 @@ bool Mutex::TracedAcquireFor(ThreadRecord* self, std::uint64_t deadline_ns) {
         nub.EmitTraced(spec::MakeAcquireTimeout(self->id, id_));
         return false;
       }
-      gen = ++self->next_timer_gen;
       queue_.PushBack(self);
       queue_len_.fetch_add(1, std::memory_order_relaxed);
       SpinGuard tg(self->lock);
-      SetBlockedLocked(self, ThreadRecord::BlockKind::kMutex, this, id_,
-                       &nub_lock_, /*alertable=*/false);
-      PublishTimedLocked(self, gen);
+      PublishBlockedLocked(self, ThreadRecord::BlockKind::kMutex, this, id_,
+                           &nub_lock_, /*alertable=*/false, deadline_ns);
     }
-    Timer::Get().Arm(self, gen, deadline_ns);
-    ParkBlocked(self);
-    Timer::Get().Cancel(self, gen);
-    ConsumeTimeoutWoken(self);  // loop-top deadline check decides
+    ParkBlockedUntil(self, deadline_ns);  // loop-top deadline check decides
   }
 }
 

@@ -49,6 +49,12 @@
 namespace taos {
 
 class Condition;
+class Mutex;
+
+namespace internal {
+// The one body of AlertWait and AlertWaitFor (src/threads/alert.cc).
+WaitResult AlertWaitUntil(Mutex& m, Condition& c, std::uint64_t deadline_ns);
+}  // namespace internal
 
 class Mutex {
  public:
@@ -100,9 +106,8 @@ class Mutex {
  private:
   friend class Condition;
   friend class Timer;
-  friend void AlertWait(Mutex& m, Condition& c);
-  friend WaitResult AlertWaitFor(Mutex& m, Condition& c,
-                                 std::chrono::nanoseconds timeout);
+  friend WaitResult internal::AlertWaitUntil(Mutex& m, Condition& c,
+                                             std::uint64_t deadline_ns);
 
   // The user-code test-and-set of Acquire and TryAcquire. On success it
   // counts the fast acquire and records the holder; diagnosis is off here
@@ -118,7 +123,7 @@ class Mutex {
 
   // Release's user code: clear the Lock-bit; call the Nub only if the Queue
   // is non-empty. The seq_cst store/load pair pairs with the
-  // enqueue-then-test in NubAcquire so that at least one side sees the
+  // enqueue-then-test in NubAcquireFor so that at least one side sees the
   // other (no thread is left parked with the mutex free).
   void ClearBit(ThreadRecord* self) {
     // REQUIRES m = SELF. (Checked here as a library extension; the paper's
@@ -141,16 +146,13 @@ class Mutex {
   bool TryAcquireSlow();
   void ReleaseSlow();
 
-  // Nub subroutine for Acquire: enqueue, re-test the lock bit, de-schedule
-  // if still held; retry the whole Acquire from the test-and-set.
-  void NubAcquire(ThreadRecord* self);
-
-  // Deadline-carrying slow paths (AcquireFor). Each parked episode arms the
-  // process timer wheel (src/threads/timer.h); the timer dequeues an expired
-  // waiter exactly as Alert dequeues an alertable one. Return false on
-  // timeout.
+  // Nub subroutine for Acquire and AcquireFor: enqueue, re-test the lock
+  // bit, de-schedule if still held; retry the whole Acquire from the
+  // test-and-set. With a deadline (kNoDeadline for Acquire) each parked
+  // episode arms the process timer wheel (src/threads/timer.h), and the
+  // timer dequeues an expired waiter exactly as Alert dequeues an alertable
+  // one. Returns false on timeout.
   bool NubAcquireFor(ThreadRecord* self, std::uint64_t deadline_ns);
-  bool TracedAcquireFor(ThreadRecord* self, std::uint64_t deadline_ns);
 
   // Nub subroutine for Release: unblock one queued thread.
   void NubRelease();
@@ -165,20 +167,21 @@ class Mutex {
     }
   }
 
-  // Traced (spec-emitting) paths. `emit` is the action recorded when the
-  // acquisition succeeds: plain Acquire, or the Resume half of Wait /
-  // AlertWait (which must be emitted at the instant the mutex is regained).
-  // When the successful action also touches a condition's state (the
+  // The traced (spec-emitting) acquire, with a deadline like NubAcquireFor.
+  // `emit` is the action recorded when the acquisition succeeds: plain
+  // Acquire, or the Resume half of Wait / AlertWait (which must be emitted
+  // at the instant the mutex is regained, and never carries a deadline).
+  // On timeout it emits AcquireFor/TIMEOUT and returns false. When the
+  // successful action also touches a condition's state (the
   // AlertResume/RAISES case leaves c's pending-raise set), `co_lock` names
   // that condition's ObjLock; every attempt then takes both object locks in
   // NubGuard2 order. `at_success` runs just before the emission, with the
   // object lock(s) and self's record lock held, so the raise can atomically
   // leave the pending-raise set and the alerts set as part of the same
   // atomic action.
-  void TracedAcquire(ThreadRecord* self, const spec::Action& emit);
-  void TracedAcquire(ThreadRecord* self, const spec::Action& emit,
-                     ObjLock* co_lock,
-                     const std::function<void()>& at_success);
+  bool TracedAcquireFor(ThreadRecord* self, std::uint64_t deadline_ns,
+                        const spec::Action& emit, ObjLock* co_lock = nullptr,
+                        const std::function<void()>& at_success = nullptr);
   void TracedRelease(ThreadRecord* self);
 
   // Core of TracedRelease; caller holds this mutex's ObjLock. Returns the

@@ -163,7 +163,7 @@ bool Poll::ScanAll(PollNode* nodes, spec::ObjId* first_unset) {
   return ready;
 }
 
-Poll::Outcome Poll::WaitInternal(bool all, bool alertable, bool timed,
+Poll::Outcome Poll::WaitInternal(bool all, bool alertable,
                                  std::uint64_t deadline_ns) {
   // REQUIRES wait_set # {}: WaitAny over nothing can never be granted, and
   // WaitAll over nothing is vacuously granted — both are caller bugs.
@@ -171,7 +171,7 @@ Poll::Outcome Poll::WaitInternal(bool all, bool alertable, bool timed,
   Nub& nub = Nub::Get();
   ThreadRecord* self = nub.Current();
   if (nub.tracing()) {
-    return TracedWait(self, all, alertable, timed, deadline_ns);
+    return TracedWait(self, all, alertable, deadline_ns);
   }
 
   PollNode nodes[kMaxWait];
@@ -207,7 +207,7 @@ Poll::Outcome Poll::WaitInternal(bool all, bool alertable, bool timed,
     }
     // Scan before deadline: a grant always beats a co-incident expiry. A
     // timeout observed here leaves a pending alert pending.
-    if (expired || (timed && obs::NowNanos() >= deadline_ns)) {
+    if (expired || DeadlinePassed(deadline_ns)) {
       out = {WaitResult::kTimeout, n_};
       break;
     }
@@ -218,7 +218,6 @@ Poll::Outcome Poll::WaitInternal(bool all, bool alertable, bool timed,
       break;
     }
     parked = false;
-    std::uint64_t gen = 0;
     {
       SpinGuard tg(self->lock);
       if (alertable && self->alerted.load(std::memory_order_relaxed)) {
@@ -229,28 +228,17 @@ Poll::Outcome Poll::WaitInternal(bool all, bool alertable, bool timed,
         // Latch still disarmed under the record lock: no Set has notified
         // since the re-arm, so parking cannot strand us — a later notify
         // wins the 0->1 edge, sees this blocked state, and unparks.
-        SetBlockedLocked(self,
-                         all ? ThreadRecord::BlockKind::kPollAll
-                             : ThreadRecord::BlockKind::kPollAny,
-                         this, all ? first_unset : events_[0]->id(),
-                         /*obj_lock=*/nullptr, alertable);
-        if (timed) {
-          gen = ++self->next_timer_gen;
-          PublishTimedLocked(self, gen);
-        }
+        PublishBlockedLocked(self,
+                             all ? ThreadRecord::BlockKind::kPollAll
+                                 : ThreadRecord::BlockKind::kPollAny,
+                             this, all ? first_unset : events_[0]->id(),
+                             /*obj_lock=*/nullptr, alertable, deadline_ns);
         parked = true;
       }
     }
     TAOS_CHAOS(kPollScanToPark);
     if (parked) {
-      if (timed) {
-        Timer::Get().Arm(self, gen, deadline_ns);
-      }
-      ParkBlocked(self);
-      if (timed) {
-        Timer::Get().Cancel(self, gen);
-        expired = ConsumeTimeoutWoken(self);
-      }
+      expired = ParkBlockedUntil(self, deadline_ns);
       if (alertable && !expired) {
         SpinGuard tg(self->lock);
         if (self->alert_woken || self->alerted.load(std::memory_order_relaxed)) {
@@ -265,7 +253,7 @@ Poll::Outcome Poll::WaitInternal(bool all, bool alertable, bool timed,
 }
 
 Poll::Outcome Poll::TracedWait(ThreadRecord* self, bool all, bool alertable,
-                               bool timed, std::uint64_t deadline_ns) {
+                               std::uint64_t deadline_ns) {
   Nub& nub = Nub::Get();
   const spec::ObjIdSet ws = WaitSetIds();
 
@@ -342,7 +330,7 @@ Poll::Outcome Poll::TracedWait(ThreadRecord* self, bool all, bool alertable,
     if (parked) {
       obs::Inc(obs::Counter::kPollSpuriousScans);
     }
-    if (expired || (timed && obs::NowNanos() >= deadline_ns)) {
+    if (expired || DeadlinePassed(deadline_ns)) {
       // WaitFor/TIMEOUT: a no-op on the wait set, one atomic action under
       // the record lock (it touches no object state).
       SpinGuard tg(self->lock);
@@ -359,34 +347,22 @@ Poll::Outcome Poll::TracedWait(ThreadRecord* self, bool all, bool alertable,
       break;
     }
     parked = false;
-    std::uint64_t gen = 0;
     {
       SpinGuard tg(self->lock);
       if (alertable && self->alerted.load(std::memory_order_relaxed)) {
         alert_pending = true;
       } else if (self->poll_latch.load(std::memory_order_seq_cst) == 0) {
-        SetBlockedLocked(self,
-                         all ? ThreadRecord::BlockKind::kPollAll
-                             : ThreadRecord::BlockKind::kPollAny,
-                         this, all ? first_unset : events_[0]->id(),
-                         /*obj_lock=*/nullptr, alertable);
-        if (timed) {
-          gen = ++self->next_timer_gen;
-          PublishTimedLocked(self, gen);
-        }
+        PublishBlockedLocked(self,
+                             all ? ThreadRecord::BlockKind::kPollAll
+                                 : ThreadRecord::BlockKind::kPollAny,
+                             this, all ? first_unset : events_[0]->id(),
+                             /*obj_lock=*/nullptr, alertable, deadline_ns);
         parked = true;
       }
     }
     TAOS_CHAOS(kPollScanToPark);
     if (parked) {
-      if (timed) {
-        Timer::Get().Arm(self, gen, deadline_ns);
-      }
-      ParkBlocked(self);
-      if (timed) {
-        Timer::Get().Cancel(self, gen);
-        expired = ConsumeTimeoutWoken(self);
-      }
+      expired = ParkBlockedUntil(self, deadline_ns);
       if (alertable && !expired) {
         SpinGuard tg(self->lock);
         if (self->alert_woken || self->alerted.load(std::memory_order_relaxed)) {
@@ -403,7 +379,7 @@ Poll::Outcome Poll::TracedWait(ThreadRecord* self, bool all, bool alertable,
 std::size_t Poll::WaitAny() {
   Outcome out{WaitResult::kSatisfied, 0};
   obs::WithEvent(obs::Op::kPoll, n_ > 0 ? events_[0]->id() : 0, [&] {
-    out = WaitInternal(/*all=*/false, /*alertable=*/false, /*timed=*/false, 0);
+    out = WaitInternal(/*all=*/false, /*alertable=*/false, kNoDeadline);
   });
   return out.index;
 }
@@ -413,8 +389,7 @@ Poll::AnyResult Poll::WaitAnyFor(std::chrono::nanoseconds timeout) {
   obs::WithEvent(obs::Op::kPoll, n_ > 0 ? events_[0]->id() : 0, [&] {
     const std::uint64_t deadline =
         timeout.count() > 0 ? DeadlineAfter(timeout) : 0;
-    out = WaitInternal(/*all=*/false, /*alertable=*/false, /*timed=*/true,
-                       deadline);
+    out = WaitInternal(/*all=*/false, /*alertable=*/false, deadline);
   });
   obs::Inc(out.result == WaitResult::kSatisfied
                ? obs::Counter::kTimedWaitSatisfied
@@ -425,7 +400,7 @@ Poll::AnyResult Poll::WaitAnyFor(std::chrono::nanoseconds timeout) {
 std::size_t Poll::AlertWaitAny() {
   Outcome out{WaitResult::kSatisfied, 0};
   obs::WithEvent(obs::Op::kPoll, n_ > 0 ? events_[0]->id() : 0, [&] {
-    out = WaitInternal(/*all=*/false, /*alertable=*/true, /*timed=*/false, 0);
+    out = WaitInternal(/*all=*/false, /*alertable=*/true, kNoDeadline);
   });
   if (out.result == WaitResult::kAlerted) {
     throw Alerted();
@@ -438,8 +413,7 @@ Poll::AnyResult Poll::AlertWaitAnyFor(std::chrono::nanoseconds timeout) {
   obs::WithEvent(obs::Op::kPoll, n_ > 0 ? events_[0]->id() : 0, [&] {
     const std::uint64_t deadline =
         timeout.count() > 0 ? DeadlineAfter(timeout) : 0;
-    out = WaitInternal(/*all=*/false, /*alertable=*/true, /*timed=*/true,
-                       deadline);
+    out = WaitInternal(/*all=*/false, /*alertable=*/true, deadline);
   });
   switch (out.result) {
     case WaitResult::kSatisfied:
@@ -457,7 +431,7 @@ Poll::AnyResult Poll::AlertWaitAnyFor(std::chrono::nanoseconds timeout) {
 
 void Poll::WaitAll() {
   obs::WithEvent(obs::Op::kPoll, n_ > 0 ? events_[0]->id() : 0, [&] {
-    WaitInternal(/*all=*/true, /*alertable=*/false, /*timed=*/false, 0);
+    WaitInternal(/*all=*/true, /*alertable=*/false, kNoDeadline);
   });
 }
 
@@ -466,8 +440,7 @@ WaitResult Poll::WaitAllFor(std::chrono::nanoseconds timeout) {
   obs::WithEvent(obs::Op::kPoll, n_ > 0 ? events_[0]->id() : 0, [&] {
     const std::uint64_t deadline =
         timeout.count() > 0 ? DeadlineAfter(timeout) : 0;
-    out = WaitInternal(/*all=*/true, /*alertable=*/false, /*timed=*/true,
-                       deadline);
+    out = WaitInternal(/*all=*/true, /*alertable=*/false, deadline);
   });
   obs::Inc(out.result == WaitResult::kSatisfied
                ? obs::Counter::kTimedWaitSatisfied
@@ -478,7 +451,7 @@ WaitResult Poll::WaitAllFor(std::chrono::nanoseconds timeout) {
 void Poll::AlertWaitAll() {
   Outcome out{WaitResult::kSatisfied, 0};
   obs::WithEvent(obs::Op::kPoll, n_ > 0 ? events_[0]->id() : 0, [&] {
-    out = WaitInternal(/*all=*/true, /*alertable=*/true, /*timed=*/false, 0);
+    out = WaitInternal(/*all=*/true, /*alertable=*/true, kNoDeadline);
   });
   if (out.result == WaitResult::kAlerted) {
     throw Alerted();
@@ -490,8 +463,7 @@ WaitResult Poll::AlertWaitAllFor(std::chrono::nanoseconds timeout) {
   obs::WithEvent(obs::Op::kPoll, n_ > 0 ? events_[0]->id() : 0, [&] {
     const std::uint64_t deadline =
         timeout.count() > 0 ? DeadlineAfter(timeout) : 0;
-    out = WaitInternal(/*all=*/true, /*alertable=*/true, /*timed=*/true,
-                       deadline);
+    out = WaitInternal(/*all=*/true, /*alertable=*/true, deadline);
   });
   switch (out.result) {
     case WaitResult::kSatisfied:

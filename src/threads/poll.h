@@ -100,9 +100,9 @@ class Poll {
     std::size_t index;
   };
 
-  Outcome WaitInternal(bool all, bool alertable, bool timed,
-                       std::uint64_t deadline_ns);
-  Outcome TracedWait(ThreadRecord* self, bool all, bool alertable, bool timed,
+  // The one body of every wait above; the untimed ones pass kNoDeadline.
+  Outcome WaitInternal(bool all, bool alertable, std::uint64_t deadline_ns);
+  Outcome TracedWait(ThreadRecord* self, bool all, bool alertable,
                      std::uint64_t deadline_ns);
   std::size_t ScanAny(PollNode* nodes);
   bool ScanAll(PollNode* nodes, spec::ObjId* first_unset);

@@ -28,13 +28,13 @@ void ReaderWriterMutex::AcquireSlow() {
     ThreadRecord* self = nub.Current();
     if (nub.tracing()) {
       obs::Inc(obs::Counter::kNubAcquire);
-      TracedAcquire(self);
+      TracedAcquireFor(self, kNoDeadline);
       return;
     }
     if (WriterCas()) {
       obs::Inc(obs::Counter::kFastMutexAcquire);
     } else {
-      NubAcquire(self);
+      NubAcquireFor(self, kNoDeadline);
     }
     NoteAcquired(self);
   });
@@ -114,14 +114,14 @@ void ReaderWriterMutex::AcquireSharedSlow() {
     ThreadRecord* self = nub.Current();
     if (nub.tracing()) {
       obs::Inc(obs::Counter::kNubAcquire);
-      TracedAcquireShared(self);
+      TracedAcquireSharedFor(self, kNoDeadline);
       return;
     }
     if (SharedCasLoop()) {
       obs::Inc(obs::Counter::kFastMutexAcquire);
       return;
     }
-    NubAcquireShared(self);
+    NubAcquireSharedFor(self, kNoDeadline);
   });
 }
 
@@ -186,9 +186,10 @@ void ReaderWriterMutex::ReleaseSharedSlow() {
   });
 }
 
-// --- Nub (slow-path) subroutines, untimed ---
+// --- Nub (slow-path) subroutines, acquire side ---
 
-void ReaderWriterMutex::NubAcquire(ThreadRecord* self) {
+bool ReaderWriterMutex::NubAcquireFor(ThreadRecord* self,
+                                      std::uint64_t deadline_ns) {
   obs::Inc(obs::Counter::kNubAcquire);
   for (;;) {
     bool parked = false;
@@ -199,93 +200,21 @@ void ReaderWriterMutex::NubAcquire(ThreadRecord* self) {
       writers_queue_.PushBack(self);
       writer_q_len_.fetch_add(1, std::memory_order_seq_cst);
       if (word_.load(std::memory_order_seq_cst) != 0) {
-        MarkBlocked(self, ThreadRecord::BlockKind::kRwExclusive, this, id_,
-                    &nub_lock_, /*alertable=*/false);
-        parked = true;
-      } else {
-        writers_queue_.Remove(self);
-        writer_q_len_.fetch_sub(1, std::memory_order_relaxed);
-      }
-    }
-    if (parked) {
-      ParkBlocked(self);
-    }
-    // Retry the entire acquisition from the CAS; barging is possible
-    // exactly as in Mutex.
-    if (WriterCas()) {
-      return;
-    }
-    obs::Inc(obs::Counter::kLockBitRetries);
-    if (parked) {
-      obs::Inc(obs::Counter::kSpuriousWakeups);
-    }
-  }
-}
-
-void ReaderWriterMutex::NubAcquireShared(ThreadRecord* self) {
-  obs::Inc(obs::Counter::kNubAcquire);
-  for (;;) {
-    bool parked = false;
-    {
-      NubGuard g(nub_lock_);
-      // Enqueue on the reader queue, then re-test the writer bit only —
-      // other readers never exclude a reader.
-      readers_queue_.PushBack(self);
-      reader_q_len_.fetch_add(1, std::memory_order_seq_cst);
-      if ((word_.load(std::memory_order_seq_cst) & kWriterBit) != 0) {
-        MarkBlocked(self, ThreadRecord::BlockKind::kRwShared, this, id_,
-                    &nub_lock_, /*alertable=*/false);
-        parked = true;
-      } else {
-        readers_queue_.Remove(self);
-        reader_q_len_.fetch_sub(1, std::memory_order_relaxed);
-      }
-    }
-    if (parked) {
-      ParkBlocked(self);
-    }
-    if (SharedCasLoop()) {
-      return;
-    }
-    obs::Inc(obs::Counter::kLockBitRetries);
-    if (parked) {
-      obs::Inc(obs::Counter::kSpuriousWakeups);
-    }
-  }
-}
-
-// --- Nub (slow-path) subroutines, timed ---
-
-bool ReaderWriterMutex::NubAcquireFor(ThreadRecord* self,
-                                      std::uint64_t deadline_ns) {
-  obs::Inc(obs::Counter::kNubAcquire);
-  for (;;) {
-    bool parked = false;
-    std::uint64_t gen = 0;
-    {
-      NubGuard g(nub_lock_);
-      writers_queue_.PushBack(self);
-      writer_q_len_.fetch_add(1, std::memory_order_seq_cst);
-      if (word_.load(std::memory_order_seq_cst) != 0) {
-        gen = ++self->next_timer_gen;
         SpinGuard tg(self->lock);
-        SetBlockedLocked(self, ThreadRecord::BlockKind::kRwExclusive, this, id_,
-                         &nub_lock_, /*alertable=*/false);
-        PublishTimedLocked(self, gen);
+        PublishBlockedLocked(self, ThreadRecord::BlockKind::kRwExclusive, this,
+                             id_, &nub_lock_, /*alertable=*/false,
+                             deadline_ns);
         parked = true;
       } else {
         writers_queue_.Remove(self);
         writer_q_len_.fetch_sub(1, std::memory_order_relaxed);
       }
     }
-    if (parked) {
-      Timer::Get().Arm(self, gen, deadline_ns);
-      ParkBlocked(self);
-      Timer::Get().Cancel(self, gen);
-    }
-    const bool expired = parked && ConsumeTimeoutWoken(self);
-    // CAS first, deadline second: a wake delivered because the lock was
-    // released must never be thrown away on a co-incident expiry.
+    const bool expired = parked && ParkBlockedUntil(self, deadline_ns);
+    // Retry the entire acquisition from the CAS; barging is possible
+    // exactly as in Mutex. CAS first, deadline second: a wake delivered
+    // because the lock was released is never thrown away on a co-incident
+    // expiry.
     if (WriterCas()) {
       return true;
     }
@@ -293,7 +222,7 @@ bool ReaderWriterMutex::NubAcquireFor(ThreadRecord* self,
     if (parked) {
       obs::Inc(obs::Counter::kSpuriousWakeups);
     }
-    if (expired || obs::NowNanos() >= deadline_ns) {
+    if (expired || DeadlinePassed(deadline_ns)) {
       return false;
     }
   }
@@ -304,29 +233,24 @@ bool ReaderWriterMutex::NubAcquireSharedFor(ThreadRecord* self,
   obs::Inc(obs::Counter::kNubAcquire);
   for (;;) {
     bool parked = false;
-    std::uint64_t gen = 0;
     {
       NubGuard g(nub_lock_);
+      // Enqueue on the reader queue, then re-test the writer bit only —
+      // other readers never exclude a reader.
       readers_queue_.PushBack(self);
       reader_q_len_.fetch_add(1, std::memory_order_seq_cst);
       if ((word_.load(std::memory_order_seq_cst) & kWriterBit) != 0) {
-        gen = ++self->next_timer_gen;
         SpinGuard tg(self->lock);
-        SetBlockedLocked(self, ThreadRecord::BlockKind::kRwShared, this, id_,
-                         &nub_lock_, /*alertable=*/false);
-        PublishTimedLocked(self, gen);
+        PublishBlockedLocked(self, ThreadRecord::BlockKind::kRwShared, this,
+                             id_, &nub_lock_, /*alertable=*/false,
+                             deadline_ns);
         parked = true;
       } else {
         readers_queue_.Remove(self);
         reader_q_len_.fetch_sub(1, std::memory_order_relaxed);
       }
     }
-    if (parked) {
-      Timer::Get().Arm(self, gen, deadline_ns);
-      ParkBlocked(self);
-      Timer::Get().Cancel(self, gen);
-    }
-    const bool expired = parked && ConsumeTimeoutWoken(self);
+    const bool expired = parked && ParkBlockedUntil(self, deadline_ns);
     if (SharedCasLoop()) {
       return true;
     }
@@ -334,7 +258,7 @@ bool ReaderWriterMutex::NubAcquireSharedFor(ThreadRecord* self,
     if (parked) {
       obs::Inc(obs::Counter::kSpuriousWakeups);
     }
-    if (expired || obs::NowNanos() >= deadline_ns) {
+    if (expired || DeadlinePassed(deadline_ns)) {
       return false;
     }
   }
@@ -388,29 +312,39 @@ void ReaderWriterMutex::NubWakeOneWriter() {
 
 // --- traced (spec-emitting) paths ---
 
-void ReaderWriterMutex::TracedAcquire(ThreadRecord* self) {
+bool ReaderWriterMutex::TracedAcquireFor(ThreadRecord* self,
+                                         std::uint64_t deadline_ns) {
   Nub& nub = Nub::Get();
   for (;;) {
     {
       NubGuard g(nub_lock_);
       // WHEN rw.writer = NIL AND rw.readers = {}: the whole word is zero.
+      // The acquire test comes before the deadline test, so a grant always
+      // beats a co-incident expiry.
       if (word_.load(std::memory_order_relaxed) == 0) {
         word_.store(kWriterBit, std::memory_order_relaxed);
         NoteAcquired(self);
         SpinGuard tg(self->lock);
         nub.EmitTraced(spec::MakeRwAcquire(self->id, id_));
-        return;
+        return true;
+      }
+      if (DeadlinePassed(deadline_ns)) {
+        SpinGuard tg(self->lock);
+        nub.EmitTraced(spec::MakeRwAcquireTimeout(self->id, id_));
+        return false;
       }
       writers_queue_.PushBack(self);
       writer_q_len_.fetch_add(1, std::memory_order_relaxed);
-      MarkBlocked(self, ThreadRecord::BlockKind::kRwExclusive, this, id_,
-                  &nub_lock_, /*alertable=*/false);
+      SpinGuard tg(self->lock);
+      PublishBlockedLocked(self, ThreadRecord::BlockKind::kRwExclusive, this,
+                           id_, &nub_lock_, /*alertable=*/false, deadline_ns);
     }
-    ParkBlocked(self);
+    ParkBlockedUntil(self, deadline_ns);  // loop-top deadline check decides
   }
 }
 
-void ReaderWriterMutex::TracedAcquireShared(ThreadRecord* self) {
+bool ReaderWriterMutex::TracedAcquireSharedFor(ThreadRecord* self,
+                                               std::uint64_t deadline_ns) {
   Nub& nub = Nub::Get();
   for (;;) {
     {
@@ -422,84 +356,20 @@ void ReaderWriterMutex::TracedAcquireShared(ThreadRecord* self) {
         word_.store(w + 1, std::memory_order_relaxed);
         SpinGuard tg(self->lock);
         nub.EmitTraced(spec::MakeRwAcquireShared(self->id, id_));
-        return;
-      }
-      readers_queue_.PushBack(self);
-      reader_q_len_.fetch_add(1, std::memory_order_relaxed);
-      MarkBlocked(self, ThreadRecord::BlockKind::kRwShared, this, id_,
-                  &nub_lock_, /*alertable=*/false);
-    }
-    ParkBlocked(self);
-  }
-}
-
-bool ReaderWriterMutex::TracedAcquireFor(ThreadRecord* self,
-                                         std::uint64_t deadline_ns) {
-  Nub& nub = Nub::Get();
-  for (;;) {
-    std::uint64_t gen = 0;
-    {
-      NubGuard g(nub_lock_);
-      // The acquire test comes before the deadline test, so a grant always
-      // beats a co-incident expiry.
-      if (word_.load(std::memory_order_relaxed) == 0) {
-        word_.store(kWriterBit, std::memory_order_relaxed);
-        NoteAcquired(self);
-        SpinGuard tg(self->lock);
-        nub.EmitTraced(spec::MakeRwAcquire(self->id, id_));
         return true;
       }
-      if (obs::NowNanos() >= deadline_ns) {
-        SpinGuard tg(self->lock);
-        nub.EmitTraced(spec::MakeRwAcquireTimeout(self->id, id_));
-        return false;
-      }
-      gen = ++self->next_timer_gen;
-      writers_queue_.PushBack(self);
-      writer_q_len_.fetch_add(1, std::memory_order_relaxed);
-      SpinGuard tg(self->lock);
-      SetBlockedLocked(self, ThreadRecord::BlockKind::kRwExclusive, this, id_,
-                       &nub_lock_, /*alertable=*/false);
-      PublishTimedLocked(self, gen);
-    }
-    Timer::Get().Arm(self, gen, deadline_ns);
-    ParkBlocked(self);
-    Timer::Get().Cancel(self, gen);
-    ConsumeTimeoutWoken(self);  // loop-top deadline check decides
-  }
-}
-
-bool ReaderWriterMutex::TracedAcquireSharedFor(ThreadRecord* self,
-                                               std::uint64_t deadline_ns) {
-  Nub& nub = Nub::Get();
-  for (;;) {
-    std::uint64_t gen = 0;
-    {
-      NubGuard g(nub_lock_);
-      const std::uint32_t w = word_.load(std::memory_order_relaxed);
-      if ((w & kWriterBit) == 0) {
-        word_.store(w + 1, std::memory_order_relaxed);
-        SpinGuard tg(self->lock);
-        nub.EmitTraced(spec::MakeRwAcquireShared(self->id, id_));
-        return true;
-      }
-      if (obs::NowNanos() >= deadline_ns) {
+      if (DeadlinePassed(deadline_ns)) {
         SpinGuard tg(self->lock);
         nub.EmitTraced(spec::MakeRwAcquireSharedTimeout(self->id, id_));
         return false;
       }
-      gen = ++self->next_timer_gen;
       readers_queue_.PushBack(self);
       reader_q_len_.fetch_add(1, std::memory_order_relaxed);
       SpinGuard tg(self->lock);
-      SetBlockedLocked(self, ThreadRecord::BlockKind::kRwShared, this, id_,
-                       &nub_lock_, /*alertable=*/false);
-      PublishTimedLocked(self, gen);
+      PublishBlockedLocked(self, ThreadRecord::BlockKind::kRwShared, this,
+                           id_, &nub_lock_, /*alertable=*/false, deadline_ns);
     }
-    Timer::Get().Arm(self, gen, deadline_ns);
-    ParkBlocked(self);
-    Timer::Get().Cancel(self, gen);
-    ConsumeTimeoutWoken(self);
+    ParkBlockedUntil(self, deadline_ns);  // loop-top deadline check decides
   }
 }
 

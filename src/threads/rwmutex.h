@@ -192,9 +192,8 @@ class ReaderWriterMutex {
 
   // Nub subroutines: enqueue on the respective queue, re-test the word,
   // de-schedule if still excluded; retry the whole acquisition from the
-  // CAS. Untimed and timed — the same shapes as Mutex, over two queues.
-  void NubAcquire(ThreadRecord* self);
-  void NubAcquireShared(ThreadRecord* self);
+  // CAS. The same shape as Mutex::NubAcquireFor, over two queues: the
+  // untimed entry points pass kNoDeadline. Return false on timeout.
   bool NubAcquireFor(ThreadRecord* self, std::uint64_t deadline_ns);
   bool NubAcquireSharedFor(ThreadRecord* self, std::uint64_t deadline_ns);
 
@@ -221,8 +220,6 @@ class ReaderWriterMutex {
   // Traced (spec-emitting) paths; the same shape as Mutex's, with the
   // word manipulated under the ObjLock and the action emitted under
   // self's record lock.
-  void TracedAcquire(ThreadRecord* self);
-  void TracedAcquireShared(ThreadRecord* self);
   bool TracedAcquireFor(ThreadRecord* self, std::uint64_t deadline_ns);
   bool TracedAcquireSharedFor(ThreadRecord* self, std::uint64_t deadline_ns);
   void TracedRelease(ThreadRecord* self);

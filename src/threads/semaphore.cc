@@ -21,11 +21,11 @@ void Semaphore::PSlow() {
     Nub& nub = Nub::Get();
     if (nub.tracing()) {
       obs::Inc(obs::Counter::kNubP);
-      TracedP(nub.Current());
+      TracedPFor(nub.Current(), kNoDeadline);
       return;
     }
     if (!TestAndSet()) {
-      NubP(nub.Current());
+      NubPFor(nub.Current(), kNoDeadline);
     }
   });
 }
@@ -71,55 +71,20 @@ WaitResult Semaphore::PFor(std::chrono::nanoseconds timeout) {
   return result;
 }
 
-void Semaphore::NubP(ThreadRecord* self) {
-  obs::Inc(obs::Counter::kNubP);
-  for (;;) {
-    bool parked = false;
-    {
-      NubGuard g(nub_lock_);
-      queue_.PushBack(self);
-      queue_len_.fetch_add(1, std::memory_order_seq_cst);
-      TAOS_CHAOS(kSemEnqueuedToTest);
-      if (bit_.load(std::memory_order_seq_cst) != 0) {
-        MarkBlocked(self, ThreadRecord::BlockKind::kSemaphore, this, id_,
-                    &nub_lock_, /*alertable=*/false);
-        parked = true;
-      } else {
-        TAOS_CHAOS(kSemBackout);
-        queue_.Remove(self);
-        queue_len_.fetch_sub(1, std::memory_order_relaxed);
-      }
-    }
-    if (parked) {
-      ParkBlocked(self);
-    }
-    TAOS_CHAOS(kSemWakeToRetry);
-    if (bit_.exchange(1, std::memory_order_acquire) == 0) {
-      return;
-    }
-    obs::Inc(obs::Counter::kLockBitRetries);
-    if (parked) {
-      obs::Inc(obs::Counter::kSpuriousWakeups);
-    }
-  }
-}
-
 bool Semaphore::NubPFor(ThreadRecord* self, std::uint64_t deadline_ns) {
   obs::Inc(obs::Counter::kNubP);
   for (;;) {
     bool parked = false;
-    std::uint64_t gen = 0;
     {
       NubGuard g(nub_lock_);
       queue_.PushBack(self);
       queue_len_.fetch_add(1, std::memory_order_seq_cst);
       TAOS_CHAOS(kSemEnqueuedToTest);
       if (bit_.load(std::memory_order_seq_cst) != 0) {
-        gen = ++self->next_timer_gen;
         SpinGuard tg(self->lock);
-        SetBlockedLocked(self, ThreadRecord::BlockKind::kSemaphore, this, id_,
-                         &nub_lock_, /*alertable=*/false);
-        PublishTimedLocked(self, gen);
+        PublishBlockedLocked(self, ThreadRecord::BlockKind::kSemaphore, this,
+                             id_, &nub_lock_, /*alertable=*/false,
+                             deadline_ns);
         parked = true;
       } else {
         TAOS_CHAOS(kSemBackout);
@@ -127,13 +92,14 @@ bool Semaphore::NubPFor(ThreadRecord* self, std::uint64_t deadline_ns) {
         queue_len_.fetch_sub(1, std::memory_order_relaxed);
       }
     }
+    bool expired = false;
     if (parked) {
-      Timer::Get().Arm(self, gen, deadline_ns);
-      ParkBlocked(self);
-      Timer::Get().Cancel(self, gen);
-      TAOS_CHAOS(kSemTimedFinish);
+      expired = ParkBlockedUntil(self, deadline_ns);
+      if (deadline_ns != kNoDeadline) {
+        TAOS_CHAOS(kSemTimedFinish);
+      }
     }
-    const bool expired = parked && ConsumeTimeoutWoken(self);
+    TAOS_CHAOS(kSemWakeToRetry);
     // Exchange FIRST, deadline second: a V's grant is never converted into
     // a timeout by a co-incident expiry.
     if (bit_.exchange(1, std::memory_order_acquire) == 0) {
@@ -143,7 +109,7 @@ bool Semaphore::NubPFor(ThreadRecord* self, std::uint64_t deadline_ns) {
     if (parked) {
       obs::Inc(obs::Counter::kSpuriousWakeups);
     }
-    if (expired || obs::NowNanos() >= deadline_ns) {
+    if (expired || DeadlinePassed(deadline_ns)) {
       return false;
     }
   }
@@ -178,29 +144,9 @@ void Semaphore::NubV() {
   }
 }
 
-void Semaphore::TracedP(ThreadRecord* self) {
-  Nub& nub = Nub::Get();
-  for (;;) {
-    {
-      NubGuard g(nub_lock_);
-      if (bit_.load(std::memory_order_relaxed) == 0) {
-        bit_.store(1, std::memory_order_relaxed);
-        nub.EmitTraced(spec::MakeP(self->id, id_));
-        return;
-      }
-      queue_.PushBack(self);
-      queue_len_.fetch_add(1, std::memory_order_relaxed);
-      MarkBlocked(self, ThreadRecord::BlockKind::kSemaphore, this, id_,
-                  &nub_lock_, /*alertable=*/false);
-    }
-    ParkBlocked(self);
-  }
-}
-
 bool Semaphore::TracedPFor(ThreadRecord* self, std::uint64_t deadline_ns) {
   Nub& nub = Nub::Get();
   for (;;) {
-    std::uint64_t gen = 0;
     {
       NubGuard g(nub_lock_);
       // Take-test before deadline-test: a grant beats a co-incident expiry.
@@ -210,7 +156,7 @@ bool Semaphore::TracedPFor(ThreadRecord* self, std::uint64_t deadline_ns) {
         nub.EmitTraced(spec::MakeP(self->id, id_));
         return true;
       }
-      if (obs::NowNanos() >= deadline_ns) {
+      if (DeadlinePassed(deadline_ns)) {
         // PFor/TIMEOUT: a no-op on s, one atomic action under the object
         // lock. Subsumes timeout_woken (round-up placement means an expiry
         // implies the deadline is behind us).
@@ -218,18 +164,13 @@ bool Semaphore::TracedPFor(ThreadRecord* self, std::uint64_t deadline_ns) {
         nub.EmitTraced(spec::MakePTimeout(self->id, id_));
         return false;
       }
-      gen = ++self->next_timer_gen;
       queue_.PushBack(self);
       queue_len_.fetch_add(1, std::memory_order_relaxed);
       SpinGuard tg(self->lock);
-      SetBlockedLocked(self, ThreadRecord::BlockKind::kSemaphore, this, id_,
-                       &nub_lock_, /*alertable=*/false);
-      PublishTimedLocked(self, gen);
+      PublishBlockedLocked(self, ThreadRecord::BlockKind::kSemaphore, this,
+                           id_, &nub_lock_, /*alertable=*/false, deadline_ns);
     }
-    Timer::Get().Arm(self, gen, deadline_ns);
-    ParkBlocked(self);
-    Timer::Get().Cancel(self, gen);
-    ConsumeTimeoutWoken(self);  // loop-top deadline check decides
+    ParkBlockedUntil(self, deadline_ns);  // loop-top deadline check decides
   }
 }
 

@@ -109,15 +109,13 @@ class Semaphore {
   bool TryPSlow();
   void VSlow();
 
-  void NubP(ThreadRecord* self);
-  void NubV();
-  void TracedP(ThreadRecord* self);
-  void TracedV(ThreadRecord* self);
-
-  // Deadline-carrying slow paths (PFor); see Mutex::NubAcquireFor, whose
-  // structure these mirror. Return false on timeout.
+  // The Nub and traced slow paths of P and PFor, with the same shape as
+  // Mutex::NubAcquireFor and Mutex::TracedAcquireFor: P passes kNoDeadline.
+  // Return false on timeout.
   bool NubPFor(ThreadRecord* self, std::uint64_t deadline_ns);
   bool TracedPFor(ThreadRecord* self, std::uint64_t deadline_ns);
+  void NubV();
+  void TracedV(ThreadRecord* self);
 
   std::atomic<std::uint32_t> bit_{0};   // 1 iff unavailable
   ObjLock nub_lock_;                    // guards queue_ (the slow paths)

@@ -200,25 +200,6 @@ inline void MarkUnblocked(ThreadRecord* t) {
   ClearBlockedLocked(t);
 }
 
-// Marks the blocked episode being published in this same critical section
-// (t->lock held) as having a deadline. Clearing timeout_woken here is what
-// makes a leftover receipt from an earlier episode harmless: the only reads
-// are after an episode that published first.
-inline void PublishTimedLocked(ThreadRecord* t, std::uint64_t gen) {
-  t->timed = true;
-  t->timer_gen = gen;
-  t->timeout_woken = false;
-}
-
-// The waiter's post-wake read of the expiry receipt, cleared for the next
-// episode. Returns true iff the timer thread is what dequeued this waiter.
-inline bool ConsumeTimeoutWoken(ThreadRecord* t) {
-  SpinGuard g(t->lock);
-  const bool expired = t->timeout_woken;
-  t->timeout_woken = false;
-  return expired;
-}
-
 // "De-schedule this thread": park on the private parker, counting the
 // park and feeding the de-scheduled duration into the blocked-time
 // histogram. Every blocking site in src/threads goes through here.

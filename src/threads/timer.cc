@@ -1,7 +1,6 @@
 #include "src/threads/timer.h"
 
 #include <algorithm>
-#include <limits>
 #include <thread>
 
 #include "src/base/chaos.h"
@@ -16,10 +15,6 @@
 #include "src/threads/semaphore.h"
 
 namespace taos {
-
-namespace {
-constexpr std::uint64_t kForever = std::numeric_limits<std::uint64_t>::max();
-}  // namespace
 
 Timer& Timer::Get() {
   static Timer* timer = new Timer();  // intentionally leaked; see header
@@ -216,7 +211,7 @@ void Timer::ThreadMain() {
       AdvanceLocked(obs::NowNanos(), &expired);
       if (expired.empty()) {
         next = NextWakeNsLocked();
-        wake_target_ns_ = next == 0 ? kForever : next;
+        wake_target_ns_ = next == 0 ? kNoDeadline : next;
       }
     }
     if (!expired.empty()) {

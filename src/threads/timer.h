@@ -12,21 +12,23 @@
 // whoever dequeues the waiter first wins, and a timed wait that loses the
 // expiry-vs-grant race keeps the grant.
 //
-// Arming protocol (the waiter's side):
-//   1. Under the record lock, while publishing the blocked state, the waiter
-//      also publishes `timed = true`, a fresh `timer_gen`, and clears
-//      `timeout_woken`.
-//   2. After dropping every lock (and before parking), it calls
-//      Arm(rec, gen, deadline). The parker's permit discipline makes the
-//      order safe: an expiry or grant that lands before the park just
-//      deposits the permit early.
-//   3. After waking it always calls Cancel(rec, gen), then reads
-//      `timeout_woken` under the record lock to learn whether the timer was
-//      what woke it.
-// A stale expiry (the waiter was granted, woke, maybe even re-blocked)
-// validates against `timed`/`timer_gen`/`block_kind` under the record lock
-// and becomes a no-op. `gen` values are per-thread and never reused, so the
-// validation cannot be fooled by an ABA on the record's blocking state.
+// Arming protocol (the waiter's side), in the two helpers at the end of
+// this file that every primitive's slow paths and Poll share:
+//   1. PublishBlockedLocked, under the record lock while the blocked state is
+//      published: with a deadline it also publishes `timed = true`, a fresh
+//      `timer_gen`, and clears `timeout_woken`.
+//   2. ParkBlockedUntil, after dropping every lock: Arm(rec, gen, deadline),
+//      park, then always Cancel(rec, gen) and read `timeout_woken` under the
+//      record lock to learn whether the timer was what woke it. The parker's
+//      permit discipline makes the order safe: an expiry or grant that lands
+//      between the publish and the park just deposits the permit early.
+// An untimed episode (kNoDeadline) does neither extra step: it publishes and
+// parks exactly as the paper's Nub does, never touching the wheel or testing
+// the clock against a deadline. A stale expiry (the waiter was granted, woke, maybe even
+// re-blocked) validates against `timed`/`timer_gen`/`block_kind` under the
+// record lock and becomes a no-op. `gen` values are per-thread and never
+// reused, so the validation cannot be fooled by an ABA on the record's
+// blocking state.
 //
 // The wheel: kLevels levels of kSlots slots, tick = 2^kTickShift ns
 // (~262 us). Deadlines are placed at their tick rounded UP, so the wheel
@@ -60,11 +62,23 @@ namespace taos {
 // Converts a (positive) relative timeout into a deadline on the
 // obs::NowNanos timeline, saturating instead of wrapping for far-future
 // requests.
+// The deadline of a wait that has none. Every deadline-carrying slow path
+// takes it for its untimed entry point; DeadlineAfter saturates to it, so a
+// timeout too far away to represent waits like an untimed call.
+inline constexpr std::uint64_t kNoDeadline =
+    std::numeric_limits<std::uint64_t>::max();
+
 inline std::uint64_t DeadlineAfter(std::chrono::nanoseconds timeout) {
   const std::uint64_t now = obs::NowNanos();
   const std::uint64_t delta = static_cast<std::uint64_t>(timeout.count());
   const std::uint64_t deadline = now + delta;
-  return deadline < now ? std::numeric_limits<std::uint64_t>::max() : deadline;
+  return deadline < now ? kNoDeadline : deadline;
+}
+
+// True once `deadline_ns` is behind us; never reads the clock for
+// kNoDeadline.
+inline bool DeadlinePassed(std::uint64_t deadline_ns) {
+  return deadline_ns != kNoDeadline && obs::NowNanos() >= deadline_ns;
 }
 
 class Timer {
@@ -138,12 +152,49 @@ class Timer {
   std::uint64_t total_ = 0;
   std::uint64_t current_tick_ = 0;
   // The wake-up time the timer thread last committed to sleep until:
-  // 0 while it is awake (no unpark needed — it will recompute), UINT64_MAX
+  // 0 while it is awake (no unpark needed — it will recompute), kNoDeadline
   // while sleeping on an empty wheel. Guarded by lock_.
   std::uint64_t wake_target_ns_ = 0;
 
   waitq::Parker park_;
 };
+
+// Step 1 of the arming protocol: publishes t as blocked (SetBlockedLocked)
+// and, when the episode has a deadline, marks it timed under a fresh
+// generation. Clearing timeout_woken here is what makes a leftover receipt
+// from an earlier episode harmless: the only read follows a publish.
+// REQUIRES t->lock held (inside the blocked-on object's ObjLock, if any).
+inline void PublishBlockedLocked(ThreadRecord* t, ThreadRecord::BlockKind kind,
+                                 void* obj, spec::ObjId obj_id,
+                                 ObjLock* obj_lock, bool alertable,
+                                 std::uint64_t deadline_ns) {
+  SetBlockedLocked(t, kind, obj, obj_id, obj_lock, alertable);
+  if (deadline_ns != kNoDeadline) {
+    t->timed = true;
+    t->timer_gen = ++t->next_timer_gen;
+    t->timeout_woken = false;
+  }
+}
+
+// Step 2: parks the episode PublishBlockedLocked just published, with no
+// lock held. Returns true iff the timer is what dequeued this waiter (the
+// receipt is consumed for the next episode); always false for kNoDeadline.
+inline bool ParkBlockedUntil(ThreadRecord* t, std::uint64_t deadline_ns) {
+  if (deadline_ns == kNoDeadline) {
+    ParkBlocked(t);
+    return false;
+  }
+  // next_timer_gen is owner-private: still the generation just published.
+  const std::uint64_t gen = t->next_timer_gen;
+  Timer& timer = Timer::Get();
+  timer.Arm(t, gen, deadline_ns);
+  ParkBlocked(t);
+  timer.Cancel(t, gen);
+  SpinGuard g(t->lock);
+  const bool expired = t->timeout_woken;
+  t->timeout_woken = false;
+  return expired;
+}
 
 }  // namespace taos
 

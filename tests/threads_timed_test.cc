@@ -1,11 +1,13 @@
 // Timed waits: AcquireFor / PFor / WaitFor / AlertWaitFor, the timer-wheel
 // deadline subsystem behind them, and the invariants the design promises —
 // a grant always beats the deadline, a timeout never consumes a pending
-// alert, and WaitWithTimeout creates no threads per call.
+// alert, WaitWithTimeout creates no threads per call, and an untimed wait
+// never arms the wheel.
 
 #include <atomic>
 #include <chrono>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -13,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/spec/trace.h"
 #include "src/threads/threads.h"
 #include "src/threads/timer.h"
 #include "src/threads/wait_result.h"
@@ -420,6 +423,165 @@ TEST(TimerSubsystemTest, WaitForSignalRaceStress) {
   EXPECT_EQ(guarded, kWaiters * 300);
   m.Release();
 }
+
+// ---------------------------------------------------------------------------
+// Untimed waits run the same slow paths with no deadline: they never arm
+// the timer wheel, in plain or traced mode.
+// ---------------------------------------------------------------------------
+
+class UntimedWaitTest : public ::testing::TestWithParam<bool> {
+ protected:
+  void SetUp() override {
+    ASSERT_FALSE(Nub::Get().tracing());
+    if (GetParam()) {
+      Nub::Get().SetTrace(&trace_);
+    }
+  }
+  void TearDown() override { Nub::Get().SetTrace(nullptr); }
+
+  // Forks a thread that runs `block`, waits until it has parked in it, runs
+  // `grant` to release it, and joins it — checking that nothing was armed
+  // on the timer wheel while it was parked or over the whole episode.
+  void ExpectNoTimerArmed(const std::function<void()>& block,
+                          const std::function<void()>& grant) {
+    const std::uint64_t armed_before =
+        obs::Snapshot().Count(obs::Counter::kTimersArmed);
+    Thread t = Thread::Fork(block);
+    while (t.Handle().rec->parks.load(std::memory_order_acquire) == 0) {
+      std::this_thread::yield();
+    }
+    EXPECT_EQ(Timer::Get().ArmedForDebug(), 0u);
+    grant();
+    t.Join();
+    EXPECT_EQ(obs::Snapshot().Count(obs::Counter::kTimersArmed),
+              armed_before);
+    EXPECT_EQ(Timer::Get().ArmedForDebug(), 0u);
+  }
+
+  spec::Trace trace_;
+};
+
+TEST_P(UntimedWaitTest, MutexAcquire) {
+  Mutex m;
+  m.Acquire();
+  ExpectNoTimerArmed(
+      [&] {
+        m.Acquire();
+        m.Release();
+      },
+      [&] { m.Release(); });
+}
+
+TEST_P(UntimedWaitTest, ReaderWriterMutexAcquire) {
+  ReaderWriterMutex rw;
+  rw.AcquireShared();
+  ExpectNoTimerArmed(
+      [&] {
+        rw.Acquire();
+        rw.Release();
+      },
+      [&] { rw.ReleaseShared(); });
+}
+
+TEST_P(UntimedWaitTest, ReaderWriterMutexAcquireShared) {
+  ReaderWriterMutex rw;
+  rw.Acquire();
+  ExpectNoTimerArmed(
+      [&] {
+        rw.AcquireShared();
+        rw.ReleaseShared();
+      },
+      [&] { rw.Release(); });
+}
+
+TEST_P(UntimedWaitTest, SemaphoreP) {
+  Semaphore s;
+  s.P();
+  ExpectNoTimerArmed([&] { s.P(); }, [&] { s.V(); });
+  s.V();
+}
+
+TEST_P(UntimedWaitTest, AlertP) {
+  Semaphore s;
+  s.P();
+  ExpectNoTimerArmed([&] { taos::AlertP(s); }, [&] { s.V(); });
+  s.V();
+}
+
+TEST_P(UntimedWaitTest, ConditionWait) {
+  Mutex m;
+  Condition c;
+  bool ready = false;  // guarded by m
+  ExpectNoTimerArmed(
+      [&] {
+        m.Acquire();
+        while (!ready) {
+          c.Wait(m);
+        }
+        m.Release();
+      },
+      [&] {
+        m.Acquire();
+        ready = true;
+        c.Signal();
+        m.Release();
+      });
+}
+
+TEST_P(UntimedWaitTest, AlertWait) {
+  Mutex m;
+  Condition c;
+  bool ready = false;  // guarded by m
+  ExpectNoTimerArmed(
+      [&] {
+        m.Acquire();
+        while (!ready) {
+          taos::AlertWait(m, c);
+        }
+        m.Release();
+      },
+      [&] {
+        m.Acquire();
+        ready = true;
+        c.Signal();
+        m.Release();
+      });
+}
+
+TEST_P(UntimedWaitTest, EventWait) {
+  Event e;
+  ExpectNoTimerArmed([&] { e.Wait(); }, [&] { e.Set(); });
+}
+
+TEST_P(UntimedWaitTest, PollWaitAny) {
+  Event a;
+  Event b;
+  Poll p;
+  p.Add(a);
+  p.Add(b);
+  ExpectNoTimerArmed([&] { EXPECT_EQ(p.WaitAny(), 1u); },
+                     [&] { b.Set(); });
+}
+
+TEST_P(UntimedWaitTest, PollWaitAll) {
+  Event a;
+  Event b;
+  Poll p;
+  p.Add(a);
+  p.Add(b);
+  ExpectNoTimerArmed([&] { p.WaitAll(); },
+                     [&] {
+                       a.Set();
+                       b.Set();
+                     });
+}
+
+std::string TraceModeName(const ::testing::TestParamInfo<bool>& param) {
+  return param.param ? "Traced" : "Plain";
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, UntimedWaitTest, ::testing::Bool(),
+                         TraceModeName);
 
 }  // namespace
 }  // namespace taos
