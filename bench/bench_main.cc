@@ -15,6 +15,7 @@
 
 #include "src/obs/metrics.h"
 #include "src/obs/recorder.h"
+#include "src/waitq/parker.h"
 
 namespace taos::benchmain {
 namespace {
@@ -78,9 +79,8 @@ int Run(int argc, char** argv, const char* bench_name) {
     obs::SetTraceMetadata("bench", bench_name);
     obs::SetTraceMetadata("global_lock",
                           GlobalLockModeFromEnv() ? "global" : "sharded");
-    if (const char* parker = std::getenv("TAOS_WAITQ_PARKER")) {
-      obs::SetTraceMetadata("parker", parker);
-    }
+    obs::SetTraceMetadata(
+        "parker", waitq::Parker::BackendName(waitq::Parker::DefaultBackend()));
     obs::SetRecorderEnabled(true);
   }
 
@@ -127,6 +127,11 @@ int Run(int argc, char** argv, const char* bench_name) {
       << "  \"num_cpus\": " << std::thread::hardware_concurrency() << ",\n"
       << "  \"global_lock_mode\": "
       << (GlobalLockModeFromEnv() ? "true" : "false") << ",\n"
+      << "  \"parker_backend\": \""
+      << waitq::Parker::BackendName(waitq::Parker::DefaultBackend())
+      << "\",\n"
+      << "  \"parker_spin_budget_ns\": " << waitq::Parker::kSpinBudgetNs
+      << ",\n"
       << "  \"metrics\": " << obs::ReportJson() << ",\n"
       << "  \"benchmark\": " << gbench_json << "\n"
       << "}\n";

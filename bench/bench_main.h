@@ -16,6 +16,8 @@
 // The report's shape:
 //   { "bench": name, "quick": bool, "wall_seconds": s,
 //     "global_lock_mode": bool,          // TAOS_NUB_GLOBAL_LOCK
+//     "parker_backend": "futex"|"condvar",  // TAOS_WAITQ_PARKER, resolved
+//     "parker_spin_budget_ns": n,        // Parker::kSpinBudgetNs
 //     "metrics": <obs::ReportJson()>,    // counters + histograms
 //     "benchmark": <google-benchmark's own JSON output> }
 

@@ -194,12 +194,23 @@ void Condition::TimeoutDequeue(Fiber* f) {
   c->pending_timeout_.push_back(f);
 }
 
-void Condition::Wait(Mutex& m) {
+void Condition::Wait(Mutex& m) { WaitFor(m, kNoDeadline); }
+
+WaitResult Condition::WaitFor(Mutex& m, std::uint64_t timeout_steps) {
   Machine& mach = machine_;
   Fiber* self = Machine::Self();
   obs::ScopedEvent ev(obs::Op::kWait, id_, Tid(self));
   obs::Inc(obs::Counter::kNubWait);
   TAOS_CHECK(m.holder_ == self || mach.ShuttingDown());  // REQUIRES m = SELF
+
+  const bool timed = timeout_steps != kNoDeadline;
+  if (timeout_steps == 0) {
+    // The deadline has already passed: no Enqueue, m is never released.
+    mach.Step();
+    obs::Inc(obs::Counter::kTimedWaitTimeouts);
+    return WaitResult::kTimeout;
+  }
+  const std::uint64_t deadline = timed ? mach.steps() + timeout_steps : 0;
 
   // Enqueue: linearizes at the mutex's clear step — SELF enters c exactly as
   // m becomes NIL.
@@ -211,11 +222,12 @@ void Condition::Wait(Mutex& m) {
     Emit(mach, spec::MakeEnqueue(self->id, m.id_, id_));
   });
 
-  // Nub subroutine Block(c, i).
+  // Nub subroutine Block(c, i), deadline-armed when timed.
+  bool expired = false;
   mach.SpinAcquire();
   mach.Step();
   if (mach.ShuttingDown()) {
-    return;
+    return WaitResult::kTimeout;
   }
   if (!use_eventcount_ || ec_ == snapshot) {
     EraseWindow(self);  // may already be gone in the no-eventcount ablation
@@ -224,65 +236,20 @@ void Condition::Wait(Mutex& m) {
     self->blocked_obj = this;
     self->alertable = false;
     self->alert_woken = false;
+    if (timed) {
+      self->timed = true;
+      self->deadline_step = deadline;
+      self->timeout_woken = false;
+      self->timeout_dequeue = &Condition::TimeoutDequeue;
+    }
     mach.DescheduleSelf();
+    if (timed) {
+      expired = self->timeout_woken;
+      self->timeout_woken = false;
+    }
   } else {
     // Absorbed: an intervening Signal/Broadcast advanced the eventcount and
     // removed us from c (and from window_) when it emitted.
-    ++absorbed_;
-    obs::Inc(obs::Counter::kWakeupWaitingHits);
-    mach.SpinRelease();
-  }
-
-  // Resume: re-enter the critical section.
-  m.AcquireInternal(spec::MakeResume(self->id, m.id_, id_));
-}
-
-WaitResult Condition::WaitFor(Mutex& m, std::uint64_t timeout_steps) {
-  Machine& mach = machine_;
-  Fiber* self = Machine::Self();
-  obs::ScopedEvent ev(obs::Op::kWait, id_, Tid(self));
-  obs::Inc(obs::Counter::kNubWait);
-  TAOS_CHECK(m.holder_ == self || mach.ShuttingDown());  // REQUIRES m = SELF
-
-  if (timeout_steps == 0) {
-    // The deadline has already passed: no Enqueue, m is never released.
-    mach.Step();
-    obs::Inc(obs::Counter::kTimedWaitTimeouts);
-    return WaitResult::kTimeout;
-  }
-  const std::uint64_t deadline = mach.steps() + timeout_steps;
-
-  // Enqueue, exactly as Wait's.
-  std::uint64_t snapshot = 0;
-  m.ReleaseInternal([&] {
-    snapshot = ec_;
-    window_.push_back(self);
-    ++c_size_;
-    Emit(mach, spec::MakeEnqueue(self->id, m.id_, id_));
-  });
-
-  // Nub subroutine Block(c, i), deadline-armed.
-  bool expired = false;
-  mach.SpinAcquire();
-  mach.Step();
-  if (mach.ShuttingDown()) {
-    return WaitResult::kTimeout;
-  }
-  if (!use_eventcount_ || ec_ == snapshot) {
-    EraseWindow(self);
-    queue_.PushBack(self);
-    self->block_kind = Fiber::BlockKind::kCondition;
-    self->blocked_obj = this;
-    self->alertable = false;
-    self->alert_woken = false;
-    self->timed = true;
-    self->deadline_step = deadline;
-    self->timeout_woken = false;
-    self->timeout_dequeue = &Condition::TimeoutDequeue;
-    mach.DescheduleSelf();
-    expired = self->timeout_woken;
-    self->timeout_woken = false;
-  } else {
     ++absorbed_;
     obs::Inc(obs::Counter::kWakeupWaitingHits);
     mach.SpinRelease();
@@ -299,8 +266,11 @@ WaitResult Condition::WaitFor(Mutex& m, std::uint64_t timeout_steps) {
     obs::Inc(obs::Counter::kTimedWaitTimeouts);
     return WaitResult::kTimeout;
   }
+  // Resume: re-enter the critical section.
   m.AcquireInternal(spec::MakeResume(self->id, m.id_, id_));
-  obs::Inc(obs::Counter::kTimedWaitSatisfied);
+  if (timed) {
+    obs::Inc(obs::Counter::kTimedWaitSatisfied);
+  }
   return WaitResult::kSatisfied;
 }
 
@@ -552,23 +522,47 @@ void Event::Reset() {
   Emit(m, spec::MakeEventReset(self->id, id_));
 }
 
-void Event::Wait() {
+void Event::Wait() { WaitFor(kNoDeadline); }
+
+bool Event::TryClaim(Fiber* self) {
+  if (!set_) {
+    return false;
+  }
+  if (reset_ == EventReset::kAuto) {
+    set_ = false;
+    Emit(machine_, spec::MakeEventConsume(self->id, id_));
+  } else {
+    Emit(machine_, spec::MakeEventWait(self->id, id_));
+  }
+  return true;
+}
+
+WaitResult Event::WaitFor(std::uint64_t timeout_steps) {
   Machine& m = machine_;
   Fiber* self = Machine::Self();
   obs::ScopedEvent ev(obs::Op::kEventWait, id_, Tid(self));
+  const bool timed = timeout_steps != kNoDeadline;
+  if (timeout_steps == 0) {
+    m.Step();
+    if (TryClaim(self)) {
+      obs::Inc(obs::Counter::kTimedWaitSatisfied);
+      return WaitResult::kSatisfied;
+    }
+    Emit(m, spec::MakePollTimeout(self->id, spec::ObjIdSet{}.Insert(id_)));
+    obs::Inc(obs::Counter::kTimedWaitTimeouts);
+    return WaitResult::kTimeout;
+  }
+  const std::uint64_t deadline = timed ? m.steps() + timeout_steps : 0;
   for (;;) {
     if (m.ShuttingDown()) {
-      return;
+      return WaitResult::kTimeout;
     }
     m.Step();  // the claim: test (auto: test-and-clear) in one step
-    if (set_) {
-      if (reset_ == EventReset::kAuto) {
-        set_ = false;
-        Emit(m, spec::MakeEventConsume(self->id, id_));
-      } else {
-        Emit(m, spec::MakeEventWait(self->id, id_));
+    if (TryClaim(self)) {
+      if (timed) {
+        obs::Inc(obs::Counter::kTimedWaitSatisfied);
       }
-      return;
+      return WaitResult::kSatisfied;
     }
     // Nub subroutine: enqueue, re-test, de-schedule — Semaphore::P's shape
     // with the bit sense inverted.
@@ -581,65 +575,14 @@ void Event::Wait() {
       self->blocked_obj = this;
       self->alertable = false;
       self->alert_woken = false;
-      m.DescheduleSelf();
-    } else {
-      queue_.Remove(self);
-      m.SpinRelease();
-    }
-  }
-}
-
-WaitResult Event::WaitFor(std::uint64_t timeout_steps) {
-  Machine& m = machine_;
-  Fiber* self = Machine::Self();
-  obs::ScopedEvent ev(obs::Op::kEventWait, id_, Tid(self));
-  if (timeout_steps == 0) {
-    m.Step();
-    if (set_) {
-      if (reset_ == EventReset::kAuto) {
-        set_ = false;
-        Emit(m, spec::MakeEventConsume(self->id, id_));
-      } else {
-        Emit(m, spec::MakeEventWait(self->id, id_));
+      if (timed) {
+        self->timed = true;
+        self->deadline_step = deadline;
+        self->timeout_woken = false;
+        self->timeout_dequeue = &Event::TimeoutDequeue;
       }
-      obs::Inc(obs::Counter::kTimedWaitSatisfied);
-      return WaitResult::kSatisfied;
-    }
-    Emit(m, spec::MakePollTimeout(self->id, spec::ObjIdSet{}.Insert(id_)));
-    obs::Inc(obs::Counter::kTimedWaitTimeouts);
-    return WaitResult::kTimeout;
-  }
-  const std::uint64_t deadline = m.steps() + timeout_steps;
-  for (;;) {
-    if (m.ShuttingDown()) {
-      return WaitResult::kTimeout;
-    }
-    m.Step();
-    if (set_) {
-      if (reset_ == EventReset::kAuto) {
-        set_ = false;
-        Emit(m, spec::MakeEventConsume(self->id, id_));
-      } else {
-        Emit(m, spec::MakeEventWait(self->id, id_));
-      }
-      obs::Inc(obs::Counter::kTimedWaitSatisfied);
-      return WaitResult::kSatisfied;
-    }
-    m.SpinAcquire();
-    m.Step();
-    queue_.PushBack(self);
-    m.Step();
-    if (!set_) {
-      self->block_kind = Fiber::BlockKind::kEvent;
-      self->blocked_obj = this;
-      self->alertable = false;
-      self->alert_woken = false;
-      self->timed = true;
-      self->deadline_step = deadline;
-      self->timeout_woken = false;
-      self->timeout_dequeue = &Event::TimeoutDequeue;
       m.DescheduleSelf();
-      if (self->timeout_woken) {
+      if (timed && self->timeout_woken) {
         self->timeout_woken = false;
         m.Step();
         Emit(m, spec::MakePollTimeout(self->id, spec::ObjIdSet{}.Insert(id_)));
@@ -731,14 +674,15 @@ bool Poll::TryGrantLocked(bool all, const spec::ObjIdSet& ws,
   return true;
 }
 
-WaitResult Poll::WaitInternal(bool all, bool alertable, bool timed,
+WaitResult Poll::WaitInternal(bool all, bool alertable,
                               std::uint64_t timeout_steps, std::size_t* index) {
   TAOS_CHECK(n_ > 0);
   Machine& m = events_[0]->machine_;
   Fiber* self = Machine::Self();
   const spec::ObjIdSet ws = WaitSetIds();
   *index = n_;
-  if (timed && timeout_steps == 0) {
+  const bool timed = timeout_steps != kNoDeadline;
+  if (timeout_steps == 0) {
     // A single scan in one atomic step; nothing registers, so the spin-lock
     // (which TryGrantLocked otherwise requires) is unnecessary.
     m.Step();
@@ -748,7 +692,7 @@ WaitResult Poll::WaitInternal(bool all, bool alertable, bool timed,
     Emit(m, spec::MakePollTimeout(self->id, ws));
     return WaitResult::kTimeout;
   }
-  const std::uint64_t deadline = m.steps() + timeout_steps;
+  const std::uint64_t deadline = timed ? m.steps() + timeout_steps : 0;
   bool parked = false;
   for (;;) {
     if (m.ShuttingDown()) {
@@ -813,7 +757,7 @@ std::size_t Poll::WaitAny() {
   Fiber* self = Machine::Self();
   obs::ScopedEvent ev(obs::Op::kPoll, n_ > 0 ? events_[0]->id_ : 0, Tid(self));
   std::size_t index = 0;
-  WaitInternal(/*all=*/false, /*alertable=*/false, /*timed=*/false, 0, &index);
+  WaitInternal(/*all=*/false, /*alertable=*/false, kNoDeadline, &index);
   return index;
 }
 
@@ -822,7 +766,7 @@ Poll::AnyResult Poll::WaitAnyFor(std::uint64_t timeout_steps) {
   obs::ScopedEvent ev(obs::Op::kPoll, n_ > 0 ? events_[0]->id_ : 0, Tid(self));
   std::size_t index = 0;
   WaitResult r = WaitInternal(/*all=*/false, /*alertable=*/false,
-                              /*timed=*/true, timeout_steps, &index);
+                              timeout_steps, &index);
   obs::Inc(r == WaitResult::kSatisfied ? obs::Counter::kTimedWaitSatisfied
                                        : obs::Counter::kTimedWaitTimeouts);
   return {index, r};
@@ -833,7 +777,7 @@ std::size_t Poll::AlertWaitAny() {
   obs::ScopedEvent ev(obs::Op::kPoll, n_ > 0 ? events_[0]->id_ : 0, Tid(self));
   std::size_t index = 0;
   WaitResult r = WaitInternal(/*all=*/false, /*alertable=*/true,
-                              /*timed=*/false, 0, &index);
+                              kNoDeadline, &index);
   if (r == WaitResult::kAlerted) {
     throw Alerted();
   }
@@ -845,7 +789,7 @@ Poll::AnyResult Poll::AlertWaitAnyFor(std::uint64_t timeout_steps) {
   obs::ScopedEvent ev(obs::Op::kPoll, n_ > 0 ? events_[0]->id_ : 0, Tid(self));
   std::size_t index = 0;
   WaitResult r = WaitInternal(/*all=*/false, /*alertable=*/true,
-                              /*timed=*/true, timeout_steps, &index);
+                              timeout_steps, &index);
   switch (r) {
     case WaitResult::kSatisfied:
       obs::Inc(obs::Counter::kTimedWaitSatisfied);
@@ -864,7 +808,7 @@ void Poll::WaitAll() {
   Fiber* self = Machine::Self();
   obs::ScopedEvent ev(obs::Op::kPoll, n_ > 0 ? events_[0]->id_ : 0, Tid(self));
   std::size_t index = 0;
-  WaitInternal(/*all=*/true, /*alertable=*/false, /*timed=*/false, 0, &index);
+  WaitInternal(/*all=*/true, /*alertable=*/false, kNoDeadline, &index);
 }
 
 WaitResult Poll::WaitAllFor(std::uint64_t timeout_steps) {
@@ -872,7 +816,7 @@ WaitResult Poll::WaitAllFor(std::uint64_t timeout_steps) {
   obs::ScopedEvent ev(obs::Op::kPoll, n_ > 0 ? events_[0]->id_ : 0, Tid(self));
   std::size_t index = 0;
   WaitResult r = WaitInternal(/*all=*/true, /*alertable=*/false,
-                              /*timed=*/true, timeout_steps, &index);
+                              timeout_steps, &index);
   obs::Inc(r == WaitResult::kSatisfied ? obs::Counter::kTimedWaitSatisfied
                                        : obs::Counter::kTimedWaitTimeouts);
   return r;
@@ -883,7 +827,7 @@ void Poll::AlertWaitAll() {
   obs::ScopedEvent ev(obs::Op::kPoll, n_ > 0 ? events_[0]->id_ : 0, Tid(self));
   std::size_t index = 0;
   WaitResult r = WaitInternal(/*all=*/true, /*alertable=*/true,
-                              /*timed=*/false, 0, &index);
+                              kNoDeadline, &index);
   if (r == WaitResult::kAlerted) {
     throw Alerted();
   }
@@ -894,7 +838,7 @@ WaitResult Poll::AlertWaitAllFor(std::uint64_t timeout_steps) {
   obs::ScopedEvent ev(obs::Op::kPoll, n_ > 0 ? events_[0]->id_ : 0, Tid(self));
   std::size_t index = 0;
   WaitResult r = WaitInternal(/*all=*/true, /*alertable=*/true,
-                              /*timed=*/true, timeout_steps, &index);
+                              timeout_steps, &index);
   switch (r) {
     case WaitResult::kSatisfied:
       obs::Inc(obs::Counter::kTimedWaitSatisfied);

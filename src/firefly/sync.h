@@ -37,6 +37,10 @@
 
 namespace taos::firefly {
 
+// The timeout_steps value that means "no deadline": Wait is WaitFor with
+// it, so each wait has one body that carries a deadline.
+inline constexpr std::uint64_t kNoDeadline = ~std::uint64_t{0};
+
 class Condition;
 
 class Mutex {
@@ -113,8 +117,9 @@ class Condition {
   // simulated clock reached the deadline first; either way m is held again
   // on return. A Signal that dequeues this fiber always beats the clock
   // (the expiry only fires on fibers still on the queue). timeout_steps ==
-  // 0 returns kTimeout immediately without releasing m. On a traced
-  // machine the expiry path emits the spec's TimeoutResume action.
+  // 0 returns kTimeout immediately without releasing m; kNoDeadline waits
+  // as Wait does. On a traced machine the expiry path emits the spec's
+  // TimeoutResume action.
   WaitResult WaitFor(Mutex& m, std::uint64_t timeout_steps);
 
   void Signal();
@@ -216,8 +221,9 @@ class Event {
   void Set();
   void Reset();
   void Wait();
-  // Deadline in virtual time (machine steps), as Condition::WaitFor. On the
-  // expiry path emits the spec's WaitFor/TIMEOUT action over {this}.
+  // Deadline in virtual time (machine steps), as Condition::WaitFor
+  // (kNoDeadline waits as Wait does). On the expiry path emits the spec's
+  // WaitFor/TIMEOUT action over {this}.
   WaitResult WaitFor(std::uint64_t timeout_steps);
 
   bool IsSet() const { return set_; }
@@ -230,6 +236,10 @@ class Event {
 
   // Fiber::timeout_dequeue target for plain timed waiters.
   static void TimeoutDequeue(Fiber* f);
+
+  // The claim, inside the current step: if set, consume it (auto-reset)
+  // and emit the spec action; false if the event is clear.
+  bool TryClaim(Fiber* self);
 
   Machine& machine_;
   bool set_ = false;
@@ -284,7 +294,9 @@ class Poll {
 
   static void TimeoutDequeue(Fiber* f);
 
-  WaitResult WaitInternal(bool all, bool alertable, bool timed,
+  // The one body of every wait; timeout_steps == kNoDeadline for the
+  // untimed ones.
+  WaitResult WaitInternal(bool all, bool alertable,
                           std::uint64_t timeout_steps, std::size_t* index);
   // Scan + consume + emit, inside the current atomic step. REQUIRES the
   // Nub spin-lock held (the emission linearizes there).

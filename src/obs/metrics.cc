@@ -55,6 +55,10 @@ constexpr const char* kCounterNames[] = {
     "eventcount_advances",
     "park_futex_waits",
     "park_condvar_waits",
+    "park_permit_ready",
+    "park_spin_hits",
+    "park_spin_misses",
+    "park_spin_skipped",
     "timers_armed",
     "timers_cancelled",
     "timers_expired",

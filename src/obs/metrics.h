@@ -75,6 +75,12 @@ enum class Counter : int {
   // --- parker backends (src/waitq/parker) ---
   kParkFutexWaits,    // FUTEX_WAIT calls (incl. re-checks after EAGAIN)
   kParkCondvarWaits,  // condition_variable::wait calls (incl. spurious)
+  // The spin phase's ledger: each gated Park (Parker::Spin::kGated, the
+  // Nub's event waits) bumps exactly one of these four; others bump none.
+  kParkPermitReady,   // the permit was already deposited on entry
+  kParkSpinHits,      // the spin saw the permit arrive within the budget
+  kParkSpinMisses,    // the spin ran out its budget, then slept
+  kParkSpinSkipped,   // the CPU's SpinGate cell was closed: slept at once
 
   // --- timer wheel and timed waits (src/threads/timer) ---
   kTimersArmed,          // deadlines inserted into the wheel

@@ -192,7 +192,7 @@ WaitResult AlertWaitUntil(Mutex& m, Condition& c, std::uint64_t deadline_ns) {
     }
     bool expired = false;
     if (parked) {
-      expired = ParkBlockedUntil(self, deadline_ns);
+      expired = ParkBlockedUntil(self, deadline_ns, kEventWait);
       if (!expired) {
         // Woken either by Alert (alert_woken, already in pending_raise_) or
         // by Signal/Broadcast (removed from c). If an alert is pending in
@@ -263,7 +263,7 @@ WaitResult AlertWaitUntil(Mutex& m, Condition& c, std::uint64_t deadline_ns) {
   }
   bool expired = false;
   if (parked) {
-    expired = ParkBlockedUntil(self, deadline_ns);
+    expired = ParkBlockedUntil(self, deadline_ns, kEventWait);
     if (!expired) {
       SpinGuard sg(self->lock);
       raise = self->alert_woken ||
@@ -342,7 +342,7 @@ void AlertP(Semaphore& s) {
         SetBlockedLocked(self, ThreadRecord::BlockKind::kSemaphore, &s, s.id(),
                          &s.nub_lock_, /*alertable=*/true);
       }
-      ParkBlocked(self);
+      ParkBlocked(self, kLockWait);
       SpinGuard sg(self->lock);
       if (self->alert_woken) {
         self->alert_woken = false;
@@ -390,7 +390,7 @@ void AlertP(Semaphore& s) {
       }
     }
     if (parked) {
-      ParkBlocked(self);
+      ParkBlocked(self, kLockWait);
       SpinGuard sg(self->lock);
       if (self->alert_woken) {
         self->alert_woken = false;

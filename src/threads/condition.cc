@@ -90,7 +90,7 @@ bool Condition::BlockFor(ThreadRecord* self, EventCount::Value i,
   if (!parked) {
     return false;
   }
-  const bool expired = ParkBlockedUntil(self, deadline_ns);
+  const bool expired = ParkBlockedUntil(self, deadline_ns, kEventWait);
   if (deadline_ns != kNoDeadline) {
     TAOS_CHAOS(kCondTimedFinish);
   }
@@ -240,7 +240,7 @@ WaitResult Condition::TracedWaitFor(Mutex& m, ThreadRecord* self,
       parked = true;
     }
   }
-  if (parked && ParkBlockedUntil(self, deadline_ns)) {
+  if (parked && ParkBlockedUntil(self, deadline_ns, kEventWait)) {
     // Atomic action TimeoutResume: regain m and leave c in one step. The
     // timer left SELF in pending_timeout_ — still a spec-member of c, as a
     // raiser stays in pending_raise_ — so the action's delete(c, SELF) and

@@ -133,7 +133,8 @@ bool Event::NubWaitFor(ThreadRecord* self, std::uint64_t deadline_ns) {
         queue_len_.fetch_sub(1, std::memory_order_relaxed);
       }
     }
-    const bool expired = parked && ParkBlockedUntil(self, deadline_ns);
+    const bool expired =
+        parked && ParkBlockedUntil(self, deadline_ns, kEventWait);
     // Consume FIRST, deadline second: a Set's grant is never converted into
     // a timeout by a co-incident expiry.
     if (TryConsume(std::memory_order_acquire)) {
@@ -299,7 +300,8 @@ bool Event::TracedWaitFor(ThreadRecord* self, std::uint64_t deadline_ns) {
       PublishBlockedLocked(self, ThreadRecord::BlockKind::kEvent, this, id_,
                            &nub_lock_, /*alertable=*/false, deadline_ns);
     }
-    ParkBlockedUntil(self, deadline_ns);  // loop-top deadline check decides
+    // The loop-top deadline check decides.
+    ParkBlockedUntil(self, deadline_ns, kEventWait);
   }
 }
 

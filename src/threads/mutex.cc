@@ -118,7 +118,7 @@ bool Mutex::NubAcquireFor(ThreadRecord* self, std::uint64_t deadline_ns) {
     }
     bool expired = false;
     if (parked) {
-      expired = ParkBlockedUntil(self, deadline_ns);
+      expired = ParkBlockedUntil(self, deadline_ns, kLockWait);
       if (deadline_ns != kNoDeadline) {
         TAOS_CHAOS(kMutexTimedFinish);
       }
@@ -217,7 +217,8 @@ bool Mutex::TracedAcquireFor(ThreadRecord* self, std::uint64_t deadline_ns,
       PublishBlockedLocked(self, ThreadRecord::BlockKind::kMutex, this, id_,
                            &nub_lock_, /*alertable=*/false, deadline_ns);
     }
-    ParkBlockedUntil(self, deadline_ns);  // loop-top deadline check decides
+    // The loop-top deadline check decides.
+    ParkBlockedUntil(self, deadline_ns, kLockWait);
   }
 }
 

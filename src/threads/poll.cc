@@ -238,7 +238,7 @@ Poll::Outcome Poll::WaitInternal(bool all, bool alertable,
     }
     TAOS_CHAOS(kPollScanToPark);
     if (parked) {
-      expired = ParkBlockedUntil(self, deadline_ns);
+      expired = ParkBlockedUntil(self, deadline_ns, kEventWait);
       if (alertable && !expired) {
         SpinGuard tg(self->lock);
         if (self->alert_woken || self->alerted.load(std::memory_order_relaxed)) {
@@ -362,7 +362,7 @@ Poll::Outcome Poll::TracedWait(ThreadRecord* self, bool all, bool alertable,
     }
     TAOS_CHAOS(kPollScanToPark);
     if (parked) {
-      expired = ParkBlockedUntil(self, deadline_ns);
+      expired = ParkBlockedUntil(self, deadline_ns, kEventWait);
       if (alertable && !expired) {
         SpinGuard tg(self->lock);
         if (self->alert_woken || self->alerted.load(std::memory_order_relaxed)) {

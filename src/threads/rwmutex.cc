@@ -210,7 +210,8 @@ bool ReaderWriterMutex::NubAcquireFor(ThreadRecord* self,
         writer_q_len_.fetch_sub(1, std::memory_order_relaxed);
       }
     }
-    const bool expired = parked && ParkBlockedUntil(self, deadline_ns);
+    const bool expired =
+        parked && ParkBlockedUntil(self, deadline_ns, kLockWait);
     // Retry the entire acquisition from the CAS; barging is possible
     // exactly as in Mutex. CAS first, deadline second: a wake delivered
     // because the lock was released is never thrown away on a co-incident
@@ -250,7 +251,8 @@ bool ReaderWriterMutex::NubAcquireSharedFor(ThreadRecord* self,
         reader_q_len_.fetch_sub(1, std::memory_order_relaxed);
       }
     }
-    const bool expired = parked && ParkBlockedUntil(self, deadline_ns);
+    const bool expired =
+        parked && ParkBlockedUntil(self, deadline_ns, kLockWait);
     if (SharedCasLoop()) {
       return true;
     }
@@ -339,7 +341,8 @@ bool ReaderWriterMutex::TracedAcquireFor(ThreadRecord* self,
       PublishBlockedLocked(self, ThreadRecord::BlockKind::kRwExclusive, this,
                            id_, &nub_lock_, /*alertable=*/false, deadline_ns);
     }
-    ParkBlockedUntil(self, deadline_ns);  // loop-top deadline check decides
+    // The loop-top deadline check decides.
+    ParkBlockedUntil(self, deadline_ns, kLockWait);
   }
 }
 
@@ -369,7 +372,8 @@ bool ReaderWriterMutex::TracedAcquireSharedFor(ThreadRecord* self,
       PublishBlockedLocked(self, ThreadRecord::BlockKind::kRwShared, this,
                            id_, &nub_lock_, /*alertable=*/false, deadline_ns);
     }
-    ParkBlockedUntil(self, deadline_ns);  // loop-top deadline check decides
+    // The loop-top deadline check decides.
+    ParkBlockedUntil(self, deadline_ns, kLockWait);
   }
 }
 

@@ -94,7 +94,7 @@ bool Semaphore::NubPFor(ThreadRecord* self, std::uint64_t deadline_ns) {
     }
     bool expired = false;
     if (parked) {
-      expired = ParkBlockedUntil(self, deadline_ns);
+      expired = ParkBlockedUntil(self, deadline_ns, kLockWait);
       if (deadline_ns != kNoDeadline) {
         TAOS_CHAOS(kSemTimedFinish);
       }
@@ -170,7 +170,8 @@ bool Semaphore::TracedPFor(ThreadRecord* self, std::uint64_t deadline_ns) {
       PublishBlockedLocked(self, ThreadRecord::BlockKind::kSemaphore, this,
                            id_, &nub_lock_, /*alertable=*/false, deadline_ns);
     }
-    ParkBlockedUntil(self, deadline_ns);  // loop-top deadline check decides
+    // The loop-top deadline check decides.
+    ParkBlockedUntil(self, deadline_ns, kLockWait);
   }
 }
 

@@ -202,14 +202,25 @@ inline void MarkUnblocked(ThreadRecord* t) {
 
 // "De-schedule this thread": park on the private parker, counting the
 // park and feeding the de-scheduled duration into the blocked-time
-// histogram. Every blocking site in src/threads goes through here.
-inline void ParkBlocked(ThreadRecord* t) {
+// histogram. Every blocking site in src/threads goes through here, and
+// says whether the parker may spin first (parker.h):
+//   - kEventWait (Condition, Event, Poll, AlertWait): the wakeup delivers
+//     what the thread waits for, and its latency is the caller's latency.
+//   - kLockWait (Mutex, Semaphore, ReaderWriterMutex, AlertP): the wakeup
+//     is only a hint to retry the test-and-set, which barging threads may
+//     win. A parked waiter lets the holder re-acquire on the fast path; a
+//     spinning one turns every release into a contended handoff (E34:
+//     contended Mutex 6-10x slower at 2-8 threads).
+inline constexpr waitq::Parker::Spin kEventWait = waitq::Parker::Spin::kGated;
+inline constexpr waitq::Parker::Spin kLockWait = waitq::Parker::Spin::kNever;
+
+inline void ParkBlocked(ThreadRecord* t, waitq::Parker::Spin spin) {
   // The window between publishing the blocked edge and the deschedule: a
   // watchdog snapshot here sees a thread "blocked" that has not parked yet.
   TAOS_CHAOS(kDiagPublishToPark);
   t->parks.fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t start = obs::NowNanos();
-  t->park.Park();
+  t->park.Park(spin);
   obs::Record(obs::Histogram::kBlockedNanos, obs::NowNanos() - start);
 }
 

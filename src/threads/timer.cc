@@ -231,6 +231,7 @@ void Timer::ThreadMain() {
       }
       continue;  // expiring took time: re-advance before sleeping
     }
+    // Deadline waits: Spin::kNever (the default), see parker.h.
     if (next == 0) {
       park_.Park();
     } else {

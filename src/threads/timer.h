@@ -177,18 +177,20 @@ inline void PublishBlockedLocked(ThreadRecord* t, ThreadRecord::BlockKind kind,
 }
 
 // Step 2: parks the episode PublishBlockedLocked just published, with no
-// lock held. Returns true iff the timer is what dequeued this waiter (the
-// receipt is consumed for the next episode); always false for kNoDeadline.
-inline bool ParkBlockedUntil(ThreadRecord* t, std::uint64_t deadline_ns) {
+// lock held (`spin` as for ParkBlocked). Returns true iff the timer is what
+// dequeued this waiter (the receipt is consumed for the next episode);
+// always false for kNoDeadline.
+inline bool ParkBlockedUntil(ThreadRecord* t, std::uint64_t deadline_ns,
+                             waitq::Parker::Spin spin) {
   if (deadline_ns == kNoDeadline) {
-    ParkBlocked(t);
+    ParkBlocked(t, spin);
     return false;
   }
   // next_timer_gen is owner-private: still the generation just published.
   const std::uint64_t gen = t->next_timer_gen;
   Timer& timer = Timer::Get();
   timer.Arm(t, gen, deadline_ns);
-  ParkBlocked(t);
+  ParkBlocked(t, spin);
   timer.Cancel(t, gen);
   SpinGuard g(t->lock);
   const bool expired = t->timeout_woken;

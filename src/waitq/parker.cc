@@ -1,14 +1,18 @@
 #include "src/waitq/parker.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <thread>
 
 #include "src/base/chaos.h"
+#include "src/base/spinlock.h"
 #include "src/obs/metrics.h"
 #include "src/obs/recorder.h"
 
 #if defined(__linux__)
 #include <linux/futex.h>
+#include <sched.h>
 #include <sys/syscall.h>
 #include <unistd.h>
 #endif
@@ -57,6 +61,65 @@ void ConsumeWakeStamp(std::atomic<std::uint64_t>& wake_flow,
 
 }  // namespace
 
+SpinGate::SpinGate(unsigned cells)
+    : count_(std::max(cells, 1u)), cells_(new Cell[count_]) {}
+
+SpinGate& SpinGate::Get() {
+  static SpinGate gate(std::thread::hardware_concurrency());
+  return gate;
+}
+
+unsigned SpinGate::CurrentCpu() {
+#if defined(__linux__)
+  const int cpu = sched_getcpu();
+  return cpu < 0 ? 0u : static_cast<unsigned>(cpu);
+#else
+  return 0;
+#endif
+}
+
+bool SpinGate::Admit(unsigned cpu) {
+  Cell& c = At(cpu);
+  if (c.credit.load(std::memory_order_relaxed) > 0) {
+    return true;
+  }
+  const std::uint32_t skips = c.skips.load(std::memory_order_relaxed) + 1;
+  if (skips < c.gap.load(std::memory_order_relaxed)) {
+    c.skips.store(skips, std::memory_order_relaxed);
+    return false;
+  }
+  c.skips.store(0, std::memory_order_relaxed);
+  return true;  // the probe
+}
+
+void SpinGate::Record(unsigned cpu, bool hit) {
+  Cell& c = At(cpu);
+  const std::int32_t credit = c.credit.load(std::memory_order_relaxed);
+  const bool probe = credit <= 0;
+  if (hit) {
+    if (probe) {
+      c.gap.store(kFirstProbeGap, std::memory_order_relaxed);
+    }
+    c.credit.store(std::min(credit + kHitCredit, kMaxCredit),
+                   std::memory_order_relaxed);
+    return;
+  }
+  if (probe) {
+    c.gap.store(std::min(c.gap.load(std::memory_order_relaxed) * 2,
+                         kMaxProbeGap),
+                std::memory_order_relaxed);
+  }
+  c.credit.store(std::max(credit - kMissCost, 0), std::memory_order_relaxed);
+}
+
+bool SpinGate::IsOpen(unsigned cpu) const {
+  return At(cpu).credit.load(std::memory_order_relaxed) > 0;
+}
+
+const char* Parker::BackendName(Backend b) {
+  return b == Backend::kFutex ? "futex" : "condvar";
+}
+
 Parker::Backend Parker::Resolve(Backend b) {
 #if defined(__linux__)
   return b;
@@ -82,11 +145,16 @@ Parker::Backend Parker::DefaultBackend() {
   return backend;
 }
 
-void Parker::Park() {
+void Parker::Park(Spin spin) {
   // Between the caller's last re-test and the deschedule: the wakeup-waiting
   // window the permit protocol exists for.
   TAOS_CHAOS(kParkerBeforePark);
   const std::uint64_t start = obs::NowNanos();
+  if (spin == Spin::kGated) {
+    SpinPhase(start);
+  }
+  // A spin hit left kNotified in the word: the backend consumes it below
+  // with its acquire CAS/load, without sleeping.
   if (backend_ == Backend::kFutex) {
     FutexPark();
   } else {
@@ -94,6 +162,31 @@ void Parker::Park() {
   }
   obs::Record(obs::Histogram::kParkWaitNanos, obs::NowNanos() - start);
   ConsumeWakeStamp(wake_flow_, wake_ns_);
+}
+
+void Parker::SpinPhase(std::uint64_t start_ns) {
+  if (state_.load(std::memory_order_relaxed) == kNotified) {
+    obs::Inc(obs::Counter::kParkPermitReady);
+    return;
+  }
+  SpinGate& gate = SpinGate::Get();
+  const unsigned cpu = SpinGate::CurrentCpu();
+  if (!gate.Admit(cpu)) {
+    obs::Inc(obs::Counter::kParkSpinSkipped);
+    return;
+  }
+  // Relaxed loads only: the spin watches for the permit, it does not take
+  // it. A clock read every few pauses keeps the budget check cheap.
+  const std::uint64_t deadline = start_ns + kSpinBudgetNs;
+  bool hit = false;
+  do {
+    for (int i = 0; i < 8 && !hit; ++i) {
+      SpinLock::Pause();
+      hit = state_.load(std::memory_order_relaxed) == kNotified;
+    }
+  } while (!hit && obs::NowNanos() < deadline);
+  gate.Record(cpu, hit);
+  obs::Inc(hit ? obs::Counter::kParkSpinHits : obs::Counter::kParkSpinMisses);
 }
 
 bool Parker::ParkUntil(std::uint64_t deadline_ns) {

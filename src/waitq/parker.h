@@ -37,6 +37,38 @@
 // Backend selection: the process default is futex on Linux, condvar
 // elsewhere, overridable with TAOS_WAITQ_PARKER=futex|condvar (read once);
 // individual parkers can pin a backend for A/B benches and tests.
+//
+// The spin phase (Park(Spin::kGated): the Nub's event waits, ParkBlocked's
+// kEventWait). The paper's Nub de-schedules a blocked thread at once. With
+// several CPUs the waker of a handoff is usually running elsewhere and
+// deposits the permit within microseconds, while a futex sleep and wake
+// costs the wakee ~6 µs and the waker a FUTEX_WAKE syscall. So a gated Park
+// that finds no permit
+// first watches state_ for kNotified with relaxed loads for at most
+// kSpinBudgetNs, then falls through to the backend's sleep exactly as
+// before. While the waiter spins the word stays kEmpty, so
+// FutexUnpark's exchange sees no kParked and skips the FUTEX_WAKE: the
+// waker saves the syscall too.
+//   - The ordering argument above is unchanged: the spin only watches the
+//     word, it never consumes the permit. The backend's acquire CAS (futex)
+//     or acquire load (condvar) still consumes it, so Park-returns stays an
+//     acquire edge on the permit word alone.
+//   - The budget is one constant, not a knob: it is sized from the measured
+//     futex sleep-to-wake cost on the host it was tuned on. On perfbench
+//     rpc, 2 µs missed nearly every handoff and 30 µs burned more CPU for
+//     a worse p99 than 10 µs (EXPERIMENTS E34).
+//   - Spinning pays only where the waker runs on another CPU. Where waker
+//     and wakee share a CPU, the spinner burns the quantum its waker needs
+//     (E3's collapse), so a SpinGate with one credit cell per CPU decides
+//     whether to spin at all: hits earn credit, misses cost more, and a
+//     closed cell probes with exponential back-off so it can reopen.
+//   - Deadline waits (the timer thread's Park/ParkUntil) never spin: their
+//     wakeups are milliseconds away, so every spin would be a miss. Nor do
+//     the Nub's lock waits, whose wakeup is only a hint to retry a
+//     test-and-set that barging threads may win (thread_record.h).
+//   - Ledger: every gated Park lands in exactly one of the obs counters
+//     park_permit_ready (permit already there on entry), park_spin_hits,
+//     park_spin_misses, park_spin_skipped (gate closed).
 
 #ifndef TAOS_SRC_WAITQ_PARKER_H_
 #define TAOS_SRC_WAITQ_PARKER_H_
@@ -44,13 +76,74 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 
 namespace taos::waitq {
 
+// The spin phase's admission gate: one cache-line-padded credit cell per
+// CPU. A cell is open while its credit is positive. Record(hit) adds
+// kHitCredit (capped at kMaxCredit); Record(miss) takes kMissCost, more
+// than a hit earns, so a CPU whose spins mostly miss closes fast. A closed
+// cell refuses Admit except for one probe every `gap` refusals; a probe
+// miss doubles the gap (up to kMaxProbeGap), a probe hit reopens the cell
+// and resets the gap to kFirstProbeGap.
+//
+// The cells are heuristics, not invariants: the loads and stores are
+// relaxed and unsynchronized between threads that share a CPU, so a race
+// can at worst admit or refuse one spin too many. Cell indices wrap modulo
+// the cell count.
+class SpinGate {
+ public:
+  static constexpr std::int32_t kHitCredit = 1;
+  static constexpr std::int32_t kMissCost = 4;
+  static constexpr std::int32_t kMaxCredit = 16;
+  static constexpr std::uint32_t kFirstProbeGap = 8;
+  static constexpr std::uint32_t kMaxProbeGap = 4096;
+
+  explicit SpinGate(unsigned cells);
+  SpinGate(const SpinGate&) = delete;
+  SpinGate& operator=(const SpinGate&) = delete;
+
+  // The process-wide gate Park(Spin::kGated) consults: one cell per CPU.
+  static SpinGate& Get();
+  // The calling thread's CPU (sched_getcpu); 0 where it is unavailable, so
+  // the gate degrades to one shared cell.
+  static unsigned CurrentCpu();
+
+  // Whether a Park on `cpu` that found no permit should spin: always while
+  // the cell is open, otherwise only as a back-off probe.
+  bool Admit(unsigned cpu);
+  // Feeds an admitted spin's outcome back into the cell.
+  void Record(unsigned cpu, bool hit);
+
+  bool IsOpen(unsigned cpu) const;
+
+ private:
+  struct alignas(64) Cell {
+    std::atomic<std::int32_t> credit{kMaxCredit};
+    std::atomic<std::uint32_t> skips{0};  // refusals since the last probe
+    std::atomic<std::uint32_t> gap{kFirstProbeGap};
+  };
+
+  Cell& At(unsigned cpu) const { return cells_[cpu % count_]; }
+
+  const unsigned count_;
+  const std::unique_ptr<Cell[]> cells_;
+};
+
 class Parker {
  public:
   enum class Backend { kFutex, kCondvar };
+  // kGated: an event wait, whose waker is usually already running; spin
+  // first if the SpinGate admits it. kNever: straight to the backend's
+  // sleep (deadline waits, lock waits).
+  enum class Spin { kNever, kGated };
+
+  // The spin phase's budget (see the header comment).
+  static constexpr std::uint64_t kSpinBudgetNs = 10'000;
+
+  static const char* BackendName(Backend b);
 
   // The process-wide default: TAOS_WAITQ_PARKER if set, else futex on Linux
   // and condvar elsewhere. A futex request on a non-futex platform degrades
@@ -64,8 +157,10 @@ class Parker {
 
   Backend backend() const { return backend_; }
 
-  // Consumes one permit, blocking until it is deposited.
-  void Park();
+  // Consumes one permit, blocking until it is deposited. With Spin::kGated
+  // and no permit on entry, first spins up to kSpinBudgetNs if the calling
+  // CPU's SpinGate cell admits it.
+  void Park(Spin spin = Spin::kNever);
 
   // Consumes one permit if it is deposited before `deadline_ns` on the
   // obs::NowNanos() timeline. Returns true if a permit was consumed (even
@@ -96,6 +191,9 @@ class Parker {
   static constexpr std::uint32_t kNotified = 2;
 
   static Backend Resolve(Backend b);
+
+  // The gated spin phase ahead of the backend's sleep; counts the ledger.
+  void SpinPhase(std::uint64_t start_ns);
 
   void FutexPark();
   void FutexUnpark();

@@ -1,19 +1,26 @@
 // Unit tests for the Parker (src/waitq/parker.h), the one-permit
 // park/unpark primitive every Nub slow path suspends threads on: the permit
 // discipline, wakeups, repeated handoffs, spurious-wakeup tolerance and the
-// check-to-sleep window, each on both the futex and condvar backends.
+// check-to-sleep window, each on both the futex and condvar backends; the
+// SpinGate's credit and probe schedule; and the spin ledger (every gated
+// Park counted exactly once, deadline and lock waits never).
 
 #include "src/waitq/parker.h"
 
 #include <atomic>
 #include <chrono>
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/obs/metrics.h"
+#include "src/threads/condition.h"
+#include "src/threads/lock.h"
+#include "src/threads/mutex.h"
 
 namespace taos::waitq {
 namespace {
@@ -154,12 +161,295 @@ TEST_P(ParkerBackendTest, UnparkInTheCheckToSleepWindowIsNeverLost) {
       << "an Unpark was lost in the check-to-sleep window";
 }
 
+// Oversubscribed: four gated ping-pong pairs, eight threads on at most four
+// CPUs, so spinners and their wakers contend for CPUs. No lost wakeup.
+TEST_P(ParkerBackendTest, OversubscribedGatedPingPongLosesNoWakeup) {
+  constexpr int kPairs = 4;
+  constexpr int kRounds = 2000;
+  std::vector<std::thread> threads;
+  std::vector<std::unique_ptr<Parker>> parkers;
+  for (int p = 0; p < 2 * kPairs; ++p) {
+    parkers.push_back(std::make_unique<Parker>(GetParam()));
+  }
+  for (int p = 0; p < kPairs; ++p) {
+    Parker& ping = *parkers[2 * p];
+    Parker& pong = *parkers[2 * p + 1];
+    threads.emplace_back([&ping, &pong] {
+      for (int i = 0; i < kRounds; ++i) {
+        ping.Park(Parker::Spin::kGated);
+        pong.Unpark();
+      }
+    });
+    threads.emplace_back([&ping, &pong] {
+      for (int i = 0; i < kRounds; ++i) {
+        ping.Unpark();
+        pong.Park(Parker::Spin::kGated);
+      }
+    });
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+}
+
+// The spin ledger, exactly: a permit deposited before the Park counts
+// park_permit_ready and nothing else.
+TEST_P(ParkerBackendTest, PermitOnEntryCountsReadyOnly) {
+  Parker p(GetParam());
+  constexpr int kRounds = 100;
+  const Stats before = Snapshot();
+  for (int i = 0; i < kRounds; ++i) {
+    p.Unpark();
+    p.Park(Parker::Spin::kGated);
+  }
+  const Stats after = Snapshot();
+  EXPECT_EQ(Delta(before, after, Counter::kParkPermitReady), kRounds);
+  EXPECT_EQ(Delta(before, after, Counter::kParkSpinHits), 0u);
+  EXPECT_EQ(Delta(before, after, Counter::kParkSpinMisses), 0u);
+  EXPECT_EQ(Delta(before, after, Counter::kParkSpinSkipped), 0u);
+}
+
+// A Park whose permit arrives only after the Park has been counted (the
+// unparker waits for the ledger to move) found no permit on entry and saw
+// none during any spin: it is exactly one miss or one skip.
+TEST_P(ParkerBackendTest, LatePermitCountsOneMissOrSkipPerPark) {
+  Parker p(GetParam());
+  constexpr std::uint64_t kRounds = 40;
+  const Stats before = Snapshot();
+  const auto slept = [&] {
+    const Stats now = Snapshot();
+    return Delta(before, now, Counter::kParkSpinMisses) +
+           Delta(before, now, Counter::kParkSpinSkipped);
+  };
+  std::atomic<bool> done{false};
+  std::thread waiter([&] {
+    for (std::uint64_t i = 0; i < kRounds; ++i) {
+      p.Park(Parker::Spin::kGated);
+    }
+    done.store(true, std::memory_order_release);
+  });
+  bool stalled = false;
+  for (std::uint64_t i = 0; i < kRounds && !stalled; ++i) {
+    // A Park the ledger never counts would wait here forever.
+    const std::uint64_t give_up = obs::NowNanos() + 5'000'000'000ull;
+    while (!stalled && slept() < i + 1) {
+      stalled = obs::NowNanos() > give_up;
+      std::this_thread::yield();
+    }
+    if (!stalled) {
+      p.Unpark();
+    }
+  }
+  while (!done.load(std::memory_order_acquire)) {  // after a stall
+    p.Unpark();
+    std::this_thread::yield();
+  }
+  waiter.join();
+  ASSERT_FALSE(stalled) << "a Park with no permit was never counted";
+  const Stats after = Snapshot();
+  EXPECT_EQ(slept(), kRounds);
+  EXPECT_EQ(Delta(before, after, Counter::kParkPermitReady), 0u);
+  EXPECT_EQ(Delta(before, after, Counter::kParkSpinHits), 0u);
+}
+
+// Under free-running handoffs: hits + misses + skipped equals the gated
+// Parks that found no permit on entry (all of them but the ready ones).
+// A lost wakeup with the spin phase in front would hang the ping-pong
+// instead (the test watchdog then dumps the waiters).
+TEST_P(ParkerBackendTest, LedgerCountsEveryGatedParkOnce) {
+  Parker ping(GetParam());
+  Parker pong(GetParam());
+  constexpr std::uint64_t kRounds = 5000;
+  const Stats before = Snapshot();
+  std::thread t([&] {
+    for (std::uint64_t i = 0; i < kRounds; ++i) {
+      ping.Park(Parker::Spin::kGated);
+      pong.Unpark();
+    }
+  });
+  for (std::uint64_t i = 0; i < kRounds; ++i) {
+    ping.Unpark();
+    pong.Park(Parker::Spin::kGated);
+  }
+  t.join();
+  const Stats after = Snapshot();
+  const std::uint64_t ready = Delta(before, after, Counter::kParkPermitReady);
+  EXPECT_EQ(Delta(before, after, Counter::kParkSpinHits) +
+                Delta(before, after, Counter::kParkSpinMisses) +
+                Delta(before, after, Counter::kParkSpinSkipped),
+            2 * kRounds - ready);
+}
+
+// Deadline waits never spin: Park() and ParkUntil() leave the ledger alone.
+TEST_P(ParkerBackendTest, UngatedParksMoveNoSpinCounter) {
+  Parker p(GetParam());
+  const Stats before = Snapshot();
+  p.Unpark();
+  p.Park();
+  EXPECT_FALSE(p.ParkUntil(obs::NowNanos() + 1'000'000));
+  std::thread t([&] { p.Park(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  p.Unpark();
+  t.join();
+  const Stats after = Snapshot();
+  for (Counter c : {Counter::kParkPermitReady, Counter::kParkSpinHits,
+                    Counter::kParkSpinMisses, Counter::kParkSpinSkipped}) {
+    EXPECT_EQ(Delta(before, after, c), 0u) << obs::CounterName(c);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Backends, ParkerBackendTest,
     ::testing::Values(Parker::Backend::kFutex, Parker::Backend::kCondvar),
     [](const ::testing::TestParamInfo<Parker::Backend>& backend) {
       return backend.param == Parker::Backend::kFutex ? "Futex" : "Condvar";
     });
+
+// --- SpinGate: the credit and probe schedule, on a private gate ---
+
+// Closes the cell of `cpu`, which starts at full credit, by misses alone.
+void CloseByMisses(SpinGate& gate, unsigned cpu) {
+  while (gate.IsOpen(cpu)) {
+    ASSERT_TRUE(gate.Admit(cpu));
+    gate.Record(cpu, /*hit=*/false);
+  }
+}
+
+// The number of Admit calls up to and including the next probe.
+std::uint32_t CallsToNextProbe(SpinGate& gate, unsigned cpu) {
+  for (std::uint32_t calls = 1; calls <= 2 * SpinGate::kMaxProbeGap;
+       ++calls) {
+    if (gate.Admit(cpu)) {
+      return calls;
+    }
+  }
+  return 0;
+}
+
+TEST(SpinGateTest, OpenCellAdmitsAndHitsKeepItOpen) {
+  SpinGate gate(4);
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(gate.Admit(0));
+    gate.Record(0, /*hit=*/true);
+  }
+  EXPECT_TRUE(gate.IsOpen(0));
+}
+
+TEST(SpinGateTest, MissesCloseItFasterThanHitsEarn) {
+  SpinGate gate(1);
+  // Full credit closes after kMaxCredit / kMissCost misses.
+  constexpr int kMisses = SpinGate::kMaxCredit / SpinGate::kMissCost;
+  for (int i = 0; i < kMisses; ++i) {
+    EXPECT_TRUE(gate.IsOpen(0)) << "closed after " << i << " misses";
+    ASSERT_TRUE(gate.Admit(0));
+    gate.Record(0, /*hit=*/false);
+  }
+  EXPECT_FALSE(gate.IsOpen(0));
+  // A miss costs more than a hit earns: alternating hit/miss drains it.
+  SpinGate mixed(1);
+  for (int i = 0; i < 2 * SpinGate::kMaxCredit && mixed.IsOpen(0); ++i) {
+    mixed.Record(0, i % 2 == 0);
+  }
+  EXPECT_FALSE(mixed.IsOpen(0));
+}
+
+TEST(SpinGateTest, ClosedCellProbesWithExponentialBackoff) {
+  SpinGate gate(1);
+  CloseByMisses(gate, 0);
+  std::uint32_t gap = SpinGate::kFirstProbeGap;
+  for (int probe = 0; probe < 14; ++probe) {
+    EXPECT_EQ(CallsToNextProbe(gate, 0), gap) << "probe " << probe;
+    gate.Record(0, /*hit=*/false);
+    EXPECT_FALSE(gate.IsOpen(0));
+    gap = std::min(gap * 2, SpinGate::kMaxProbeGap);
+  }
+  EXPECT_EQ(gap, SpinGate::kMaxProbeGap);  // the cap was reached and held
+}
+
+TEST(SpinGateTest, ProbeHitReopensAndRestartsTheBackoff) {
+  SpinGate gate(1);
+  CloseByMisses(gate, 0);
+  for (int i = 0; i < 3; ++i) {  // back off to a gap of 8 << 3
+    ASSERT_GT(CallsToNextProbe(gate, 0), 0u);
+    gate.Record(0, /*hit=*/false);
+  }
+  ASSERT_EQ(CallsToNextProbe(gate, 0), SpinGate::kFirstProbeGap << 3);
+  gate.Record(0, /*hit=*/true);
+  EXPECT_TRUE(gate.IsOpen(0));
+  EXPECT_TRUE(gate.Admit(0));
+  // One miss closes the barely reopened cell; probing restarts at the
+  // first gap, not where it left off.
+  gate.Record(0, /*hit=*/false);
+  EXPECT_FALSE(gate.IsOpen(0));
+  EXPECT_EQ(CallsToNextProbe(gate, 0), SpinGate::kFirstProbeGap);
+}
+
+TEST(SpinGateTest, CpuCellsAreIndependent) {
+  SpinGate gate(4);
+  CloseByMisses(gate, 1);
+  EXPECT_FALSE(gate.IsOpen(1));
+  EXPECT_FALSE(gate.IsOpen(5));  // indices wrap modulo the cell count
+  for (unsigned cpu : {0u, 2u, 3u}) {
+    EXPECT_TRUE(gate.IsOpen(cpu)) << cpu;
+    EXPECT_TRUE(gate.Admit(cpu)) << cpu;
+  }
+}
+
+// --- The timer thread's deadline waits never spin ---
+
+// Condition::WaitFor timeouts: the waiter's ParkBlocked calls are event
+// waits (each counts once in the ledger), the timer thread's Park/ParkUntil
+// are deadline waits (counting none). So the ledger moves by exactly the
+// number of ParkBlocked calls, one kBlockedNanos sample each, even though
+// the timer thread parked too (more kParkWaitNanos samples than that).
+TEST(ParkerTimerTest, TimerThreadWaitsMoveNoSpinCounter) {
+  taos::Mutex m;
+  taos::Condition c;
+  constexpr int kWaits = 5;
+  const Stats before = Snapshot();
+  for (int i = 0; i < kWaits; ++i) {
+    taos::Lock l(m);
+    EXPECT_EQ(c.WaitFor(m, std::chrono::milliseconds(2)),
+              WaitResult::kTimeout);
+  }
+  const Stats after = Snapshot();
+  const auto samples = [&](obs::Histogram h) {
+    return after.HistogramTotal(h) - before.HistogramTotal(h);
+  };
+  const std::uint64_t blocked = samples(obs::Histogram::kBlockedNanos);
+  EXPECT_GE(blocked, static_cast<std::uint64_t>(kWaits));
+  EXPECT_EQ(Delta(before, after, Counter::kParkPermitReady) +
+                Delta(before, after, Counter::kParkSpinHits) +
+                Delta(before, after, Counter::kParkSpinMisses) +
+                Delta(before, after, Counter::kParkSpinSkipped),
+            blocked);
+  EXPECT_GT(samples(obs::Histogram::kParkWaitNanos), blocked)
+      << "the timer thread never parked";
+}
+
+// A Mutex waiter is a lock wait: it parks at once, so a contended
+// Acquire moves no spin counter even though it blocked.
+TEST(ParkerLockWaitTest, ContendedMutexAcquireDoesNotSpin) {
+  taos::Mutex m;
+  const Stats before = Snapshot();
+  m.Acquire();
+  std::thread waiter([&] {
+    m.Acquire();
+    m.Release();
+  });
+  while (Delta(before, Snapshot(), Counter::kNubAcquire) == 0) {
+    std::this_thread::yield();
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(1));  // let it park
+  m.Release();
+  waiter.join();
+  const Stats after = Snapshot();
+  EXPECT_GE(Delta(before, after, Counter::kNubAcquire), 1u);
+  for (Counter c : {Counter::kParkPermitReady, Counter::kParkSpinHits,
+                    Counter::kParkSpinMisses, Counter::kParkSpinSkipped}) {
+    EXPECT_EQ(Delta(before, after, c), 0u) << obs::CounterName(c);
+  }
+}
 
 }  // namespace
 }  // namespace taos::waitq

@@ -399,7 +399,8 @@ bool FormatBenchReport(const std::string& text, std::string* out,
     *out += "counters:";
     for (const char* key :
          {"handoffs", "spurious_wakeups", "wakeup_waiting_hits",
-          "park_futex_waits", "park_condvar_waits"}) {
+          "park_futex_waits", "park_condvar_waits", "park_permit_ready",
+          "park_spin_hits", "park_spin_misses", "park_spin_skipped"}) {
       if (const Value* v = counters->Find(key); v != nullptr && v->IsNumber()) {
         AppendF(out, " %s=%.0f", key, v->number);
       }
