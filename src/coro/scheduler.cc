@@ -28,10 +28,6 @@ std::string CoroRunResult::ToString() const {
   return os.str();
 }
 
-Scheduler::Scheduler(std::size_t stack_bytes) : stack_bytes_(stack_bytes) {
-  TAOS_CHECK(stack_bytes_ >= 16 * 1024);
-}
-
 Scheduler::~Scheduler() {
   // Started coroutines are always fully unwound inside Run() (a deadlocked
   // Run kills its stragglers before returning, while the caller's
@@ -41,7 +37,7 @@ Scheduler::~Scheduler() {
   while (run_queue_.PopFront() != nullptr) {
   }
   for (auto& c : coros_) {
-    TAOS_CHECK(c->state == Coro::State::kDone || !c->started);
+    TAOS_CHECK(c->state == Coro::State::kDone || !c->context->started());
     if (c->queue_node.InQueue()) {
       // Drained above or still parked on a caller queue that died first;
       // either way sever it.
@@ -60,7 +56,7 @@ CoroHandle Scheduler::Fork(std::function<void()> body, std::string name) {
   c->id = next_id_++;
   c->name = name.empty() ? ("coro" + std::to_string(c->id)) : std::move(name);
   c->body = std::move(body);
-  c->stack = std::make_unique<char[]>(stack_bytes_);
+  c->context = std::make_unique<Context>([this, c] { CoroMain(c); });
   c->state = Coro::State::kReady;
   run_queue_.PushBack(c);
   coros_.push_back(std::move(coro));
@@ -79,21 +75,13 @@ Scheduler* Scheduler::CurrentScheduler() {
   return tls_scheduler;
 }
 
-void Scheduler::Trampoline() {
-  Scheduler* sched = tls_scheduler;
-  Coro* self = tls_current;
+void Scheduler::CoroMain(Coro* self) {
   try {
     self->body();
   } catch (const CoroKilled&) {
   } catch (const Alerted&) {
     self->ended_by_alert = true;
   }
-  sched->FinishCurrent();
-  // Returning ends the context; uc_link resumes the scheduler.
-}
-
-void Scheduler::FinishCurrent() {
-  Coro* self = tls_current;
   self->state = Coro::State::kDone;
   while (Coro* j = self->joiners.PopFront()) {
     j->block_kind = Coro::BlockKind::kNone;
@@ -116,7 +104,7 @@ void Scheduler::MakeReady(Coro* c) {
 
 void Scheduler::SwitchToScheduler() {
   Coro* self = tls_current;
-  swapcontext(&self->ctx, &main_ctx_);
+  Context::Suspend();
   // Resumed (possibly much later, possibly to be killed).
   if (self->killed) {
     self->killed = false;  // deliver exactly once; unwind code may block
@@ -158,20 +146,10 @@ void Scheduler::Join(CoroHandle h) {
 
 void Scheduler::StartOrResume(Coro* c) {
   tls_current = c;
-  current_ = c;
   c->state = Coro::State::kRunning;
   ++switches_;
-  if (!c->started) {
-    c->started = true;
-    getcontext(&c->ctx);
-    c->ctx.uc_stack.ss_sp = c->stack.get();
-    c->ctx.uc_stack.ss_size = stack_bytes_;
-    c->ctx.uc_link = &main_ctx_;
-    makecontext(&c->ctx, &Scheduler::Trampoline, 0);
-  }
-  swapcontext(&main_ctx_, &c->ctx);
+  c->context->Resume();
   tls_current = nullptr;
-  current_ = nullptr;
 }
 
 CoroRunResult Scheduler::Run() {
@@ -179,7 +157,6 @@ CoroRunResult Scheduler::Run() {
   TAOS_CHECK(!shutting_down_);
   Scheduler* prev = tls_scheduler;
   tls_scheduler = this;
-  running_ = true;
 
   while (Coro* c = run_queue_.PopFront()) {
     StartOrResume(c);
@@ -209,7 +186,6 @@ CoroRunResult Scheduler::Run() {
     }
   }
 
-  running_ = false;
   tls_scheduler = prev;
   return result;
 }

@@ -4,9 +4,10 @@
 //    any single process on a normal Unix system. It is implemented using a
 //    co-routine mechanism for blocking one thread and resuming another."
 //
-// This module is that implementation: threads are coroutines (ucontext
-// contexts with private stacks) multiplexed onto the one OS thread that
-// calls Run(). There is no preemption and no parallelism; control moves
+// This module is that implementation: threads are coroutines (each a
+// taos::Context, src/base/context.h, the switch the simulated Firefly also
+// runs its fibers on) multiplexed onto the one OS thread that calls Run().
+// There is no preemption and no parallelism; control moves
 // only at blocking operations and explicit Yields, so the synchronization
 // primitives (src/coro/sync.h) need none of the Firefly machinery — no
 // lock bit, no spin-lock, no eventcount. Mutex release hands off directly;
@@ -18,14 +19,13 @@
 #ifndef TAOS_SRC_CORO_SCHEDULER_H_
 #define TAOS_SRC_CORO_SCHEDULER_H_
 
-#include <ucontext.h>
-
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "src/base/context.h"
 #include "src/base/intrusive_queue.h"
 #include "src/spec/state.h"
 #include "src/spec/trace.h"
@@ -47,7 +47,6 @@ struct Coro {
 
   enum class State : std::uint8_t { kReady, kRunning, kBlocked, kDone };
   State state = State::kReady;
-  bool started = false;
 
   bool alerted = false;      // membership in the spec's `alerts` set
   bool alertable = false;    // blocked in AlertWait / AlertP
@@ -62,8 +61,7 @@ struct Coro {
   IntrusiveQueue<Coro> joiners;  // coroutines waiting for this one to end
 
   std::function<void()> body;
-  ucontext_t ctx{};
-  std::unique_ptr<char[]> stack;
+  std::unique_ptr<Context> context;  // runs body on the coroutine's stack
 
   Coro() = default;
   Coro(const Coro&) = delete;
@@ -86,7 +84,7 @@ struct CoroRunResult {
 
 class Scheduler {
  public:
-  explicit Scheduler(std::size_t stack_bytes = 128 * 1024);
+  Scheduler() = default;
   ~Scheduler();
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
@@ -152,22 +150,17 @@ class Scheduler {
   void MakeReady(Coro* c);
 
  private:
-  static void Trampoline();
+  void CoroMain(Coro* self);  // the body of every coroutine's Context
   void SwitchToScheduler();
   void StartOrResume(Coro* c);
-  void FinishCurrent();  // marks done, wakes joiners; runs on the coro stack
 
-  std::size_t stack_bytes_;
   std::vector<std::unique_ptr<Coro>> coros_;
   IntrusiveQueue<Coro> run_queue_;
-  Coro* current_ = nullptr;
-  ucontext_t main_ctx_{};
   spec::ThreadId next_id_ = 1;
   spec::ObjId next_obj_id_ = 1;
   spec::TraceSink* trace_ = nullptr;
   std::uint64_t switches_ = 0;
   bool shutting_down_ = false;
-  bool running_ = false;
   bool aborted_ = false;
 };
 

@@ -1,20 +1,22 @@
 // A Fiber is a simulated Taos thread running on the simulated Firefly
 // multiprocessor (see machine.h).
 //
-// Each fiber is backed by a host OS thread, but at most one fiber (or the
-// machine driver) ever runs at a time: fibers hand control back to the
-// driver at every atomic step boundary (Machine::Step), so a whole execution
-// is a deterministic function of the driver's scheduling choices.
+// Each fiber is a coroutine (a taos::Context, src/base/context.h) on the
+// thread that calls Machine::Run: the driver resumes one fiber for one
+// atomic step, and the fiber suspends back to the driver at the next step
+// boundary (Machine::Step). Exactly one of them runs at any moment, so a
+// whole execution is a deterministic function of the driver's scheduling
+// choices.
 
 #ifndef TAOS_SRC_FIREFLY_FIBER_H_
 #define TAOS_SRC_FIREFLY_FIBER_H_
 
 #include <cstdint>
 #include <functional>
-#include <semaphore>
+#include <memory>
 #include <string>
-#include <thread>
 
+#include "src/base/context.h"
 #include "src/base/intrusive_queue.h"
 #include "src/spec/state.h"
 
@@ -22,9 +24,9 @@ namespace taos::firefly {
 
 class Machine;
 
-// Thrown into parked fibers when the Machine is torn down with fibers still
-// blocked (e.g. after a detected deadlock), unwinding their stacks so the
-// backing OS threads can exit.
+// Thrown from a parked fiber's suspend point when the Machine is torn down
+// with fibers still blocked (e.g. after a detected deadlock), unwinding its
+// stack so its destructors run before the stack is reused.
 struct FiberKilled {};
 
 struct Fiber {
@@ -82,8 +84,7 @@ struct Fiber {
   bool ended_by_alert = false;
 
   std::function<void()> body;
-  std::thread os;
-  std::binary_semaphore go{0};  // driver -> fiber handoff
+  std::unique_ptr<Context> context;  // runs body on the fiber's stack
 
   Fiber() = default;
   Fiber(const Fiber&) = delete;

@@ -1,11 +1,7 @@
 #include "src/firefly/machine.h"
 
 #include <sstream>
-
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
+#include <utility>
 
 #include "src/base/alerted.h"
 #include "src/base/check.h"
@@ -14,54 +10,8 @@
 namespace taos::firefly {
 
 namespace {
+// The fiber the driver is running on this thread; null in driver code.
 thread_local Fiber* tls_fiber = nullptr;
-
-// The driver and the fibers hand control to each other through semaphores,
-// and exactly one of them runs at any moment. Keeping all of a machine's
-// threads on one host CPU makes each handoff a local context switch rather
-// than a cross-CPU wakeup: schedule enumeration ran 2.6x faster that way on
-// a 4-vCPU VM. Best effort, Linux only; a failed call costs only speed.
-#if defined(__linux__)
-int CurrentCpu() { return sched_getcpu(); }
-
-void PinThread(pthread_t t, int cpu) {
-  if (cpu >= 0) {
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    CPU_SET(cpu, &set);
-    pthread_setaffinity_np(t, sizeof(set), &set);
-  }
-}
-
-// Pins the calling thread (the driver) for one Run, then restores its mask.
-class ScopedDriverPin {
- public:
-  explicit ScopedDriverPin(int cpu)
-      : ok_(cpu >= 0 && pthread_getaffinity_np(pthread_self(), sizeof(saved_),
-                                               &saved_) == 0) {
-    if (ok_) {
-      PinThread(pthread_self(), cpu);
-    }
-  }
-  ~ScopedDriverPin() {
-    if (ok_) {
-      pthread_setaffinity_np(pthread_self(), sizeof(saved_), &saved_);
-    }
-  }
-  ScopedDriverPin(const ScopedDriverPin&) = delete;
-  ScopedDriverPin& operator=(const ScopedDriverPin&) = delete;
-
- private:
-  cpu_set_t saved_;
-  bool ok_;
-};
-#else
-int CurrentCpu() { return -1; }
-void PinThread(std::thread::native_handle_type, int) {}
-struct ScopedDriverPin {
-  explicit ScopedDriverPin(int) {}
-};
-#endif
 }  // namespace
 
 std::string RunResult::ToString() const {
@@ -83,8 +33,7 @@ std::string RunResult::ToString() const {
   return os.str();
 }
 
-Machine::Machine(MachineConfig config)
-    : config_(config), host_cpu_(CurrentCpu()) {
+Machine::Machine(MachineConfig config) : config_(config) {
   TAOS_CHECK(config_.cpus >= 1);
   if (config_.chooser != nullptr) {
     chooser_ = config_.chooser;
@@ -96,20 +45,9 @@ Machine::Machine(MachineConfig config)
 }
 
 Machine::~Machine() {
-  shutting_down_ = true;
-  // Unwind still-parked fibers one at a time (so their teardown is
-  // serialized), then reap everything.
-  for (auto& f : fibers_) {
-    if (f->os.joinable() && f->run_state != Fiber::Run::kDone) {
-      f->go.release();
-      f->os.join();
-    }
-  }
-  for (auto& f : fibers_) {
-    if (f->os.joinable()) {
-      f->os.join();
-    }
-  }
+  // Unwind fibers Run() left unfinished (it was never called, or they are
+  // still parked), so no stack is dropped with live frames on it.
+  KillStragglers();
   // Drain the ready pools so queue destructors see empty lists.
   for (auto& q : ready_pool_) {
     while (q.PopFront() != nullptr) {
@@ -128,22 +66,19 @@ FiberHandle Machine::Fork(std::function<void()> body, int priority,
   f->base_priority = priority;
   f->name = name.empty() ? ("fiber" + std::to_string(f->id)) : std::move(name);
   f->body = std::move(body);
+  f->context = std::make_unique<Context>([this, f] { FiberMain(f); });
   f->run_state = Fiber::Run::kReadyPool;
   ready_pool_[priority].PushBack(f);
-  f->os = std::thread([this, f] { FiberMain(f); });
-  PinThread(f->os.native_handle(), host_cpu_);
   fibers_.push_back(std::move(fiber));
   return FiberHandle{f};
 }
 
 void Machine::FiberMain(Fiber* f) {
-  tls_fiber = f;
-  bool clean = true;
   try {
-    WaitForGo(f);
-    f->body();
+    if (!shutting_down_) {  // a fiber killed before its first step never runs
+      f->body();
+    }
   } catch (const FiberKilled&) {
-    clean = false;
   } catch (const Alerted&) {
     f->ended_by_alert = true;
   }
@@ -152,9 +87,6 @@ void Machine::FiberMain(Fiber* f) {
     cpu_fiber_[static_cast<std::size_t>(f->cpu)] = nullptr;
     f->cpu = -1;
   }
-  if (clean) {
-    driver_sem_.release();
-  }
 }
 
 Fiber* Machine::Self() {
@@ -162,16 +94,17 @@ Fiber* Machine::Self() {
   return tls_fiber;
 }
 
-void Machine::WaitForGo(Fiber* f) {
-  f->go.acquire();
+void Machine::YieldToDriver() {
+  Context::Suspend();
   if (shutting_down_) {
     throw FiberKilled{};
   }
 }
 
-void Machine::YieldToDriver(Fiber* f) {
-  driver_sem_.release();
-  WaitForGo(f);
+void Machine::Switch(Fiber* f) {
+  Fiber* outer = std::exchange(tls_fiber, f);
+  f->context->Resume();
+  tls_fiber = outer;
 }
 
 void Machine::Step() {
@@ -182,7 +115,7 @@ void Machine::Step() {
   ++steps_;
   ++f->slice_steps;
   MaybePreempt(f);
-  YieldToDriver(f);
+  YieldToDriver();
 }
 
 void Machine::MaybePreempt(Fiber* f) {
@@ -230,7 +163,7 @@ void Machine::SpinAcquire() {
     // the skipped retries have no visible effect.
     ++spin_contentions_;
     f->run_state = Fiber::Run::kSpinning;
-    YieldToDriver(f);
+    YieldToDriver();
     // Back on the processor with the lock (momentarily) free: retry.
   }
 }
@@ -262,7 +195,7 @@ void Machine::DescheduleSelf() {
   f->cpu = -1;
   spin_bit_ = false;
   spin_holder_ = nullptr;
-  YieldToDriver(f);
+  YieldToDriver();
 }
 
 void Machine::MakeReady(Fiber* f) {
@@ -380,7 +313,6 @@ void Machine::CollectRunnable(std::vector<Fiber*>* out) const {
 RunResult Machine::Run() {
   TAOS_CHECK(!ran_);
   ran_ = true;
-  ScopedDriverPin pin(host_cpu_);
   RunResult result;
   std::vector<Fiber*> runnable;
   for (;;) {
@@ -410,8 +342,7 @@ RunResult Machine::Run() {
     if (f->run_state == Fiber::Run::kSpinning) {
       f->run_state = Fiber::Run::kOnCpu;
     }
-    f->go.release();
-    driver_sem_.acquire();
+    Switch(f);
   }
   result.steps = steps_;
   aborted_ = result.deadlock || result.hit_step_limit;
@@ -427,9 +358,8 @@ RunResult Machine::Run() {
 void Machine::KillStragglers() {
   shutting_down_ = true;
   for (auto& f : fibers_) {
-    if (f->os.joinable() && f->run_state != Fiber::Run::kDone) {
-      f->go.release();  // FiberKilled is thrown from its next WaitForGo
-      f->os.join();
+    if (f->run_state != Fiber::Run::kDone) {
+      Switch(f.get());  // FiberKilled is thrown from its suspend point
     }
   }
 }

@@ -12,11 +12,14 @@
 //  - The machine has K simulated processors. Each fiber occupies a processor
 //    while runnable; the Nub's ready pool holds fibers awaiting one.
 //  - Execution proceeds in atomic steps. Before every shared-memory
-//    micro-operation a fiber calls Machine::Step(), which hands control to
-//    the driver; the driver picks which processor's fiber performs the next
-//    step. All interleavings of the real machine at instruction granularity
-//    are reachable by some choice sequence, and a fixed choice sequence
-//    replays deterministically.
+//    micro-operation a fiber calls Machine::Step(), which suspends it back
+//    to the driver; the driver picks which processor's fiber performs the
+//    next step and resumes it. All interleavings of the real machine at
+//    instruction granularity are reachable by some choice sequence, and a
+//    fixed choice sequence replays deterministically.
+//  - Fibers are coroutines on the thread that calls Run() (fiber.h): the
+//    whole machine, every simulated processor included, is one OS thread,
+//    and a step costs one stack switch each way.
 //  - The Nub spin-lock is modelled exactly: acquisition is a test-and-set
 //    step; a fiber that fails busy-waits. (Busy-wait steps have no visible
 //    effect, so the driver simply does not select a spinning fiber until
@@ -35,7 +38,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <semaphore>
 #include <string>
 #include <vector>
 
@@ -173,9 +175,9 @@ class Machine {
  private:
   static constexpr int kMaxPriority = 8;
 
-  void FiberMain(Fiber* f);
-  void YieldToDriver(Fiber* f);
-  void WaitForGo(Fiber* f);
+  void FiberMain(Fiber* f);  // the body of every fiber's Context
+  void YieldToDriver();
+  void Switch(Fiber* f);  // driver side: runs f until it yields
   void KillStragglers();
   void Dispatch();  // assign ready fibers to idle processors
   void CollectRunnable(std::vector<Fiber*>* out) const;
@@ -203,9 +205,7 @@ class Machine {
   bool spin_bit_ = false;
   Fiber* spin_holder_ = nullptr;
 
-  std::binary_semaphore driver_sem_{0};
   bool shutting_down_ = false;
-  const int host_cpu_;  // the host CPU every thread of this machine runs on
   bool ran_ = false;
   bool aborted_ = false;
 

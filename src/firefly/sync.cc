@@ -18,7 +18,7 @@ void Emit(Machine& m, const spec::Action& a) {
 
 // Flight-recorder events from the simulator carry the *fiber* id as their
 // tid, so a rendered trace shows one row per simulated Taos thread rather
-// than one per backing OS thread.
+// than one row for the driver thread that runs them all.
 std::uint32_t Tid(const Fiber* f) { return static_cast<std::uint32_t>(f->id); }
 
 }  // namespace
@@ -274,31 +274,44 @@ WaitResult Condition::WaitFor(Mutex& m, std::uint64_t timeout_steps) {
   return WaitResult::kSatisfied;
 }
 
-void Condition::Signal() {
+void Condition::Signal() { Wake(/*all=*/false); }
+
+void Condition::Broadcast() { Wake(/*all=*/true); }
+
+void Condition::Wake(bool all) {
   Machine& mach = machine_;
   Fiber* self = Machine::Self();
-  obs::ScopedEvent ev(obs::Op::kSignal, id_, Tid(self));
+  obs::ScopedEvent ev(all ? obs::Op::kBroadcast : obs::Op::kSignal, id_,
+                      Tid(self));
+  auto emit = [&](spec::ThreadSet removed) {
+    Emit(mach, all ? spec::MakeBroadcast(self->id, id_, removed)
+                   : spec::MakeSignal(self->id, id_, removed));
+  };
   mach.Step();  // user-code test: any threads to unblock?
   if (c_size_ == 0) {
     ++fast_signals_;
-    obs::Inc(obs::Counter::kFastSignal);
-    Emit(mach, spec::MakeSignal(self->id, id_, {}));
+    obs::Inc(all ? obs::Counter::kFastBroadcast : obs::Counter::kFastSignal);
+    emit({});
     return;
   }
-  obs::Inc(obs::Counter::kNubSignal);
+  obs::Inc(all ? obs::Counter::kNubBroadcast : obs::Counter::kNubSignal);
   mach.SpinAcquire();
   mach.Step();
   ++ec_;
   spec::ThreadSet removed;
   int unblocked = 0;
-  Fiber* t = queue_.PopFront();
-  if (t != nullptr) {
+  // Signal readies the first queued fiber, Broadcast every one.
+  do {
+    Fiber* t = queue_.PopFront();
+    if (t == nullptr) {
+      break;
+    }
     removed = removed.Insert(t->id);
     DecSize();
     ++unblocked;
     obs::Inc(obs::Counter::kHandoffs);
     mach.MakeReady(t);
-  }
+  } while (all);
   for (Fiber* w : window_) {
     removed = removed.Insert(w->id);
     DecSize();
@@ -319,55 +332,10 @@ void Condition::Signal() {
     DecSize();
   }
   pending_timeout_.clear();
-  if (unblocked > 1) {
+  if (!all && unblocked > 1) {
     ++multi_unblock_signals_;
   }
-  Emit(mach, spec::MakeSignal(self->id, id_, removed));
-  mach.SpinRelease();
-}
-
-void Condition::Broadcast() {
-  Machine& mach = machine_;
-  Fiber* self = Machine::Self();
-  obs::ScopedEvent ev(obs::Op::kBroadcast, id_, Tid(self));
-  mach.Step();
-  if (c_size_ == 0) {
-    ++fast_signals_;
-    obs::Inc(obs::Counter::kFastBroadcast);
-    Emit(mach, spec::MakeBroadcast(self->id, id_, {}));
-    return;
-  }
-  obs::Inc(obs::Counter::kNubBroadcast);
-  mach.SpinAcquire();
-  mach.Step();
-  ++ec_;
-  spec::ThreadSet removed;
-  while (Fiber* t = queue_.PopFront()) {
-    removed = removed.Insert(t->id);
-    DecSize();
-    obs::Inc(obs::Counter::kHandoffs);
-    mach.MakeReady(t);
-  }
-  for (Fiber* w : window_) {
-    removed = removed.Insert(w->id);
-    DecSize();
-  }
-  window_.clear();
-  for (Fiber* p : pending_raise_) {
-    removed = removed.Insert(p->id);
-    DecSize();
-  }
-  pending_raise_.clear();
-  // Timer-dequeued fibers are still spec-members of c; leaving them out
-  // would let a Signal that pops nobody emit removed = {} against a
-  // nonempty c, violating its own ENSURES. Their later TimeoutResume
-  // delete() is idempotent, so the double removal is harmless.
-  for (Fiber* p : pending_timeout_) {
-    removed = removed.Insert(p->id);
-    DecSize();
-  }
-  pending_timeout_.clear();
-  Emit(mach, spec::MakeBroadcast(self->id, id_, removed));
+  emit(removed);
   mach.SpinRelease();
 }
 
@@ -387,42 +355,60 @@ Semaphore::~Semaphore() {
   TAOS_CHECK(queue_.Empty());
 }
 
-void Semaphore::P() {
+void Semaphore::P() { PInternal(/*alertable=*/false); }
+
+void Semaphore::PInternal(bool alertable) {
   Machine& m = machine_;
   Fiber* self = Machine::Self();
-  obs::ScopedEvent ev(obs::Op::kP, id_, Tid(self));
+  obs::ScopedEvent ev(alertable ? obs::Op::kAlertP : obs::Op::kP, id_,
+                      Tid(self));
   bool first_attempt = true;
   for (;;) {
     if (m.ShuttingDown()) {
       return;
     }
-    m.Step();  // test-and-set
+    m.Step();  // test-and-set: AlertP may win even with an alert pending —
+               // the RETURNS/RAISES nondeterminism the paper discusses
     if (!bit_) {
       bit_ = true;
       if (first_attempt) {
         obs::Inc(obs::Counter::kFastSemP);
       }
-      Emit(m, spec::MakeP(self->id, id_));
+      Emit(m, alertable ? spec::MakeAlertPReturns(self->id, id_)
+                        : spec::MakeP(self->id, id_));
       return;
     }
     if (first_attempt) {
-      obs::Inc(obs::Counter::kNubP);
+      obs::Inc(alertable ? obs::Counter::kNubAlertP : obs::Counter::kNubP);
     }
     first_attempt = false;
     m.SpinAcquire();
     m.Step();
-    queue_.PushBack(self);
-    m.Step();
-    if (bit_) {
+    if (!alertable || !self->alerted) {
+      queue_.PushBack(self);
+      m.Step();
+      if (!bit_) {
+        queue_.Remove(self);
+        m.SpinRelease();
+        continue;
+      }
       self->block_kind = Fiber::BlockKind::kSemaphore;
       self->blocked_obj = this;
-      self->alertable = false;
+      self->alertable = alertable;
       self->alert_woken = false;
       m.DescheduleSelf();
-    } else {
-      queue_.Remove(self);
-      m.SpinRelease();
+      if (!self->alert_woken) {
+        continue;  // V readied us: retry from the test-and-set
+      }
+      m.SpinAcquire();
+      m.Step();
     }
+    // AlertP RAISES: alerted before blocking, or dequeued by Alert.
+    self->alerted = false;
+    self->alert_woken = false;
+    Emit(m, spec::MakeAlertPRaises(self->id, id_));
+    m.SpinRelease();
+    throw Alerted();
   }
 }
 
@@ -753,104 +739,69 @@ WaitResult Poll::WaitInternal(bool all, bool alertable,
   }
 }
 
-std::size_t Poll::WaitAny() {
+WaitResult Poll::Wait(bool all, bool alertable, std::uint64_t timeout_steps,
+                      std::size_t* index) {
   Fiber* self = Machine::Self();
   obs::ScopedEvent ev(obs::Op::kPoll, n_ > 0 ? events_[0]->id_ : 0, Tid(self));
+  const WaitResult r = WaitInternal(all, alertable, timeout_steps, index);
+  if (timeout_steps != kNoDeadline) {
+    obs::Inc(r == WaitResult::kSatisfied ? obs::Counter::kTimedWaitSatisfied
+             : r == WaitResult::kTimeout ? obs::Counter::kTimedWaitTimeouts
+                                         : obs::Counter::kTimedWaitAlerted);
+  }
+  return r;
+}
+
+std::size_t Poll::WaitAny() {
   std::size_t index = 0;
-  WaitInternal(/*all=*/false, /*alertable=*/false, kNoDeadline, &index);
+  Wait(/*all=*/false, /*alertable=*/false, kNoDeadline, &index);
   return index;
 }
 
 Poll::AnyResult Poll::WaitAnyFor(std::uint64_t timeout_steps) {
-  Fiber* self = Machine::Self();
-  obs::ScopedEvent ev(obs::Op::kPoll, n_ > 0 ? events_[0]->id_ : 0, Tid(self));
   std::size_t index = 0;
-  WaitResult r = WaitInternal(/*all=*/false, /*alertable=*/false,
-                              timeout_steps, &index);
-  obs::Inc(r == WaitResult::kSatisfied ? obs::Counter::kTimedWaitSatisfied
-                                       : obs::Counter::kTimedWaitTimeouts);
+  const WaitResult r = Wait(/*all=*/false, /*alertable=*/false,
+                            timeout_steps, &index);
   return {index, r};
 }
 
 std::size_t Poll::AlertWaitAny() {
-  Fiber* self = Machine::Self();
-  obs::ScopedEvent ev(obs::Op::kPoll, n_ > 0 ? events_[0]->id_ : 0, Tid(self));
   std::size_t index = 0;
-  WaitResult r = WaitInternal(/*all=*/false, /*alertable=*/true,
-                              kNoDeadline, &index);
-  if (r == WaitResult::kAlerted) {
+  if (Wait(/*all=*/false, /*alertable=*/true, kNoDeadline, &index) ==
+      WaitResult::kAlerted) {
     throw Alerted();
   }
   return index;
 }
 
 Poll::AnyResult Poll::AlertWaitAnyFor(std::uint64_t timeout_steps) {
-  Fiber* self = Machine::Self();
-  obs::ScopedEvent ev(obs::Op::kPoll, n_ > 0 ? events_[0]->id_ : 0, Tid(self));
   std::size_t index = 0;
-  WaitResult r = WaitInternal(/*all=*/false, /*alertable=*/true,
-                              timeout_steps, &index);
-  switch (r) {
-    case WaitResult::kSatisfied:
-      obs::Inc(obs::Counter::kTimedWaitSatisfied);
-      break;
-    case WaitResult::kTimeout:
-      obs::Inc(obs::Counter::kTimedWaitTimeouts);
-      break;
-    case WaitResult::kAlerted:
-      obs::Inc(obs::Counter::kTimedWaitAlerted);
-      break;
-  }
+  const WaitResult r = Wait(/*all=*/false, /*alertable=*/true,
+                            timeout_steps, &index);
   return {index, r};
 }
 
 void Poll::WaitAll() {
-  Fiber* self = Machine::Self();
-  obs::ScopedEvent ev(obs::Op::kPoll, n_ > 0 ? events_[0]->id_ : 0, Tid(self));
   std::size_t index = 0;
-  WaitInternal(/*all=*/true, /*alertable=*/false, kNoDeadline, &index);
+  Wait(/*all=*/true, /*alertable=*/false, kNoDeadline, &index);
 }
 
 WaitResult Poll::WaitAllFor(std::uint64_t timeout_steps) {
-  Fiber* self = Machine::Self();
-  obs::ScopedEvent ev(obs::Op::kPoll, n_ > 0 ? events_[0]->id_ : 0, Tid(self));
   std::size_t index = 0;
-  WaitResult r = WaitInternal(/*all=*/true, /*alertable=*/false,
-                              timeout_steps, &index);
-  obs::Inc(r == WaitResult::kSatisfied ? obs::Counter::kTimedWaitSatisfied
-                                       : obs::Counter::kTimedWaitTimeouts);
-  return r;
+  return Wait(/*all=*/true, /*alertable=*/false, timeout_steps, &index);
 }
 
 void Poll::AlertWaitAll() {
-  Fiber* self = Machine::Self();
-  obs::ScopedEvent ev(obs::Op::kPoll, n_ > 0 ? events_[0]->id_ : 0, Tid(self));
   std::size_t index = 0;
-  WaitResult r = WaitInternal(/*all=*/true, /*alertable=*/true,
-                              kNoDeadline, &index);
-  if (r == WaitResult::kAlerted) {
+  if (Wait(/*all=*/true, /*alertable=*/true, kNoDeadline, &index) ==
+      WaitResult::kAlerted) {
     throw Alerted();
   }
 }
 
 WaitResult Poll::AlertWaitAllFor(std::uint64_t timeout_steps) {
-  Fiber* self = Machine::Self();
-  obs::ScopedEvent ev(obs::Op::kPoll, n_ > 0 ? events_[0]->id_ : 0, Tid(self));
   std::size_t index = 0;
-  WaitResult r = WaitInternal(/*all=*/true, /*alertable=*/true,
-                              timeout_steps, &index);
-  switch (r) {
-    case WaitResult::kSatisfied:
-      obs::Inc(obs::Counter::kTimedWaitSatisfied);
-      break;
-    case WaitResult::kTimeout:
-      obs::Inc(obs::Counter::kTimedWaitTimeouts);
-      break;
-    case WaitResult::kAlerted:
-      obs::Inc(obs::Counter::kTimedWaitAlerted);
-      break;
-  }
-  return r;
+  return Wait(/*all=*/true, /*alertable=*/true, timeout_steps, &index);
 }
 
 // ---------------------------------------------------------------------------
@@ -911,65 +862,9 @@ bool TestAlert() {
 }
 
 void AlertWait(Mutex& mu, Condition& c) {
-  Machine& m = c.machine_;
-  Fiber* self = Machine::Self();
-  obs::ScopedEvent ev(obs::Op::kAlertWait, c.id_, Tid(self));
-  obs::Inc(obs::Counter::kNubAlertWait);
-  TAOS_CHECK(mu.holder_ == self || m.ShuttingDown());  // REQUIRES m = SELF
-
-  // Enqueue (AlertWait flavour: UNCHANGED [alerts]).
-  std::uint64_t snapshot = 0;
-  mu.ReleaseInternal([&] {
-    snapshot = c.ec_;
-    c.window_.push_back(self);
-    ++c.c_size_;
-    Emit(m, spec::MakeAlertEnqueue(self->id, mu.id_, c.id_));
-  });
-
-  // AlertBlock.
-  m.SpinAcquire();
-  m.Step();
-  if (m.ShuttingDown()) {
-    return;
-  }
-  bool raise = false;
-  if (self->alerted) {
-    raise = true;
-    if (c.EraseWindow(self)) {
-      c.pending_raise_.push_back(self);  // still in c until AlertResume
-    }
-    m.SpinRelease();
-  } else if (c.use_eventcount_ && c.ec_ != snapshot) {
-    ++c.absorbed_;
-    obs::Inc(obs::Counter::kWakeupWaitingHits);
-    m.SpinRelease();
-  } else {
-    c.EraseWindow(self);
-    c.queue_.PushBack(self);
-    self->block_kind = Fiber::BlockKind::kCondition;
-    self->blocked_obj = &c;
-    self->alertable = true;
-    self->alert_woken = false;
-    m.DescheduleSelf();
-    // Raise if woken by Alert, or if an alert arrived around a signal wakeup
-    // (both WHEN clauses hold; this implementation prefers the alert).
-    raise = self->alert_woken || self->alerted;
-  }
-
-  if (raise) {
-    Condition* cp = &c;
-    mu.AcquireInternal(spec::MakeAlertResumeRaises(self->id, mu.id_, c.id_),
-                       [cp, self] {
-                         if (cp->ErasePendingRaise(self)) {
-                           cp->DecSize();
-                         }
-                         self->alerted = false;
-                         self->alert_woken = false;
-                       });
+  if (AlertWaitFor(mu, c, kNoDeadline) == WaitResult::kAlerted) {
     throw Alerted();
   }
-  mu.AcquireInternal(spec::MakeAlertResumeReturns(self->id, mu.id_, c.id_));
-  self->alert_woken = false;
 }
 
 WaitResult AlertWaitFor(Mutex& mu, Condition& c, std::uint64_t timeout_steps) {
@@ -979,12 +874,13 @@ WaitResult AlertWaitFor(Mutex& mu, Condition& c, std::uint64_t timeout_steps) {
   obs::Inc(obs::Counter::kNubAlertWait);
   TAOS_CHECK(mu.holder_ == self || m.ShuttingDown());  // REQUIRES m = SELF
 
+  const bool timed = timeout_steps != kNoDeadline;
   if (timeout_steps == 0) {
     m.Step();
     obs::Inc(obs::Counter::kTimedWaitTimeouts);
     return WaitResult::kTimeout;
   }
-  const std::uint64_t deadline = m.steps() + timeout_steps;
+  const std::uint64_t deadline = timed ? m.steps() + timeout_steps : 0;
 
   // Enqueue (AlertWait flavour: UNCHANGED [alerts]).
   std::uint64_t snapshot = 0;
@@ -995,7 +891,7 @@ WaitResult AlertWaitFor(Mutex& mu, Condition& c, std::uint64_t timeout_steps) {
     Emit(m, spec::MakeAlertEnqueue(self->id, mu.id_, c.id_));
   });
 
-  // AlertBlock, deadline-armed.
+  // AlertBlock, deadline-armed when timed.
   m.SpinAcquire();
   m.Step();
   if (m.ShuttingDown()) {
@@ -1020,12 +916,14 @@ WaitResult AlertWaitFor(Mutex& mu, Condition& c, std::uint64_t timeout_steps) {
     self->blocked_obj = &c;
     self->alertable = true;
     self->alert_woken = false;
-    self->timed = true;
-    self->deadline_step = deadline;
-    self->timeout_woken = false;
-    self->timeout_dequeue = &Condition::TimeoutDequeue;
+    if (timed) {
+      self->timed = true;
+      self->deadline_step = deadline;
+      self->timeout_woken = false;
+      self->timeout_dequeue = &Condition::TimeoutDequeue;
+    }
     m.DescheduleSelf();
-    expired = self->timeout_woken;
+    expired = self->timeout_woken;  // only a timed wait can expire
     self->timeout_woken = false;
     // The three exits are arbitrated by who dequeued us: the clock
     // interrupt (timed cleared only after it fired), an Alert
@@ -1049,7 +947,7 @@ WaitResult AlertWaitFor(Mutex& mu, Condition& c, std::uint64_t timeout_steps) {
     return WaitResult::kTimeout;
   }
   if (raise) {
-    // The alert ends the wait, but as a reported value, not an exception.
+    // The alert ends the wait as a reported value; AlertWait raises it.
     mu.AcquireInternal(spec::MakeAlertResumeRaises(self->id, mu.id_, c.id_),
                        [cp, self] {
                          if (cp->ErasePendingRaise(self)) {
@@ -1058,69 +956,19 @@ WaitResult AlertWaitFor(Mutex& mu, Condition& c, std::uint64_t timeout_steps) {
                          self->alerted = false;
                          self->alert_woken = false;
                        });
-    obs::Inc(obs::Counter::kTimedWaitAlerted);
+    if (timed) {
+      obs::Inc(obs::Counter::kTimedWaitAlerted);
+    }
     return WaitResult::kAlerted;
   }
   mu.AcquireInternal(spec::MakeAlertResumeReturns(self->id, mu.id_, c.id_));
   self->alert_woken = false;
-  obs::Inc(obs::Counter::kTimedWaitSatisfied);
+  if (timed) {
+    obs::Inc(obs::Counter::kTimedWaitSatisfied);
+  }
   return WaitResult::kSatisfied;
 }
 
-void AlertP(Semaphore& s) {
-  Machine& m = s.machine_;
-  Fiber* self = Machine::Self();
-  obs::ScopedEvent ev(obs::Op::kAlertP, s.id_, Tid(self));
-  bool first_attempt = true;
-  for (;;) {
-    if (m.ShuttingDown()) {
-      return;
-    }
-    m.Step();  // test-and-set: may win even with an alert pending — the
-               // RETURNS/RAISES nondeterminism the paper discusses
-    if (!s.bit_) {
-      s.bit_ = true;
-      if (first_attempt) {
-        obs::Inc(obs::Counter::kFastSemP);
-      }
-      Emit(m, spec::MakeAlertPReturns(self->id, s.id_));
-      return;
-    }
-    if (first_attempt) {
-      obs::Inc(obs::Counter::kNubAlertP);
-    }
-    first_attempt = false;
-    m.SpinAcquire();
-    m.Step();
-    if (self->alerted) {
-      self->alerted = false;
-      self->alert_woken = false;
-      Emit(m, spec::MakeAlertPRaises(self->id, s.id_));
-      m.SpinRelease();
-      throw Alerted();
-    }
-    s.queue_.PushBack(self);
-    m.Step();
-    if (s.bit_) {
-      self->block_kind = Fiber::BlockKind::kSemaphore;
-      self->blocked_obj = &s;
-      self->alertable = true;
-      self->alert_woken = false;
-      m.DescheduleSelf();
-      if (self->alert_woken) {
-        m.SpinAcquire();
-        m.Step();
-        self->alert_woken = false;
-        self->alerted = false;
-        Emit(m, spec::MakeAlertPRaises(self->id, s.id_));
-        m.SpinRelease();
-        throw Alerted();
-      }
-    } else {
-      s.queue_.Remove(self);
-      m.SpinRelease();
-    }
-  }
-}
+void AlertP(Semaphore& s) { s.PInternal(/*alertable=*/true); }
 
 }  // namespace taos::firefly

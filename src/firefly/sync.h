@@ -67,7 +67,6 @@ class Mutex {
 
  private:
   friend class Condition;
-  friend void AlertWait(Mutex& m, Condition& c);
   friend WaitResult AlertWaitFor(Mutex& m, Condition& c,
                                  std::uint64_t timeout_steps);
 
@@ -141,10 +140,11 @@ class Condition {
 
  private:
   friend void Alert(FiberHandle t);
-  friend void AlertWait(Mutex& m, Condition& c);
   friend WaitResult AlertWaitFor(Mutex& m, Condition& c,
                                  std::uint64_t timeout_steps);
 
+  // Signal (all = false) and Broadcast share one body.
+  void Wake(bool all);
   bool EraseWindow(Fiber* f);
   bool ErasePendingRaise(Fiber* f);
   bool ErasePendingTimeout(Fiber* f);
@@ -195,6 +195,9 @@ class Semaphore {
  private:
   friend void Alert(FiberHandle t);
   friend void AlertP(Semaphore& s);
+
+  // P's acquire loop; alertable for AlertP, which may raise Alerted.
+  void PInternal(bool alertable);
 
   Machine& machine_;
   bool bit_ = false;  // 1 iff unavailable
@@ -294,6 +297,10 @@ class Poll {
 
   static void TimeoutDequeue(Fiber* f);
 
+  // Every public wait: WaitInternal bracketed by the recorder event, plus
+  // the timed-wait outcome counters when a deadline is set.
+  WaitResult Wait(bool all, bool alertable, std::uint64_t timeout_steps,
+                  std::size_t* index);
   // The one body of every wait; timeout_steps == kNoDeadline for the
   // untimed ones.
   WaitResult WaitInternal(bool all, bool alertable,
@@ -321,7 +328,9 @@ void AlertP(Semaphore& s);               // raises taos::Alerted
 // the wait first, kAlerted when an Alert ended it (the alert flag is
 // consumed, no Alerted is thrown). On the kTimeout path a pending alert is
 // deliberately NOT consumed. m is held again on return in every case;
-// timeout_steps == 0 returns kTimeout immediately without releasing m.
+// timeout_steps == 0 returns kTimeout immediately without releasing m, and
+// kNoDeadline waits as AlertWait does (AlertWait is this call, raising on
+// kAlerted).
 WaitResult AlertWaitFor(Mutex& m, Condition& c, std::uint64_t timeout_steps);
 
 }  // namespace taos::firefly

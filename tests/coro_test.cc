@@ -128,6 +128,30 @@ TEST(CoroSchedulerTest, RunTwice) {
   EXPECT_EQ(runs, 2);
 }
 
+TEST(CoroSchedulerTest, EachCoroutineKeepsItsOwnCaughtException) {
+  // Each coroutine yields inside its catch block, then rethrows: `throw;`
+  // must find its own exception, not the one the other coroutine caught
+  // meanwhile on the same OS thread.
+  Scheduler s;
+  int ok = 0;
+  for (int mine : {1, 2}) {
+    s.Fork([&s, &ok, mine] {
+      try {
+        throw mine;
+      } catch (int) {
+        s.Yield();
+        try {
+          throw;
+        } catch (int v) {
+          ok += v == mine ? 1 : 0;
+        }
+      }
+    });
+  }
+  EXPECT_TRUE(s.Run().completed);
+  EXPECT_EQ(ok, 2);
+}
+
 TEST(CoroMutexTest, HandoffIsFifo) {
   Scheduler s;
   Mutex m;

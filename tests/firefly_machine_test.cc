@@ -1,9 +1,13 @@
 // The simulated Firefly: determinism, scheduling, time slicing, priorities,
-// deadlock detection, teardown of stuck fibers.
+// deadlock detection, teardown of stuck fibers, and the fibers' private
+// stacks and exception state.
 
 #include "src/firefly/machine.h"
 
 #include <gtest/gtest.h>
+
+#include <climits>
+#include <csignal>
 
 #include "src/firefly/sync.h"
 
@@ -232,6 +236,58 @@ TEST(MachineTest, FiberIdsAreDense) {
   EXPECT_EQ(a.id(), 1u);
   EXPECT_EQ(b.id(), 2u);
   EXPECT_TRUE(m.Run().completed);
+}
+
+TEST(MachineTest, EachFiberKeepsItsOwnCaughtException) {
+  // Each fiber steps inside its catch block, then rethrows: `throw;` must
+  // find its own exception, whatever the other fiber caught in between.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    MachineConfig cfg;
+    cfg.seed = seed;
+    Machine m(cfg);
+    int ok = 0;
+    for (int mine : {1, 2}) {
+      m.Fork([&m, &ok, mine] {
+        try {
+          throw mine;
+        } catch (int) {
+          m.Step();
+          try {
+            throw;
+          } catch (int v) {
+            ok += v == mine ? 1 : 0;
+          }
+        }
+      });
+    }
+    EXPECT_TRUE(m.Run().completed) << "seed " << seed;
+    EXPECT_EQ(ok, 2) << "seed " << seed;
+  }
+}
+
+// Recurses until the stack runs out; reading the frame after the call
+// rules out a tail call.
+int Recurse(int depth) {
+  volatile char frame[256];
+  frame[0] = 1;
+  if (depth == INT_MAX) {
+    return 0;
+  }
+  return Recurse(depth + 1) + frame[0];
+}
+
+TEST(MachineDeathTest, StackOverflowFaultsOnTheGuardPage) {
+#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
+  GTEST_SKIP() << "fork-based death tests do not run under sanitizers";
+#else
+  EXPECT_EXIT(
+      {
+        Machine m;
+        m.Fork([] { Recurse(0); });
+        m.Run();
+      },
+      testing::KilledBySignal(SIGSEGV), "");
+#endif
 }
 
 }  // namespace
