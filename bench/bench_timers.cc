@@ -1,15 +1,16 @@
-// E29 — the deadline subsystem: timer-wheel timed waits against the retired
-// thread-per-timeout watchdog, and the fast-path tax of deadline arming.
+// E29 — deadlines: self-timed deadline parks against the retired
+// thread-per-timeout watchdog, and the fast-path tax of a deadline.
 //
 //   UncontendedAcquireRelease     baseline fast path (no deadline involved)
 //   UncontendedAcquireForRelease  same, via AcquireFor: the parity check
-//   ExpiryWheel                   one timed wait expiring on the wheel
+//   ExpiryDeadlinePark            one timed wait expiring: the waiter parks
+//                                 on its own deadline and dequeues itself
 //   ExpiryWatchdog                same contract, watchdog construction
-//   TimedWaitersWheel/N           N concurrent expiring waiters, zero
+//   TimedWaitersDeadlinePark/N    N concurrent expiring waiters, zero
 //                                 threads created per wait
 //   TimedWaitersWatchdog/N        N concurrent waiters, one watchdog thread
 //                                 forked and joined per wait
-//   GrantedPingPongWheel/N        2N threads ping-ponging under timed waits
+//   GrantedPingPongDeadlinePark/N 2N threads ping-ponging under timed waits
 //                                 whose deadline never fires (the common
 //                                 case) — the headline ratio
 //   GrantedPingPongWatchdog/N     same, watchdog construction
@@ -36,7 +37,7 @@ namespace {
 
 using namespace std::chrono_literals;
 
-// The pre-wheel construction, verbatim in shape: one thread creation, one
+// The pre-deadline construction, verbatim in shape: one thread creation, one
 // join, and a 1 ms polling loop per timed wait.
 bool WatchdogWaitWithTimeout(taos::Mutex& m, taos::Condition& c,
                              const std::function<bool()>& predicate,
@@ -82,7 +83,7 @@ BENCHMARK(BM_UncontendedAcquireRelease);
 
 void BM_UncontendedAcquireForRelease(benchmark::State& state) {
   // Uncontended AcquireFor takes the same inline test-and-set as Acquire
-  // and never arms a timer; this must track the baseline above.
+  // and never parks with a deadline; this must track the baseline above.
   taos::Mutex m;
   for (auto _ : state) {
     benchmark::DoNotOptimize(m.AcquireFor(10s));
@@ -93,7 +94,7 @@ BENCHMARK(BM_UncontendedAcquireForRelease);
 
 // --- one expiring wait, round trip ---
 
-void BM_ExpiryWheel(benchmark::State& state) {
+void BM_ExpiryDeadlinePark(benchmark::State& state) {
   taos::Mutex m;
   taos::Condition c;
   m.Acquire();
@@ -102,7 +103,7 @@ void BM_ExpiryWheel(benchmark::State& state) {
   }
   m.Release();
 }
-BENCHMARK(BM_ExpiryWheel)->UseRealTime();
+BENCHMARK(BM_ExpiryDeadlinePark)->UseRealTime();
 
 void BM_ExpiryWatchdog(benchmark::State& state) {
   taos::Mutex m;
@@ -120,17 +121,17 @@ BENCHMARK(BM_ExpiryWatchdog)->UseRealTime();
 //
 // Each benchmark iteration runs one batch: N waiter threads, each
 // performing kWaitsPerThread 200 us timed waits that all expire. The
-// deadline is deliberately sub-millisecond: the wheel serves it at tick
-// granularity, while the watchdog cannot express it at all — its 1 ms
-// polling loop is the floor, and that floor (plus a thread fork and join
-// per wait) is precisely what made short timeouts impractical before. The wheel parks
-// every waiter on the one timer thread; the watchdog forks and joins a
-// thread per wait. items_processed counts waits, so the report's
+// deadline is deliberately sub-millisecond: the deadline park serves it at
+// the kernel's timed-sleep granularity, while the watchdog cannot express
+// it at all — its 1 ms polling loop is the floor, and that floor (plus a
+// thread fork and join per wait) is precisely what made short timeouts
+// impractical before. Each waiter parks on its own deadline; the watchdog
+// forks and joins a thread per wait. items_processed counts waits, so the report's
 // items_per_second ratio is the headline number.
 
 constexpr int kWaitsPerThread = 32;
 
-void RunWheelBatch(int waiters) {
+void RunDeadlineParkBatch(int waiters) {
   std::vector<taos::Thread> threads;
   threads.reserve(static_cast<std::size_t>(waiters));
   for (int t = 0; t < waiters; ++t) {
@@ -168,14 +169,14 @@ void RunWatchdogBatch(int waiters) {
   }
 }
 
-void BM_TimedWaitersWheel(benchmark::State& state) {
+void BM_TimedWaitersDeadlinePark(benchmark::State& state) {
   const int waiters = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    RunWheelBatch(waiters);
+    RunDeadlineParkBatch(waiters);
   }
   state.SetItemsProcessed(state.iterations() * waiters * kWaitsPerThread);
 }
-BENCHMARK(BM_TimedWaitersWheel)->Arg(8)->Arg(64)->UseRealTime();
+BENCHMARK(BM_TimedWaitersDeadlinePark)->Arg(8)->Arg(64)->UseRealTime();
 
 void BM_TimedWaitersWatchdog(benchmark::State& state) {
   const int waiters = static_cast<int>(state.range(0));
@@ -191,9 +192,9 @@ BENCHMARK(BM_TimedWaitersWatchdog)->Arg(8)->Arg(64)->UseRealTime();
 // N producer/consumer pairs (2N threads) ping-pong a value under a timed
 // predicate wait whose generous deadline practically never fires. This is
 // what WaitWithTimeout does all day in a healthy system: the deadline is
-// insurance, the signal always wins. The wheel's insurance premium is one
-// O(1) arm and one O(1) cancel per wait; the watchdog's is a thread fork,
-// a 1 ms polling loop, and a join per wait — the headline gap.
+// insurance, the signal always wins. The deadline park's insurance premium
+// is the deadline itself, carried into the park; the watchdog's is a thread
+// fork, a 1 ms polling loop, and a join per wait — the headline gap.
 
 constexpr int kRoundsPerPair = 16;
 
@@ -239,7 +240,7 @@ void PingPongBatch(int pairs, const TimedWait& timed_wait) {
   }
 }
 
-void BM_GrantedPingPongWheel(benchmark::State& state) {
+void BM_GrantedPingPongDeadlinePark(benchmark::State& state) {
   const int pairs = static_cast<int>(state.range(0));
   for (auto _ : state) {
     PingPongBatch(pairs, [](taos::Mutex& m, taos::Condition& c,
@@ -249,7 +250,7 @@ void BM_GrantedPingPongWheel(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 2 * pairs * kRoundsPerPair);
 }
-BENCHMARK(BM_GrantedPingPongWheel)->Arg(4)->Arg(32)->UseRealTime();
+BENCHMARK(BM_GrantedPingPongDeadlinePark)->Arg(4)->Arg(32)->UseRealTime();
 
 void BM_GrantedPingPongWatchdog(benchmark::State& state) {
   const int pairs = static_cast<int>(state.range(0));

@@ -37,10 +37,6 @@ constexpr PointInfo kPoints[kNumPoints] = {
     {"alert.flag_to_cancel", Category::kCancel},
     {"alert.lock_retry", Category::kGeneric},
     {"alert.wait_window", Category::kBeforePark},
-    {"timer.arm", Category::kTimer},
-    {"timer.cancel", Category::kTimer},
-    {"timer.expiry_to_cancel", Category::kCancel},
-    {"timer.batch_gap", Category::kTimer},
     {"parker.before_park", Category::kBeforePark},
     {"parker.before_unpark", Category::kBeforeUnpark},
     {"parker.timed_return", Category::kTimer},

@@ -57,7 +57,7 @@ enum class Point : std::uint32_t {
   kMutexBackout,         // bit found free: before leaving the queue
   kMutexWakeToRetry,     // unparked, before retrying the test-and-set
   kMutexReleaseWindow,   // Release: bit cleared, before the queue_len scan
-  kMutexTimedFinish,     // timed: timer cancelled, before the final retest
+  kMutexTimedFinish,     // timed: park over, before the final retest
   // Semaphore slow paths — same seams as the mutex, P/V instead.
   kSemEnqueuedToTest,
   kSemBackout,
@@ -68,22 +68,18 @@ enum class Point : std::uint32_t {
   kCondReleaseToBlock,   // Wait: m released, before blocking (wakeup-waiting)
   kCondClaimToRecheck,   // Block: c locked, before re-reading the ec
   kCondSignalToResume,   // Signal: ec advanced, before picking a waiter
-  kCondTimedFinish,      // timed: timer cancelled, before reacquiring m
+  kCondTimedFinish,      // timed: park over, before reacquiring m
   // Alert: the cancellation seams.
   kAlertFlagToCancel,    // alerted flag set, before dequeuing the waiter
   kAlertLockRetry,       // rule 3: object try-lock failed, before retrying
   kAlertWaitWindow,      // AlertWait/AlertP: holding the record lock across
                          // the alerted-flag check and the enqueue
-  // Timer wheel.
-  kTimerArm,             // deadline published, before the wheel insert
-  kTimerCancel,          // before the gen-validated unlink
-  kTimerExpiryToCancel,  // expiry batch entry, before the cancel/dequeue
-  kTimerBatchGap,        // wheel lock dropped, before expiring the batch
   // Parker park/unpark edges (both backends).
   kParkerBeforePark,
   kParkerBeforeUnpark,
   kParkerTimedReturn,    // timed park returned without a permit, before the
-                         // caller learns it timed out
+                         // waiter dequeues itself: the grant-vs-timeout
+                         // window
   // The rwlock fast path.
   kRwlockReaderCas,      // rwlock: reader-count CAS won, before returning
   kRwlockLastReaderWake, // rwlock: count hit zero, before waking a writer

@@ -2,6 +2,8 @@
 
 #include <memory>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "src/base/alerted.h"
 #include "src/firefly/naive_condition.h"
@@ -600,122 +602,177 @@ class SignalUnblocksManyTest : public LitmusTest {
 };
 
 // ---------------------------------------------------------------------------
-// MCS handoff racing a timed-out waiter's abandon
+// A timed-out waiter dequeuing itself, racing a release's grant
 // ---------------------------------------------------------------------------
 
-// The queue is modelled at the granularity of its two shared words: the
-// tail (-1 = null, 0 = holder's node, 1 = waiter's node) and the waiter's
-// node state (0 waiting, 1 granted, 2 abandoned). Code between Step()
-// boundaries is atomic, which is exactly how the real protocol's exchanges
-// and CASes behave; the scenario is loop-free, so DFS exhausts it.
-class McsTimeoutAbandonTest : public LitmusTest {
+// The production Nub's timed lock wait (src/threads/timer.h,
+// ParkBlockedUntil), modelled at the granularity of its shared state: the
+// mutex's lock bit and waiter queue, each waiter's published blocked state,
+// and each waiter's one-permit parker. Code between Step() boundaries is
+// atomic, so one step that touches the queue and the blocked states stands
+// for a section under the object lock and the record lock.
+//
+// The releaser holds the mutex; two timed waiters are queued behind it and
+// parked. Waiter 0's deadline has passed: its park returns the permit if
+// one has landed, and otherwise times out. Waiter 1's deadline lies beyond
+// the run, so it sleeps until a release unparks it, and keeps the mutex
+// once it has it. A release clears the bit and pops the front waiter,
+// clearing its blocked state (one step: the window between the two only
+// lets a barging test-and-set in, which the retry paths below cover
+// anyway), then deposits the permit after dropping the locks — the window
+// in which a timed-out waiter finds itself already dequeued but not yet
+// unparked.
+class SelfCancelTimeoutTest : public LitmusTest {
  public:
-  McsTimeoutAbandonTest(bool safe_abandon, Tally* tally)
-      : safe_abandon_(safe_abandon), tally_(tally) {}
+  SelfCancelTimeoutTest(bool safe, Tally* tally) : safe_(safe), tally_(tally) {}
 
   void Setup(Machine& machine) override {
+    // Forked first: on two CPUs it is asleep before the releaser runs.
     machine.Fork(
         [this, &machine] {
-          machine.Step();
-          // Release. No successor visible: swing the tail to null and exit.
-          if (tail_ == 0) {
-            tail_ = -1;
-            released_free_ = true;
-            return;
-          }
-          // Successor identified, grant not yet written — the seam a
-          // naive timeout-abandon protocol gets wrong.
-          machine.Step();
-          if (wnode_ == 0) {
-            wnode_ = 1;  // the grant: ownership transfers to the waiter
-            handed_off_ = true;
-          } else {
-            // The waiter abandoned first; reclaim the queue.
-            tail_ = -1;
-            reclaimed_ = true;
-          }
-        },
-        /*priority=*/0, "holder");
-    machine.Fork(
-        [this, &machine] {
-          machine.Step();
-          // Enqueue: exchange the tail.
-          const int prev = tail_;
-          tail_ = 1;
-          if (prev == -1) {
-            // The holder released before we swapped: the lock was free and
-            // the exchange handed it to us directly. Release it.
-            took_direct_ = true;
+          Park(machine, 1);
+          for (;;) {
+            machine.Step();  // the retried test-and-set
+            if (bit_ == 0) {
+              bit_ = 1;
+              acquired_[1] = true;
+              return;
+            }
+            // Barged: enqueue and re-test the bit under the object lock.
             machine.Step();
-            if (tail_ == 1) {
-              tail_ = -1;
+            if (bit_ == 0) {
+              continue;  // released meanwhile: back out, retry the TAS
             }
-            return;
-          }
-          // Queued behind the holder — and the deadline has already passed,
-          // so instead of spinning on the node we abandon it.
-          machine.Step();
-          if (safe_abandon_) {
-            if (wnode_ == 0) {
-              wnode_ = 2;  // CAS waiting -> abandoned won: we left in time
-              abandoned_ = true;
-            } else {
-              // The grant beat the abandon: we own the lock whether we
-              // wanted it or not, and must pass it on, not walk away.
-              took_after_grant_ = true;
-              machine.Step();
-              if (tail_ == 1) {
-                tail_ = -1;
-              }
-            }
-          } else {
-            // The bug: a blind store, no re-test of the shared state the
-            // timeout decision was based on (rule 3's mistake, transplanted
-            // to cancellation). If the grant already landed it is erased.
-            wnode_ = 2;
-            abandoned_ = true;
+            queue_.push_back(1);
+            blocked_[1] = true;
+            Park(machine, 1);
           }
         },
-        /*priority=*/0, "timed-waiter");
+        /*priority=*/0, "sleeping-waiter");
+    machine.Fork(
+        [this, &machine] {
+          machine.Step();  // the park's timed return
+          if (permit_[0]) {
+            permit_[0] = false;  // the grant landed before the deadline
+          } else if (!safe_) {
+            // The bug: kTimeout straight from the parker, without
+            // re-testing its queue membership under the object lock. A
+            // release that already picked this waiter has spent its one
+            // wakeup on a thread that is leaving.
+            timed_out_ = true;
+            return;
+          } else {
+            machine.Step();  // object lock, then record lock
+            if (blocked_[0]) {
+              // Still queued: the deadline dequeues this waiter.
+              std::erase(queue_, 0);
+              blocked_[0] = false;
+              self_dequeued_ = true;
+            } else {
+              // A release dequeued it first and is about to deposit the
+              // permit: consume it, then retry the test-and-set below.
+              grant_race_ = true;
+              Park(machine, 0);
+            }
+          }
+          machine.Step();  // the retried test-and-set
+          if (bit_ == 0) {
+            bit_ = 1;
+            acquired_[0] = true;
+            Release(machine);
+            return;
+          }
+          timed_out_ = true;  // the deadline is behind it: no retry
+        },
+        /*priority=*/0, "timed-out-waiter");
+    machine.Fork([this, &machine] { Release(machine); }, /*priority=*/0,
+                 "releaser");
   }
 
   std::string Verify(const RunResult& result) override {
     if (tally_ != nullptr) {
       tally_->completions += result.completed ? 1 : 0;
       tally_->deadlocks += result.deadlock ? 1 : 0;
-      tally_->timeout_abandons += abandoned_ ? 1 : 0;
-      tally_->timeout_grant_races += took_after_grant_ ? 1 : 0;
+      tally_->timeout_self_dequeues += self_dequeued_ ? 1 : 0;
+      tally_->timeout_grant_races += grant_race_ ? 1 : 0;
     }
     if (!result.completed) {
+      if (bit_ == 0) {
+        return "lost wakeup: a waiter sleeps with the mutex free; the "
+               "release spent its one wakeup on a waiter that timed out: " +
+               result.ToString();
+      }
       return "stuck: " + result.ToString();
     }
-    if (handed_off_ && abandoned_) {
-      return "lost handoff: the release granted the lock to a node whose "
-             "waiter abandoned it; no thread holds the lock and none can "
-             "acquire it";
+    if (permit_[0] || permit_[1]) {
+      return "stray permit: a grant's permit outlived the wait it was for, "
+             "and would end the thread's next park while it is queued";
     }
-    const int dispositions = (released_free_ ? 1 : 0) + (handed_off_ ? 1 : 0) +
-                             (reclaimed_ ? 1 : 0);
-    if (dispositions != 1) {
-      return "the release must end in exactly one disposition";
+    if (!acquired_[1]) {
+      return "the waiter without a deadline never acquired the mutex";
     }
-    if (handed_off_ && !took_after_grant_ && !took_direct_) {
-      return "granted lock never accepted";  // unreachable in safe mode
+    if (!queue_.empty() || bit_ != 1) {
+      return "the mutex ended with a stale queue entry, or not held by the "
+             "waiter that acquired it last";
+    }
+    if (acquired_[0] == timed_out_) {
+      return "the timed-out waiter must end exactly one way";
     }
     return "";
   }
 
  private:
-  const bool safe_abandon_;
+  // The Nub's Release: clear the bit and dequeue the front waiter under the
+  // locks, then unpark it with no lock held.
+  void Release(Machine& machine) {
+    machine.Step();
+    bit_ = 0;
+    if (queue_.empty()) {
+      return;
+    }
+    const int w = queue_.front();
+    queue_.erase(queue_.begin());
+    blocked_[w] = false;
+    Unpark(machine, w);
+  }
+
+  // Waiter w's parker: one permit, consumed by Park, which sleeps until an
+  // Unpark deposits it. The machine's spin-lock guards the sleep/wake pair.
+  void Park(Machine& machine, int w) {
+    machine.SpinAcquire();
+    if (permit_[w]) {
+      permit_[w] = false;
+      machine.SpinRelease();
+      return;
+    }
+    firefly::Fiber* self = Machine::Self();
+    self->block_kind = firefly::Fiber::BlockKind::kSemaphore;
+    sleeper_[w] = self;
+    machine.DescheduleSelf();  // Unpark's MakeReady hands the permit over
+  }
+
+  void Unpark(Machine& machine, int w) {
+    machine.SpinAcquire();
+    if (sleeper_[w] != nullptr) {
+      machine.MakeReady(sleeper_[w]);
+      sleeper_[w] = nullptr;
+    } else {
+      permit_[w] = true;
+    }
+    machine.SpinRelease();
+  }
+
+  const bool safe_;
   Tally* const tally_;
-  int tail_ = 0;   // holder's node is the tail: held, uncontended
-  int wnode_ = 0;  // waiting
-  bool released_free_ = false;
-  bool handed_off_ = false;
-  bool reclaimed_ = false;
-  bool took_direct_ = false;
-  bool took_after_grant_ = false;
-  bool abandoned_ = false;
+  int bit_ = 1;                    // held by the releaser
+  std::vector<int> queue_{0, 1};   // both waiters queued behind it...
+  bool blocked_[2] = {true, true};  // ...with their blocked state published
+  bool permit_[2] = {false, false};
+  firefly::Fiber* sleeper_[2] = {nullptr, nullptr};
+  bool acquired_[2] = {false, false};
+  bool timed_out_ = false;  // waiter 0's kTimeout
+  bool self_dequeued_ = false;
+  bool grant_race_ = false;
 };
 
 // ---------------------------------------------------------------------------
@@ -942,7 +999,7 @@ class PollDoubleGrantTest : public LitmusTest {
 // lands. The model gives Set handoff flavour — a pulse delivered INTO a
 // registered cell — because that is the design in which the window exists;
 // the cell is one shared word (0 waiting, 1 notified-with-pulse, 2
-// cancelled), as in McsTimeoutAbandonTest. Safe cancellation is a CAS
+// cancelled). Safe cancellation is a CAS
 // waiting -> cancelled whose loser re-publishes the delivered pulse;
 // the buggy variant is the blind store.
 class PollDeregLostWakeupTest : public LitmusTest {
@@ -1071,9 +1128,9 @@ class DiningPhilosophersTest : public LitmusTest {
 
 }  // namespace
 
-LitmusFactory McsTimeoutAbandonLitmus(bool safe_abandon, Tally* tally) {
-  return [safe_abandon, tally] {
-    return std::make_unique<McsTimeoutAbandonTest>(safe_abandon, tally);
+LitmusFactory SelfCancelTimeoutLitmus(bool safe, Tally* tally) {
+  return [safe, tally] {
+    return std::make_unique<SelfCancelTimeoutTest>(safe, tally);
   };
 }
 

@@ -26,10 +26,10 @@ struct Tally {
   // AlertP returned with the caller's alert still pending: both of the
   // spec's WHEN clauses held and the implementation chose RETURNS.
   std::uint64_t returns_with_alert_pending = 0;
-  // Queue-lock timeout litmus: runs where the waiter's abandon won the race
-  // (it left the queue before the releaser's grant) vs runs where the grant
-  // landed first and the timed-out waiter had to accept the lock anyway.
-  std::uint64_t timeout_abandons = 0;
+  // Timed-wait litmus: runs where the timed-out waiter found itself still
+  // queued and dequeued itself, vs runs where a release had dequeued it
+  // first and it consumed the grant's permit instead.
+  std::uint64_t timeout_self_dequeues = 0;
   std::uint64_t timeout_grant_races = 0;
   // Rwlock starvation accounting: readers admitted while a writer was
   // already waiting (the reader-preference mechanism that starves writers),
@@ -106,18 +106,17 @@ LitmusFactory AlertPOverlapLitmus(Tally* tally = nullptr);
 // both (tallied via multi_unblock_signals).
 LitmusFactory SignalUnblocksManyLitmus(Tally* tally = nullptr);
 
-// The MCS release-to-successor handoff racing a timed-out waiter's abandon
-// — the timeout-cancellation analogue of the paper's rule 3 (a decision
-// made from a stale test of shared state). The releaser has identified its
-// successor and is about to write the grant; the successor's deadline has
-// passed and it wants to leave the queue. With `safe_abandon` the waiter
-// abandons by CAS (waiting -> abandoned) and, when the CAS loses because
-// the grant already landed, accepts the lock and releases it — every
-// schedule keeps the lock alive. With `safe_abandon` false the waiter
-// blindly marks its node abandoned, and the schedule where the grant landed
-// first loses the handoff: the lock is granted to a node nobody watches.
-LitmusFactory McsTimeoutAbandonLitmus(bool safe_abandon,
-                                      Tally* tally = nullptr);
+// The shipped timed-wait protocol (ParkBlockedUntil, src/threads/timer.h)
+// on a (lock bit, waiter queue) mutex: a releaser and two queued, parked
+// timed waiters, the first of which times out as the release dequeues it.
+// With `safe` the timed-out waiter re-tests its queue membership under the
+// object lock: still queued, it dequeues itself; already dequeued, it
+// consumes the release's permit and retries the test-and-set. Every
+// schedule completes with no stray permit, and both sides of the race are
+// tallied. With `safe` false the waiter returns kTimeout straight from the
+// parker, and the schedule where the release picked it leaves the other
+// waiter asleep with the mutex free: a lost wakeup.
+LitmusFactory SelfCancelTimeoutLitmus(bool safe, Tally* tally = nullptr);
 
 // Two auto-reset events, one WaitAny waiter, two concurrent Sets — the
 // double-grant window of the multi-object wait. With `waiter_consumes`

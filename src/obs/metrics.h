@@ -82,10 +82,10 @@ enum class Counter : int {
   kParkSpinMisses,    // the spin ran out its budget, then slept
   kParkSpinSkipped,   // the CPU's SpinGate cell was closed: slept at once
 
-  // --- timer wheel and timed waits (src/threads/timer) ---
-  kTimersArmed,          // deadlines inserted into the wheel
-  kTimersCancelled,      // deadlines removed before expiry (waiter won)
-  kTimersExpired,        // deadlines the timer thread fired
+  // --- timed waits (src/threads/timer) ---
+  kTimersArmed,          // parks with a deadline
+  kTimersCancelled,      // ...ended by a grant or Alert
+  kTimersExpired,        // ...ended by the waiter dequeuing itself
   kTimedWaitSatisfied,   // timed waits that ended by grant/signal
   kTimedWaitTimeouts,    // timed waits that ended by expiry
   kTimedWaitAlerted,     // timed alertable waits that ended by Alert
@@ -106,7 +106,7 @@ enum class Histogram : int {
   kBlockedNanos,            // park duration (de-scheduled time)
   kParkWaitNanos,           // Parker::Park wall latency (inside kBlockedNanos)
   kUnparkNanos,             // Parker::Unpark wall latency (the waker's cost)
-  kTimerExpiryLagNanos,     // expiry-processing time minus the deadline
+  kTimerExpiryLagNanos,     // timed-out waiter's wake time minus deadline
   kWakeupLatencyNanos,      // waker's permit grant to wakee's Park return
 
   kNumHistograms,

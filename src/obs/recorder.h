@@ -56,7 +56,7 @@ enum class Op : std::uint16_t {
   // Perfetto flow arrow from waker to wakee.
   kUnpark,
   kParkResume,
-  kTimerExpire,  // timer thread processing one expired deadline
+  kTimerExpire,  // a timed-out waiter dequeuing itself
 
   // Multi-object wait (src/threads/poll).
   kEventSet,

@@ -184,9 +184,8 @@ WaitResult AlertWaitUntil(Mutex& m, Condition& c, std::uint64_t deadline_ns) {
       } else {
         TAOS_CHECK(c.EraseWindow(self));
         c.queue_.PushBack(self);
-        PublishBlockedLocked(self, ThreadRecord::BlockKind::kCondition, &c,
-                             c.id(), &c.nub_lock_, /*alertable=*/true,
-                             deadline_ns);
+        SetBlockedLocked(self, ThreadRecord::BlockKind::kCondition, &c, c.id(),
+                         &c.nub_lock_, /*alertable=*/true);
         parked = true;
       }
     }
@@ -252,9 +251,8 @@ WaitResult AlertWaitUntil(Mutex& m, Condition& c, std::uint64_t deadline_ns) {
       c.waiters_.fetch_sub(1, std::memory_order_relaxed);
     } else if (c.ec_.Read() == i) {
       c.queue_.PushBack(self);
-      PublishBlockedLocked(self, ThreadRecord::BlockKind::kCondition, &c,
-                           c.id(), &c.nub_lock_, /*alertable=*/true,
-                           deadline_ns);
+      SetBlockedLocked(self, ThreadRecord::BlockKind::kCondition, &c, c.id(),
+                       &c.nub_lock_, /*alertable=*/true);
       parked = true;
     } else {
       c.waiters_.fetch_sub(1, std::memory_order_relaxed);

@@ -76,8 +76,8 @@ bool Condition::BlockFor(ThreadRecord* self, EventCount::Value i,
     if (ec_.Read() == i) {
       queue_.PushBack(self);
       SpinGuard tg(self->lock);
-      PublishBlockedLocked(self, ThreadRecord::BlockKind::kCondition, this,
-                           id_, &nub_lock_, /*alertable=*/false, deadline_ns);
+      SetBlockedLocked(self, ThreadRecord::BlockKind::kCondition, this, id_,
+                       &nub_lock_, /*alertable=*/false);
       parked = true;
     } else {
       // A Signal or Broadcast intervened between the eventcount read and
@@ -235,14 +235,14 @@ WaitResult Condition::TracedWaitFor(Mutex& m, ThreadRecord* self,
       TAOS_CHECK(EraseWindow(self));
       queue_.PushBack(self);
       SpinGuard tg(self->lock);
-      PublishBlockedLocked(self, ThreadRecord::BlockKind::kCondition, this,
-                           id_, &nub_lock_, /*alertable=*/false, deadline_ns);
+      SetBlockedLocked(self, ThreadRecord::BlockKind::kCondition, this, id_,
+                       &nub_lock_, /*alertable=*/false);
       parked = true;
     }
   }
   if (parked && ParkBlockedUntil(self, deadline_ns, kEventWait)) {
     // Atomic action TimeoutResume: regain m and leave c in one step. The
-    // timer left SELF in pending_timeout_ — still a spec-member of c, as a
+    // self-dequeue left SELF in pending_timeout_ — still a spec-member of c, as a
     // raiser stays in pending_raise_ — so the action's delete(c, SELF) and
     // the bookkeeping erase happen together under m's and c's locks.
     Condition* cp = this;
@@ -288,9 +288,9 @@ void Condition::TracedSignal(ThreadRecord* self) {
       removed = removed.Insert(r->id);
     }
     pending_raise_.clear();
-    // Likewise for threads the timer already dequeued: the implementation
-    // cannot wake them, so leaving them in c would let a Signal whose
-    // removed set is otherwise empty violate its own ENSURES
+    // Likewise for timed-out threads that already dequeued themselves: the
+    // implementation cannot wake them, so leaving them in c would let a
+    // Signal whose removed set is otherwise empty violate its own ENSURES
     // (cpost = c is neither {} nor a proper subset). TimeoutResume's
     // delete(c, SELF) is idempotent, so removing them here is safe.
     for (ThreadRecord* r : pending_timeout_) {

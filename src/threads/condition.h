@@ -85,7 +85,8 @@ class Condition {
   void SignalNubPathForBench() { NubSignal(); }
 
  private:
-  friend class Timer;
+  friend bool ParkBlockedUntil(ThreadRecord* t, std::uint64_t deadline_ns,
+                               waitq::Parker::Spin spin);
   friend void Alert(ThreadHandle t);
   friend WaitResult internal::AlertWaitUntil(Mutex& m, Condition& c,
                                              std::uint64_t deadline_ns);
@@ -120,8 +121,9 @@ class Condition {
   // Traced-mode bookkeeping (guarded by nub_lock_): threads between their
   // Enqueue action and their entry into Block (the wakeup-waiting window),
   // threads that have committed to raising Alerted but are still members of
-  // the spec-level set c, and threads the timer dequeued whose
-  // TimeoutResume action has not yet fired (still spec-members likewise).
+  // the spec-level set c, and timed-out threads that dequeued themselves
+  // but whose TimeoutResume action has not yet fired (still spec-members
+  // likewise).
   std::vector<ThreadRecord*> window_;
   std::vector<ThreadRecord*> pending_raise_;
   std::vector<ThreadRecord*> pending_timeout_;

@@ -125,8 +125,8 @@ bool Event::NubWaitFor(ThreadRecord* self, std::uint64_t deadline_ns) {
       queue_len_.fetch_add(1, std::memory_order_seq_cst);
       if (set_.load(std::memory_order_seq_cst) == 0) {
         SpinGuard tg(self->lock);
-        PublishBlockedLocked(self, ThreadRecord::BlockKind::kEvent, this, id_,
-                             &nub_lock_, /*alertable=*/false, deadline_ns);
+        SetBlockedLocked(self, ThreadRecord::BlockKind::kEvent, this, id_,
+                         &nub_lock_, /*alertable=*/false);
         parked = true;
       } else {
         queue_.Remove(self);
@@ -297,8 +297,8 @@ bool Event::TracedWaitFor(ThreadRecord* self, std::uint64_t deadline_ns) {
       queue_.PushBack(self);
       queue_len_.fetch_add(1, std::memory_order_relaxed);
       SpinGuard tg(self->lock);
-      PublishBlockedLocked(self, ThreadRecord::BlockKind::kEvent, this, id_,
-                           &nub_lock_, /*alertable=*/false, deadline_ns);
+      SetBlockedLocked(self, ThreadRecord::BlockKind::kEvent, this, id_,
+                       &nub_lock_, /*alertable=*/false);
     }
     // The loop-top deadline check decides.
     ParkBlockedUntil(self, deadline_ns, kEventWait);

@@ -100,7 +100,8 @@ class Event {
 
  private:
   friend class Poll;
-  friend class Timer;
+  friend bool ParkBlockedUntil(ThreadRecord* t, std::uint64_t deadline_ns,
+                               waitq::Parker::Spin spin);
   friend void Alert(ThreadHandle t);
 
   // The Nub and traced slow paths of Wait (kNoDeadline) and WaitFor.

@@ -103,11 +103,11 @@ bool Mutex::NubAcquireFor(ThreadRecord* self, std::uint64_t deadline_ns) {
       queue_len_.fetch_add(1, std::memory_order_seq_cst);
       TAOS_CHAOS(kMutexEnqueuedToTest);
       if (bit_.load(std::memory_order_seq_cst) != 0) {
-        // Still held: de-schedule this thread. It stays queued; Release (or
-        // the timer, on expiry) will make it ready.
+        // Still held: de-schedule this thread. It stays queued until Release
+        // makes it ready (or, on expiry, it dequeues itself).
         SpinGuard tg(self->lock);
-        PublishBlockedLocked(self, ThreadRecord::BlockKind::kMutex, this, id_,
-                             &nub_lock_, /*alertable=*/false, deadline_ns);
+        SetBlockedLocked(self, ThreadRecord::BlockKind::kMutex, this, id_,
+                         &nub_lock_, /*alertable=*/false);
         parked = true;
       } else {
         // Released in the meantime: back out and retry the whole Acquire.
@@ -139,8 +139,8 @@ bool Mutex::NubAcquireFor(ThreadRecord* self, std::uint64_t deadline_ns) {
     }
     if (expired || DeadlinePassed(deadline_ns)) {
       // Timed out (or unparked by a grant, barged, and found the deadline
-      // gone). Whoever dequeued this record — timer or releaser — already
-      // removed it from the queue; there is nothing to back out.
+      // gone). Whoever dequeued this record — itself or a releaser —
+      // already removed it from the queue; there is nothing to back out.
       return false;
     }
   }
@@ -205,8 +205,8 @@ bool Mutex::TracedAcquireFor(ThreadRecord* self, std::uint64_t deadline_ns,
       if (DeadlinePassed(deadline_ns)) {
         // Deadline passed with the mutex still held: the spec's
         // AcquireFor/TIMEOUT action, a no-op on m, emitted as one atomic
-        // action under the object lock. This check subsumes timeout_woken —
-        // an expiry implies the deadline is behind us (round-up placement).
+        // action under the object lock. A self-dequeue on expiry implies
+        // the deadline is behind us, so this check subsumes it.
         SpinGuard tg(self->lock);
         nub.EmitTraced(spec::MakeAcquireTimeout(self->id, id_));
         return false;
@@ -214,8 +214,8 @@ bool Mutex::TracedAcquireFor(ThreadRecord* self, std::uint64_t deadline_ns,
       queue_.PushBack(self);
       queue_len_.fetch_add(1, std::memory_order_relaxed);
       SpinGuard tg(self->lock);
-      PublishBlockedLocked(self, ThreadRecord::BlockKind::kMutex, this, id_,
-                           &nub_lock_, /*alertable=*/false, deadline_ns);
+      SetBlockedLocked(self, ThreadRecord::BlockKind::kMutex, this, id_,
+                       &nub_lock_, /*alertable=*/false);
     }
     // The loop-top deadline check decides.
     ParkBlockedUntil(self, deadline_ns, kLockWait);

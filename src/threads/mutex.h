@@ -105,7 +105,8 @@ class Mutex {
 
  private:
   friend class Condition;
-  friend class Timer;
+  friend bool ParkBlockedUntil(ThreadRecord* t, std::uint64_t deadline_ns,
+                               waitq::Parker::Spin spin);
   friend WaitResult internal::AlertWaitUntil(Mutex& m, Condition& c,
                                              std::uint64_t deadline_ns);
 
@@ -149,9 +150,9 @@ class Mutex {
   // Nub subroutine for Acquire and AcquireFor: enqueue, re-test the lock
   // bit, de-schedule if still held; retry the whole Acquire from the
   // test-and-set. With a deadline (kNoDeadline for Acquire) each parked
-  // episode arms the process timer wheel (src/threads/timer.h), and the
-  // timer dequeues an expired waiter exactly as Alert dequeues an alertable
-  // one. Returns false on timeout.
+  // episode parks until it, and an expired waiter dequeues itself under
+  // the same locks a Release takes (ParkBlockedUntil, src/threads/timer.h).
+  // Returns false on timeout.
   bool NubAcquireFor(ThreadRecord* self, std::uint64_t deadline_ns);
 
   // Nub subroutine for Release: unblock one queued thread.

@@ -211,16 +211,16 @@ class NubGuard {
   SpinLock* lock_;
 };
 
-// Backoff for the rule-3 try-lock dance (Alert, Timer::ExpireEntry): called
-// after releasing t's record lock because the object-lock TryAcquire failed.
-// Deliberately reads nothing: once the record lock is dropped, the
-// object-lock holder may wake t, the waiter returns from its blocking call,
-// and the synchronization object — the spin-lock the failed TryAcquire
-// targeted included — may be destroyed, so even a relaxed IsHeld() peek here
-// would touch freed memory (the alive guarantee in rule 3 ends with the
-// record lock). The yield is also what breaks the retry livelock: the holder
-// is typically a Signal/Release spinning for t's record lock to wake t, and
-// descheduling for a quantum hands it a window no pause-sized gap provides.
+// Backoff for Alert's rule-3 try-lock dance: called after releasing t's
+// record lock because the object-lock TryAcquire failed. Deliberately reads
+// nothing: once the record lock is dropped, the object-lock holder may wake
+// t, the waiter returns from its blocking call, and the synchronization
+// object — the spin-lock the failed TryAcquire targeted included — may be
+// destroyed, so even a relaxed IsHeld() peek here would touch freed memory
+// (the alive guarantee in rule 3 ends with the record lock). The yield is
+// also what breaks the retry livelock: the holder is typically a
+// Signal/Release spinning for t's record lock to wake t, and descheduling
+// for a quantum hands it a window no pause-sized gap provides.
 inline void Rule3Backoff() {
   for (int i = 0; i < 64; ++i) {
     SpinLock::Pause();

@@ -228,11 +228,11 @@ Poll::Outcome Poll::WaitInternal(bool all, bool alertable,
         // Latch still disarmed under the record lock: no Set has notified
         // since the re-arm, so parking cannot strand us — a later notify
         // wins the 0->1 edge, sees this blocked state, and unparks.
-        PublishBlockedLocked(self,
-                             all ? ThreadRecord::BlockKind::kPollAll
-                                 : ThreadRecord::BlockKind::kPollAny,
-                             this, all ? first_unset : events_[0]->id(),
-                             /*obj_lock=*/nullptr, alertable, deadline_ns);
+        SetBlockedLocked(self,
+                         all ? ThreadRecord::BlockKind::kPollAll
+                             : ThreadRecord::BlockKind::kPollAny,
+                         this, all ? first_unset : events_[0]->id(),
+                         /*obj_lock=*/nullptr, alertable);
         parked = true;
       }
     }
@@ -352,11 +352,11 @@ Poll::Outcome Poll::TracedWait(ThreadRecord* self, bool all, bool alertable,
       if (alertable && self->alerted.load(std::memory_order_relaxed)) {
         alert_pending = true;
       } else if (self->poll_latch.load(std::memory_order_seq_cst) == 0) {
-        PublishBlockedLocked(self,
-                             all ? ThreadRecord::BlockKind::kPollAll
-                                 : ThreadRecord::BlockKind::kPollAny,
-                             this, all ? first_unset : events_[0]->id(),
-                             /*obj_lock=*/nullptr, alertable, deadline_ns);
+        SetBlockedLocked(self,
+                         all ? ThreadRecord::BlockKind::kPollAll
+                             : ThreadRecord::BlockKind::kPollAny,
+                         this, all ? first_unset : events_[0]->id(),
+                         /*obj_lock=*/nullptr, alertable);
         parked = true;
       }
     }

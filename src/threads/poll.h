@@ -34,8 +34,8 @@
 // takes all member locks at once in ascending resolved-address order (rule
 // 2 generalized from pairs to sets); the park/notify edge nests only the
 // record lock, never an object lock (the latch needs no object at all) —
-// which is what lets Alert and the timer dequeue a poll waiter without the
-// rule-3 try-lock dance.
+// which is what lets Alert, and a poll waiter whose deadline passed, end
+// its wait under the record lock alone, without the rule-3 try-lock dance.
 
 #ifndef TAOS_SRC_THREADS_POLL_H_
 #define TAOS_SRC_THREADS_POLL_H_

@@ -201,9 +201,8 @@ bool ReaderWriterMutex::NubAcquireFor(ThreadRecord* self,
       writer_q_len_.fetch_add(1, std::memory_order_seq_cst);
       if (word_.load(std::memory_order_seq_cst) != 0) {
         SpinGuard tg(self->lock);
-        PublishBlockedLocked(self, ThreadRecord::BlockKind::kRwExclusive, this,
-                             id_, &nub_lock_, /*alertable=*/false,
-                             deadline_ns);
+        SetBlockedLocked(self, ThreadRecord::BlockKind::kRwExclusive, this, id_,
+                         &nub_lock_, /*alertable=*/false);
         parked = true;
       } else {
         writers_queue_.Remove(self);
@@ -242,9 +241,8 @@ bool ReaderWriterMutex::NubAcquireSharedFor(ThreadRecord* self,
       reader_q_len_.fetch_add(1, std::memory_order_seq_cst);
       if ((word_.load(std::memory_order_seq_cst) & kWriterBit) != 0) {
         SpinGuard tg(self->lock);
-        PublishBlockedLocked(self, ThreadRecord::BlockKind::kRwShared, this,
-                             id_, &nub_lock_, /*alertable=*/false,
-                             deadline_ns);
+        SetBlockedLocked(self, ThreadRecord::BlockKind::kRwShared, this, id_,
+                         &nub_lock_, /*alertable=*/false);
         parked = true;
       } else {
         readers_queue_.Remove(self);
@@ -338,8 +336,8 @@ bool ReaderWriterMutex::TracedAcquireFor(ThreadRecord* self,
       writers_queue_.PushBack(self);
       writer_q_len_.fetch_add(1, std::memory_order_relaxed);
       SpinGuard tg(self->lock);
-      PublishBlockedLocked(self, ThreadRecord::BlockKind::kRwExclusive, this,
-                           id_, &nub_lock_, /*alertable=*/false, deadline_ns);
+      SetBlockedLocked(self, ThreadRecord::BlockKind::kRwExclusive, this, id_,
+                       &nub_lock_, /*alertable=*/false);
     }
     // The loop-top deadline check decides.
     ParkBlockedUntil(self, deadline_ns, kLockWait);
@@ -369,8 +367,8 @@ bool ReaderWriterMutex::TracedAcquireSharedFor(ThreadRecord* self,
       readers_queue_.PushBack(self);
       reader_q_len_.fetch_add(1, std::memory_order_relaxed);
       SpinGuard tg(self->lock);
-      PublishBlockedLocked(self, ThreadRecord::BlockKind::kRwShared, this,
-                           id_, &nub_lock_, /*alertable=*/false, deadline_ns);
+      SetBlockedLocked(self, ThreadRecord::BlockKind::kRwShared, this, id_,
+                       &nub_lock_, /*alertable=*/false);
     }
     // The loop-top deadline check decides.
     ParkBlockedUntil(self, deadline_ns, kLockWait);

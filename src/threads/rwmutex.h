@@ -117,7 +117,8 @@ class ReaderWriterMutex {
   spec::ObjId id() const { return id_; }
 
  private:
-  friend class Timer;
+  friend bool ParkBlockedUntil(ThreadRecord* t, std::uint64_t deadline_ns,
+                               waitq::Parker::Spin spin);
 
   static constexpr std::uint32_t kWriterBit = 1u << 31;
 

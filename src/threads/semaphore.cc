@@ -82,9 +82,8 @@ bool Semaphore::NubPFor(ThreadRecord* self, std::uint64_t deadline_ns) {
       TAOS_CHAOS(kSemEnqueuedToTest);
       if (bit_.load(std::memory_order_seq_cst) != 0) {
         SpinGuard tg(self->lock);
-        PublishBlockedLocked(self, ThreadRecord::BlockKind::kSemaphore, this,
-                             id_, &nub_lock_, /*alertable=*/false,
-                             deadline_ns);
+        SetBlockedLocked(self, ThreadRecord::BlockKind::kSemaphore, this, id_,
+                         &nub_lock_, /*alertable=*/false);
         parked = true;
       } else {
         TAOS_CHAOS(kSemBackout);
@@ -158,8 +157,8 @@ bool Semaphore::TracedPFor(ThreadRecord* self, std::uint64_t deadline_ns) {
       }
       if (DeadlinePassed(deadline_ns)) {
         // PFor/TIMEOUT: a no-op on s, one atomic action under the object
-        // lock. Subsumes timeout_woken (round-up placement means an expiry
-        // implies the deadline is behind us).
+        // lock. Subsumes a self-dequeue on expiry, which implies the
+        // deadline is behind us.
         SpinGuard tg(self->lock);
         nub.EmitTraced(spec::MakePTimeout(self->id, id_));
         return false;
@@ -167,8 +166,8 @@ bool Semaphore::TracedPFor(ThreadRecord* self, std::uint64_t deadline_ns) {
       queue_.PushBack(self);
       queue_len_.fetch_add(1, std::memory_order_relaxed);
       SpinGuard tg(self->lock);
-      PublishBlockedLocked(self, ThreadRecord::BlockKind::kSemaphore, this,
-                           id_, &nub_lock_, /*alertable=*/false, deadline_ns);
+      SetBlockedLocked(self, ThreadRecord::BlockKind::kSemaphore, this, id_,
+                       &nub_lock_, /*alertable=*/false);
     }
     // The loop-top deadline check decides.
     ParkBlockedUntil(self, deadline_ns, kLockWait);

@@ -82,7 +82,8 @@ class Semaphore {
   }
 
  private:
-  friend class Timer;
+  friend bool ParkBlockedUntil(ThreadRecord* t, std::uint64_t deadline_ns,
+                               waitq::Parker::Spin spin);
   friend void Alert(ThreadHandle t);
   friend void AlertP(Semaphore& s);
 

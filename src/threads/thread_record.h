@@ -31,21 +31,6 @@ class Mutex;
 class Condition;
 class Semaphore;
 class ObjLock;
-struct ThreadRecord;
-
-// Intrusive node linking a thread into the timer wheel (src/threads/timer.h)
-// while it sits in a timed wait. Every field is guarded by the wheel's own
-// lock — never by the record's `lock` — so arming and expiry never contend
-// with the blocking protocol itself.
-struct TimerNode {
-  TimerNode* prev = nullptr;
-  TimerNode* next = nullptr;
-  std::uint64_t deadline_ns = 0;  // on the obs::NowNanos timeline
-  std::uint64_t gen = 0;          // which wait instance armed this node
-  int level = 0;                  // which wheel level the node sits in
-  bool armed = false;
-  ThreadRecord* owner = nullptr;
-};
 
 struct ThreadRecord {
   QueueNode queue_node;
@@ -85,15 +70,6 @@ struct ThreadRecord {
   bool alert_woken = false;  // dequeued by Alert rather than by V/Signal
   void* blocked_obj = nullptr;  // the Mutex/Semaphore/Condition blocked on
   ObjLock* blocked_lock = nullptr;  // that object's slow-path lock
-  // Timed-wait state. `timed` marks the current blocked episode as having a
-  // deadline and `timer_gen` names which wait instance armed it, so a stale
-  // expiry (the waiter already woke, maybe even re-blocked) validates as a
-  // no-op under `lock`. `timeout_woken` is the expiry path's receipt: set by
-  // the timer thread after it dequeued/cancelled this waiter, read by the
-  // waiter after it wakes to pick the kTimeout outcome.
-  bool timed = false;
-  std::uint64_t timer_gen = 0;
-  bool timeout_woken = false;
   // Multi-object wait notification latch (src/threads/poll.h). A poll
   // waiter re-arms it to 0 before each scan of its wait set; an Event::Set
   // that finds this thread registered exchanges it to 1 and, on the 0->1
@@ -112,14 +88,6 @@ struct ThreadRecord {
   // Set when the thread terminated because Alerted escaped its root
   // function (see Thread::Fork).
   std::atomic<bool> ended_by_alert{false};
-
-  // ---- owner-thread private (no lock) ----
-  // Source of `timer_gen` values: bumped by the owning thread at the start
-  // of each timed wait, before the new value is published under `lock`.
-  std::uint64_t next_timer_gen = 0;
-
-  // ---- guarded by the timer wheel's lock ----
-  TimerNode timer;
 
   // ---- statistics (relaxed; for tests and experiments) ----
   std::atomic<std::uint64_t> parks{0};
@@ -179,10 +147,6 @@ inline void ClearBlockedLocked(ThreadRecord* t) {
   t->blocked_obj = nullptr;
   t->blocked_lock = nullptr;
   t->alertable = false;
-  // A dequeuer (granter, alerter or the timer) that unblocks this record
-  // also invalidates its deadline; `timeout_woken` is NOT cleared here —
-  // the timer sets it right after this call and the waiter consumes it.
-  t->timed = false;
   if (t->diag_slot != nullptr) {
     obs::diag::ClearBlocked(t->diag_slot);
   }
@@ -214,14 +178,18 @@ inline void MarkUnblocked(ThreadRecord* t) {
 inline constexpr waitq::Parker::Spin kEventWait = waitq::Parker::Spin::kGated;
 inline constexpr waitq::Parker::Spin kLockWait = waitq::Parker::Spin::kNever;
 
-inline void ParkBlocked(ThreadRecord* t, waitq::Parker::Spin spin) {
+// Returns the Park's result: false iff `deadline_ns` passed first (see
+// ParkBlockedUntil in timer.h for what a timed-out waiter must do next).
+inline bool ParkBlocked(ThreadRecord* t, waitq::Parker::Spin spin,
+                        std::uint64_t deadline_ns = waitq::kNoDeadline) {
   // The window between publishing the blocked edge and the deschedule: a
   // watchdog snapshot here sees a thread "blocked" that has not parked yet.
   TAOS_CHAOS(kDiagPublishToPark);
   t->parks.fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t start = obs::NowNanos();
-  t->park.Park(spin);
+  const bool woken = t->park.Park(spin, deadline_ns);
   obs::Record(obs::Histogram::kBlockedNanos, obs::NowNanos() - start);
+  return woken;
 }
 
 // Opaque handle clients use to name a thread (e.g. Alert(t)).

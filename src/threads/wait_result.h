@@ -4,7 +4,7 @@
 // only by a grant (Release/V/Signal) or by an Alert. The timed variants add
 // a third exit — expiry of a deadline — and report which of the three ended
 // the wait. The precedence when exits race is fixed by the implementation:
-// a grant always beats the timer (a timed wait that loses the expiry-vs-
+// a grant always beats the deadline (a timed wait that loses the expiry-vs-
 // grant race never loses the grant), and an expiry observed by the waiter
 // beats a pending alert (the alert flag is left set for the next alertable
 // operation rather than silently consumed by a wait that reports kTimeout).

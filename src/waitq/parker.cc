@@ -145,26 +145,31 @@ Parker::Backend Parker::DefaultBackend() {
   return backend;
 }
 
-void Parker::Park(Spin spin) {
+bool Parker::Park(Spin spin, std::uint64_t deadline_ns) {
   // Between the caller's last re-test and the deschedule: the wakeup-waiting
   // window the permit protocol exists for.
   TAOS_CHAOS(kParkerBeforePark);
   const std::uint64_t start = obs::NowNanos();
   if (spin == Spin::kGated) {
-    SpinPhase(start);
+    SpinPhase(start, deadline_ns);
   }
   // A spin hit left kNotified in the word: the backend consumes it below
   // with its acquire CAS/load, without sleeping.
-  if (backend_ == Backend::kFutex) {
-    FutexPark();
-  } else {
-    CondvarPark();
-  }
+  const bool notified = backend_ == Backend::kFutex ? FutexPark(deadline_ns)
+                                                    : CondvarPark(deadline_ns);
   obs::Record(obs::Histogram::kParkWaitNanos, obs::NowNanos() - start);
+  if (!notified) {
+    // Timed out, permit not consumed: an Unpark can still land before the
+    // caller acts on the timeout (timeout-vs-grant at the parker level).
+    // Any wake stamp stays put — it travels with the still-pending permit.
+    TAOS_CHAOS(kParkerTimedReturn);
+    return false;
+  }
   ConsumeWakeStamp(wake_flow_, wake_ns_);
+  return true;
 }
 
-void Parker::SpinPhase(std::uint64_t start_ns) {
+void Parker::SpinPhase(std::uint64_t start_ns, std::uint64_t deadline_ns) {
   if (state_.load(std::memory_order_relaxed) == kNotified) {
     obs::Inc(obs::Counter::kParkPermitReady);
     return;
@@ -177,34 +182,16 @@ void Parker::SpinPhase(std::uint64_t start_ns) {
   }
   // Relaxed loads only: the spin watches for the permit, it does not take
   // it. A clock read every few pauses keeps the budget check cheap.
-  const std::uint64_t deadline = start_ns + kSpinBudgetNs;
+  const std::uint64_t end = std::min(start_ns + kSpinBudgetNs, deadline_ns);
   bool hit = false;
   do {
     for (int i = 0; i < 8 && !hit; ++i) {
       SpinLock::Pause();
       hit = state_.load(std::memory_order_relaxed) == kNotified;
     }
-  } while (!hit && obs::NowNanos() < deadline);
+  } while (!hit && obs::NowNanos() < end);
   gate.Record(cpu, hit);
   obs::Inc(hit ? obs::Counter::kParkSpinHits : obs::Counter::kParkSpinMisses);
-}
-
-bool Parker::ParkUntil(std::uint64_t deadline_ns) {
-  TAOS_CHAOS(kParkerBeforePark);
-  const std::uint64_t start = obs::NowNanos();
-  const bool notified = backend_ == Backend::kFutex
-                            ? FutexParkUntil(deadline_ns)
-                            : CondvarParkUntil(deadline_ns);
-  obs::Record(obs::Histogram::kParkWaitNanos, obs::NowNanos() - start);
-  if (!notified) {
-    // Timed out, permit not consumed: an Unpark can still land before the
-    // caller acts on the timeout (timeout-vs-grant at the parker level).
-    // Any wake stamp stays put — it travels with the still-pending permit.
-    TAOS_CHAOS(kParkerTimedReturn);
-    return false;
-  }
-  ConsumeWakeStamp(wake_flow_, wake_ns_);
-  return true;
 }
 
 void Parker::Unpark() {
@@ -242,41 +229,13 @@ void Parker::SpuriousWakeForDebug() {
   cv_.notify_one();
 }
 
-void Parker::FutexPark() {
+bool Parker::FutexPark(std::uint64_t deadline_ns) {
 #if defined(__linux__)
   for (;;) {
     std::uint32_t cur = state_.load(std::memory_order_relaxed);
     if (cur == kNotified) {
       // Permit already deposited: consume it without sleeping. acquire pairs
       // with Unpark's release so everything before the Unpark is visible.
-      if (state_.compare_exchange_weak(cur, kEmpty,
-                                       std::memory_order_acquire,
-                                       std::memory_order_relaxed)) {
-        return;
-      }
-      continue;
-    }
-    if (cur == kEmpty) {
-      if (!state_.compare_exchange_weak(cur, kParked,
-                                        std::memory_order_relaxed,
-                                        std::memory_order_relaxed)) {
-        continue;  // lost to a concurrent Unpark: re-read
-      }
-    }
-    // state_ is kParked (set by us, or left over from a spurious return).
-    obs::Inc(obs::Counter::kParkFutexWaits);
-    FutexWait(state_, kParked);
-  }
-#else
-  CondvarPark();
-#endif
-}
-
-bool Parker::FutexParkUntil(std::uint64_t deadline_ns) {
-#if defined(__linux__)
-  for (;;) {
-    std::uint32_t cur = state_.load(std::memory_order_relaxed);
-    if (cur == kNotified) {
       if (state_.compare_exchange_weak(cur, kEmpty,
                                        std::memory_order_acquire,
                                        std::memory_order_relaxed)) {
@@ -291,28 +250,34 @@ bool Parker::FutexParkUntil(std::uint64_t deadline_ns) {
         continue;  // lost to a concurrent Unpark: re-read
       }
     }
-    const std::uint64_t now = obs::NowNanos();
-    if (now >= deadline_ns) {
-      // Deadline passed while the word says kParked. Put it back to kEmpty;
-      // if the CAS loses, an Unpark just landed — consume it next pass (the
-      // permit, not the deadline, decides the return value in that race).
-      std::uint32_t parked = kParked;
-      if (state_.compare_exchange_strong(parked, kEmpty,
-                                         std::memory_order_relaxed,
-                                         std::memory_order_relaxed)) {
-        return false;
-      }
-      continue;
-    }
-    const std::uint64_t rel = deadline_ns - now;
+    // state_ is kParked (set by us, or left over from a spurious return).
     struct timespec ts;
-    ts.tv_sec = static_cast<time_t>(rel / 1'000'000'000ull);
-    ts.tv_nsec = static_cast<long>(rel % 1'000'000'000ull);
+    const struct timespec* timeout = nullptr;
+    if (deadline_ns != kNoDeadline) {
+      const std::uint64_t now = obs::NowNanos();
+      if (now >= deadline_ns) {
+        // Deadline passed while the word says kParked. Put it back to
+        // kEmpty; if the CAS loses, an Unpark just landed — consume it next
+        // pass (the permit, not the deadline, decides the return value in
+        // that race).
+        std::uint32_t parked = kParked;
+        if (state_.compare_exchange_strong(parked, kEmpty,
+                                           std::memory_order_relaxed,
+                                           std::memory_order_relaxed)) {
+          return false;
+        }
+        continue;
+      }
+      const std::uint64_t rel = deadline_ns - now;
+      ts.tv_sec = static_cast<time_t>(rel / 1'000'000'000ull);
+      ts.tv_nsec = static_cast<long>(rel % 1'000'000'000ull);
+      timeout = &ts;
+    }
     obs::Inc(obs::Counter::kParkFutexWaits);
-    FutexWait(state_, kParked, &ts);
+    FutexWait(state_, kParked, timeout);
   }
 #else
-  return CondvarParkUntil(deadline_ns);
+  return CondvarPark(deadline_ns);
 #endif
 }
 
@@ -329,24 +294,17 @@ void Parker::FutexUnpark() {
 #endif
 }
 
-void Parker::CondvarPark() {
+bool Parker::CondvarPark(std::uint64_t deadline_ns) {
   std::unique_lock<std::mutex> lk(mu_);
   // acquire pairs with CondvarUnpark's release: the park-return edge must
   // carry the unparker's prior writes on the permit word alone (see the
   // header's fence argument), not lean on mu_ happening to synchronize.
   while (state_.load(std::memory_order_acquire) != kNotified) {
-    obs::Inc(obs::Counter::kParkCondvarWaits);
-    cv_.wait(lk);
-  }
-  // The reset may stay relaxed: it is a store sequenced after the acquire
-  // load above, and only the owning thread's next Park reads it.
-  state_.store(kEmpty, std::memory_order_relaxed);
-}
-
-bool Parker::CondvarParkUntil(std::uint64_t deadline_ns) {
-  std::unique_lock<std::mutex> lk(mu_);
-  // Same acquire pairing as CondvarPark (see the header's fence argument).
-  while (state_.load(std::memory_order_acquire) != kNotified) {
+    if (deadline_ns == kNoDeadline) {
+      obs::Inc(obs::Counter::kParkCondvarWaits);
+      cv_.wait(lk);
+      continue;
+    }
     const std::uint64_t now = obs::NowNanos();
     if (now >= deadline_ns) {
       return false;
@@ -357,6 +315,8 @@ bool Parker::CondvarParkUntil(std::uint64_t deadline_ns) {
     cv_.wait_until(lk, std::chrono::steady_clock::now() +
                            std::chrono::nanoseconds(deadline_ns - now));
   }
+  // The reset may stay relaxed: it is a store sequenced after the acquire
+  // load above, and only the owning thread's next Park reads it.
   state_.store(kEmpty, std::memory_order_relaxed);
   return true;
 }

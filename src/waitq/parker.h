@@ -20,7 +20,7 @@
 // Memory ordering (the fence argument): Park-returns is an acquire edge
 // paired with Unpark's release on the permit word, in BOTH backends. The
 // unparker writes the reason for the wakeup (a granted mutex bit, a filled
-// condition slot, an alert or timeout receipt) before Unpark; the parked thread
+// condition slot, an alert receipt) before Unpark; the parked thread
 // reads it right after Park returns. Those payload reads must not be
 // reorderable above the observation of kNotified, so the edge has to stand
 // on the permit word itself:
@@ -37,6 +37,11 @@
 // Backend selection: the process default is futex on Linux, condvar
 // elsewhere, overridable with TAOS_WAITQ_PARKER=futex|condvar (read once);
 // individual parkers can pin a backend for A/B benches and tests.
+//
+// Deadlines: Park takes one on the obs::NowNanos() timeline (kNoDeadline for
+// none). A timed-out Park consumes no permit and returns false; the caller
+// decides what the timeout means (src/threads/timer.h: the waiter dequeues
+// itself). An untimed Park never reads the clock past its entry stamp.
 //
 // The spin phase (Park(Spin::kGated): the Nub's event waits, ParkBlocked's
 // kEventWait). The paper's Nub de-schedules a blocked thread at once. With
@@ -62,10 +67,13 @@
 //     (E3's collapse), so a SpinGate with one credit cell per CPU decides
 //     whether to spin at all: hits earn credit, misses cost more, and a
 //     closed cell probes with exponential back-off so it can reopen.
-//   - Deadline waits (the timer thread's Park/ParkUntil) never spin: their
-//     wakeups are milliseconds away, so every spin would be a miss. Nor do
-//     the Nub's lock waits, whose wakeup is only a hint to retry a
-//     test-and-set that barging threads may win (thread_record.h).
+//   - A deadline caps the spin: a gated Park whose deadline falls inside
+//     the budget spins only until the deadline, counts a miss, and returns
+//     false. Timed event waits (Condition::WaitFor, the rpc replies) spin
+//     exactly like untimed ones, since their grant usually lands long
+//     before the deadline.
+//   - The Nub's lock waits never spin: their wakeup is only a hint to retry
+//     a test-and-set that barging threads may win (thread_record.h).
 //   - Ledger: every gated Park lands in exactly one of the obs counters
 //     park_permit_ready (permit already there on entry), park_spin_hits,
 //     park_spin_misses, park_spin_skipped (gate closed).
@@ -76,10 +84,15 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <mutex>
 
 namespace taos::waitq {
+
+// The deadline of a park that has none (obs::NowNanos() timeline).
+inline constexpr std::uint64_t kNoDeadline =
+    std::numeric_limits<std::uint64_t>::max();
 
 // The spin phase's admission gate: one cache-line-padded credit cell per
 // CPU. A cell is open while its credit is positive. Record(hit) adds
@@ -137,7 +150,7 @@ class Parker {
   enum class Backend { kFutex, kCondvar };
   // kGated: an event wait, whose waker is usually already running; spin
   // first if the SpinGate admits it. kNever: straight to the backend's
-  // sleep (deadline waits, lock waits).
+  // sleep (lock waits).
   enum class Spin { kNever, kGated };
 
   // The spin phase's budget (see the header comment).
@@ -157,19 +170,14 @@ class Parker {
 
   Backend backend() const { return backend_; }
 
-  // Consumes one permit, blocking until it is deposited. With Spin::kGated
-  // and no permit on entry, first spins up to kSpinBudgetNs if the calling
-  // CPU's SpinGate cell admits it.
-  void Park(Spin spin = Spin::kNever);
-
-  // Consumes one permit if it is deposited before `deadline_ns` on the
-  // obs::NowNanos() timeline. Returns true if a permit was consumed (even
-  // if it raced past the deadline), false if the deadline passed with no
-  // permit — in which case no permit is consumed and the parker is reusable
-  // immediately. Futex backend: FUTEX_WAIT with a timeout; condvar backend:
-  // wait_until against the same clock. Same acquire/release pairing as
-  // Park/Unpark.
-  bool ParkUntil(std::uint64_t deadline_ns);
+  // Consumes one permit, blocking until it is deposited or `deadline_ns`
+  // (obs::NowNanos() timeline) passes. Returns true if a permit was
+  // consumed (even if it raced past the deadline), false if the deadline
+  // passed with no permit; then no permit is consumed and the parker is
+  // reusable at once. With Spin::kGated and no permit on entry, first spins
+  // up to kSpinBudgetNs (and never past the deadline) if the calling CPU's
+  // SpinGate cell admits it. Always true for kNoDeadline.
+  bool Park(Spin spin = Spin::kNever, std::uint64_t deadline_ns = kNoDeadline);
 
   // Deposits one permit, waking the parked thread if there is one. Safe from
   // any thread; never blocks (beyond the condvar backend's short critical
@@ -177,7 +185,7 @@ class Parker {
   void Unpark();
 
   // Test-only: wakes the underlying futex/condvar WITHOUT depositing a
-  // permit — a synthetic spurious wakeup. Park/ParkUntil must absorb it
+  // permit — a synthetic spurious wakeup. Park must absorb it
   // (re-check the word, go back to sleep); returning from Park on one is a
   // permit-protocol violation.
   void SpuriousWakeForDebug();
@@ -192,15 +200,15 @@ class Parker {
 
   static Backend Resolve(Backend b);
 
-  // The gated spin phase ahead of the backend's sleep; counts the ledger.
-  void SpinPhase(std::uint64_t start_ns);
+  // The gated spin phase ahead of the backend's sleep, ending at the
+  // budget or the deadline, whichever is first; counts the ledger.
+  void SpinPhase(std::uint64_t start_ns, std::uint64_t deadline_ns);
 
-  void FutexPark();
+  // The backends' sleeps: true iff a permit was consumed.
+  bool FutexPark(std::uint64_t deadline_ns);
+  bool CondvarPark(std::uint64_t deadline_ns);
   void FutexUnpark();
-  void CondvarPark();
   void CondvarUnpark();
-  bool FutexParkUntil(std::uint64_t deadline_ns);
-  bool CondvarParkUntil(std::uint64_t deadline_ns);
 
   const Backend backend_;
   std::atomic<std::uint32_t> state_{kEmpty};

@@ -8,8 +8,8 @@
 // join, and a 1 ms polling loop per timed wait. Deadlines are now
 // first-class in the Nub (src/threads/timer.h), so the same contract rides
 // on AlertWaitFor: zero threads per call, no polling, and the expiry-vs-
-// signal race arbitrated by the wheel's cancellation protocol instead of by
-// alert-flag accounting. Returns true if the predicate came true, false on
+// signal race arbitrated by the waiter's own dequeue under the object lock
+// instead of by alert-flag accounting. Returns true if the predicate came true, false on
 // timeout. The caller must hold the mutex; it is held again on return
 // either way.
 

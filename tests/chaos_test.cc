@@ -2,8 +2,8 @@
 // determinism (every build), and — in a -DTAOS_CHAOS=ON build — the two
 // claims the harness stands on: a fixed-seed run of the mixed workload
 // matrix crosses every named injection point (the 100% coverage gate), and
-// a deliberately reintroduced lost-alert bug (the pre-timer-wheel
-// WaitWithTimeout window) is caught by the default seed sweep and
+// a deliberately reintroduced lost-alert bug (the window of the old
+// watchdog-thread WaitWithTimeout) is caught by the default seed sweep and
 // reproduces from the seed the sweep reports.
 
 #include <atomic>

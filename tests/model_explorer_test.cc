@@ -170,31 +170,39 @@ TEST(ModelTest, TwoPhilosophers) {
   EXPECT_EQ(good.violations, 0u) << good.ToString();
 }
 
-// --- Queue-lock timeout cancellation: the rule-3 analogue for MCS ---
+// --- Timed waits: the waiter's self-dequeue racing a release's grant ---
 
-TEST(ModelTest, McsSafeAbandonKeepsTheLockAliveExhaustively) {
+// Two CPUs: the sleeping waiter, forked first, is asleep before the
+// releaser gets a processor, which is the scenario's starting state. The
+// releaser and the timed-out waiter then interleave freely (4,626 runs;
+// three CPUs add the sleeper's own park steps and take the tree past a
+// million).
+TEST(ModelTest, TimeoutSelfDequeueLosesNoWakeupExhaustively) {
   Tally tally;
-  Explorer ex(Opts(2, 60'000));
-  ExplorationResult r = ex.Explore(McsTimeoutAbandonLitmus(true, &tally));
+  Explorer ex(Opts(2, 100'000));
+  ExplorationResult r = ex.Explore(SelfCancelTimeoutLitmus(true, &tally));
   EXPECT_TRUE(r.exhausted) << r.ToString();
   EXPECT_EQ(r.violations, 0u) << r.ToString();
   // Both sides of the race genuinely occur across the schedule tree: the
-  // abandon CAS winning, and the grant landing first (forcing the timed-out
-  // waiter to accept and pass on the lock).
-  EXPECT_GT(tally.timeout_abandons, 0u);
+  // timed-out waiter dequeuing itself, and the release dequeuing it first
+  // (its permit then consumed by the waiter, not left behind).
+  EXPECT_GT(tally.timeout_self_dequeues, 0u);
   EXPECT_GT(tally.timeout_grant_races, 0u);
 }
 
-TEST(ModelTest, McsBlindAbandonLosesAHandoff) {
-  Explorer ex(Opts(2, 60'000));
-  ExplorationResult r = ex.Explore(McsTimeoutAbandonLitmus(false));
+TEST(ModelTest, TimeoutStraightFromTheParkerLosesAWakeup) {
+  ExplorerOptions opts = Opts(2, 100'000);
+  opts.stop_on_violation = false;
+  Explorer ex(opts);
+  ExplorationResult r = ex.Explore(SelfCancelTimeoutLitmus(false));
+  EXPECT_TRUE(r.exhausted) << r.ToString();
   ASSERT_GE(r.violations, 1u)
-      << "expected the blind abandon to erase a grant: " << r.ToString();
-  EXPECT_NE(r.first_violation.find("lost handoff"), std::string::npos)
+      << "expected the unchecked timeout to strand a waiter: " << r.ToString();
+  EXPECT_NE(r.first_violation.find("lost wakeup"), std::string::npos)
       << r.first_violation;
   // The counterexample replays deterministically to the same verdict.
   std::string replayed =
-      ex.Replay(McsTimeoutAbandonLitmus(false), r.counterexample);
+      ex.Replay(SelfCancelTimeoutLitmus(false), r.counterexample);
   EXPECT_EQ(replayed, r.first_violation);
 }
 

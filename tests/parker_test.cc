@@ -3,7 +3,8 @@
 // discipline, wakeups, repeated handoffs, spurious-wakeup tolerance and the
 // check-to-sleep window, each on both the futex and condvar backends; the
 // SpinGate's credit and probe schedule; and the spin ledger (every gated
-// Park counted exactly once, deadline and lock waits never).
+// Park counted exactly once, ungated ones never, and a deadline capping
+// the spin).
 
 #include "src/waitq/parker.h"
 
@@ -107,8 +108,10 @@ TEST_P(ParkerBackendTest, SpuriousWakeupsDoNotEndATimedParkEarly) {
   Parker p(GetParam());
   std::atomic<int> outcome{-1};
   std::thread t([&] {
-    outcome.store(p.ParkUntil(obs::NowNanos() + 2'000'000'000ull) ? 1 : 0,
-                  std::memory_order_release);
+    outcome.store(
+        p.Park(Parker::Spin::kNever, obs::NowNanos() + 2'000'000'000ull) ? 1
+                                                                        : 0,
+        std::memory_order_release);
   });
   for (int i = 0; i < 50; ++i) {
     p.SpuriousWakeForDebug();
@@ -127,7 +130,7 @@ TEST_P(ParkerBackendTest, SpuriousWakeupsDoNotEndATimedParkEarly) {
 // the sleep — a lost wakeup. Swept here by staggering the Unpark across
 // that window a few thousand times; run on both backends (the futex word
 // protocol has the same window between the kParked CAS and FUTEX_WAIT).
-// A lost wakeup surfaces as ParkUntil timing out despite the Unpark.
+// A lost wakeup surfaces as the timed Park timing out despite the Unpark.
 TEST_P(ParkerBackendTest, UnparkInTheCheckToSleepWindowIsNeverLost) {
   Parker p(GetParam());
   constexpr int kRounds = 4000;
@@ -135,7 +138,8 @@ TEST_P(ParkerBackendTest, UnparkInTheCheckToSleepWindowIsNeverLost) {
   std::atomic<bool> all_notified{true};
   std::thread waiter([&] {
     for (int i = 0; i < kRounds; ++i) {
-      if (!p.ParkUntil(obs::NowNanos() + 10'000'000'000ull)) {
+      if (!p.Park(Parker::Spin::kNever,
+                  obs::NowNanos() + 10'000'000'000ull)) {
         all_notified.store(false, std::memory_order_relaxed);
       }
       completed.store(i + 1, std::memory_order_release);
@@ -280,13 +284,13 @@ TEST_P(ParkerBackendTest, LedgerCountsEveryGatedParkOnce) {
             2 * kRounds - ready);
 }
 
-// Deadline waits never spin: Park() and ParkUntil() leave the ledger alone.
+// Ungated parks never spin, timed or not: they leave the ledger alone.
 TEST_P(ParkerBackendTest, UngatedParksMoveNoSpinCounter) {
   Parker p(GetParam());
   const Stats before = Snapshot();
   p.Unpark();
   p.Park();
-  EXPECT_FALSE(p.ParkUntil(obs::NowNanos() + 1'000'000));
+  EXPECT_FALSE(p.Park(Parker::Spin::kNever, obs::NowNanos() + 1'000'000));
   std::thread t([&] { p.Park(); });
   std::this_thread::sleep_for(std::chrono::milliseconds(1));
   p.Unpark();
@@ -296,6 +300,27 @@ TEST_P(ParkerBackendTest, UngatedParksMoveNoSpinCounter) {
                     Counter::kParkSpinMisses, Counter::kParkSpinSkipped}) {
     EXPECT_EQ(Delta(before, after, c), 0u) << obs::CounterName(c);
   }
+}
+
+// A gated Park whose deadline falls inside the spin budget spins at most
+// up to the deadline and returns false there, consuming nothing: one
+// ledger entry (a miss, or a skip if the gate was closed), never a hit.
+TEST_P(ParkerBackendTest, GatedParkTimesOutAtADeadlineInsideTheSpinBudget) {
+  Parker p(GetParam());
+  constexpr std::uint64_t kTimeoutNs = Parker::kSpinBudgetNs / 4;
+  const Stats before = Snapshot();
+  const std::uint64_t deadline = obs::NowNanos() + kTimeoutNs;
+  EXPECT_FALSE(p.Park(Parker::Spin::kGated, deadline));
+  EXPECT_GE(obs::NowNanos(), deadline);
+  const Stats after = Snapshot();
+  EXPECT_EQ(Delta(before, after, Counter::kParkSpinMisses) +
+                Delta(before, after, Counter::kParkSpinSkipped),
+            1u);
+  EXPECT_EQ(Delta(before, after, Counter::kParkPermitReady), 0u);
+  EXPECT_EQ(Delta(before, after, Counter::kParkSpinHits), 0u);
+  // No permit was consumed or left behind: the parker is reusable at once.
+  p.Unpark();
+  EXPECT_TRUE(p.Park(Parker::Spin::kNever, obs::NowNanos() + 1'000'000'000));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -395,14 +420,14 @@ TEST(SpinGateTest, CpuCellsAreIndependent) {
   }
 }
 
-// --- The timer thread's deadline waits never spin ---
+// --- Timed event waits in the ledger ---
 
-// Condition::WaitFor timeouts: the waiter's ParkBlocked calls are event
-// waits (each counts once in the ledger), the timer thread's Park/ParkUntil
-// are deadline waits (counting none). So the ledger moves by exactly the
-// number of ParkBlocked calls, one kBlockedNanos sample each, even though
-// the timer thread parked too (more kParkWaitNanos samples than that).
-TEST(ParkerTimerTest, TimerThreadWaitsMoveNoSpinCounter) {
+// Condition::WaitFor timeouts: each of the waiter's ParkBlocked calls is a
+// gated event wait with a deadline, counted exactly once in the ledger, and
+// a waiter that times out parks nowhere else (it dequeues itself without
+// sleeping again). So the ledger moves by exactly the number of
+// kBlockedNanos samples.
+TEST(ParkerTimedWaitTest, TimedEventWaitsCountOnceEachInTheLedger) {
   taos::Mutex m;
   taos::Condition c;
   constexpr int kWaits = 5;
@@ -413,18 +438,15 @@ TEST(ParkerTimerTest, TimerThreadWaitsMoveNoSpinCounter) {
               WaitResult::kTimeout);
   }
   const Stats after = Snapshot();
-  const auto samples = [&](obs::Histogram h) {
-    return after.HistogramTotal(h) - before.HistogramTotal(h);
-  };
-  const std::uint64_t blocked = samples(obs::Histogram::kBlockedNanos);
+  const std::uint64_t blocked =
+      after.HistogramTotal(obs::Histogram::kBlockedNanos) -
+      before.HistogramTotal(obs::Histogram::kBlockedNanos);
   EXPECT_GE(blocked, static_cast<std::uint64_t>(kWaits));
   EXPECT_EQ(Delta(before, after, Counter::kParkPermitReady) +
                 Delta(before, after, Counter::kParkSpinHits) +
                 Delta(before, after, Counter::kParkSpinMisses) +
                 Delta(before, after, Counter::kParkSpinSkipped),
             blocked);
-  EXPECT_GT(samples(obs::Histogram::kParkWaitNanos), blocked)
-      << "the timer thread never parked";
 }
 
 // A Mutex waiter is a lock wait: it parks at once, so a contended

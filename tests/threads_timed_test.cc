@@ -1,11 +1,12 @@
-// Timed waits: AcquireFor / PFor / WaitFor / AlertWaitFor, the timer-wheel
-// deadline subsystem behind them, and the invariants the design promises —
-// a grant always beats the deadline, a timeout never consumes a pending
-// alert, WaitWithTimeout creates no threads per call, and an untimed wait
-// never arms the wheel.
+// Timed waits: AcquireFor / PFor / WaitFor / AlertWaitFor, the self-timing
+// deadline parks behind them, and the invariants the design promises — a
+// grant always beats the deadline, a timeout never consumes a pending
+// alert, no timed wait starts a thread, a granted timed wait leaves no
+// stray permit behind, and an untimed wait never parks with a deadline.
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <fstream>
 #include <functional>
 #include <sstream>
@@ -15,9 +16,9 @@
 
 #include <gtest/gtest.h>
 
+#include "src/obs/metrics.h"
 #include "src/spec/trace.h"
 #include "src/threads/threads.h"
-#include "src/threads/timer.h"
 #include "src/threads/wait_result.h"
 #include "src/workload/timeout.h"
 
@@ -25,6 +26,47 @@ namespace taos {
 namespace {
 
 using namespace std::chrono_literals;
+
+std::uint64_t Delta(const obs::Stats& before, const obs::Stats& after,
+                    obs::Counter c) {
+  return after.Count(c) - before.Count(c);
+}
+
+int CountOsThreads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) {
+      std::istringstream is(line.substr(8));
+      int n = 0;
+      is >> n;
+      return n;
+    }
+  }
+  return -1;
+}
+
+// Defined first so that, in a whole-binary run, its first timed wait is the
+// process's first. Every timed waiter is its own timer, so neither that
+// wait nor any later one starts a thread (the watchdog design of
+// WaitWithTimeout spawned one per call; a timer thread would start on the
+// first).
+TEST(DeadlineTest, WaitWithTimeoutCreatesNoThreadsPerCall) {
+  Mutex m;
+  Condition c;
+  const int before = CountOsThreads();
+  ASSERT_GT(before, 0);
+  m.Acquire();
+  EXPECT_FALSE(workload::WaitWithTimeout(m, c, [] { return false; }, 2ms));
+  m.Release();
+  EXPECT_EQ(CountOsThreads(), before) << "the first timed wait started one";
+  for (int i = 0; i < 20; ++i) {
+    m.Acquire();
+    EXPECT_FALSE(workload::WaitWithTimeout(m, c, [] { return false; }, 2ms));
+    m.Release();
+  }
+  EXPECT_EQ(CountOsThreads(), before);
+}
 
 // ---------------------------------------------------------------------------
 // Mutex::AcquireFor
@@ -232,46 +274,13 @@ TEST(TimedAlertTest, SignalBeforeDeadlineSatisfies) {
 }
 
 // ---------------------------------------------------------------------------
-// The deadline subsystem itself
+// Deadline contracts
 // ---------------------------------------------------------------------------
-
-int CountOsThreads() {
-  std::ifstream status("/proc/self/status");
-  std::string line;
-  while (std::getline(status, line)) {
-    if (line.rfind("Threads:", 0) == 0) {
-      std::istringstream is(line.substr(8));
-      int n = 0;
-      is >> n;
-      return n;
-    }
-  }
-  return -1;
-}
-
-TEST(TimerSubsystemTest, WaitWithTimeoutCreatesNoThreadsPerCall) {
-  Mutex m;
-  Condition c;
-  // Warm-up: starts the (single, shared) timer thread and any parker
-  // machinery, so the steady-state count below is honest.
-  m.Acquire();
-  workload::WaitWithTimeout(m, c, [] { return false; }, 5ms);
-  m.Release();
-  const int before = CountOsThreads();
-  ASSERT_GT(before, 0);
-  for (int i = 0; i < 20; ++i) {
-    m.Acquire();
-    EXPECT_FALSE(workload::WaitWithTimeout(m, c, [] { return false; }, 2ms));
-    m.Release();
-  }
-  const int after = CountOsThreads();
-  // The watchdog design spawned one thread per call; the wheel spawns none.
-  EXPECT_EQ(after, before);
-}
 
 TEST(TimedAlertTest, ZeroAndNegativeTimeoutsKeepMutexAndNeverSleep) {
   Mutex m;
   Condition c;
+  const obs::Stats before = obs::Snapshot();
   Thread t = Thread::Fork([&] {
     m.Acquire();
     EXPECT_EQ(AlertWaitFor(m, c, 0ns), WaitResult::kTimeout);
@@ -280,35 +289,31 @@ TEST(TimedAlertTest, ZeroAndNegativeTimeoutsKeepMutexAndNeverSleep) {
     m.Release();
   });
   t.Join();
-  EXPECT_EQ(Timer::Get().ArmedForDebug(), 0u);
+  EXPECT_EQ(Delta(before, obs::Snapshot(), obs::Counter::kTimersArmed), 0u);
 }
 
-// A positive-but-tiny timeout whose deadline is already behind NowNanos by
-// the time Arm runs: the wheel contract says it fires at the NEXT tick —
-// never synchronously in the caller, and never gets stuck as a past-due
-// entry the advance loop skips.
-TEST(TimerSubsystemTest, DeadlinePastAtEnqueueStillFiresAtNextTick) {
+// A positive-but-tiny timeout whose deadline is already behind NowNanos
+// when the waiter parks: the park returns at once, and the waiter still
+// dequeues itself and reports kTimeout, taking nothing.
+TEST(DeadlineTest, DeadlinePastAtEnqueueStillTimesOut) {
   Semaphore s;
   s.P();
   for (int i = 0; i < 10; ++i) {
     Thread t = Thread::Fork([&] {
-      // 1ns is in the past before the slow path even publishes the timed
-      // state; the waiter must still park and be expired by the wheel.
+      // 1ns is in the past before the slow path even publishes the blocked
+      // state; the waiter must still leave the queue cleanly.
       EXPECT_EQ(s.PFor(1ns), WaitResult::kTimeout);
     });
     t.Join();
   }
-  // Every past-due entry was fired and unlinked, not abandoned.
-  EXPECT_EQ(Timer::Get().ArmedForDebug(), 0u);
   EXPECT_FALSE(s.AvailableForDebug());
   s.V();
 }
 
-// Two waiters with identical timeouts land in the same wheel slot and are
-// collected by one advance: both must be expired in that batch — the
-// second entry must not be lost to the first's slot relink or survive to a
-// later tick with its waiter already gone.
-TEST(TimerSubsystemTest, TwoWaitersExpiringTheSameTickBothFire) {
+// Two waiters with the same timeout from near-identical starts: each parks
+// on its own deadline and dequeues itself, so neither expiry can be lost
+// to the other's.
+TEST(DeadlineTest, TwoWaitersWithTheSameDeadlineBothTimeOut) {
   Semaphore s;
   s.P();
   for (int round = 0; round < 5; ++round) {
@@ -321,8 +326,6 @@ TEST(TimerSubsystemTest, TwoWaitersExpiringTheSameTickBothFire) {
         while (ready.load(std::memory_order_relaxed) < 2) {
           std::this_thread::yield();
         }
-        // Same duration from near-identical starts: the two deadlines are
-        // microseconds apart, one ~262us tick wide — same slot.
         if (s.PFor(5ms) == WaitResult::kTimeout) {
           timeouts.fetch_add(1, std::memory_order_relaxed);
         }
@@ -333,22 +336,46 @@ TEST(TimerSubsystemTest, TwoWaitersExpiringTheSameTickBothFire) {
     }
     EXPECT_EQ(timeouts.load(), 2) << "round " << round;
   }
-  EXPECT_EQ(Timer::Get().ArmedForDebug(), 0u);
   s.V();
 }
 
-TEST(TimerSubsystemTest, CancelledDeadlinesDoNotAccumulate) {
+// Grant every timed wait before its (generous) deadline: each deadline park
+// ends by the grant (armed == cancelled), and none leaves a permit behind.
+// A stray permit would end the same thread's next park at once while it
+// still sits on the queue, so a following PFor(1ms) on the unavailable
+// semaphore must still park its full millisecond and time out.
+TEST(DeadlineTest, GrantedTimedWaitsLeaveNoStrayPermit) {
   Semaphore s;
   s.P();
-  // Grant every wait before its (generous) deadline: each armed timer must
-  // be cancelled and unlinked, not left to expire.
-  for (int i = 0; i < 100; ++i) {
-    Thread t = Thread::Fork([&] { EXPECT_EQ(s.PFor(10s), WaitResult::kSatisfied); });
-    std::this_thread::sleep_for(1ms);
+  constexpr int kGrants = 100;
+  std::atomic<int> granted{0};
+  obs::Stats before;
+  obs::Stats after_grants;
+  before = obs::Snapshot();
+  Thread waiter = Thread::Fork([&] {
+    for (int i = 0; i < kGrants; ++i) {
+      EXPECT_EQ(s.PFor(10s), WaitResult::kSatisfied);
+      granted.fetch_add(1, std::memory_order_release);
+    }
+    after_grants = obs::Snapshot();
+    const std::uint64_t start = obs::NowNanos();
+    EXPECT_EQ(s.PFor(1ms), WaitResult::kTimeout);
+    EXPECT_GE(obs::NowNanos() - start, 1'000'000u);
+  });
+  for (int i = 0; i < kGrants; ++i) {
+    // One token at a time, each V after the previous grant was taken;
+    // the pause lets the waiter park first most rounds.
+    while (granted.load(std::memory_order_acquire) < i) {
+      std::this_thread::yield();
+    }
+    std::this_thread::sleep_for(100us);
     s.V();
-    t.Join();
   }
-  EXPECT_EQ(Timer::Get().ArmedForDebug(), 0u);
+  waiter.Join();
+  EXPECT_EQ(Delta(before, after_grants, obs::Counter::kTimersArmed),
+            Delta(before, after_grants, obs::Counter::kTimersCancelled));
+  EXPECT_EQ(Delta(before, after_grants, obs::Counter::kTimersExpired), 0u);
+  EXPECT_FALSE(s.AvailableForDebug());
   s.V();
 }
 
@@ -356,7 +383,7 @@ TEST(TimerSubsystemTest, CancelledDeadlinesDoNotAccumulate) {
 // circulate. Accounting must balance exactly — a waiter that reported
 // kTimeout took nothing, a waiter that reported kSatisfied took exactly one
 // token — regardless of how the deadline races the V.
-TEST(TimerSubsystemTest, ExpiryVsGrantNeverLosesTheGrant) {
+TEST(DeadlineTest, ExpiryVsGrantNeverLosesTheGrant) {
   Semaphore s;
   s.P();  // start with the token held here
   constexpr int kThreads = 8;
@@ -367,8 +394,8 @@ TEST(TimerSubsystemTest, ExpiryVsGrantNeverLosesTheGrant) {
   for (int t = 0; t < kThreads; ++t) {
     threads.push_back(Thread::Fork([&, t] {
       for (int i = 0; i < kItersPerThread; ++i) {
-        // Mixed deadlines, including sub-tick ones, to land on both sides
-        // of the race.
+        // Mixed deadlines, from zero to 300 us, to land on both sides of
+        // the race.
         const auto timeout = std::chrono::microseconds(50 * ((t + i) % 7));
         if (s.PFor(timeout) == WaitResult::kSatisfied) {
           satisfied.fetch_add(1, std::memory_order_relaxed);
@@ -385,12 +412,11 @@ TEST(TimerSubsystemTest, ExpiryVsGrantNeverLosesTheGrant) {
   EXPECT_EQ(s.PFor(0ns), WaitResult::kSatisfied);
   EXPECT_EQ(s.PFor(0ns), WaitResult::kTimeout);
   s.V();
-  EXPECT_EQ(Timer::Get().ArmedForDebug(), 0u);
 }
 
 // Same shape on a condition variable: signals and deadlines race, and every
 // exit leaves the mutex consistently re-held.
-TEST(TimerSubsystemTest, WaitForSignalRaceStress) {
+TEST(DeadlineTest, WaitForSignalRaceStress) {
   Mutex m;
   Condition c;
   std::atomic<bool> stop{false};
@@ -425,8 +451,8 @@ TEST(TimerSubsystemTest, WaitForSignalRaceStress) {
 }
 
 // ---------------------------------------------------------------------------
-// Untimed waits run the same slow paths with no deadline: they never arm
-// the timer wheel, in plain or traced mode.
+// Untimed waits run the same slow paths with no deadline: they never park
+// with one, in plain or traced mode.
 // ---------------------------------------------------------------------------
 
 class UntimedWaitTest : public ::testing::TestWithParam<bool> {
@@ -440,8 +466,8 @@ class UntimedWaitTest : public ::testing::TestWithParam<bool> {
   void TearDown() override { Nub::Get().SetTrace(nullptr); }
 
   // Forks a thread that runs `block`, waits until it has parked in it, runs
-  // `grant` to release it, and joins it — checking that nothing was armed
-  // on the timer wheel while it was parked or over the whole episode.
+  // `grant` to release it, and joins it — checking that no park took a
+  // deadline while it was parked or over the whole episode.
   void ExpectNoTimerArmed(const std::function<void()>& block,
                           const std::function<void()>& grant) {
     const std::uint64_t armed_before =
@@ -450,12 +476,12 @@ class UntimedWaitTest : public ::testing::TestWithParam<bool> {
     while (t.Handle().rec->parks.load(std::memory_order_acquire) == 0) {
       std::this_thread::yield();
     }
-    EXPECT_EQ(Timer::Get().ArmedForDebug(), 0u);
+    EXPECT_EQ(obs::Snapshot().Count(obs::Counter::kTimersArmed),
+              armed_before);
     grant();
     t.Join();
     EXPECT_EQ(obs::Snapshot().Count(obs::Counter::kTimersArmed),
               armed_before);
-    EXPECT_EQ(Timer::Get().ArmedForDebug(), 0u);
   }
 
   spec::Trace trace_;
