@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/base/env.h"
 #include "src/obs/metrics.h"
 #include "src/obs/recorder.h"
 #include "src/waitq/parker.h"
@@ -20,10 +21,8 @@
 namespace taos::benchmain {
 namespace {
 
-bool GlobalLockModeFromEnv() {
-  const char* v = std::getenv("TAOS_NUB_GLOBAL_LOCK");
-  return v != nullptr && v[0] == '1';
-}
+// The Nub reads the same variable through the same parse (src/threads/nub.cc).
+bool GlobalLockModeFromEnv() { return EnvFlag("TAOS_NUB_GLOBAL_LOCK"); }
 
 }  // namespace
 

@@ -51,6 +51,7 @@ constexpr PointInfo kPoints[kNumPoints] = {
     {"poll.deregister", Category::kCancel},
     {"event.set_to_resume", Category::kGeneric},
     {"msgq.handoff", Category::kGeneric},
+    {"lock.spin_to_enqueue", Category::kBeforePark},
 };
 
 constexpr const char* kStrategyNames[] = {"uniform", "preempt-after-cas",

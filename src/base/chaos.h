@@ -97,6 +97,10 @@ enum class Point : std::uint32_t {
   kEventSetToResume,     // Set: flag stored, before waking waiters/pollers
   kMsgqHandoff,          // MessageQueue: state changed under the user
                          // mutex, before the event edge is published
+  // The lock-wait spin shared by Mutex and Semaphore (src/threads/lock_spin).
+  kLockSpinToEnqueue,    // the spin did not take the bit (missed, gate
+                         // closed, or another waiter spinning), before the
+                         // enqueue-then-retest
   kCount,
 };
 

@@ -59,6 +59,10 @@ constexpr const char* kCounterNames[] = {
     "park_spin_hits",
     "park_spin_misses",
     "park_spin_skipped",
+    "lock_spin_hits",
+    "lock_spin_misses",
+    "lock_spin_skipped",
+    "lock_spin_busy",
     "timers_armed",
     "timers_cancelled",
     "timers_expired",

@@ -5,6 +5,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/recorder.h"
 #include "src/spec/action.h"
+#include "src/threads/lock_spin.h"
 #include "src/threads/nub.h"
 #include "src/threads/timer.h"
 
@@ -94,6 +95,14 @@ WaitResult Mutex::AcquireFor(std::chrono::nanoseconds timeout) {
 
 bool Mutex::NubAcquireFor(ThreadRecord* self, std::uint64_t deadline_ns) {
   obs::Inc(obs::Counter::kNubAcquire);
+  // At most one waiter spins on the bit before queueing (lock_spin.h).
+  if (SpinForLockBit(bit_, spinner_, deadline_ns)) {
+    return true;
+  }
+  if (DeadlinePassed(deadline_ns)) {
+    // The deadline fell inside the spin: time out without queueing.
+    return false;
+  }
   for (;;) {
     bool parked = false;
     {

@@ -22,6 +22,9 @@
 //  - holder_ records the owning thread. The paper's implementation kept no
 //    holder (clients complained the debugger could not show one); we keep it
 //    to check the REQUIRES clause of Release and to support HolderForDebug().
+//  - before queueing, one waiter at a time (spinner_) may spin on the
+//    Lock-bit for a few microseconds, taking it with the user-code
+//    test-and-set (src/threads/lock_spin.h): one more barging order.
 //  - queue_len_ is an atomic mirror of the queue length so Release's
 //    user-code "is the Queue non-empty?" test is a data-race-free load.
 //  - the Queue is guarded by this mutex's own ObjLock rather than the global
@@ -147,12 +150,13 @@ class Mutex {
   bool TryAcquireSlow();
   void ReleaseSlow();
 
-  // Nub subroutine for Acquire and AcquireFor: enqueue, re-test the lock
-  // bit, de-schedule if still held; retry the whole Acquire from the
-  // test-and-set. With a deadline (kNoDeadline for Acquire) each parked
-  // episode parks until it, and an expired waiter dequeues itself under
-  // the same locks a Release takes (ParkBlockedUntil, src/threads/timer.h).
-  // Returns false on timeout.
+  // Nub subroutine for Acquire and AcquireFor: first spin on the lock bit
+  // if no other waiter is spinning (SpinForLockBit, lock_spin.h); then
+  // enqueue, re-test the lock bit, de-schedule if still held; retry the
+  // whole Acquire from the test-and-set. With a deadline (kNoDeadline for
+  // Acquire) each parked episode parks until it, and an expired waiter
+  // dequeues itself under the same locks a Release takes
+  // (ParkBlockedUntil, src/threads/timer.h). Returns false on timeout.
   bool NubAcquireFor(ThreadRecord* self, std::uint64_t deadline_ns);
 
   // Nub subroutine for Release: unblock one queued thread.
@@ -191,6 +195,8 @@ class Mutex {
 
   std::atomic<std::uint32_t> bit_{0};  // the Lock-bit: 1 iff inside a
                                        // critical section
+  // Set while one waiter spins on bit_ ahead of queueing (lock_spin.h).
+  std::atomic<bool> spinner_{false};
   ObjLock nub_lock_;                   // guards queue_ (the slow paths)
   IntrusiveQueue<ThreadRecord> queue_;
   std::atomic<std::int32_t> queue_len_{0};

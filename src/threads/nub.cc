@@ -1,9 +1,7 @@
 #include "src/threads/nub.h"
 
-#include <cstdlib>
-#include <cstring>
-
 #include "src/base/check.h"
+#include "src/base/env.h"
 
 namespace taos {
 
@@ -11,15 +9,8 @@ namespace internal {
 constinit thread_local ThreadRecord* g_current = nullptr;
 }  // namespace internal
 
-namespace {
-bool GlobalLockModeFromEnv() {
-  const char* v = std::getenv("TAOS_NUB_GLOBAL_LOCK");
-  return v != nullptr && *v != '\0' && std::strcmp(v, "0") != 0;
-}
-}  // namespace
-
 Nub::Nub() {
-  global_lock_mode_.store(GlobalLockModeFromEnv());
+  global_lock_mode_.store(EnvFlag("TAOS_NUB_GLOBAL_LOCK"));
 }
 
 ThreadRecord* Nub::CreateRecord() {

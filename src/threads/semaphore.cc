@@ -5,6 +5,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/recorder.h"
 #include "src/spec/action.h"
+#include "src/threads/lock_spin.h"
 #include "src/threads/nub.h"
 #include "src/threads/timer.h"
 
@@ -73,6 +74,12 @@ WaitResult Semaphore::PFor(std::chrono::nanoseconds timeout) {
 
 bool Semaphore::NubPFor(ThreadRecord* self, std::uint64_t deadline_ns) {
   obs::Inc(obs::Counter::kNubP);
+  if (SpinForLockBit(bit_, spinner_, deadline_ns)) {
+    return true;
+  }
+  if (DeadlinePassed(deadline_ns)) {
+    return false;
+  }
   for (;;) {
     bool parked = false;
     {

@@ -111,7 +111,8 @@ class Semaphore {
   void VSlow();
 
   // The Nub and traced slow paths of P and PFor, with the same shape as
-  // Mutex::NubAcquireFor and Mutex::TracedAcquireFor: P passes kNoDeadline.
+  // Mutex::NubAcquireFor (the same lock-bit spin ahead of the enqueue) and
+  // Mutex::TracedAcquireFor: P passes kNoDeadline.
   // Return false on timeout.
   bool NubPFor(ThreadRecord* self, std::uint64_t deadline_ns);
   bool TracedPFor(ThreadRecord* self, std::uint64_t deadline_ns);
@@ -119,6 +120,7 @@ class Semaphore {
   void TracedV(ThreadRecord* self);
 
   std::atomic<std::uint32_t> bit_{0};   // 1 iff unavailable
+  std::atomic<bool> spinner_{false};    // one P spinning (lock_spin.h)
   ObjLock nub_lock_;                    // guards queue_ (the slow paths)
   IntrusiveQueue<ThreadRecord> queue_;
   std::atomic<std::int32_t> queue_len_{0};

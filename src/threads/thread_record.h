@@ -174,7 +174,11 @@ inline void MarkUnblocked(ThreadRecord* t) {
 //     is only a hint to retry the test-and-set, which barging threads may
 //     win. A parked waiter lets the holder re-acquire on the fast path; a
 //     spinning one turns every release into a contended handoff (E34:
-//     contended Mutex 6-10x slower at 2-8 threads).
+//     contended Mutex 6-10x slower at 2-8 threads). So the park itself
+//     never spins. Before a Mutex or Semaphore waiter queues, it may spin
+//     on the lock bit instead, but only if it is the lock's one spinner
+//     (src/threads/lock_spin.h): the other waiters sleep, and the holder
+//     still re-acquires on the fast path (E35).
 inline constexpr waitq::Parker::Spin kEventWait = waitq::Parker::Spin::kGated;
 inline constexpr waitq::Parker::Spin kLockWait = waitq::Parker::Spin::kNever;
 

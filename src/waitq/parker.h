@@ -72,8 +72,10 @@
 //     false. Timed event waits (Condition::WaitFor, the rpc replies) spin
 //     exactly like untimed ones, since their grant usually lands long
 //     before the deadline.
-//   - The Nub's lock waits never spin: their wakeup is only a hint to retry
-//     a test-and-set that barging threads may win (thread_record.h).
+//   - The Nub's lock waits never spin here: their wakeup is only a hint to
+//     retry a test-and-set that barging threads may win (thread_record.h).
+//     Before queueing, one waiter per lock spins on the lock bit itself
+//     instead, with this budget and this gate (src/threads/lock_spin.h).
 //   - Ledger: every gated Park lands in exactly one of the obs counters
 //     park_permit_ready (permit already there on entry), park_spin_hits,
 //     park_spin_misses, park_spin_skipped (gate closed).
@@ -118,7 +120,8 @@ class SpinGate {
   SpinGate(const SpinGate&) = delete;
   SpinGate& operator=(const SpinGate&) = delete;
 
-  // The process-wide gate Park(Spin::kGated) consults: one cell per CPU.
+  // The process-wide gate Park(Spin::kGated) and the lock-bit spin
+  // consult: one cell per CPU.
   static SpinGate& Get();
   // The calling thread's CPU (sched_getcpu); 0 where it is unavailable, so
   // the gate degrades to one shared cell.
@@ -150,10 +153,11 @@ class Parker {
   enum class Backend { kFutex, kCondvar };
   // kGated: an event wait, whose waker is usually already running; spin
   // first if the SpinGate admits it. kNever: straight to the backend's
-  // sleep (lock waits).
+  // sleep (lock waits, which spin on the lock bit before they queue).
   enum class Spin { kNever, kGated };
 
-  // The spin phase's budget (see the header comment).
+  // The spin phase's budget (see the header comment); also the budget of
+  // a lock wait's spin on the lock bit (src/threads/lock_spin.h).
   static constexpr std::uint64_t kSpinBudgetNs = 10'000;
 
   static const char* BackendName(Backend b);

@@ -1,12 +1,14 @@
-// Substrate: spin-lock, eventcount, intrusive queue, PRNG.
+// Substrate: spin-lock, eventcount, intrusive queue, PRNG, env switches.
 
 #include <atomic>
+#include <cstdlib>
 #include <set>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/base/env.h"
 #include "src/base/eventcount.h"
 #include "src/base/intrusive_queue.h"
 #include "src/base/spinlock.h"
@@ -199,6 +201,23 @@ TEST(XorShiftTest, RangeInclusive) {
     ASSERT_GE(v, 5u);
     ASSERT_LE(v, 7u);
   }
+}
+
+// The parse behind TAOS_NUB_GLOBAL_LOCK, shared by the Nub and the bench
+// artifact's global_lock_mode stamp: only unset, empty and "0" are off.
+TEST(EnvFlagTest, OnlyUnsetEmptyAndZeroAreOff) {
+  constexpr const char* kName = "TAOS_BASE_TEST_ENV_FLAG";
+  unsetenv(kName);
+  EXPECT_FALSE(EnvFlag(kName)) << "unset";
+  for (const char* off : {"", "0"}) {
+    setenv(kName, off, /*overwrite=*/1);
+    EXPECT_FALSE(EnvFlag(kName)) << '"' << off << '"';
+  }
+  for (const char* on : {"1", "true"}) {
+    setenv(kName, on, /*overwrite=*/1);
+    EXPECT_TRUE(EnvFlag(kName)) << '"' << on << '"';
+  }
+  unsetenv(kName);
 }
 
 }  // namespace

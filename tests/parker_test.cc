@@ -2,9 +2,10 @@
 // park/unpark primitive every Nub slow path suspends threads on: the permit
 // discipline, wakeups, repeated handoffs, spurious-wakeup tolerance and the
 // check-to-sleep window, each on both the futex and condvar backends; the
-// SpinGate's credit and probe schedule; and the spin ledger (every gated
-// Park counted exactly once, ungated ones never, and a deadline capping
-// the spin).
+// SpinGate's credit and probe schedule; the spin ledger (every gated Park
+// counted exactly once, ungated ones never, and a deadline capping the
+// spin); and the lock waits' one spinner on the lock bit, with its own
+// ledger (src/threads/lock_spin.h).
 
 #include "src/waitq/parker.h"
 
@@ -12,6 +13,7 @@
 #include <chrono>
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -21,7 +23,9 @@
 #include "src/obs/metrics.h"
 #include "src/threads/condition.h"
 #include "src/threads/lock.h"
+#include "src/threads/lock_spin.h"
 #include "src/threads/mutex.h"
+#include "src/threads/semaphore.h"
 
 namespace taos::waitq {
 namespace {
@@ -449,10 +453,40 @@ TEST(ParkerTimedWaitTest, TimedEventWaitsCountOnceEachInTheLedger) {
             blocked);
 }
 
-// A Mutex waiter is a lock wait: it parks at once, so a contended
-// Acquire moves no spin counter even though it blocked.
-TEST(ParkerLockWaitTest, ContendedMutexAcquireDoesNotSpin) {
+// --- Lock waits: one spinner on the lock bit, then an ungated park ---
+
+// Gives every cell of the process-wide gate full credit, so the next lock
+// spin on any CPU is admitted (an earlier test's misses may have closed
+// the cell this thread runs on).
+void OpenSpinGate() {
+  SpinGate& gate = SpinGate::Get();
+  const unsigned cpus = std::max(std::thread::hardware_concurrency(), 1u);
+  for (unsigned cpu = 0; cpu < cpus; ++cpu) {
+    for (int i = 0; i < SpinGate::kMaxCredit; ++i) {
+      gate.Record(cpu, /*hit=*/true);
+    }
+  }
+}
+
+constexpr Counter kLockSpinLedger[] = {
+    Counter::kLockSpinHits, Counter::kLockSpinMisses,
+    Counter::kLockSpinSkipped, Counter::kLockSpinBusy};
+
+std::uint64_t LockSpinLedgerTotal(const Stats& before, const Stats& after) {
+  std::uint64_t total = 0;
+  for (Counter c : kLockSpinLedger) {
+    total += Delta(before, after, c);
+  }
+  return total;
+}
+
+// A Mutex waiter first spins on the lock bit (its one spin, counted in the
+// lock_spin ledger); a hold longer than the budget makes that spin a miss,
+// and the waiter then parks at once: the Parker's park of a lock wait is
+// ungated and moves no park_spin counter.
+TEST(ParkerLockWaitTest, ContendedMutexSpinsOnTheBitThenParksUngated) {
   taos::Mutex m;
+  OpenSpinGate();
   const Stats before = Snapshot();
   m.Acquire();
   std::thread waiter([&] {
@@ -466,11 +500,119 @@ TEST(ParkerLockWaitTest, ContendedMutexAcquireDoesNotSpin) {
   m.Release();
   waiter.join();
   const Stats after = Snapshot();
-  EXPECT_GE(Delta(before, after, Counter::kNubAcquire), 1u);
+  EXPECT_EQ(Delta(before, after, Counter::kNubAcquire), 1u);
+  EXPECT_EQ(Delta(before, after, Counter::kLockSpinMisses), 1u);
+  EXPECT_EQ(LockSpinLedgerTotal(before, after), 1u);
   for (Counter c : {Counter::kParkPermitReady, Counter::kParkSpinHits,
                     Counter::kParkSpinMisses, Counter::kParkSpinSkipped}) {
     EXPECT_EQ(Delta(before, after, c), 0u) << obs::CounterName(c);
   }
+}
+
+// The exact ledger: every Nub lock acquire (Mutex::NubAcquireFor,
+// Semaphore::NubPFor) lands in exactly one lock_spin counter, whatever
+// mix of hits, misses, closed gates and busy spinners the contention
+// produces.
+TEST(ParkerLockWaitTest, EveryNubLockAcquireCountsOnceInTheLockSpinLedger) {
+  taos::Mutex m;
+  taos::Semaphore s;
+  constexpr int kThreads = 4;
+  constexpr int kIters = 20000;
+  const Stats before = Snapshot();
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kIters; ++i) {
+        m.Acquire();
+        m.Release();
+        s.P();
+        s.V();
+      }
+    });
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  const Stats after = Snapshot();
+  EXPECT_EQ(LockSpinLedgerTotal(before, after),
+            Delta(before, after, Counter::kNubAcquire) +
+                Delta(before, after, Counter::kNubP));
+}
+
+// At most one waiter per lock spins at a time. N waiters keep calling the
+// spin helper on a bit that stays taken: a waiter that wins the spinner
+// flag spins its whole budget and misses, the others count lock_spin_busy
+// and return at once (to queue, in a real lock wait). If the spins never
+// overlap, misses x budget fits inside the wall time; concurrent spinners
+// would overrun it about N-fold.
+TEST(ParkerLockWaitTest, AtMostOneWaiterSpinsAtATime) {
+  std::atomic<std::uint32_t> bit{1};
+  std::atomic<bool> spinner{false};
+  constexpr int kThreads = 4;
+  constexpr int kCalls = 500;
+  const Stats before = Snapshot();
+  const std::uint64_t start = obs::NowNanos();
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kCalls; ++i) {
+        OpenSpinGate();
+        EXPECT_FALSE(SpinForLockBit(bit, spinner, kNoDeadline));
+      }
+    });
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  const std::uint64_t wall = obs::NowNanos() - start;
+  const Stats after = Snapshot();
+  const std::uint64_t misses = Delta(before, after, Counter::kLockSpinMisses);
+  EXPECT_GT(misses, 0u);
+  EXPECT_LE(misses * Parker::kSpinBudgetNs, wall)
+      << misses << " misses of " << Parker::kSpinBudgetNs << " ns in "
+      << wall << " ns: spins overlapped";
+  EXPECT_EQ(Delta(before, after, Counter::kLockSpinHits), 0u);
+  EXPECT_EQ(LockSpinLedgerTotal(before, after),
+            static_cast<std::uint64_t>(kThreads * kCalls));
+  EXPECT_FALSE(spinner.load());
+}
+
+// A timed lock wait whose deadline falls inside the spin budget spins to
+// the deadline and times out there without queueing: one lock_spin miss,
+// no deadline park, no blocked episode.
+void ExpectTimesOutInsideTheSpin(const std::function<WaitResult()>& wait) {
+  OpenSpinGate();
+  const Stats before = Snapshot();
+  const std::uint64_t start = obs::NowNanos();
+  EXPECT_EQ(wait(), WaitResult::kTimeout);
+  EXPECT_GE(obs::NowNanos() - start, Parker::kSpinBudgetNs / 4);
+  const Stats after = Snapshot();
+  EXPECT_EQ(Delta(before, after, Counter::kLockSpinMisses), 1u);
+  EXPECT_EQ(LockSpinLedgerTotal(before, after), 1u);
+  EXPECT_EQ(Delta(before, after, Counter::kTimersArmed), 0u);
+  EXPECT_EQ(after.HistogramTotal(obs::Histogram::kBlockedNanos),
+            before.HistogramTotal(obs::Histogram::kBlockedNanos));
+}
+
+TEST(ParkerLockWaitTest, AcquireForWithADeadlineInsideTheSpinTimesOutUnqueued) {
+  taos::Mutex m;
+  m.Acquire();
+  std::thread waiter([&] {
+    ExpectTimesOutInsideTheSpin([&] {
+      return m.AcquireFor(std::chrono::nanoseconds(Parker::kSpinBudgetNs / 4));
+    });
+  });
+  waiter.join();
+  m.Release();
+}
+
+TEST(ParkerLockWaitTest, PForWithADeadlineInsideTheSpinTimesOutUnqueued) {
+  taos::Semaphore s;
+  s.P();
+  ExpectTimesOutInsideTheSpin([&] {
+    return s.PFor(std::chrono::nanoseconds(Parker::kSpinBudgetNs / 4));
+  });
+  s.V();
 }
 
 }  // namespace

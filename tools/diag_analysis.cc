@@ -400,7 +400,9 @@ bool FormatBenchReport(const std::string& text, std::string* out,
     for (const char* key :
          {"handoffs", "spurious_wakeups", "wakeup_waiting_hits",
           "park_futex_waits", "park_condvar_waits", "park_permit_ready",
-          "park_spin_hits", "park_spin_misses", "park_spin_skipped"}) {
+          "park_spin_hits", "park_spin_misses", "park_spin_skipped",
+          "lock_spin_hits", "lock_spin_misses", "lock_spin_skipped",
+          "lock_spin_busy"}) {
       if (const Value* v = counters->Find(key); v != nullptr && v->IsNumber()) {
         AppendF(out, " %s=%.0f", key, v->number);
       }
