@@ -121,6 +121,8 @@ int Run(int argc, char** argv, const char* bench_name) {
       << "  \"bench\": \"" << bench_name << "\",\n"
       << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
       << "  \"wall_seconds\": " << wall << ",\n"
+      << "  \"build_type\": \"" << TAOS_BENCH_BUILD_TYPE << "\",\n"
+      << "  \"git_sha\": \"" << TAOS_BENCH_GIT_SHA << "\",\n"
       // Honesty stamp: contention claims are only meaningful relative to
       // the cores the run actually had.
       << "  \"num_cpus\": " << std::thread::hardware_concurrency() << ",\n"

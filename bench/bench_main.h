@@ -15,6 +15,8 @@
 //
 // The report's shape:
 //   { "bench": name, "quick": bool, "wall_seconds": s,
+//     "build_type": CMAKE_BUILD_TYPE,    // e.g. "Release", "RelWithDebInfo"
+//     "git_sha": commit or "unknown",    // HEAD at configure time
 //     "global_lock_mode": bool,          // TAOS_NUB_GLOBAL_LOCK
 //     "parker_backend": "futex"|"condvar",  // TAOS_WAITQ_PARKER, resolved
 //     "parker_spin_budget_ns": n,        // Parker::kSpinBudgetNs

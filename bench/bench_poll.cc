@@ -24,8 +24,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -100,30 +102,31 @@ FanInResult RunFanIn(int producers, int queues, bool waitany) {
   }
   if (waitany) {
     threads.push_back(Thread::Fork([&] {
-      Poll poll;
-      for (auto& q : qs) {
-        poll.Add(q->readable());
-      }
-      std::vector<bool> closed(qs.size(), false);
-      std::size_t closed_count = 0;
+      // A closed queue's readable() stays set and WaitAny grants the first
+      // set member, so a closed queue left in the wait set would starve
+      // the queues after it: the wait set is rebuilt without each queue as
+      // it closes.
+      std::vector<std::size_t> open(qs.size());
+      std::iota(open.begin(), open.end(), std::size_t{0});
       std::uint64_t sum = 0;
       std::uint64_t count = 0;
-      while (closed_count < qs.size()) {
-        const std::size_t idx = poll.WaitAny();
-        std::uint64_t v;
-        switch (qs[idx]->TryRecv(&v)) {
-          case QueueResult::kOk:
+      while (!open.empty()) {
+        Poll poll;
+        for (std::size_t q : open) {
+          poll.Add(qs[q]->readable());
+        }
+        for (;;) {
+          const std::size_t idx = poll.WaitAny();
+          std::uint64_t v;
+          const QueueResult r = qs[open[idx]]->TryRecv(&v);
+          if (r == QueueResult::kOk) {
             sum += v;
             ++count;
+          } else if (r == QueueResult::kClosed) {
+            open.erase(open.begin() + static_cast<std::ptrdiff_t>(idx));
             break;
-          case QueueResult::kClosed:
-            if (!closed[idx]) {
-              closed[idx] = true;
-              ++closed_count;
-            }
-            break;
-          default:  // kWouldBlock: readable() is a hint, not a handoff
-            break;
+          }
+          // kWouldBlock: readable() is a hint, not a handoff.
         }
       }
       checksum.fetch_add(sum, std::memory_order_relaxed);

@@ -52,6 +52,7 @@ constexpr PointInfo kPoints[kNumPoints] = {
     {"event.set_to_resume", Category::kGeneric},
     {"msgq.handoff", Category::kGeneric},
     {"lock.spin_to_enqueue", Category::kBeforePark},
+    {"msgq.unlock_to_wake", Category::kBeforeUnpark},
 };
 
 constexpr const char* kStrategyNames[] = {"uniform", "preempt-after-cas",

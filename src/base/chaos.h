@@ -101,6 +101,9 @@ enum class Point : std::uint32_t {
   kLockSpinToEnqueue,    // the spin did not take the bit (missed, gate
                          // closed, or another waiter spinning), before the
                          // enqueue-then-retest
+  // MessageQueue's edge sets, split across its mutex (message_queue.h).
+  kMsgqUnlockToWake,     // edge Set published and mu_ released, before the
+                         // wake half runs
   kCount,
 };
 

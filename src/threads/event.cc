@@ -28,6 +28,13 @@ Event::~Event() {
 }
 
 void Event::Set() {
+  if (PublishSet()) {
+    NubSet();
+  }
+}
+
+bool Event::PublishSet() {
+  bool wake = false;
   obs::WithEvent(obs::Op::kEventSet, id_, [&] {
     Nub& nub = Nub::Get();
     if (nub.tracing()) {
@@ -40,11 +47,10 @@ void Event::Set() {
     // fetch_add, seq_cst) before testing set_, and a poller registers
     // (pollers_len_ fetch_add, seq_cst) before scanning set_. Either the
     // waiter/poller sees the flag, or this load sees the registration.
-    if (queue_len_.load(std::memory_order_seq_cst) > 0 ||
-        pollers_len_.load(std::memory_order_seq_cst) > 0) {
-      NubSet();
-    }
+    wake = queue_len_.load(std::memory_order_seq_cst) > 0 ||
+           pollers_len_.load(std::memory_order_seq_cst) > 0;
   });
+  return wake;
 }
 
 void Event::Reset() {

@@ -26,6 +26,16 @@
 // an Event carries a *pollable list*: registrations by Poll::WaitAny/WaitAll
 // waiters that Set must notify, kept as an intrusive doubly-linked list of
 // stack-resident PollNodes guarded by the event's ObjLock.
+//
+// Set in two halves. A Set is a flag store plus, when a waiter or poller is
+// registered, the wakeups (NubSet: the event lock, the pollers' latches, the
+// unparks). MessageQueue publishes its readiness under its own Mutex, so it
+// runs the halves apart: PublishSet under the mutex, NubSet after the unlock,
+// as Linux's wake_q does. Both halves are private; MessageQueue is the only
+// caller that splits them. Half 2 touches the Event after the caller's lock
+// is released, the same lifetime contract as Mutex::Release, which reads
+// queue_len_ after it clears the Lock-bit: the Event must outlive every call
+// that set it, not just the critical section that published the flag.
 
 #ifndef TAOS_SRC_THREADS_EVENT_H_
 #define TAOS_SRC_THREADS_EVENT_H_
@@ -46,6 +56,8 @@ namespace taos {
 
 class Poll;
 class Event;
+template <typename T>
+class MessageQueue;
 
 enum class EventReset : std::uint8_t {
   kManual,  // Set satisfies every waiter until Reset
@@ -100,6 +112,8 @@ class Event {
 
  private:
   friend class Poll;
+  template <typename T>
+  friend class MessageQueue;
   friend bool ParkBlockedUntil(ThreadRecord* t, std::uint64_t deadline_ns,
                                waitq::Parker::Spin spin);
   friend void Alert(ThreadHandle t);
@@ -108,6 +122,12 @@ class Event {
   // Return false on timeout.
   bool NubWaitFor(ThreadRecord* self, std::uint64_t deadline_ns);
   bool TracedWaitFor(ThreadRecord* self, std::uint64_t deadline_ns);
+  // Half 1 of Set: publishes the flag (seq_cst, then the Dekker load of the
+  // queue and poller counts) and returns true iff a wake is owed, which the
+  // caller pays with NubSet (half 2), after releasing any lock it holds.
+  // Records the kEventSet event. Traced mode runs the whole TracedSet here
+  // and returns false, so the spec trace sees one serialization.
+  bool PublishSet();
   void NubSet();
   void ResumeForSetLocked(std::vector<waitq::Parker*>* unparks);
   void TracedSet(ThreadRecord* self);

@@ -22,6 +22,26 @@
 // "ready" so blocked parties wake and observe the closure). Send fails on
 // a closed queue; Recv drains remaining items first and fails only on
 // closed-and-empty.
+//
+// Edge-only sets, woken after the unlock. The queue sets readable() only
+// on the empty -> non-empty edge and writable() only on the full ->
+// not-full edge (and Close on whichever of the two is unset); a Send into
+// a non-empty queue or a TryRecv from a non-full one issues no Set. Each
+// edge Set is split across mu_ (event.h): the flag store and the Dekker
+// load run under mu_, so the invariants above hold at every mu_ boundary,
+// and the wakeups run after mu_ is released, so a woken receiver does not
+// find mu_ still held by its waker. Resets stay under mu_. A Reset that
+// lands between the two halves only makes the wake spurious (the woken
+// poller re-scans and parks again); no wake is lost, because every edge
+// owes its own wake, computed after that edge's flag store.
+//
+// REQUIRES callers never Set or Reset readable()/writable() themselves:
+// the queue owns both, and edge-only sets rely on it (a stray Reset of a
+// non-empty queue's readable() would never be undone by a later Send).
+// Lifetime: the wake half of a Send/TryRecv/Close touches the Events after
+// mu_ is released, so the queue must outlive every call into it, not just
+// the critical sections (the contract of Mutex::Release, which reads its
+// queue length after clearing the Lock-bit).
 
 #ifndef TAOS_SRC_THREADS_MESSAGE_QUEUE_H_
 #define TAOS_SRC_THREADS_MESSAGE_QUEUE_H_
@@ -62,8 +82,9 @@ class MessageQueue {
     writable_.Set();
   }
 
-  // REQUIRES no blocked senders/receivers and no live poll registrations
-  // on readable()/writable() (the Events' destructors check).
+  // REQUIRES no call into the queue still running (a returning Send may
+  // still be waking) and no live poll registrations on
+  // readable()/writable() (the Events' destructors check).
   ~MessageQueue() {
     {
       Lock l(mu_);
@@ -139,20 +160,28 @@ class MessageQueue {
 
   // Sticky: wakes every blocked sender, receiver and poller. Idempotent.
   void Close() {
+    EdgeSet readable_edge;  // destroyed after l: the wakes run outside mu_
+    EdgeSet writable_edge;
     Lock l(mu_);
     if (closed_) {
       return;
     }
     closed_ = true;
     TAOS_CHAOS(kMsgqHandoff);
-    // closed ⇒ both ready, permanently.
-    readable_.Set();
-    writable_.Set();
+    // closed ⇒ both ready, permanently; an event already set by its level
+    // (non-empty, not full) has no edge.
+    if (size_ == 0) {
+      readable_edge.Publish(&readable_);
+    }
+    if (size_ == cap_) {
+      writable_edge.Publish(&writable_);
+    }
   }
 
   // Level-state events for Poll composition. A grant on readable() means
   // "an item is probably available": follow with TryRecv and re-wait on
-  // kWouldBlock (another consumer may have drained it first).
+  // kWouldBlock (another consumer may have drained it first). Wait on them
+  // or add them to a Poll; never Set or Reset them (see the header).
   Event& readable() { return readable_; }
   Event& writable() { return writable_; }
 
@@ -164,6 +193,35 @@ class MessageQueue {
   std::size_t capacity() const { return cap_; }
 
  private:
+  // One edge Set, split across mu_: Publish runs half 1 (Event::PublishSet)
+  // under mu_; the destructor runs half 2 (the wakes, if any are owed) once
+  // mu_ is released. Declared before the function's Lock, so it is
+  // destroyed after the unlock on every return path.
+  class EdgeSet {
+   public:
+    EdgeSet() = default;
+    EdgeSet(const EdgeSet&) = delete;
+    EdgeSet& operator=(const EdgeSet&) = delete;
+    ~EdgeSet() {
+      if (event_ == nullptr) {
+        return;
+      }
+      TAOS_CHAOS(kMsgqUnlockToWake);
+      if (wake_) {
+        event_->NubSet();
+      }
+    }
+    // REQUIRES mu_ held.
+    void Publish(Event* e) {
+      event_ = e;
+      wake_ = e->PublishSet();
+    }
+
+   private:
+    Event* event_ = nullptr;
+    bool wake_ = false;
+  };
+
   T* Slot(std::size_t i) {
     return std::launder(reinterpret_cast<T*>(storage_ + sizeof(T) * i));
   }
@@ -176,6 +234,7 @@ class MessageQueue {
   }
 
   QueueResult TrySendInternal(T* v) {
+    EdgeSet readable_edge;  // destroyed after l: the wake runs outside mu_
     Lock l(mu_);
     if (closed_) {
       return QueueResult::kClosed;
@@ -187,9 +246,11 @@ class MessageQueue {
     tail_ = Next(tail_);
     ++size_;
     TAOS_CHAOS(kMsgqHandoff);
-    // Edges under mu_: the queue just became (or stays) non-empty; it may
+    // Edges under mu_: the queue may have just become non-empty, and it may
     // have just become full.
-    readable_.Set();
+    if (size_ == 1) {
+      readable_edge.Publish(&readable_);
+    }
     if (size_ == cap_) {
       writable_.Reset();
     }
@@ -197,6 +258,7 @@ class MessageQueue {
   }
 
   QueueResult TryRecvInternal(T* out) {
+    EdgeSet writable_edge;  // destroyed after l: the wake runs outside mu_
     Lock l(mu_);
     if (size_ == 0) {
       return closed_ ? QueueResult::kClosed : QueueResult::kWouldBlock;
@@ -209,7 +271,9 @@ class MessageQueue {
     if (size_ == 0 && !closed_) {
       readable_.Reset();
     }
-    writable_.Set();
+    if (size_ + 1 == cap_ && !closed_) {  // was full: the not-full edge
+      writable_edge.Publish(&writable_);
+    }
     return QueueResult::kOk;
   }
 

@@ -307,7 +307,9 @@ void MixedWorkloadPass() {
   // bounded queue's readable edge, a plain Event waiter on one of them, and
   // a setter pulsing both — together they cross the poll register /
   // scan-to-park / notify / deregister seams and the event set-to-resume
-  // window; the queue ping-pong crosses the msgq handoff window. All waits
+  // window; the queue ping-pong crosses the msgq handoff window, and its
+  // edges (empty -> non-empty, full -> not-full), with the poller
+  // registered on readable(), cross the unlock-to-wake window. All waits
   // are timed, so the pass terminates whatever the injection does.
   Event ea(EventReset::kAuto);
   Event eb(EventReset::kAuto);

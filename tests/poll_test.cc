@@ -10,13 +10,16 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/obs/json.h"
 #include "src/obs/metrics.h"
+#include "src/obs/recorder.h"
 
 namespace taos {
 namespace {
@@ -483,6 +486,84 @@ TEST(MessageQueueTest, ReadinessEventsTrackLevels) {
   EXPECT_FALSE(q.readable().IsSet());  // drained, open
 }
 
+// The Sets the flight recorder saw on a queue's readiness events.
+struct SetCounts {
+  int readable = 0;
+  int writable = 0;
+};
+
+// Stops the recorder, drains it (clearing every ring) and counts the
+// EventSet events on q's readable() and writable(). Quiescent callers
+// only, like the drain itself.
+SetCounts DrainSets(MessageQueue<int>& q) {
+  obs::SetRecorderEnabled(false);
+  std::string error;
+  const std::optional<obs::json::Value> doc =
+      obs::json::Parse(obs::DrainChromeTraceJson(), &error);
+  EXPECT_TRUE(doc.has_value()) << error;
+  SetCounts counts;
+  const obs::json::Value* events = doc ? doc->Find("traceEvents") : nullptr;
+  if (events == nullptr) {
+    return counts;
+  }
+  for (const obs::json::Value& ev : events->array) {
+    const obs::json::Value* name = ev.Find("name");
+    const obs::json::Value* args = ev.Find("args");
+    const obs::json::Value* obj = args != nullptr ? args->Find("obj") : nullptr;
+    if (name == nullptr || obj == nullptr ||
+        name->string != obs::OpName(obs::Op::kEventSet)) {
+      continue;
+    }
+    if (obj->number == static_cast<double>(q.readable().id())) {
+      ++counts.readable;
+    } else if (obj->number == static_cast<double>(q.writable().id())) {
+      ++counts.writable;
+    }
+  }
+  return counts;
+}
+
+TEST(MessageQueueTest, SetsReadinessOnlyOnEdges) {
+  // readable() is set on the empty -> non-empty edge alone and writable()
+  // on the full -> not-full edge alone: a Send into a non-empty queue and a
+  // TryRecv from a non-full one issue no Set at all.
+  MessageQueue<int> q(3);
+  (void)DrainSets(q);  // clears what earlier tests recorded
+  int v = 0;
+
+  obs::SetRecorderEnabled(true);
+  ASSERT_EQ(q.Send(1), QueueResult::kOk);  // 0 -> 1: readable's edge
+  SetCounts sets = DrainSets(q);
+  EXPECT_EQ(sets.readable, 1);
+  EXPECT_EQ(sets.writable, 0);
+
+  obs::SetRecorderEnabled(true);
+  ASSERT_EQ(q.Send(2), QueueResult::kOk);      // 1 -> 2
+  ASSERT_EQ(q.TryRecv(&v), QueueResult::kOk);  // 2 -> 1, was not full
+  ASSERT_EQ(q.Send(3), QueueResult::kOk);      // 1 -> 2
+  sets = DrainSets(q);
+  EXPECT_EQ(sets.readable, 0) << "a Send into a non-empty queue set readable";
+  EXPECT_EQ(sets.writable, 0) << "a TryRecv from a non-full queue set writable";
+
+  obs::SetRecorderEnabled(true);
+  ASSERT_EQ(q.Send(4), QueueResult::kOk);      // 2 -> 3: full, a Reset
+  ASSERT_EQ(q.TryRecv(&v), QueueResult::kOk);  // 3 -> 2: writable's edge
+  sets = DrainSets(q);
+  EXPECT_EQ(sets.readable, 0);
+  EXPECT_EQ(sets.writable, 1);
+
+  obs::SetRecorderEnabled(true);
+  ASSERT_EQ(q.TryRecv(&v), QueueResult::kOk);  // 2 -> 1
+  ASSERT_EQ(q.TryRecv(&v), QueueResult::kOk);  // 1 -> 0: a Reset
+  EXPECT_EQ(v, 4);
+  ASSERT_EQ(q.Send(5), QueueResult::kOk);  // 0 -> 1: readable's edge
+  sets = DrainSets(q);
+  EXPECT_EQ(sets.readable, 1);
+  EXPECT_EQ(sets.writable, 0);
+  EXPECT_TRUE(q.readable().IsSet());
+  EXPECT_TRUE(q.writable().IsSet());
+}
+
 TEST(MessageQueueTest, SendBlocksOnFullUntilRecv) {
   MessageQueue<int> q(1);
   (void)q.Send(1);
@@ -670,6 +751,87 @@ TEST(MessageQueueTest, MpmcConservesItems) {
   const std::int64_t per =
       static_cast<std::int64_t>(kPerProducer) * (kPerProducer + 1) / 2;
   EXPECT_EQ(sum.load(), kProducers * per);
+}
+
+TEST(MessageQueueTest, PollConsumersDrainEveryItem) {
+  // Two producers and two WaitAny consumers on tiny queues, so both
+  // readiness edges fire constantly and a consumer's Reset often lands
+  // between a Send's flag store and its wake (the wake is then spurious,
+  // never lost). Every item arrives exactly once. A lost wake would leave a
+  // consumer parked on a non-empty queue and, with capacity 1 or 2, the
+  // producers blocked on a full one: the deadline turns that into a
+  // failure instead of a hang.
+  constexpr int kProducers = 2;
+  constexpr int kConsumers = 2;
+  constexpr int kPerProducer = 4000;
+  constexpr int kItems = kProducers * kPerProducer;
+  for (std::size_t capacity : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE(testing::Message() << "capacity " << capacity);
+    MessageQueue<int> q(capacity);
+    Event done;  // manual
+    std::vector<std::atomic<int>> seen(kItems);
+    std::atomic<int> received{0};
+    auto take = [&](int item) {
+      seen[static_cast<std::size_t>(item)].fetch_add(1,
+                                                     std::memory_order_relaxed);
+      received.fetch_add(1, std::memory_order_release);
+    };
+
+    std::vector<Thread> producers;
+    for (int p = 0; p < kProducers; ++p) {
+      producers.push_back(Thread::Fork([&, p] {
+        for (int i = 0; i < kPerProducer; ++i) {
+          if (q.Send(p * kPerProducer + i) != QueueResult::kOk) {
+            return;  // closed by the deadline below
+          }
+        }
+      }));
+    }
+    std::vector<Thread> consumers;
+    for (int c = 0; c < kConsumers; ++c) {
+      consumers.push_back(Thread::Fork([&] {
+        Poll poll;
+        poll.Add(q.readable());
+        poll.Add(done);
+        int item = 0;
+        while (poll.WaitAny() == 0) {
+          const QueueResult r = q.TryRecv(&item);  // a hint: may lose
+          if (r == QueueResult::kOk) {
+            take(item);
+          } else if (r == QueueResult::kClosed) {
+            break;
+          }
+        }
+      }));
+    }
+
+    const auto deadline = std::chrono::steady_clock::now() + 60s;
+    while (received.load(std::memory_order_acquire) < kItems &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(1ms);
+    }
+    const bool drained = received.load(std::memory_order_acquire) == kItems;
+    EXPECT_TRUE(drained) << "items stopped arriving: a wake was lost";
+    // Unstick whatever the deadline left waiting, then join.
+    q.Close();
+    done.Set();
+    if (!drained) {
+      // A lost wake can leave a thread parked on a set event. Once closed,
+      // both events stay set, so setting them again changes no state; it
+      // only re-delivers the wakes, so the joins below return.
+      q.readable().Set();
+      q.writable().Set();
+    }
+    for (Thread& t : producers) {
+      t.Join();
+    }
+    for (Thread& t : consumers) {
+      t.Join();
+    }
+    for (int i = 0; i < kItems; ++i) {
+      ASSERT_EQ(seen[static_cast<std::size_t>(i)].load(), 1) << "item " << i;
+    }
+  }
 }
 
 TEST(MessageQueueTest, MoveOnlyPayload) {
