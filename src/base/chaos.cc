@@ -20,16 +20,11 @@ struct PointInfo {
 constexpr PointInfo kPoints[kNumPoints] = {
     {"spin.acquired", Category::kAfterCas},
     {"spin.before_release", Category::kGeneric},
-    {"mutex.enqueued_to_test", Category::kAfterCas},
-    {"mutex.backout", Category::kCancel},
-    {"mutex.wake_to_retry", Category::kGeneric},
-    {"mutex.release_window", Category::kGeneric},
-    {"mutex.timed_finish", Category::kTimer},
-    {"sem.enqueued_to_test", Category::kAfterCas},
-    {"sem.backout", Category::kCancel},
-    {"sem.wake_to_retry", Category::kGeneric},
-    {"sem.release_window", Category::kGeneric},
-    {"sem.timed_finish", Category::kTimer},
+    {"lock.enqueued_to_test", Category::kAfterCas},
+    {"lock.backout", Category::kCancel},
+    {"lock.wake_to_retry", Category::kGeneric},
+    {"lock.release_window", Category::kGeneric},
+    {"lock.timed_finish", Category::kTimer},
     {"cond.release_to_block", Category::kGeneric},
     {"cond.claim_to_recheck", Category::kAfterCas},
     {"cond.signal_to_resume", Category::kGeneric},

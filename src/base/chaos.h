@@ -52,18 +52,13 @@ enum class Point : std::uint32_t {
   // and the guard-ordered paths actually contend.
   kSpinAcquired = 0,     // holding the lock, before the caller's work
   kSpinBeforeRelease,    // still holding, after the caller's work
-  // Mutex slow paths.
-  kMutexEnqueuedToTest,  // queued, before re-testing the Lock-bit
-  kMutexBackout,         // bit found free: before leaving the queue
-  kMutexWakeToRetry,     // unparked, before retrying the test-and-set
-  kMutexReleaseWindow,   // Release: bit cleared, before the queue_len scan
-  kMutexTimedFinish,     // timed: park over, before the final retest
-  // Semaphore slow paths — same seams as the mutex, P/V instead.
-  kSemEnqueuedToTest,
-  kSemBackout,
-  kSemWakeToRetry,
-  kSemReleaseWindow,
-  kSemTimedFinish,
+  // The lock core's slow paths: Mutex, Semaphore and AlertP
+  // (src/threads/lock_core).
+  kLockEnqueuedToTest,   // queued, before re-testing the Lock-bit
+  kLockBackout,          // bit found free: before leaving the queue
+  kLockWakeToRetry,      // unparked, before retrying the test-and-set
+  kLockReleaseWindow,    // Release/V: bit cleared, before the queue_len scan
+  kLockTimedFinish,      // timed: park over, before the final retest
   // Condition slow paths.
   kCondReleaseToBlock,   // Wait: m released, before blocking (wakeup-waiting)
   kCondClaimToRecheck,   // Block: c locked, before re-reading the ec
@@ -97,7 +92,7 @@ enum class Point : std::uint32_t {
   kEventSetToResume,     // Set: flag stored, before waking waiters/pollers
   kMsgqHandoff,          // MessageQueue: state changed under the user
                          // mutex, before the event edge is published
-  // The lock-wait spin shared by Mutex and Semaphore (src/threads/lock_spin).
+  // The lock core's spin on the bit (src/threads/lock_spin).
   kLockSpinToEnqueue,    // the spin did not take the bit (missed, gate
                          // closed, or another waiter spinning), before the
                          // enqueue-then-retest

@@ -81,8 +81,9 @@ enum class Counter : int {
   kParkSpinHits,      // the spin saw the permit arrive within the budget
   kParkSpinMisses,    // the spin ran out its budget, then slept
   kParkSpinSkipped,   // the CPU's SpinGate cell was closed: slept at once
-  // The lock-wait spin's ledger (src/threads/lock_spin.h): each Nub lock
-  // acquire (Mutex::NubAcquireFor, Semaphore::NubPFor) bumps exactly one.
+  // The lock-wait spin's ledger (src/threads/lock_spin.h): each Nub Mutex
+  // or Semaphore acquire (LockCore::AcquireFor, unalertable) bumps exactly
+  // one.
   kLockSpinHits,      // took the lock bit within the budget
   kLockSpinMisses,    // the budget or the deadline ran out first
   kLockSpinSkipped,   // won the spinner flag, but the CPU's SpinGate cell

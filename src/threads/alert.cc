@@ -1,14 +1,31 @@
 #include "src/threads/alert.h"
 
+#include <cstdio>
+
 #include "src/base/chaos.h"
 #include "src/base/check.h"
 #include "src/obs/metrics.h"
 #include "src/obs/recorder.h"
 #include "src/spec/action.h"
+#include "src/threads/lock_core.h"
 #include "src/threads/nub.h"
 #include "src/threads/timer.h"
 
 namespace taos {
+
+namespace {
+
+// Alert found t alertably blocked in a wait that has no alertable form.
+[[noreturn]] void PanicUnalertableKind(ThreadRecord::BlockKind kind) {
+  char what[96];
+  std::snprintf(what, sizeof(what),
+                "Alert: alertable waiter of kind %s, which has no alertable "
+                "wait",
+                obs::diag::WaitKindName(static_cast<obs::diag::WaitKind>(kind)));
+  TAOS_PANIC(what);
+}
+
+}  // namespace
 
 // Alert is the one operation that reaches a synchronization object through a
 // thread record instead of the other way around, so it runs the ordering
@@ -73,12 +90,10 @@ void Alert(ThreadHandle h) {
     t->alerted.store(true, std::memory_order_relaxed);
     TAOS_CHAOS(kAlertFlagToCancel);
     switch (t->block_kind) {
-      case ThreadRecord::BlockKind::kSemaphore: {
-        auto* s = static_cast<Semaphore*>(t->blocked_obj);
-        s->queue_.Remove(t);
-        s->queue_len_.fetch_sub(1, std::memory_order_relaxed);
+      case ThreadRecord::BlockKind::kMutex:
+      case ThreadRecord::BlockKind::kSemaphore:
+        static_cast<LockCore*>(t->blocked_obj)->DequeueLocked(t);
         break;
-      }
       case ThreadRecord::BlockKind::kCondition: {
         auto* c = static_cast<Condition*>(t->blocked_obj);
         c->queue_.Remove(t);
@@ -92,14 +107,13 @@ void Alert(ThreadHandle h) {
         }
         break;
       }
-      case ThreadRecord::BlockKind::kMutex:
       case ThreadRecord::BlockKind::kRwShared:
       case ThreadRecord::BlockKind::kRwExclusive:
       case ThreadRecord::BlockKind::kEvent:  // Event::Wait is never alertable
       case ThreadRecord::BlockKind::kPollAny:
       case ThreadRecord::BlockKind::kPollAll:  // handled above
       case ThreadRecord::BlockKind::kNone:
-        TAOS_PANIC("alertable thread blocked on a mutex");
+        PanicUnalertableKind(t->block_kind);
     }
     ClearBlockedLocked(t);
     t->alert_woken = true;
@@ -151,16 +165,13 @@ WaitResult AlertWaitUntil(Mutex& m, Condition& c, std::uint64_t deadline_ns) {
     EventCount::Value snapshot = 0;
     ThreadRecord* wake = nullptr;
     {
-      NubGuard2 g(m.nub_lock_, &c.nub_lock_);
+      NubGuard2 g(m.core_.lock(), &c.nub_lock_);
       snapshot = c.ec_.Read();
-      wake = m.TracedReleaseLocked(self, /*emit_release=*/false);
+      wake = m.TracedReleaseLocked(self);
       c.window_.push_back(self);
-      nub.EmitTraced(spec::MakeAlertEnqueue(self->id, m.id_, c.id_));
+      nub.EmitTraced(spec::MakeAlertEnqueue(self->id, m.id(), c.id_));
     }
-    if (wake != nullptr) {
-      obs::Inc(obs::Counter::kHandoffs);
-      wake->park.Unpark();
-    }
+    LockCore::Wake(wake);
 
     // AlertBlock: like Block(c, i) but responsive to alerts. The record
     // lock is held across the alerted check AND the block-state
@@ -208,7 +219,7 @@ WaitResult AlertWaitUntil(Mutex& m, Condition& c, std::uint64_t deadline_ns) {
       // Atomic action TimeoutResume. Its frame excludes the alerts set: a
       // pending alert survives the timeout untouched.
       m.TracedAcquireFor(self, kNoDeadline,
-                         spec::MakeTimeoutResume(self->id, m.id_, c.id_),
+                         spec::MakeTimeoutResume(self->id, m.id(), c.id_),
                          &c.nub_lock_,
                          [cp, self] { cp->ErasePendingTimeout(self); });
       return WaitResult::kTimeout;
@@ -219,7 +230,7 @@ WaitResult AlertWaitUntil(Mutex& m, Condition& c, std::uint64_t deadline_ns) {
       // takes c's lock alongside m's on every attempt and runs the callback
       // with self's record lock also held.
       m.TracedAcquireFor(self, kNoDeadline,
-                         spec::MakeAlertResumeRaises(self->id, m.id_, c.id_),
+                         spec::MakeAlertResumeRaises(self->id, m.id(), c.id_),
                          &c.nub_lock_, [cp, self] {
                            cp->ErasePendingRaise(self);
                            self->alerted.store(false,
@@ -230,7 +241,7 @@ WaitResult AlertWaitUntil(Mutex& m, Condition& c, std::uint64_t deadline_ns) {
     }
     // Atomic action AlertResume / RETURNS.
     m.TracedAcquireFor(self, kNoDeadline,
-                       spec::MakeAlertResumeReturns(self->id, m.id_, c.id_),
+                       spec::MakeAlertResumeReturns(self->id, m.id(), c.id_),
                        nullptr, [self] { self->alert_woken = false; });
     return WaitResult::kSatisfied;
   }
@@ -309,52 +320,23 @@ WaitResult AlertWaitFor(Mutex& m, Condition& c,
 }
 
 void AlertP(Semaphore& s) {
-  obs::ScopedEvent ev(obs::Op::kAlertP, s.id_);
+  obs::ScopedEvent ev(obs::Op::kAlertP, s.id());
   Nub& nub = Nub::Get();
   ThreadRecord* self = nub.Current();
-
   if (nub.tracing()) {
-    // --- Traced (spec-emitting) path ---
-    // Each check-act pair below is one atomic action under s's ObjLock plus
-    // the record lock (the alert flag is part of the action's state); this
-    // path prefers the RAISES outcome when both WHEN clauses hold, which
-    // the spec allows.
+    // Each attempt is one atomic action under s's ObjLock plus the record
+    // lock (the alert flag is part of the action's state).
     obs::Inc(obs::Counter::kNubAlertP);
-    for (;;) {
-      {
-        NubGuard g(s.nub_lock_);
-        SpinGuard sg(self->lock);
-        if (self->alerted.load(std::memory_order_relaxed)) {
-          self->alerted.store(false, std::memory_order_relaxed);
-          self->alert_woken = false;
-          nub.EmitTraced(spec::MakeAlertPRaises(self->id, s.id_));
-          throw Alerted();
-        }
-        if (s.bit_.load(std::memory_order_relaxed) == 0) {
-          s.bit_.store(1, std::memory_order_relaxed);
-          nub.EmitTraced(spec::MakeAlertPReturns(self->id, s.id_));
-          return;
-        }
-        s.queue_.PushBack(self);
-        s.queue_len_.fetch_add(1, std::memory_order_relaxed);
-        SetBlockedLocked(self, ThreadRecord::BlockKind::kSemaphore, &s, s.id(),
-                         &s.nub_lock_, /*alertable=*/true);
-      }
-      ParkBlocked(self, kLockWait);
-      SpinGuard sg(self->lock);
-      if (self->alert_woken) {
-        self->alert_woken = false;
-        self->alerted.store(false, std::memory_order_relaxed);
-        // The Alert that woke us already dequeued SELF and emitted its own
-        // action; this one touches only the alert flag, under the record
-        // lock.
-        nub.EmitTraced(spec::MakeAlertPRaises(self->id, s.id_));
-        throw Alerted();
-      }
+    if (s.core_.TracedAcquireFor(
+            self, kNoDeadline, ThreadRecord::BlockKind::kSemaphore,
+            /*alertable=*/true,
+            {.acquired = spec::MakeAlertPReturns(self->id, s.id()),
+             .raises = spec::MakeAlertPRaises(self->id, s.id())}) ==
+        WaitResult::kAlerted) {
+      throw Alerted();
     }
+    return;
   }
-
-  // --- Production path ---
   // User-code fast path: the test-and-set may win even when an alert is
   // pending — the source of the RETURNS/RAISES nondeterminism the paper
   // discusses (the implementor kept it for efficiency; the released spec
@@ -362,47 +344,11 @@ void AlertP(Semaphore& s) {
   if (s.TestAndSet()) {
     return;
   }
-
   obs::Inc(obs::Counter::kNubAlertP);
-
-  for (;;) {
-    bool parked = false;
-    {
-      NubGuard g(s.nub_lock_);
-      SpinGuard sg(self->lock);
-      TAOS_CHAOS(kAlertWaitWindow);
-      if (self->alerted.load(std::memory_order_relaxed)) {
-        self->alerted.store(false, std::memory_order_relaxed);
-        self->alert_woken = false;
-        throw Alerted();
-      }
-      s.queue_.PushBack(self);
-      s.queue_len_.fetch_add(1, std::memory_order_seq_cst);
-      if (s.bit_.load(std::memory_order_seq_cst) != 0) {
-        SetBlockedLocked(self, ThreadRecord::BlockKind::kSemaphore, &s, s.id(),
-                         &s.nub_lock_, /*alertable=*/true);
-        parked = true;
-      } else {
-        s.queue_.Remove(self);
-        s.queue_len_.fetch_sub(1, std::memory_order_relaxed);
-      }
-    }
-    if (parked) {
-      ParkBlocked(self, kLockWait);
-      SpinGuard sg(self->lock);
-      if (self->alert_woken) {
-        self->alert_woken = false;
-        self->alerted.store(false, std::memory_order_relaxed);
-        throw Alerted();
-      }
-    }
-    if (s.bit_.exchange(1, std::memory_order_acquire) == 0) {
-      return;
-    }
-    obs::Inc(obs::Counter::kLockBitRetries);
-    if (parked) {
-      obs::Inc(obs::Counter::kSpuriousWakeups);
-    }
+  if (s.core_.AcquireFor(self, kNoDeadline,
+                         ThreadRecord::BlockKind::kSemaphore,
+                         /*alertable=*/true) == WaitResult::kAlerted) {
+    throw Alerted();
   }
 }
 

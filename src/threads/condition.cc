@@ -210,16 +210,13 @@ WaitResult Condition::TracedWaitFor(Mutex& m, ThreadRecord* self,
     // touches both objects, so both ObjLocks are held (NubGuard2 order). A
     // timed wait enters c the same way an untimed one does; only the way it
     // may leave differs.
-    NubGuard2 g(m.nub_lock_, &nub_lock_);
+    NubGuard2 g(m.core_.lock(), &nub_lock_);
     snapshot = ec_.Read();
-    wake = m.TracedReleaseLocked(self, /*emit_release=*/false);
+    wake = m.TracedReleaseLocked(self);
     window_.push_back(self);
-    nub.EmitTraced(spec::MakeEnqueue(self->id, m.id_, id_));
+    nub.EmitTraced(spec::MakeEnqueue(self->id, m.id(), id_));
   }
-  if (wake != nullptr) {
-    obs::Inc(obs::Counter::kHandoffs);
-    wake->park.Unpark();
-  }
+  LockCore::Wake(wake);
 
   // Nub subroutine Block(c, i), with the deadline.
   bool parked = false;
@@ -247,7 +244,7 @@ WaitResult Condition::TracedWaitFor(Mutex& m, ThreadRecord* self,
     // the bookkeeping erase happen together under m's and c's locks.
     Condition* cp = this;
     m.TracedAcquireFor(self, kNoDeadline,
-                       spec::MakeTimeoutResume(self->id, m.id_, id_),
+                       spec::MakeTimeoutResume(self->id, m.id(), id_),
                        &nub_lock_,
                        [cp, self] { cp->ErasePendingTimeout(self); });
     return WaitResult::kTimeout;
@@ -258,7 +255,7 @@ WaitResult Condition::TracedWaitFor(Mutex& m, ThreadRecord* self,
   // happened-before this point, so their stamps precede this one, and no
   // other thread can re-insert SELF.
   m.TracedAcquireFor(self, kNoDeadline,
-                     spec::MakeResume(self->id, m.id_, id_));
+                     spec::MakeResume(self->id, m.id(), id_));
   return WaitResult::kSatisfied;
 }
 

@@ -1,7 +1,12 @@
-// The one spin a Nub lock wait makes before it queues. Mutex::NubAcquireFor
-// and Semaphore::NubPFor call SpinForLockBit ahead of their
-// enqueue-then-retest; AlertP, ReaderWriterMutex and the traced paths do
-// not spin.
+// The one spin a Nub lock wait makes before it queues. Its one caller is
+// LockCore::AcquireFor (src/threads/lock_core.h), ahead of the
+// enqueue-then-retest, so Mutex and Semaphore waits spin alike. Three waits
+// do not spin:
+//   - alertable ones (AlertP): a spinner is not blocked, so an Alert could
+//     only set its flag and could not end the wait until the spin ran out;
+//   - ReaderWriterMutex: its word is a writer bit plus a reader count, with
+//     two queues, not one bit, so it does not run on the core;
+//   - the traced paths, which serialize every attempt under the object lock.
 //
 // The paper's Nub queues a thread whose test-and-set failed and
 // de-schedules it; Release then makes it ready to retry. On a

@@ -68,7 +68,8 @@ struct ThreadRecord {
   BlockKind block_kind = BlockKind::kNone;
   bool alertable = false;    // blocked in AlertP / AlertWait
   bool alert_woken = false;  // dequeued by Alert rather than by V/Signal
-  void* blocked_obj = nullptr;  // the Mutex/Semaphore/Condition blocked on
+  void* blocked_obj = nullptr;  // the object blocked on (a LockCore for
+                                // kMutex and kSemaphore)
   ObjLock* blocked_lock = nullptr;  // that object's slow-path lock
   // Multi-object wait notification latch (src/threads/poll.h). A poll
   // waiter re-arms it to 0 before each scan of its wait set; an Event::Set

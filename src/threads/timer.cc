@@ -5,10 +5,9 @@
 #include "src/obs/recorder.h"
 #include "src/threads/condition.h"
 #include "src/threads/event.h"
-#include "src/threads/mutex.h"
+#include "src/threads/lock_core.h"
 #include "src/threads/nub.h"
 #include "src/threads/rwmutex.h"
-#include "src/threads/semaphore.h"
 
 namespace taos {
 
@@ -46,18 +45,10 @@ bool ParkBlockedUntil(ThreadRecord* t, std::uint64_t deadline_ns,
   t->lock.Acquire();
   const bool expired = t->block_kind != ThreadRecord::BlockKind::kNone;
   switch (t->block_kind) {
-    case ThreadRecord::BlockKind::kMutex: {
-      auto* m = static_cast<Mutex*>(t->blocked_obj);
-      m->queue_.Remove(t);
-      m->queue_len_.fetch_sub(1, std::memory_order_relaxed);
+    case ThreadRecord::BlockKind::kMutex:
+    case ThreadRecord::BlockKind::kSemaphore:
+      static_cast<LockCore*>(t->blocked_obj)->DequeueLocked(t);
       break;
-    }
-    case ThreadRecord::BlockKind::kSemaphore: {
-      auto* s = static_cast<Semaphore*>(t->blocked_obj);
-      s->queue_.Remove(t);
-      s->queue_len_.fetch_sub(1, std::memory_order_relaxed);
-      break;
-    }
     case ThreadRecord::BlockKind::kCondition: {
       auto* c = static_cast<Condition*>(t->blocked_obj);
       c->queue_.Remove(t);

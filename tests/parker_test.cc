@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "src/obs/metrics.h"
+#include "src/threads/alert.h"
 #include "src/threads/condition.h"
 #include "src/threads/lock.h"
 #include "src/threads/lock_spin.h"
@@ -509,8 +510,8 @@ TEST(ParkerLockWaitTest, ContendedMutexSpinsOnTheBitThenParksUngated) {
   }
 }
 
-// The exact ledger: every Nub lock acquire (Mutex::NubAcquireFor,
-// Semaphore::NubPFor) lands in exactly one lock_spin counter, whatever
+// The exact ledger: every unalertable Nub lock acquire (LockCore::AcquireFor
+// for Mutex and Semaphore) lands in exactly one lock_spin counter, whatever
 // mix of hits, misses, closed gates and busy spinners the contention
 // produces.
 TEST(ParkerLockWaitTest, EveryNubLockAcquireCountsOnceInTheLockSpinLedger) {
@@ -575,6 +576,27 @@ TEST(ParkerLockWaitTest, AtMostOneWaiterSpinsAtATime) {
   EXPECT_EQ(LockSpinLedgerTotal(before, after),
             static_cast<std::uint64_t>(kThreads * kCalls));
   EXPECT_FALSE(spinner.load());
+}
+
+// An alertable lock wait never spins on the bit: a spinner is not blocked,
+// so an Alert could only set its flag, not end the wait. A contended AlertP
+// queues at once, with the spin gate open, and moves no lock_spin counter.
+TEST(ParkerLockWaitTest, ContendedAlertPSkipsTheLockSpin) {
+  taos::Semaphore s;
+  OpenSpinGate();
+  s.P();
+  const Stats before = Snapshot();
+  std::thread waiter([&] { taos::AlertP(s); });
+  while (Delta(before, Snapshot(), Counter::kNubAlertP) == 0) {
+    std::this_thread::yield();
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(1));  // let it park
+  s.V();
+  waiter.join();
+  const Stats after = Snapshot();
+  EXPECT_EQ(Delta(before, after, Counter::kNubAlertP), 1u);
+  EXPECT_EQ(LockSpinLedgerTotal(before, after), 0u);
+  s.V();
 }
 
 // A timed lock wait whose deadline falls inside the spin budget spins to

@@ -125,6 +125,56 @@ TEST(SemaphoreTest, MutualExclusionWhenUsedAsALock) {
   EXPECT_EQ(counter, static_cast<std::int64_t>(kThreads) * kIters);
 }
 
+// Both wait shapes on one queue: a timed PFor waiter times out while an
+// AlertP waiter is queued ahead of it on the same semaphore, and V then
+// grants the AlertP waiter. The expiry's self-dequeue must leave the queue
+// (and its length mirror, which V's user code reads) naming exactly the
+// AlertP waiter. If V fails to wake it, an Alert ends the wait so the
+// failure reports instead of hanging.
+TEST(SemaphoreTest, TimedPForExpiresBesideAQueuedAlertPThatVGrants) {
+  Semaphore s;
+  s.P();
+  std::atomic<bool> granted{false};
+  Thread alertp = Thread::Fork([&] {
+    try {
+      AlertP(s);
+      granted.store(true, std::memory_order_release);
+    } catch (const Alerted&) {
+    }
+  });
+  // Wait until the AlertP waiter has parked on s.
+  while (alertp.Handle().rec->parks.load(std::memory_order_relaxed) == 0) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  const obs::Stats before = obs::Snapshot();
+  Thread timed = Thread::Fork([&] {
+    EXPECT_EQ(s.PFor(std::chrono::milliseconds(20)), WaitResult::kTimeout);
+  });
+  timed.Join();
+  const obs::Stats after = obs::Snapshot();
+  EXPECT_EQ(after.Count(obs::Counter::kTimersExpired) -
+                before.Count(obs::Counter::kTimersExpired),
+            1u)
+      << "the PFor waiter did not queue and dequeue itself";
+  EXPECT_FALSE(granted.load(std::memory_order_acquire));
+
+  s.V();
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!granted.load(std::memory_order_acquire) &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(granted.load(std::memory_order_acquire))
+      << "V did not grant the queued AlertP waiter";
+  if (!granted.load(std::memory_order_acquire)) {
+    Alert(alertp.Handle());
+  }
+  alertp.Join();
+  EXPECT_FALSE(s.AvailableForDebug());  // taken by the AlertP waiter
+  s.V();
+}
+
 // Ping-pong chain: K stages, each a semaphore handoff; validates queuing
 // and wakeup ordering under repeated block/unblock.
 class SemaphoreChain : public ::testing::TestWithParam<int> {};
