@@ -67,8 +67,9 @@ enum class Point : std::uint32_t {
   // Alert: the cancellation seams.
   kAlertFlagToCancel,    // alerted flag set, before dequeuing the waiter
   kAlertLockRetry,       // rule 3: object try-lock failed, before retrying
-  kAlertWaitWindow,      // AlertWait/AlertP: holding the record lock across
-                         // the alerted-flag check and the enqueue
+  kAlertWaitWindow,      // alertable Block (AlertWait) and AlertP: holding
+                         // the record lock across the alerted-flag check
+                         // and the enqueue
   // Parker park/unpark edges (both backends).
   kParkerBeforePark,
   kParkerBeforeUnpark,

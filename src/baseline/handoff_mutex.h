@@ -52,7 +52,6 @@ class HandoffMutex {
       }
     }
     if (parked) {
-      self->parks.fetch_add(1, std::memory_order_relaxed);
       self->park.Park();
       // Ownership was handed to us inside Release: the bit never cleared.
     }

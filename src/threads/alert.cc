@@ -94,19 +94,10 @@ void Alert(ThreadHandle h) {
       case ThreadRecord::BlockKind::kSemaphore:
         static_cast<LockCore*>(t->blocked_obj)->DequeueLocked(t);
         break;
-      case ThreadRecord::BlockKind::kCondition: {
-        auto* c = static_cast<Condition*>(t->blocked_obj);
-        c->queue_.Remove(t);
-        if (nub.tracing()) {
-          // The alerted thread will raise; it stays a spec-member of c
-          // until its AlertResume action fires (corrected AlertWait
-          // semantics), so a Signal in between may still remove it.
-          c->pending_raise_.push_back(t);
-        } else {
-          c->waiters_.fetch_sub(1, std::memory_order_relaxed);
-        }
+      case ThreadRecord::BlockKind::kCondition:
+        static_cast<Condition*>(t->blocked_obj)
+            ->DequeueLocked(t, /*alerted=*/true);
         break;
-      }
       case ThreadRecord::BlockKind::kRwShared:
       case ThreadRecord::BlockKind::kRwExclusive:
       case ThreadRecord::BlockKind::kEvent:  // Event::Wait is never alertable
@@ -140,171 +131,30 @@ bool TestAlert() {
   return self->alerted.exchange(false, std::memory_order_seq_cst);
 }
 
-namespace internal {
-
-// AlertWait with a deadline (kNoDeadline for AlertWait itself; 0, always in
-// the past, for AlertWaitFor's nonpositive timeout), reporting the outcome
-// as a value.
-WaitResult AlertWaitUntil(Mutex& m, Condition& c, std::uint64_t deadline_ns) {
-  obs::ScopedEvent ev(obs::Op::kAlertWait, c.id_);
-  obs::Inc(obs::Counter::kNubAlertWait);
-  Nub& nub = Nub::Get();
-  ThreadRecord* self = nub.Current();
-  // REQUIRES m = SELF.
-  TAOS_CHECK(m.holder_.load(std::memory_order_relaxed) == self->id);
-
-  if (deadline_ns == 0) {
-    // Deadline already passed: no enqueue, no actions, m stays held, and a
-    // pending alert stays pending (the kTimeout outcome never consumes one).
-    return WaitResult::kTimeout;
-  }
-  if (nub.tracing()) {
-    // --- Traced (spec-emitting) path ---
-    // Atomic action Enqueue (AlertWait flavour: UNCHANGED [alerts]). It
-    // touches both m and c, so both ObjLocks are held.
-    EventCount::Value snapshot = 0;
-    ThreadRecord* wake = nullptr;
-    {
-      NubGuard2 g(m.core_.lock(), &c.nub_lock_);
-      snapshot = c.ec_.Read();
-      wake = m.TracedReleaseLocked(self);
-      c.window_.push_back(self);
-      nub.EmitTraced(spec::MakeAlertEnqueue(self->id, m.id(), c.id_));
-    }
-    LockCore::Wake(wake);
-
-    // AlertBlock: like Block(c, i) but responsive to alerts. The record
-    // lock is held across the alerted check AND the block-state
-    // publication, so an Alert cannot slip between them (it would see "not
-    // blocked", leave only the flag, and strand us parked).
-    bool parked = false;
-    bool raise = false;
-    {
-      NubGuard g(c.nub_lock_);
-      SpinGuard sg(self->lock);
-      if (self->alerted.load(std::memory_order_relaxed)) {
-        raise = true;
-        if (c.EraseWindow(self)) {
-          // Still a member of c until the AlertResume action fires.
-          c.pending_raise_.push_back(self);
-        }
-      } else if (c.ec_.Read() != snapshot) {
-        // Absorbed by an intervening Signal/Broadcast (which removed us
-        // from c when it emitted): resume normally.
-        obs::Inc(obs::Counter::kWakeupWaitingHits);
-      } else {
-        TAOS_CHECK(c.EraseWindow(self));
-        c.queue_.PushBack(self);
-        SetBlockedLocked(self, ThreadRecord::BlockKind::kCondition, &c, c.id(),
-                         &c.nub_lock_, /*alertable=*/true);
-        parked = true;
-      }
-    }
-    bool expired = false;
-    if (parked) {
-      expired = ParkBlockedUntil(self, deadline_ns, kEventWait);
-      if (!expired) {
-        // Woken either by Alert (alert_woken, already in pending_raise_) or
-        // by Signal/Broadcast (removed from c). If an alert is pending in
-        // either case, this implementation chooses to raise — the spec
-        // permits either outcome when both WHEN clauses hold.
-        SpinGuard sg(self->lock);
-        raise = self->alert_woken ||
-                self->alerted.load(std::memory_order_relaxed);
-      }
-    }
-
-    Condition* cp = &c;
-    if (expired) {
-      // Atomic action TimeoutResume. Its frame excludes the alerts set: a
-      // pending alert survives the timeout untouched.
-      m.TracedAcquireFor(self, kNoDeadline,
-                         spec::MakeTimeoutResume(self->id, m.id(), c.id_),
-                         &c.nub_lock_,
-                         [cp, self] { cp->ErasePendingTimeout(self); });
-      return WaitResult::kTimeout;
-    }
-    if (raise) {
-      // Atomic action AlertResume / RAISES: regain m, leave c and alerts.
-      // The action touches m, c and the alert flag, so TracedAcquireFor
-      // takes c's lock alongside m's on every attempt and runs the callback
-      // with self's record lock also held.
-      m.TracedAcquireFor(self, kNoDeadline,
-                         spec::MakeAlertResumeRaises(self->id, m.id(), c.id_),
-                         &c.nub_lock_, [cp, self] {
-                           cp->ErasePendingRaise(self);
-                           self->alerted.store(false,
-                                               std::memory_order_relaxed);
-                           self->alert_woken = false;
-                         });
-      return WaitResult::kAlerted;
-    }
-    // Atomic action AlertResume / RETURNS.
-    m.TracedAcquireFor(self, kNoDeadline,
-                       spec::MakeAlertResumeReturns(self->id, m.id(), c.id_),
-                       nullptr, [self] { self->alert_woken = false; });
-    return WaitResult::kSatisfied;
-  }
-
-  // --- Production path ---
-  const EventCount::Value i = c.ec_.Read();
-  c.waiters_.fetch_add(1, std::memory_order_seq_cst);
-  m.Release();
-
-  bool parked = false;
-  bool raise = false;
-  {
-    NubGuard g(c.nub_lock_);
-    SpinGuard sg(self->lock);
-    TAOS_CHAOS(kAlertWaitWindow);
-    if (self->alerted.load(std::memory_order_relaxed)) {
-      raise = true;
-      c.waiters_.fetch_sub(1, std::memory_order_relaxed);
-    } else if (c.ec_.Read() == i) {
-      c.queue_.PushBack(self);
-      SetBlockedLocked(self, ThreadRecord::BlockKind::kCondition, &c, c.id(),
-                       &c.nub_lock_, /*alertable=*/true);
-      parked = true;
-    } else {
-      c.waiters_.fetch_sub(1, std::memory_order_relaxed);
-      obs::Inc(obs::Counter::kWakeupWaitingHits);
-    }
-  }
-  bool expired = false;
-  if (parked) {
-    expired = ParkBlockedUntil(self, deadline_ns, kEventWait);
-    if (!expired) {
-      SpinGuard sg(self->lock);
-      raise = self->alert_woken ||
-              self->alerted.load(std::memory_order_relaxed);
-    }
-  }
-
-  m.Acquire();
-  {
-    SpinGuard sg(self->lock);
-    self->alert_woken = false;
-    // kTimeout never consumes a pending alert; kAlerted always does.
-    if (!expired && raise) {
-      self->alerted.store(false, std::memory_order_relaxed);
-    }
-  }
-  return expired ? WaitResult::kTimeout
-                 : (raise ? WaitResult::kAlerted : WaitResult::kSatisfied);
-}
-
-}  // namespace internal
-
+// AlertWait and AlertWaitFor are Condition's one wait with an alertable
+// Block (condition.h); they keep their own obs event and Nub counter.
 void AlertWait(Mutex& m, Condition& c) {
-  if (internal::AlertWaitUntil(m, c, kNoDeadline) == WaitResult::kAlerted) {
+  WaitResult result = WaitResult::kSatisfied;
+  obs::WithEvent(obs::Op::kAlertWait, c.id(), [&] {
+    obs::Inc(obs::Counter::kNubAlertWait);
+    result = c.WaitUntil(m, kNoDeadline, /*alertable=*/true);
+  });
+  // Thrown once the event's frame is gone: a frame that still had a
+  // destructor to run would add a landing-pad stop to every raise, which
+  // bench_alert's BM_AlertWakesAlertWait shows (EXPERIMENTS E11).
+  if (result == WaitResult::kAlerted) {
     throw Alerted();
   }
 }
 
 WaitResult AlertWaitFor(Mutex& m, Condition& c,
                         std::chrono::nanoseconds timeout) {
-  const WaitResult result = internal::AlertWaitUntil(
-      m, c, timeout.count() > 0 ? DeadlineAfter(timeout) : 0);
+  WaitResult result = WaitResult::kSatisfied;
+  obs::WithEvent(obs::Op::kAlertWait, c.id(), [&] {
+    obs::Inc(obs::Counter::kNubAlertWait);
+    result = c.WaitUntil(m, timeout.count() > 0 ? DeadlineAfter(timeout) : 0,
+                         /*alertable=*/true);
+  });
   switch (result) {
     case WaitResult::kSatisfied:
       obs::Inc(obs::Counter::kTimedWaitSatisfied);

@@ -29,6 +29,12 @@
 // Alerting is a polite form of interrupt, used to implement timeouts and
 // aborts: Alert(t) requests that thread t raise Alerted at its next
 // alert-responsive point.
+//
+// Implementation: AlertWait and AlertWaitFor are Condition's one wait
+// (condition.h) with an alertable Block, and AlertP is the semaphore's lock
+// core acquired alertably (lock_core.h). Either Block holds the caller's
+// record lock across the alerted check and the enqueue, so Alert finds the
+// flag set first or finds the thread blocked and dequeues it.
 
 #ifndef TAOS_SRC_THREADS_ALERT_H_
 #define TAOS_SRC_THREADS_ALERT_H_

@@ -12,6 +12,20 @@
 
 namespace taos {
 
+namespace {
+
+// Whether an alertable waiter that a wakeup (not its deadline) took off
+// the Queue raises. It was woken either by Alert (alert_woken) or by
+// Signal/Broadcast; if an alert is pending in either case, this
+// implementation chooses to raise — the spec permits either outcome when
+// both WHEN clauses hold.
+bool RaisesAfterWake(ThreadRecord* self) {
+  SpinGuard g(self->lock);
+  return self->alert_woken || self->alerted.load(std::memory_order_relaxed);
+}
+
+}  // namespace
+
 Condition::Condition() : id_(Nub::Get().NextObjId()) {}
 
 Condition::~Condition() {
@@ -22,13 +36,15 @@ Condition::~Condition() {
 }
 
 void Condition::Wait(Mutex& m) {
-  obs::WithEvent(obs::Op::kWait, id_, [&] { WaitUntil(m, kNoDeadline); });
+  obs::WithEvent(obs::Op::kWait, id_,
+                 [&] { WaitUntil(m, kNoDeadline, /*alertable=*/false); });
 }
 
 WaitResult Condition::WaitFor(Mutex& m, std::chrono::nanoseconds timeout) {
   WaitResult result = WaitResult::kSatisfied;
   obs::WithEvent(obs::Op::kWait, id_, [&] {
-    result = WaitUntil(m, timeout.count() > 0 ? DeadlineAfter(timeout) : 0);
+    result = WaitUntil(m, timeout.count() > 0 ? DeadlineAfter(timeout) : 0,
+                       /*alertable=*/false);
   });
   obs::Inc(result == WaitResult::kSatisfied
                ? obs::Counter::kTimedWaitSatisfied
@@ -36,18 +52,20 @@ WaitResult Condition::WaitFor(Mutex& m, std::chrono::nanoseconds timeout) {
   return result;
 }
 
-WaitResult Condition::WaitUntil(Mutex& m, std::uint64_t deadline_ns) {
+WaitResult Condition::WaitUntil(Mutex& m, std::uint64_t deadline_ns,
+                                bool alertable) {
   Nub& nub = Nub::Get();
   ThreadRecord* self = nub.Current();
   // REQUIRES m = SELF.
   TAOS_CHECK(m.holder_.load(std::memory_order_relaxed) == self->id);
   if (deadline_ns == 0) {
     // The deadline has already passed: don't enqueue (and in traced mode
-    // don't emit — nothing changed). m stays held throughout.
+    // don't emit — nothing changed). m stays held throughout, and a
+    // pending alert stays pending.
     return WaitResult::kTimeout;
   }
   if (nub.tracing()) {
-    return TracedWaitFor(m, self, deadline_ns);
+    return TracedWaitFor(m, self, deadline_ns, alertable);
   }
   // First read c's Eventcount (still inside the critical section)...
   const EventCount::Value i = ec_.Read();
@@ -58,43 +76,68 @@ WaitResult Condition::WaitUntil(Mutex& m, std::uint64_t deadline_ns) {
   m.Release();
   // The wakeup-waiting window: a Signal landing here must not be lost.
   TAOS_CHAOS(kCondReleaseToBlock);
-  const bool expired = BlockFor(self, i, deadline_ns);
+  const WaitResult result = BlockFor(self, i, deadline_ns, alertable);
   // On return from Block, re-enter a critical section.
   m.Acquire();
-  return expired ? WaitResult::kTimeout : WaitResult::kSatisfied;
+  if (alertable) {
+    SpinGuard sg(self->lock);
+    self->alert_woken = false;
+    // kAlerted consumes the alert; kTimeout never does.
+    if (result == WaitResult::kAlerted) {
+      self->alerted.store(false, std::memory_order_relaxed);
+    }
+  }
+  return result;
 }
 
-bool Condition::BlockFor(ThreadRecord* self, EventCount::Value i,
-                         std::uint64_t deadline_ns) {
-  obs::Inc(obs::Counter::kNubWait);
-  bool parked = false;
+WaitResult Condition::BlockFor(ThreadRecord* self, EventCount::Value i,
+                               std::uint64_t deadline_ns, bool alertable) {
+  if (!alertable) {
+    obs::Inc(obs::Counter::kNubWait);
+  }
   {
     NubGuard g(nub_lock_);
     // Holding c's lock, before re-reading the eventcount: a Signal that
     // advanced it in the meantime must be seen here.
     TAOS_CHAOS(kCondClaimToRecheck);
-    if (ec_.Read() == i) {
-      queue_.PushBack(self);
-      SpinGuard tg(self->lock);
-      SetBlockedLocked(self, ThreadRecord::BlockKind::kCondition, this, id_,
-                       &nub_lock_, /*alertable=*/false);
-      parked = true;
-    } else {
+    SpinGuard tg(self->lock);
+    if (alertable) {
+      TAOS_CHAOS(kAlertWaitWindow);
+      if (self->alerted.load(std::memory_order_relaxed)) {
+        waiters_.fetch_sub(1, std::memory_order_relaxed);
+        return WaitResult::kAlerted;
+      }
+    }
+    if (ec_.Read() != i) {
       // A Signal or Broadcast intervened between the eventcount read and
       // now: return immediately. This is how the wakeup-waiting race is
       // covered, and why one Signal can unblock several threads.
       waiters_.fetch_sub(1, std::memory_order_relaxed);
       obs::Inc(obs::Counter::kWakeupWaitingHits);
+      return WaitResult::kSatisfied;
     }
-  }
-  if (!parked) {
-    return false;
+    queue_.PushBack(self);
+    SetBlockedLocked(self, ThreadRecord::BlockKind::kCondition, this, id_,
+                     &nub_lock_, alertable);
   }
   const bool expired = ParkBlockedUntil(self, deadline_ns, kEventWait);
   if (deadline_ns != kNoDeadline) {
     TAOS_CHAOS(kCondTimedFinish);
   }
-  return expired;
+  if (expired) {
+    return WaitResult::kTimeout;
+  }
+  return alertable && RaisesAfterWake(self) ? WaitResult::kAlerted
+                                            : WaitResult::kSatisfied;
+}
+
+void Condition::DequeueLocked(ThreadRecord* t, bool alerted) {
+  queue_.Remove(t);
+  if (Nub::Get().tracing()) {
+    (alerted ? pending_raise_ : pending_timeout_).push_back(t);
+  } else {
+    waiters_.fetch_sub(1, std::memory_order_relaxed);
+  }
 }
 
 void Condition::Signal() {
@@ -200,29 +243,45 @@ bool Condition::ErasePendingTimeout(ThreadRecord* rec) {
 }
 
 WaitResult Condition::TracedWaitFor(Mutex& m, ThreadRecord* self,
-                                    std::uint64_t deadline_ns) {
+                                    std::uint64_t deadline_ns,
+                                    bool alertable) {
   Nub& nub = Nub::Get();
-  obs::Inc(obs::Counter::kNubWait);
+  if (!alertable) {
+    obs::Inc(obs::Counter::kNubWait);
+  }
   EventCount::Value snapshot = 0;
   ThreadRecord* wake = nullptr;
   {
-    // Atomic action Enqueue: insert SELF into c and set m to NIL. The action
-    // touches both objects, so both ObjLocks are held (NubGuard2 order). A
-    // timed wait enters c the same way an untimed one does; only the way it
-    // may leave differs.
+    // Atomic action Enqueue: insert SELF into c and set m to NIL (the
+    // AlertWait flavour also leaves alerts UNCHANGED). The action touches
+    // both objects, so both ObjLocks are held (NubGuard2 order). A timed
+    // wait enters c the same way an untimed one does; only the way it may
+    // leave differs.
     NubGuard2 g(m.core_.lock(), &nub_lock_);
     snapshot = ec_.Read();
     wake = m.TracedReleaseLocked(self);
     window_.push_back(self);
-    nub.EmitTraced(spec::MakeEnqueue(self->id, m.id(), id_));
+    nub.EmitTraced(alertable ? spec::MakeAlertEnqueue(self->id, m.id(), id_)
+                             : spec::MakeEnqueue(self->id, m.id(), id_));
   }
   LockCore::Wake(wake);
 
-  // Nub subroutine Block(c, i), with the deadline.
+  // Nub subroutine Block(c, i), with the deadline. The record lock is held
+  // across the alerted check and the block publication, so an Alert cannot
+  // slip between them (it would see "not blocked", leave only the flag,
+  // and strand us parked).
   bool parked = false;
+  bool raise = false;
   {
     NubGuard g(nub_lock_);
-    if (ec_.Read() != snapshot) {
+    SpinGuard tg(self->lock);
+    if (alertable && self->alerted.load(std::memory_order_relaxed)) {
+      raise = true;
+      if (EraseWindow(self)) {
+        // Still a member of c until the AlertResume action fires.
+        pending_raise_.push_back(self);
+      }
+    } else if (ec_.Read() != snapshot) {
       // Absorbed: the intervening Signal/Broadcast removed us from c (and
       // from window_) when it emitted its action.
       TAOS_DCHECK(std::find(window_.begin(), window_.end(), self) ==
@@ -231,23 +290,50 @@ WaitResult Condition::TracedWaitFor(Mutex& m, ThreadRecord* self,
     } else {
       TAOS_CHECK(EraseWindow(self));
       queue_.PushBack(self);
-      SpinGuard tg(self->lock);
       SetBlockedLocked(self, ThreadRecord::BlockKind::kCondition, this, id_,
-                       &nub_lock_, /*alertable=*/false);
+                       &nub_lock_, alertable);
       parked = true;
     }
   }
-  if (parked && ParkBlockedUntil(self, deadline_ns, kEventWait)) {
-    // Atomic action TimeoutResume: regain m and leave c in one step. The
-    // self-dequeue left SELF in pending_timeout_ — still a spec-member of c, as a
-    // raiser stays in pending_raise_ — so the action's delete(c, SELF) and
-    // the bookkeeping erase happen together under m's and c's locks.
-    Condition* cp = this;
+  Condition* cp = this;
+  if (parked) {
+    if (ParkBlockedUntil(self, deadline_ns, kEventWait)) {
+      // Atomic action TimeoutResume: regain m and leave c in one step. The
+      // self-dequeue left SELF in pending_timeout_ — still a spec-member of
+      // c, as a raiser stays in pending_raise_ — so the action's
+      // delete(c, SELF) and the bookkeeping erase happen together under m's
+      // and c's locks. Its frame excludes the alerts set: a pending alert
+      // survives the timeout untouched.
+      m.TracedAcquireFor(self, kNoDeadline,
+                         spec::MakeTimeoutResume(self->id, m.id(), id_),
+                         &nub_lock_,
+                         [cp, self] { cp->ErasePendingTimeout(self); });
+      return WaitResult::kTimeout;
+    }
+    // An Alert left SELF in pending_raise_; a Signal/Broadcast removed it
+    // from c.
+    raise = alertable && RaisesAfterWake(self);
+  }
+  if (raise) {
+    // Atomic action AlertResume / RAISES: regain m, leave c and alerts.
+    // The action touches m, c and the alert flag, so TracedAcquireFor
+    // takes c's lock alongside m's on every attempt and runs the callback
+    // with self's record lock also held.
     m.TracedAcquireFor(self, kNoDeadline,
-                       spec::MakeTimeoutResume(self->id, m.id(), id_),
-                       &nub_lock_,
-                       [cp, self] { cp->ErasePendingTimeout(self); });
-    return WaitResult::kTimeout;
+                       spec::MakeAlertResumeRaises(self->id, m.id(), id_),
+                       &nub_lock_, [cp, self] {
+                         cp->ErasePendingRaise(self);
+                         self->alerted.store(false, std::memory_order_relaxed);
+                         self->alert_woken = false;
+                       });
+    return WaitResult::kAlerted;
+  }
+  if (alertable) {
+    // Atomic action AlertResume / RETURNS.
+    m.TracedAcquireFor(self, kNoDeadline,
+                       spec::MakeAlertResumeReturns(self->id, m.id(), id_),
+                       nullptr, [self] { self->alert_woken = false; });
+    return WaitResult::kSatisfied;
   }
   // Atomic action Resume, emitted at the instant m is regained. Its WHEN
   // clause reads c (SELF NOT-IN c) but the emission holds only m's lock:

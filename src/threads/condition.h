@@ -25,6 +25,13 @@
 // more than one thread (every thread in the read-eventcount → Block window
 // absorbs the same increment).
 //
+// AlertWait (alert.h) is this Wait with an alertable Block: the same
+// Enqueue, the same (Eventcount, Queue), and a Block that also checks the
+// caller's alert flag under its record lock and lets Alert dequeue it. One
+// body (WaitUntil, BlockFor, TracedWaitFor) serves Wait, WaitFor,
+// AlertWait and AlertWaitFor; the `alertable` flag picks the spec actions
+// and whether the alert flag is read (DESIGN.md §13, "One condition wait").
+//
 // Departure from the paper (documented in DESIGN.md): waiters_ counts the
 // threads between their eventcount read and their wakeup, incremented before
 // the mutex is released, so the user-code "no threads to unblock" fast path
@@ -88,24 +95,40 @@ class Condition {
   friend bool ParkBlockedUntil(ThreadRecord* t, std::uint64_t deadline_ns,
                                waitq::Parker::Spin spin);
   friend void Alert(ThreadHandle t);
-  friend WaitResult internal::AlertWaitUntil(Mutex& m, Condition& c,
-                                             std::uint64_t deadline_ns);
+  friend void AlertWait(Mutex& m, Condition& c);
+  friend WaitResult AlertWaitFor(Mutex& m, Condition& c,
+                                 std::chrono::nanoseconds timeout);
 
-  // The one body of Wait (kNoDeadline) and WaitFor (0 for a nonpositive
-  // timeout: return kTimeout at once, m held, nothing enqueued).
-  WaitResult WaitUntil(Mutex& m, std::uint64_t deadline_ns);
+  // The one body of Wait (kNoDeadline), WaitFor (0 for a nonpositive
+  // timeout: return kTimeout at once, m held, nothing enqueued), AlertWait
+  // and AlertWaitFor (alertable). An alertable wait returns kAlerted with
+  // the alert consumed; kTimeout never consumes one.
+  WaitResult WaitUntil(Mutex& m, std::uint64_t deadline_ns, bool alertable);
 
   // Nub subroutine Block(c, i): sleep unless the eventcount moved past i,
-  // until the deadline (kNoDeadline for Wait). Returns true iff the wait
-  // ended by expiry.
-  bool BlockFor(ThreadRecord* self, EventCount::Value i,
-                std::uint64_t deadline_ns);
+  // until the deadline (kNoDeadline for none). The record lock is held
+  // once across the alerted check (alertable waits only), the eventcount
+  // re-read and the enqueue, so an Alert either finds the flag set first or
+  // finds `self` blocked and dequeues it. Returns kSatisfied, kTimeout, or
+  // kAlerted with the alert still pending (WaitUntil consumes it once m is
+  // held again).
+  WaitResult BlockFor(ThreadRecord* self, EventCount::Value i,
+                      std::uint64_t deadline_ns, bool alertable);
   void NubSignal();
   void NubBroadcast();
 
-  // Traced (spec-emitting) paths; Wait's takes kNoDeadline.
+  // Removes `t`, found blocked here, from the Queue: the dequeue of an
+  // expired waiter (alerted false) and of an alerted one. Caller holds
+  // nub_lock_ and t's record lock. A traced waiter stays a spec-member of c
+  // until its TimeoutResume or AlertResume action fires, so it moves to
+  // pending_timeout_ or pending_raise_, where a Signal in between may still
+  // remove it.
+  void DequeueLocked(ThreadRecord* t, bool alerted);
+
+  // The traced (spec-emitting) wait: Enqueue and Resume/TimeoutResume, or
+  // AlertEnqueue and AlertResume when alertable.
   WaitResult TracedWaitFor(Mutex& m, ThreadRecord* self,
-                           std::uint64_t deadline_ns);
+                           std::uint64_t deadline_ns, bool alertable);
   void TracedSignal(ThreadRecord* self);
   void TracedBroadcast(ThreadRecord* self);
   bool EraseWindow(ThreadRecord* rec);          // nub_lock_ held

@@ -41,14 +41,6 @@
 
 namespace taos {
 
-class Condition;
-class Mutex;
-
-namespace internal {
-// The one body of AlertWait and AlertWaitFor (src/threads/alert.cc).
-WaitResult AlertWaitUntil(Mutex& m, Condition& c, std::uint64_t deadline_ns);
-}  // namespace internal
-
 class Mutex {
  public:
   Mutex();
@@ -98,8 +90,6 @@ class Mutex {
 
  private:
   friend class Condition;
-  friend WaitResult internal::AlertWaitUntil(Mutex& m, Condition& c,
-                                             std::uint64_t deadline_ns);
 
   // The user-code test-and-set of Acquire and TryAcquire. On success it
   // counts the fast acquire and records the holder; diagnosis is off here

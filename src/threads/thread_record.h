@@ -90,13 +90,16 @@ struct ThreadRecord {
   // function (see Thread::Fork).
   std::atomic<bool> ended_by_alert{false};
 
-  // ---- statistics (relaxed; for tests and experiments) ----
-  std::atomic<std::uint64_t> parks{0};
-
   ThreadRecord() = default;
   ThreadRecord(const ThreadRecord&) = delete;
   ThreadRecord& operator=(const ThreadRecord&) = delete;
 };
+
+// Every thread carries one record for its whole life, so its size is part
+// of each thread's RSS (perfbench churn); a new field should be a choice.
+#if defined(__x86_64__)
+static_assert(sizeof(ThreadRecord) == 216, "ThreadRecord changed size");
+#endif
 
 // The diag WaitKind enum mirrors BlockKind value-for-value so the publish
 // below is a cast, not a mapping (and a new BlockKind fails loudly here).
@@ -165,10 +168,10 @@ inline void MarkUnblocked(ThreadRecord* t) {
   ClearBlockedLocked(t);
 }
 
-// "De-schedule this thread": park on the private parker, counting the
-// park and feeding the de-scheduled duration into the blocked-time
-// histogram. Every blocking site in src/threads goes through here, and
-// says whether the parker may spin first (parker.h):
+// "De-schedule this thread": park on the private parker, feeding the
+// de-scheduled duration into the blocked-time histogram. Every blocking
+// site in src/threads goes through here, and says whether the parker may
+// spin first (parker.h):
 //   - kEventWait (Condition, Event, Poll, AlertWait): the wakeup delivers
 //     what the thread waits for, and its latency is the caller's latency.
 //   - kLockWait (Mutex, Semaphore, ReaderWriterMutex, AlertP): the wakeup
@@ -190,7 +193,6 @@ inline bool ParkBlocked(ThreadRecord* t, waitq::Parker::Spin spin,
   // The window between publishing the blocked edge and the deschedule: a
   // watchdog snapshot here sees a thread "blocked" that has not parked yet.
   TAOS_CHAOS(kDiagPublishToPark);
-  t->parks.fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t start = obs::NowNanos();
   const bool woken = t->park.Park(spin, deadline_ns);
   obs::Record(obs::Histogram::kBlockedNanos, obs::NowNanos() - start);

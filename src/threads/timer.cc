@@ -49,19 +49,10 @@ bool ParkBlockedUntil(ThreadRecord* t, std::uint64_t deadline_ns,
     case ThreadRecord::BlockKind::kSemaphore:
       static_cast<LockCore*>(t->blocked_obj)->DequeueLocked(t);
       break;
-    case ThreadRecord::BlockKind::kCondition: {
-      auto* c = static_cast<Condition*>(t->blocked_obj);
-      c->queue_.Remove(t);
-      if (Nub::Get().tracing()) {
-        // The timed-out thread stays a spec-member of c until its
-        // TimeoutResume action fires (mirroring pending_raise_), so a
-        // Signal in between may still remove it.
-        c->pending_timeout_.push_back(t);
-      } else {
-        c->waiters_.fetch_sub(1, std::memory_order_relaxed);
-      }
+    case ThreadRecord::BlockKind::kCondition:
+      static_cast<Condition*>(t->blocked_obj)
+          ->DequeueLocked(t, /*alerted=*/false);
       break;
-    }
     case ThreadRecord::BlockKind::kRwShared: {
       auto* rw = static_cast<ReaderWriterMutex*>(t->blocked_obj);
       rw->readers_queue_.Remove(t);

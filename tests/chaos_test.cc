@@ -160,8 +160,9 @@ class ChaosRuntimeTest : public ::testing::Test {
 
 // One pass of mixed production traffic: contended mutexes (grants, timeouts,
 // back-outs), semaphore P/V and PFor, condition Wait/WaitFor against a
-// signaller, AlertWait/AlertP against an alerter, rwlock readers against a
-// writer, poll/event/message-queue fan-in, and raw spin-lock contention.
+// signaller, AlertWaitFor and a contended AlertP against an alerter, rwlock
+// readers against a writer, poll/event/message-queue fan-in, and raw
+// spin-lock contention.
 // Everything the named points instrument, in whichever lock mode the caller
 // configured. The diagnosis layer is switched on for the pass and a
 // snapshotter thread races SnapshotBlocked against the workload, so the
@@ -346,8 +347,11 @@ void MixedWorkloadPass() {
       std::this_thread::sleep_for(40us);
     }
   }));
-  // Alert traffic: an alertable timed waiter and an alerter.
+  // Alert traffic: an alertable timed waiter and an AlertP waiter on a
+  // semaphore a holder keeps taking across a sleep, both against one
+  // alerter. Both alertable Blocks cross the alerted-check window.
   std::atomic<ThreadRecord*> waiter_rec{nullptr};
+  std::atomic<ThreadRecord*> alertp_rec{nullptr};
   threads.push_back(Thread::Fork([&] {
     waiter_rec.store(Thread::Self().rec, std::memory_order_release);
     for (int j = 0; j < 30; ++j) {
@@ -357,13 +361,36 @@ void MixedWorkloadPass() {
       (void)TestAlert();  // drain so the next wait blocks again
     }
   }));
+  Semaphore alert_sem;
   threads.push_back(Thread::Fork([&] {
-    ThreadRecord* rec;
-    while ((rec = waiter_rec.load(std::memory_order_acquire)) == nullptr) {
+    for (int j = 0; j < 30; ++j) {
+      alert_sem.P();
+      std::this_thread::sleep_for(60us);
+      alert_sem.V();
+      std::this_thread::sleep_for(20us);
+    }
+  }));
+  threads.push_back(Thread::Fork([&] {
+    alertp_rec.store(Thread::Self().rec, std::memory_order_release);
+    for (int j = 0; j < 30; ++j) {
+      try {
+        AlertP(alert_sem);
+        alert_sem.V();
+      } catch (const Alerted&) {
+      }
+      (void)TestAlert();
+    }
+  }));
+  threads.push_back(Thread::Fork([&] {
+    ThreadRecord* rec = nullptr;
+    ThreadRecord* p_rec = nullptr;
+    while ((rec = waiter_rec.load(std::memory_order_acquire)) == nullptr ||
+           (p_rec = alertp_rec.load(std::memory_order_acquire)) == nullptr) {
       std::this_thread::yield();
     }
     for (int j = 0; j < 30; ++j) {
       Alert(ThreadHandle{rec});
+      Alert(ThreadHandle{p_rec});
       std::this_thread::sleep_for(80us);
     }
   }));

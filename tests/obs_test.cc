@@ -85,10 +85,12 @@ TEST(ObsMetricsTest, SignalWithEmptyConditionIsFast) {
   EXPECT_EQ(Delta(before, after, Counter::kNubBroadcast), 0u);
 }
 
-// A forced-contention Wait/Signal round trip: the waiter's Wait and the
+// A forced-contention wait/Signal round trip: the waiter's `wait` and the
 // signaler's Signal each enter the Nub exactly once, and the Signal hands
-// off to exactly one thread.
-TEST(ObsMetricsTest, WaitSignalRoundTripEntersNubExactly) {
+// off to exactly one thread. Wait and AlertWait share one Block but keep
+// their own Nub counters: `wait` moves `counted` and never `other`.
+void ExpectWaitSignalRoundTrip(void (*wait)(Mutex&, Condition&),
+                               Counter counted, Counter other) {
   Mutex m;
   Condition c;
   std::atomic<bool> waiting{false};
@@ -97,7 +99,7 @@ TEST(ObsMetricsTest, WaitSignalRoundTripEntersNubExactly) {
   Thread waiter = Thread::Fork([&] {
     m.Acquire();
     waiting.store(true, std::memory_order_release);
-    c.Wait(m);
+    wait(m, c);
     m.Release();
   });
 
@@ -120,12 +122,27 @@ TEST(ObsMetricsTest, WaitSignalRoundTripEntersNubExactly) {
   EXPECT_EQ(Delta(mid, after_signal, Counter::kFastSignal), 0u);
   EXPECT_EQ(Delta(mid, after_signal, Counter::kHandoffs), 1u);
 
-  // Whole round trip: one Wait entered the Nub, one Signal did; the wakeup
+  // Whole round trip: one wait entered the Nub, one Signal did; the wakeup
   // was a real handoff, not an absorbed (wakeup-waiting) one.
-  EXPECT_EQ(Delta(before, end, Counter::kNubWait), 1u);
+  EXPECT_EQ(Delta(before, end, counted), 1u) << obs::CounterName(counted);
+  EXPECT_EQ(Delta(before, end, other), 0u) << obs::CounterName(other);
   EXPECT_EQ(Delta(before, end, Counter::kNubSignal), 1u);
   EXPECT_EQ(Delta(before, end, Counter::kWakeupWaitingHits), 0u);
   EXPECT_GE(Delta(before, end, Counter::kHandoffs), 1u);
+}
+
+TEST(ObsMetricsTest, WaitSignalRoundTripEntersNubExactly) {
+  {
+    SCOPED_TRACE("Wait");
+    ExpectWaitSignalRoundTrip([](Mutex& m, Condition& c) { c.Wait(m); },
+                              Counter::kNubWait, Counter::kNubAlertWait);
+  }
+  {
+    SCOPED_TRACE("AlertWait");
+    ExpectWaitSignalRoundTrip(
+        [](Mutex& m, Condition& c) { AlertWait(m, c); },
+        Counter::kNubAlertWait, Counter::kNubWait);
+  }
 }
 
 // Eight threads hammering their own mutexes: the sharded cells must not

@@ -16,17 +16,12 @@
 #include "src/obs/metrics.h"
 #include "src/threads/threads.h"
 #include "src/workload/rwlock.h"
+#include "tests/await_blocked.h"
 
 namespace taos {
 namespace {
 
 using namespace std::chrono_literals;
-
-void AwaitParked(const Thread& t) {
-  while (t.Handle().rec->parks.load(std::memory_order_acquire) == 0) {
-    std::this_thread::yield();
-  }
-}
 
 TEST(RwMutexTest, UncontendedModes) {
   ReaderWriterMutex rw;
@@ -129,7 +124,7 @@ TEST(RwMutexTest, ExclusiveReleaseDrainsAllQueuedReaders) {
         std::this_thread::yield();
       }
     }));
-    AwaitParked(readers.back());
+    AwaitBlocked(readers.back());
   }
   rw.Release();  // one release, kReaders wakeups
   for (Thread& t : readers) {
@@ -160,7 +155,7 @@ TEST(RwMutexTest, LastReaderWakesQueuedWriter) {
     wrote.store(true, std::memory_order_release);
     rw.Release();
   });
-  AwaitParked(writer);
+  AwaitBlocked(writer);
   EXPECT_FALSE(wrote.load(std::memory_order_acquire));
   rw.ReleaseShared();  // count 2 -> 1: the second reader still excludes
   EXPECT_FALSE(wrote.load(std::memory_order_acquire));
@@ -233,7 +228,7 @@ TEST(RwMutexTest, StatsSplitFastFromSlow) {
     rw.AcquireShared();
     rw.ReleaseShared();
   });
-  AwaitParked(waiter);
+  AwaitBlocked(waiter);
   rw.Release();
   waiter.Join();
   EXPECT_GE(obs::Snapshot().Count(Counter::kNubAcquire) -

@@ -11,17 +11,12 @@
 
 #include <gtest/gtest.h>
 
+#include "src/obs/metrics.h"
 #include "src/workload/timeout.h"
+#include "tests/await_blocked.h"
 
 namespace taos {
 namespace {
-
-// Blocks until `t` has parked at least once, and is therefore queued.
-void AwaitParked(const Thread& t) {
-  while (t.Handle().rec->parks.load(std::memory_order_acquire) == 0) {
-    std::this_thread::yield();
-  }
-}
 
 TEST(AlertTest, TestAlertSeesAndClearsPendingAlert) {
   // Alert a thread that is not blocked: the request stays pending.
@@ -192,7 +187,7 @@ TEST(AlertTest, NondeterminismBothOutcomesOccur) {
       Alert(taker.Handle());
       s.V();
     } else {
-      AwaitParked(taker);
+      AwaitBlocked(taker);
       s.V();
       Alert(taker.Handle());
     }
@@ -333,7 +328,7 @@ TEST(AlertTest, SignalsSkipAlertedWaiterAndReachTheRest) {
       }
       m.Release();
     }));
-    AwaitParked(waiters.back());
+    AwaitBlocked(waiters.back());
   }
 
   Alert(waiters[kAlerted].Handle());
@@ -364,6 +359,114 @@ TEST(AlertTest, SignalsSkipAlertedWaiterAndReachTheRest) {
   for (int i = 0; i < kWaiters; ++i) {
     EXPECT_EQ(raised[i].load(std::memory_order_acquire), i == kAlerted);
   }
+}
+
+// A plain Wait, an AlertWait and a short AlertWaitFor on one Condition, on
+// the production path. They share one Block, and each leaves it its own
+// way: Alert dequeues only the alertable waiter, the timed one expires
+// itself, and Signal reaches the plain one. Every way out gives back its
+// count in waiters_, so once all have left a Signal finds no waiters and
+// stays in user code. The same holds after an AlertWait that raises before
+// it blocks, and after waits whose wakeups a Signal burst absorbs.
+TEST(AlertTest, MixedWaitsOnOneConditionEachLeaveTheirOwnWay) {
+  Mutex m;
+  Condition c;
+  auto expect_signal_stays_in_user_code = [&c](const char* after) {
+    const obs::Stats before = obs::Snapshot();
+    c.Signal();
+    const obs::Stats end = obs::Snapshot();
+    EXPECT_EQ(end.Count(obs::Counter::kFastSignal) -
+                  before.Count(obs::Counter::kFastSignal),
+              1u)
+        << after;
+    EXPECT_EQ(end.Count(obs::Counter::kNubSignal) -
+                  before.Count(obs::Counter::kNubSignal),
+              0u)
+        << after;
+  };
+
+  std::atomic<bool> plain_done{false};
+  Thread plain = Thread::Fork([&] {
+    m.Acquire();
+    c.Wait(m);
+    m.Release();
+    plain_done.store(true, std::memory_order_release);
+  });
+  AwaitBlocked(plain);
+  std::atomic<bool> raised{false};
+  Thread alertable = Thread::Fork([&] {
+    m.Acquire();
+    try {
+      AlertWait(m, c);
+    } catch (const Alerted&) {
+      raised.store(true, std::memory_order_release);
+    }
+    m.Release();
+  });
+  AwaitBlocked(alertable);
+  const obs::Stats before_timed = obs::Snapshot();
+  std::atomic<bool> timed_done{false};
+  WaitResult timed_result = WaitResult::kSatisfied;  // read after Join
+  Thread timed = Thread::Fork([&] {
+    m.Acquire();
+    timed_result = AlertWaitFor(m, c, std::chrono::milliseconds(50));
+    m.Release();
+    timed_done.store(true, std::memory_order_release);
+  });
+  // The timed waiter ends its own wait, so it may be gone already.
+  while (!IsBlocked(timed) && !timed_done.load(std::memory_order_acquire)) {
+    std::this_thread::yield();
+  }
+
+  Alert(alertable.Handle());
+  alertable.Join();
+  EXPECT_TRUE(raised.load(std::memory_order_acquire));
+  EXPECT_TRUE(IsBlocked(plain)) << "Alert reached the plain waiter";
+  EXPECT_FALSE(plain_done.load(std::memory_order_acquire));
+
+  timed.Join();
+  EXPECT_EQ(timed_result, WaitResult::kTimeout);
+  EXPECT_EQ(obs::Snapshot().Count(obs::Counter::kTimersExpired) -
+                before_timed.Count(obs::Counter::kTimersExpired),
+            1u)
+      << "the timed waiter did not expire itself";
+
+  c.Signal();
+  plain.Join();
+  EXPECT_TRUE(plain_done.load(std::memory_order_acquire));
+  expect_signal_stays_in_user_code("after raise, timeout and signal");
+
+  // An alert already pending when AlertWait reaches Block: it raises from
+  // there, without queueing.
+  m.Acquire();
+  Alert(Thread::Self());
+  bool raised_at_once = false;
+  try {
+    AlertWait(m, c);
+  } catch (const Alerted&) {
+    raised_at_once = true;
+  }
+  m.Release();
+  EXPECT_TRUE(raised_at_once);
+  expect_signal_stays_in_user_code("after a raise before blocking");
+
+  // Waits against a stream of Signals: some land between a waiter's
+  // eventcount read and its Block, which then returns at once (a
+  // wakeup-waiting hit). How many do is up to the scheduler.
+  std::atomic<bool> waits_done{false};
+  Thread waiter = Thread::Fork([&] {
+    for (int i = 0; i < 200; ++i) {
+      m.Acquire();
+      c.Wait(m);
+      m.Release();
+    }
+    waits_done.store(true, std::memory_order_release);
+  });
+  while (!waits_done.load(std::memory_order_acquire)) {
+    c.Signal();
+  }
+  waiter.Join();
+  expect_signal_stays_in_user_code("after absorbed and signalled waits");
 }
 
 }  // namespace

@@ -11,16 +11,10 @@
 #include <gtest/gtest.h>
 
 #include "src/obs/metrics.h"
+#include "tests/await_blocked.h"
 
 namespace taos {
 namespace {
-
-// Blocks until `t` has parked at least once, and is therefore queued.
-void AwaitParked(const Thread& t) {
-  while (t.Handle().rec->parks.load(std::memory_order_acquire) == 0) {
-    std::this_thread::yield();
-  }
-}
 
 TEST(MutexTest, AcquireReleaseSingleThread) {
   Mutex m;
@@ -210,7 +204,7 @@ TEST(MutexTest, HandoffChainGrantsEveryQueuedWaiter) {
       grant_order.push_back(i);
       m.Release();
     }));
-    AwaitParked(waiters.back());
+    AwaitBlocked(waiters.back());
   }
 
   m.Release();

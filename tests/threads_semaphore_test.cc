@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "src/obs/metrics.h"
+#include "tests/await_blocked.h"
 
 namespace taos {
 namespace {
@@ -142,10 +143,8 @@ TEST(SemaphoreTest, TimedPForExpiresBesideAQueuedAlertPThatVGrants) {
     } catch (const Alerted&) {
     }
   });
-  // Wait until the AlertP waiter has parked on s.
-  while (alertp.Handle().rec->parks.load(std::memory_order_relaxed) == 0) {
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
+  // Wait until the AlertP waiter is queued on s.
+  AwaitBlocked(alertp);
   const obs::Stats before = obs::Snapshot();
   Thread timed = Thread::Fork([&] {
     EXPECT_EQ(s.PFor(std::chrono::milliseconds(20)), WaitResult::kTimeout);

@@ -21,6 +21,7 @@
 #include "src/threads/threads.h"
 #include "src/threads/wait_result.h"
 #include "src/workload/timeout.h"
+#include "tests/await_blocked.h"
 
 namespace taos {
 namespace {
@@ -465,7 +466,7 @@ class UntimedWaitTest : public ::testing::TestWithParam<bool> {
   }
   void TearDown() override { Nub::Get().SetTrace(nullptr); }
 
-  // Forks a thread that runs `block`, waits until it has parked in it, runs
+  // Forks a thread that runs `block`, waits until it is blocked in it, runs
   // `grant` to release it, and joins it — checking that no park took a
   // deadline while it was parked or over the whole episode.
   void ExpectNoTimerArmed(const std::function<void()>& block,
@@ -473,9 +474,7 @@ class UntimedWaitTest : public ::testing::TestWithParam<bool> {
     const std::uint64_t armed_before =
         obs::Snapshot().Count(obs::Counter::kTimersArmed);
     Thread t = Thread::Fork(block);
-    while (t.Handle().rec->parks.load(std::memory_order_acquire) == 0) {
-      std::this_thread::yield();
-    }
+    AwaitBlocked(t);
     EXPECT_EQ(obs::Snapshot().Count(obs::Counter::kTimersArmed),
               armed_before);
     grant();
