@@ -14,6 +14,7 @@
 #include <thread>
 
 #include "src/threads/threads.h"
+#include "tests/await_blocked.h"
 
 namespace {
 
@@ -34,15 +35,12 @@ void BM_TestAlertNegative(benchmark::State& state) {
 BENCHMARK(BM_TestAlertNegative);
 
 void BM_AlertWakesAlertP(benchmark::State& state) {
-  taos::Semaphore ready;
-  ready.P();
   taos::Semaphore blocked;
   blocked.P();
   std::atomic<bool> stop{false};
   std::atomic<bool> done{false};
   taos::Thread worker = taos::Thread::Fork([&] {
     for (;;) {
-      ready.V();  // announce: about to block
       try {
         taos::AlertP(blocked);
       } catch (const taos::Alerted&) {
@@ -55,7 +53,10 @@ void BM_AlertWakesAlertP(benchmark::State& state) {
   });
   const taos::ThreadHandle target = worker.Handle();
   for (auto _ : state) {
-    ready.P();  // wait until the worker is at (or near) its AlertP
+    // Alert only once the worker is parked in its AlertP: an Alert that
+    // lands before the park is found at the alerted check, and a row mixing
+    // the two paths moves with the scheduler, not the code.
+    taos::AwaitBlocked(worker);
     taos::Alert(target);
   }
   stop.store(true, std::memory_order_release);

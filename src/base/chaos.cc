@@ -48,6 +48,7 @@ constexpr PointInfo kPoints[kNumPoints] = {
     {"msgq.handoff", Category::kGeneric},
     {"lock.spin_to_enqueue", Category::kBeforePark},
     {"msgq.unlock_to_wake", Category::kBeforeUnpark},
+    {"thread.exit_to_reclaim", Category::kGeneric},
 };
 
 constexpr const char* kStrategyNames[] = {"uniform", "preempt-after-cas",

@@ -100,6 +100,10 @@ enum class Point : std::uint32_t {
   // MessageQueue's edge sets, split across its mutex (message_queue.h).
   kMsgqUnlockToWake,     // edge Set published and mu_ released, before the
                          // wake half runs
+  // Thread exit (src/threads/nub.cc).
+  kThreadExitToReclaim,  // a record's last claim dropped (its thread has
+                         // exited and been joined), before its id is
+                         // retired: a stale Alert here still matches it
   kCount,
 };
 

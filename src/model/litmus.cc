@@ -1077,6 +1077,95 @@ class PollDeregLostWakeupTest : public LitmusTest {
 };
 
 // ---------------------------------------------------------------------------
+// Alert vs thread exit
+// ---------------------------------------------------------------------------
+
+// One thread record, modelled as plain words. The handle the alerter holds
+// names the record and id 1, the id of the thread that has exited; its
+// Thread is joined, the record released, and the next thread takes it with
+// id 2. Alert's lock-compare-set is one step, as it holds the record lock
+// throughout.
+class AlertExitTest : public LitmusTest {
+ public:
+  AlertExitTest(RecordReclaim reclaim, Tally* tally)
+      : reclaim_(reclaim), tally_(tally) {}
+
+  void Setup(Machine& machine) override {
+    machine.Fork(
+        [this, &machine] {
+          // Join: the last claim on the record is dropped.
+          machine.Step();
+          if (reclaim_ == RecordReclaim::kFreeOnExit) {
+            freed_ = true;
+          } else {
+            id_ = 0;  // retired; the record goes on the free list
+          }
+          // The next Thread::Fork takes the record (or the same block).
+          machine.Step();
+          freed_ = false;
+          id_ = 2;
+          alerted_ = false;
+          // The next thread's TestAlert.
+          machine.Step();
+          next_saw_alert_ = alerted_;
+          alerted_ = false;
+        },
+        /*priority=*/0, "join-and-reuse");
+    machine.Fork(
+        [this, &machine] {
+          machine.Step();
+          if (freed_) {
+            touched_freed_ = true;
+            return;
+          }
+          if (reclaim_ != RecordReclaim::kNoIdCheck && id_ != kStaleId) {
+            dropped_ = true;
+            return;
+          }
+          if (id_ == kStaleId) {
+            on_exited_ = true;
+          }
+          alerted_ = true;
+        },
+        /*priority=*/0, "stale-alerter");
+  }
+
+  std::string Verify(const RunResult& result) override {
+    if (tally_ != nullptr) {
+      tally_->completions += result.completed ? 1 : 0;
+      tally_->deadlocks += result.deadlock ? 1 : 0;
+      tally_->alerts_on_exited += on_exited_ ? 1 : 0;
+      tally_->stale_alerts_dropped += dropped_ ? 1 : 0;
+    }
+    if (!result.completed) {
+      return "stuck: " + result.ToString();
+    }
+    if (touched_freed_) {
+      return "use after free: Alert locked a record that its thread's "
+             "exit had returned to the allocator";
+    }
+    if (next_saw_alert_) {
+      return "stale alert: Alert through an exited thread's handle alerted "
+             "the thread that reused its record";
+    }
+    return "";
+  }
+
+ private:
+  static constexpr int kStaleId = 1;
+
+  const RecordReclaim reclaim_;
+  Tally* const tally_;
+  int id_ = kStaleId;
+  bool alerted_ = false;
+  bool freed_ = false;
+  bool touched_freed_ = false;
+  bool next_saw_alert_ = false;
+  bool on_exited_ = false;
+  bool dropped_ = false;
+};
+
+// ---------------------------------------------------------------------------
 // Dining philosophers
 // ---------------------------------------------------------------------------
 
@@ -1143,6 +1232,12 @@ LitmusFactory PollDoubleGrantLitmus(bool waiter_consumes, Tally* tally) {
 LitmusFactory PollDeregLostWakeupLitmus(bool safe_cancel, Tally* tally) {
   return [safe_cancel, tally] {
     return std::make_unique<PollDeregLostWakeupTest>(safe_cancel, tally);
+  };
+}
+
+LitmusFactory AlertExitLitmus(RecordReclaim reclaim, Tally* tally) {
+  return [reclaim, tally] {
+    return std::make_unique<AlertExitTest>(reclaim, tally);
   };
 }
 

@@ -42,6 +42,21 @@ struct Tally {
   // window actually exercised).
   std::uint64_t poll_concurrent_sets = 0;
   std::uint64_t poll_dereg_lost_to_resume = 0;
+  // Alert-vs-exit litmus: runs where the stale Alert landed on the exited
+  // thread before its record was released, and runs where it found the
+  // record released or reused and did nothing.
+  std::uint64_t alerts_on_exited = 0;
+  std::uint64_t stale_alerts_dropped = 0;
+};
+
+// What a thread's exit does with its record, for AlertExitLitmus.
+enum class RecordReclaim {
+  kTypeStable,  // the shipped protocol (src/threads/nub.h): a free list,
+                // a fresh id per use, and Alert compares ids under the
+                // record lock
+  kFreeOnExit,  // the record goes back to the allocator, which hands the
+                // same block to the next thread
+  kNoIdCheck,   // the free list, but Alert does not compare ids
 };
 
 // N fibers each perform `iters` critical sections (with explicit internal
@@ -145,6 +160,15 @@ LitmusFactory PollDoubleGrantLitmus(bool waiter_consumes,
 // here shows the repair a handoff design would need instead.
 LitmusFactory PollDeregLostWakeupLitmus(bool safe_cancel,
                                         Tally* tally = nullptr);
+
+// Alert through the handle of a thread that has exited, racing the
+// release of its record and the record's reuse by the next thread, which
+// then calls TestAlert. With kTypeStable every schedule is clean: the Alert
+// either lands on the exited thread (harmless: the reuse clears the flag)
+// or finds the id changed and does nothing. kFreeOnExit has a schedule in
+// which Alert locks a freed record, and kNoIdCheck one in which the next
+// thread finds the stale alert pending.
+LitmusFactory AlertExitLitmus(RecordReclaim reclaim, Tally* tally = nullptr);
 
 // A reader-preference readers-writer lock (the policy of
 // taos::ReaderWriterMutex: readers are admitted whenever no writer is

@@ -39,9 +39,9 @@ const char* WaitKindName(WaitKind k) {
 
 namespace {
 
-// Slot registry. Slots are heap-allocated once per thread and never freed
-// (see RegisterWaiterSlot's contract in the header); the vector only grows,
-// and readers copy the pointers under the mutex before scanning lock-free.
+// Slot registry. Slots are heap-allocated and never freed (see
+// RegisterWaiterSlot's contract in the header); the vector only grows, and
+// readers copy the pointers under the mutex before scanning lock-free.
 std::mutex& SlotRegistryLock() {
   static std::mutex* m = new std::mutex;
   return *m;
@@ -94,10 +94,24 @@ void AppendMillis(std::string* out, std::uint64_t ns) {
 
 WaiterSlot* RegisterWaiterSlot(std::uint64_t tid) {
   auto* slot = new WaiterSlot;
-  slot->tid = tid;
+  slot->tid.store(tid, std::memory_order_relaxed);
   std::lock_guard<std::mutex> g(SlotRegistryLock());
   SlotRegistry().push_back(slot);
   return slot;
+}
+
+void RetagWaiterSlot(WaiterSlot* s, std::uint64_t tid) {
+  const std::uint32_t seq = s->seq.load(std::memory_order_relaxed);
+  s->seq.store(seq + 1, std::memory_order_release);
+  s->tid.store(tid, std::memory_order_relaxed);
+  s->kind.store(static_cast<std::uint8_t>(WaitKind::kNone),
+                std::memory_order_relaxed);
+  s->seq.store(seq + 2, std::memory_order_release);
+}
+
+std::size_t WaiterSlotCount() {
+  std::lock_guard<std::mutex> g(SlotRegistryLock());
+  return SlotRegistry().size();
 }
 
 void StampOwner(std::uint64_t obj, std::uint64_t tid) {
@@ -187,7 +201,7 @@ std::vector<BlockedEdge> SnapshotBlocked() {
         continue;
       }
       BlockedEdge e;
-      e.tid = s->tid;
+      e.tid = s->tid.load(std::memory_order_relaxed);
       e.kind = static_cast<WaitKind>(s->kind.load(std::memory_order_relaxed));
       e.alertable = s->alertable.load(std::memory_order_relaxed) != 0;
       e.obj = s->obj.load(std::memory_order_relaxed);

@@ -83,7 +83,7 @@ struct alignas(64) WaiterSlot {
   std::atomic<std::uint8_t> alertable{0};
   std::atomic<std::uint64_t> obj{0};       // spec::ObjId
   std::atomic<std::uint64_t> since_ns{0};  // NowNanos at publication
-  std::uint64_t tid = 0;                   // set once at registration
+  std::atomic<std::uint64_t> tid{0};  // the thread; rewritten on reuse
 };
 
 // The owner-stamp gate, one bit of the slow-mode word (metrics.h): when
@@ -97,11 +97,18 @@ inline bool Enabled() { return SlowModeOn(SlowMode::kDiag); }
 // only risks a stale or missing owner stamp, never a crash.
 void SetEnabled(bool on);
 
-// Allocates and registers the calling thread's slot (leaked: a thread's
-// last published state survives its exit until overwritten, so a dump can
-// still name a thread that died blocked — which cannot happen for a thread
-// that exited cleanly, as its slot reads kNone).
+// Allocates and registers a slot for thread `tid`. Slots are never freed:
+// the threads layer keeps each one with its thread record and recycles it
+// with the record, retagging it for the record's next thread (below). A
+// thread that exits is never blocked, so a slot between owners reads kNone.
 WaiterSlot* RegisterWaiterSlot(std::uint64_t tid);
+
+// Hands a slot over to thread `tid`, as one seqlock write that also clears
+// its blocked state. Serialized like PublishBlocked.
+void RetagWaiterSlot(WaiterSlot* s, std::uint64_t tid);
+
+// Slots allocated so far.
+std::size_t WaiterSlotCount();
 
 // Seqlock write: callers hold whatever serializes writes to this slot (the
 // record's parking-lot lock in the production runtime).

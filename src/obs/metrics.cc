@@ -2,25 +2,78 @@
 
 #include <bit>
 #include <chrono>
+#include <cstdlib>
 #include <iterator>
 #include <mutex>
 #include <sstream>
 #include <vector>
 
+#include <pthread.h>
+
 namespace taos::obs {
 
 namespace {
 
-// The registry guards cold operations only (thread birth, snapshot, reset),
-// so a std::mutex is fine; the hot path never touches it.
+// The registry guards cold operations only (thread birth and exit,
+// snapshot, reset), so a std::mutex is fine; the hot path never touches it.
 std::mutex& RegistryLock() {
   static std::mutex* m = new std::mutex();
   return *m;
 }
 
+// Every cell ever allocated, live or free. The first entry is the
+// retired-totals cell: the counts of every exited thread are folded into
+// it, so Snapshot and ResetStats need not know that cells are recycled.
+// Guarded by RegistryLock.
 std::vector<Cell*>& Registry() {
+  static std::vector<Cell*>* v = new std::vector<Cell*>{new Cell()};
+  return *v;
+}
+
+// Zeroed cells of exited threads, reused by RegisterCell. Guarded by
+// RegistryLock.
+std::vector<Cell*>& FreeCells() {
   static std::vector<Cell*>* v = new std::vector<Cell*>();
   return *v;
+}
+
+// Runs on an exiting thread that registered `arg` (its cell), after its
+// thread_local destructors. It folds the cell into the retired totals,
+// zeroes it and frees it, all under the registry lock, so a concurrent
+// Snapshot sees the counts exactly once. A later bump on this thread (from
+// another key's destructor) registers a cell again, which re-arms the key,
+// and the next destructor round folds that one too.
+void RetireCell(void* arg) {
+  Cell* cell = static_cast<Cell*>(arg);
+  {
+    std::lock_guard<std::mutex> g(RegistryLock());
+    Cell* retired = Registry().front();
+    for (int c = 0; c < kNumCounters; ++c) {
+      BumpSlot(retired->counters[c],
+               cell->counters[c].load(std::memory_order_relaxed));
+      cell->counters[c].store(0, std::memory_order_relaxed);
+    }
+    for (int h = 0; h < kNumHistograms; ++h) {
+      for (int b = 0; b < kHistogramBuckets; ++b) {
+        BumpSlot(retired->histograms[h][b],
+                 cell->histograms[h][b].load(std::memory_order_relaxed));
+        cell->histograms[h][b].store(0, std::memory_order_relaxed);
+      }
+    }
+    FreeCells().push_back(cell);
+  }
+  internal::g_cell = nullptr;
+}
+
+pthread_key_t CellKey() {
+  static const pthread_key_t key = [] {
+    pthread_key_t k;
+    if (pthread_key_create(&k, RetireCell) != 0) {
+      std::abort();  // out of keys: thread exit could not reclaim cells
+    }
+    return k;
+  }();
+  return key;
 }
 
 // Deliberately unsized: the static_asserts below pin the table lengths to
@@ -114,13 +167,26 @@ void SetSlowMode(SlowMode m, bool on) {
 }
 
 Cell* RegisterCell() {
-  Cell* cell = new Cell();  // value-initialized: all slots zero
+  const pthread_key_t key = CellKey();
+  Cell* cell;
   {
     std::lock_guard<std::mutex> g(RegistryLock());
-    Registry().push_back(cell);
+    if (FreeCells().empty()) {
+      cell = new Cell();  // value-initialized: all slots zero
+      Registry().push_back(cell);
+    } else {
+      cell = FreeCells().back();
+      FreeCells().pop_back();
+    }
   }
+  pthread_setspecific(key, cell);
   internal::g_cell = cell;
   return cell;
+}
+
+std::size_t RegisteredCells() {
+  std::lock_guard<std::mutex> g(RegistryLock());
+  return Registry().size();
 }
 
 int HistogramBucket(std::uint64_t value) {

@@ -9,7 +9,9 @@
 // single writer and every reader aggregates with relaxed atomic loads.
 // Snapshot() walks the registry of cells and sums; totals are therefore
 // eventually consistent (exact once the counting threads are quiescent,
-// which is when experiments read them).
+// which is when experiments read them). An exiting thread's counts move
+// into the retired-totals cell under the registry lock, so thread exit
+// never loses or double-counts them.
 //
 // ResetStats() also walks the registry and zeroes every slot of every cell
 // by array length, so a counter or histogram added to the enums below can
@@ -138,10 +140,15 @@ struct alignas(kCacheLineBytes) Cell {
   std::atomic<std::uint64_t> histograms[kNumHistograms][kHistogramBuckets];
 };
 
-// Allocates and registers the calling thread's cell. Cells live in the
-// global registry forever (a thread's counts survive its exit), so the
-// pointer never dangles.
+// Registers a cell for the calling thread: a free one if any, else a new
+// one. When the thread exits, its counts are folded into the registry's
+// retired-totals cell and the zeroed cell goes back on the free list, so
+// a thread's counts survive its exit and the registry holds about as many
+// cells as threads were ever alive at once, not as were ever created.
 Cell* RegisterCell();
+
+// Cells allocated so far, free ones and the retired-totals cell included.
+std::size_t RegisteredCells();
 
 namespace internal {
 // Namespace-scope and constinit: access compiles to a plain TLS load with

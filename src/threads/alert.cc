@@ -36,9 +36,16 @@ namespace {
 // it. While the record lock is held and t is observed blocked on the object,
 // the object cannot be destroyed (t has not returned from its blocking
 // call), so the try-acquire never touches freed memory.
+//
+// The handle may be stale: its thread may have exited and its record been
+// freed or reused (Nub::CreateRecord). Records are never returned to the
+// allocator, so t->lock is always a live lock, and the id check under it
+// tells whether t is still the thread the handle names. If not, t is gone:
+// Alert still performs the spec's action, inserting it into `alerts`, but
+// that changes no state a live thread can observe.
 void Alert(ThreadHandle h) {
   TAOS_CHECK(h.rec != nullptr);
-  obs::ScopedEvent ev(obs::Op::kAlert, h.rec->id);
+  obs::ScopedEvent ev(obs::Op::kAlert, h.id());
   obs::Inc(obs::Counter::kNubAlert);
   Nub& nub = Nub::Get();
   ThreadRecord* self = nub.Current();
@@ -46,6 +53,13 @@ void Alert(ThreadHandle h) {
 
   for (;;) {
     t->lock.Acquire();
+    if (t->id != h.id()) {
+      if (nub.tracing()) {
+        nub.EmitTraced(spec::MakeAlert(self->id, h.id()));
+      }
+      t->lock.Release();
+      return;
+    }
     if (t->block_kind == ThreadRecord::BlockKind::kNone || !t->alertable) {
       // Not alertably blocked: just record the pending alert. The emission
       // under t's record lock serializes this action against the alerted
@@ -132,11 +146,11 @@ bool TestAlert() {
 }
 
 // AlertWait and AlertWaitFor are Condition's one wait with an alertable
-// Block (condition.h); they keep their own obs event and Nub counter.
+// Block (condition.h); they keep their own obs event, and Block counts
+// them as nub_alert_wait.
 void AlertWait(Mutex& m, Condition& c) {
   WaitResult result = WaitResult::kSatisfied;
   obs::WithEvent(obs::Op::kAlertWait, c.id(), [&] {
-    obs::Inc(obs::Counter::kNubAlertWait);
     result = c.WaitUntil(m, kNoDeadline, /*alertable=*/true);
   });
   // Thrown once the event's frame is gone: a frame that still had a
@@ -151,7 +165,6 @@ WaitResult AlertWaitFor(Mutex& m, Condition& c,
                         std::chrono::nanoseconds timeout) {
   WaitResult result = WaitResult::kSatisfied;
   obs::WithEvent(obs::Op::kAlertWait, c.id(), [&] {
-    obs::Inc(obs::Counter::kNubAlertWait);
     result = c.WaitUntil(m, timeout.count() > 0 ? DeadlineAfter(timeout) : 0,
                          /*alertable=*/true);
   });

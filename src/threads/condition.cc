@@ -92,9 +92,7 @@ WaitResult Condition::WaitUntil(Mutex& m, std::uint64_t deadline_ns,
 
 WaitResult Condition::BlockFor(ThreadRecord* self, EventCount::Value i,
                                std::uint64_t deadline_ns, bool alertable) {
-  if (!alertable) {
-    obs::Inc(obs::Counter::kNubWait);
-  }
+  obs::Inc(alertable ? obs::Counter::kNubAlertWait : obs::Counter::kNubWait);
   {
     NubGuard g(nub_lock_);
     // Holding c's lock, before re-reading the eventcount: a Signal that
@@ -246,9 +244,7 @@ WaitResult Condition::TracedWaitFor(Mutex& m, ThreadRecord* self,
                                     std::uint64_t deadline_ns,
                                     bool alertable) {
   Nub& nub = Nub::Get();
-  if (!alertable) {
-    obs::Inc(obs::Counter::kNubWait);
-  }
+  obs::Inc(alertable ? obs::Counter::kNubAlertWait : obs::Counter::kNubWait);
   EventCount::Value snapshot = 0;
   ThreadRecord* wake = nullptr;
   {

@@ -203,10 +203,11 @@ void Event::NotifyPollersLocked(std::vector<waitq::Parker*>* unparks) {
 
 // Notify-only: flips the registrant's latch and, on the 0->1 edge alone,
 // unblocks it. The granter never consumes the event on the poller's behalf
-// and never touches the poller's stack — `rec` is the process-lifetime
-// ThreadRecord. At most one notifier wins the edge per re-arm, so a parked
-// poller receives at most one unpark per park (the parker's single-permit
-// contract).
+// and never touches the poller's stack — `rec` is the poller's
+// ThreadRecord, and a registered poller is still inside its wait, so the
+// record is live. At most one notifier wins the edge per re-arm, so a
+// parked poller receives at most one unpark per park (the parker's
+// single-permit contract).
 void Event::NotifyPoller(ThreadRecord* rec,
                          std::vector<waitq::Parker*>* unparks) {
   if (rec->poll_latch.exchange(1, std::memory_order_seq_cst) != 0) {

@@ -8,7 +8,7 @@
 // On the Firefly the Nub lived in a shared kernel address space and also ran
 // the scheduler, and a single globally shared spin-lock bit serialized every
 // slow path. Here the host OS supplies processors and scheduling, so the Nub
-// reduces to: the slow-path locking discipline, the thread registry, and the
+// reduces to: the slow-path locking discipline, the thread records, and the
 // spec-tracing machinery. Parking/unparking a thread's private semaphore
 // stands in for de-scheduling / adding to the ready pool (see DESIGN.md,
 // Substitutions).
@@ -53,7 +53,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -120,13 +119,27 @@ class Nub {
     return rec;
   }
 
-  // Creates a record for a thread that has not started yet (Thread::Fork
-  // allocates the child's record up front so the parent gets a handle
-  // immediately). The new thread adopts it via AdoptRecord.
-  ThreadRecord* CreateRecord();
+  // Takes a record for a thread that has not started yet (Thread::Fork
+  // takes the child's record up front so the parent gets a handle
+  // immediately), with a fresh id and `owners` claims on it: the thread
+  // itself, plus the Thread object if there is one. The new thread adopts
+  // it via AdoptRecord, and its exit drops the thread's claim.
+  //
+  // Records are type-stable: a record whose last claim is dropped goes on a
+  // free list, never back to the allocator, and a reused record gets a
+  // fresh id. So a stale ThreadHandle still points at a ThreadRecord, and
+  // its id no longer matches (the check Alert makes under the record lock).
+  ThreadRecord* CreateRecord(int owners);
   static void AdoptRecord(ThreadRecord* rec);
 
-  ThreadRecord* RecordFor(spec::ThreadId id);
+  // Drops one claim on `rec`; the last one retires its id and frees it.
+  void ReleaseRecord(ThreadRecord* rec);
+
+  // Records allocated so far, free ones included. Thread exit recycles
+  // records, so this follows the most threads ever alive at once.
+  std::size_t RecordsAllocated() const {
+    return records_allocated_.load(std::memory_order_relaxed);
+  }
 
   // --- spec tracing ---
   // Also flips the tracing bit of the slow-mode word (src/obs/metrics.h),
@@ -175,8 +188,9 @@ class Nub {
   std::atomic<spec::ObjId> next_obj_id_{1};
   std::atomic<std::uint64_t> next_seq_{0};
 
-  SpinLock registry_lock_;
-  std::vector<std::unique_ptr<ThreadRecord>> registry_;
+  SpinLock free_lock_;
+  std::vector<ThreadRecord*> free_;  // guarded by free_lock_
+  std::atomic<std::size_t> records_allocated_{0};
   std::atomic<spec::ThreadId> next_thread_id_{1};
 };
 

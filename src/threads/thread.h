@@ -25,34 +25,38 @@ class Thread {
   Thread(const Thread&) = delete;
   Thread& operator=(const Thread&) = delete;
 
-  // Joins if the thread is still running (TRY ... FINALLY discipline: a
-  // Thread going out of scope never leaves a runaway OS thread).
+  // Joins if not joined yet (TRY ... FINALLY discipline: a Thread going
+  // out of scope never leaves a runaway OS thread).
   ~Thread();
 
   // Creates a new thread executing fn. An Alerted exception propagating out
   // of fn terminates the thread quietly and marks it EndedByAlert.
   static Thread Fork(std::function<void()> fn);
 
-  // Waits for the thread to finish.
+  // Waits for the thread to finish, then lets its record be reused.
   void Join();
 
   bool Joinable() const { return os_.joinable(); }
 
-  // Handle usable with Alert(t). Valid for the life of the process.
-  ThreadHandle Handle() const { return ThreadHandle{rec_}; }
+  // Handle usable with Alert(t). Safe to use for the life of the process:
+  // once the thread has exited and been joined, Alert on it does nothing.
+  ThreadHandle Handle() const { return handle_; }
 
   // The calling thread's own handle.
   static ThreadHandle Self();
 
   // True once the thread terminated because Alerted escaped its root
-  // function.
+  // function. Still answers after Join.
   bool EndedByAlert() const;
 
  private:
-  Thread(ThreadRecord* rec, std::thread os)
-      : rec_(rec), os_(std::move(os)) {}
+  Thread(ThreadHandle handle, std::thread os)
+      : handle_(handle), os_(std::move(os)) {}
 
-  ThreadRecord* rec_ = nullptr;
+  // While os_ is joinable this Thread holds a claim on handle_.rec; Join
+  // copies ended_by_alert_ out of the record and drops the claim.
+  ThreadHandle handle_;
+  bool ended_by_alert_ = false;
   std::thread os_;
 };
 

@@ -35,6 +35,10 @@ class ObjLock;
 struct ThreadRecord {
   QueueNode queue_node;
 
+  // The thread's identity and the record's generation: Nub::CreateRecord
+  // gives every use of a record a fresh id, and Nub::ReleaseRecord resets
+  // it to kNil. Both write it under `lock`, where Alert compares it with
+  // the handle's id; the owning thread reads it freely.
   spec::ThreadId id = spec::kNil;
 
   // "De-scheduled" threads park here; making a thread ready unparks it.
@@ -90,13 +94,18 @@ struct ThreadRecord {
   // function (see Thread::Fork).
   std::atomic<bool> ended_by_alert{false};
 
+  // Claims on the record: its running thread, and the Thread object that
+  // forked it until that is joined. The last to drop frees the record
+  // (Nub::ReleaseRecord).
+  std::atomic<std::uint8_t> refs{0};
+
   ThreadRecord() = default;
   ThreadRecord(const ThreadRecord&) = delete;
   ThreadRecord& operator=(const ThreadRecord&) = delete;
 };
 
-// Every thread carries one record for its whole life, so its size is part
-// of each thread's RSS (perfbench churn); a new field should be a choice.
+// Every live thread carries one record, so its size is part of each
+// thread's RSS (perfbench rpc, kv); a new field should be a choice.
 #if defined(__x86_64__)
 static_assert(sizeof(ThreadRecord) == 216, "ThreadRecord changed size");
 #endif
@@ -199,11 +208,18 @@ inline bool ParkBlocked(ThreadRecord* t, waitq::Parker::Spin spin,
   return woken;
 }
 
-// Opaque handle clients use to name a thread (e.g. Alert(t)).
+// Opaque handle clients use to name a thread (e.g. Alert(t)): the record
+// and the id the thread had in it. The handle stays safe to use after the
+// thread exits, as records are type-stable (Nub::CreateRecord); once the
+// record is freed or reused, rec->id no longer equals `tid`.
 struct ThreadHandle {
   ThreadRecord* rec = nullptr;
+  spec::ThreadId tid = spec::kNil;
 
-  spec::ThreadId id() const { return rec ? rec->id : spec::kNil; }
+  // For the calling thread's own record, or one it keeps from being freed.
+  static ThreadHandle Of(ThreadRecord* r) { return ThreadHandle{r, r->id}; }
+
+  spec::ThreadId id() const { return tid; }
   bool operator==(const ThreadHandle&) const = default;
 };
 

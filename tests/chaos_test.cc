@@ -161,8 +161,9 @@ class ChaosRuntimeTest : public ::testing::Test {
 // One pass of mixed production traffic: contended mutexes (grants, timeouts,
 // back-outs), semaphore P/V and PFor, condition Wait/WaitFor against a
 // signaller, AlertWaitFor and a contended AlertP against an alerter, rwlock
-// readers against a writer, poll/event/message-queue fan-in, and raw
-// spin-lock contention.
+// readers against a writer, poll/event/message-queue fan-in, raw spin-lock
+// contention, and thread exit: every forked thread's record is reclaimed
+// by whichever of its exit and its Join comes last.
 // Everything the named points instrument, in whichever lock mode the caller
 // configured. The diagnosis layer is switched on for the pass and a
 // snapshotter thread races SnapshotBlocked against the workload, so the
@@ -389,8 +390,8 @@ void MixedWorkloadPass() {
       std::this_thread::yield();
     }
     for (int j = 0; j < 30; ++j) {
-      Alert(ThreadHandle{rec});
-      Alert(ThreadHandle{p_rec});
+      Alert(ThreadHandle::Of(rec));
+      Alert(ThreadHandle::Of(p_rec));
       std::this_thread::sleep_for(80us);
     }
   }));
@@ -500,7 +501,7 @@ bool LostAlertTrial(std::chrono::microseconds alert_delay) {
     std::this_thread::yield();
   }
   std::this_thread::sleep_for(alert_delay);
-  Alert(ThreadHandle{rec});
+  Alert(ThreadHandle::Of(rec));
   waiter.Join();
   if (!lost.load(std::memory_order_acquire)) {
     // The Alert landed after the wait finished; it is still pending on the

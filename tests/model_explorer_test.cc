@@ -259,6 +259,41 @@ TEST(ModelTest, PollBlindCancelLosesAWakeup) {
   EXPECT_EQ(replayed, r.first_violation);
 }
 
+// --- Alert vs thread exit: type-stable records and ids as generations ---
+
+TEST(ModelTest, StaleAlertIsHarmlessExhaustively) {
+  Tally tally;
+  Explorer ex(Opts(2, 10'000));
+  ExplorationResult r =
+      ex.Explore(AlertExitLitmus(RecordReclaim::kTypeStable, &tally));
+  EXPECT_TRUE(r.exhausted) << r.ToString();
+  EXPECT_EQ(r.violations, 0u) << r.ToString();
+  // Both sides of the race occur: the Alert landing on the exited thread,
+  // and the Alert finding the record released or reused.
+  EXPECT_GT(tally.alerts_on_exited, 0u);
+  EXPECT_GT(tally.stale_alerts_dropped, 0u);
+}
+
+TEST(ModelTest, StaleAlertCatchesEachBrokenReclaim) {
+  const struct {
+    RecordReclaim reclaim;
+    const char* verdict;
+  } cases[] = {
+      {RecordReclaim::kFreeOnExit, "use after free"},
+      {RecordReclaim::kNoIdCheck, "stale alert"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.verdict);
+    Explorer ex(Opts(2, 10'000));
+    ExplorationResult r = ex.Explore(AlertExitLitmus(c.reclaim));
+    ASSERT_GE(r.violations, 1u) << r.ToString();
+    EXPECT_NE(r.first_violation.find(c.verdict), std::string::npos)
+        << r.first_violation;
+    EXPECT_EQ(ex.Replay(AlertExitLitmus(c.reclaim), r.counterexample),
+              r.first_violation);
+  }
+}
+
 // --- Rwlock: reader preference is safe but starves writers ---
 
 TEST(ModelTest, RwReaderPreferenceSafeExhaustively) {

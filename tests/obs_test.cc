@@ -3,11 +3,13 @@
 //
 // Every assertion is a delta between two Snapshot() calls, so the tests are
 // insensitive to counts left behind by other tests in this binary (cells are
-// per-thread and leaked; Snapshot aggregates all of them).
+// per-thread; an exited thread's counts stay in the retired totals, which
+// Snapshot aggregates with the live cells).
 
 #include "src/obs/metrics.h"
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -143,6 +145,23 @@ TEST(ObsMetricsTest, WaitSignalRoundTripEntersNubExactly) {
         [](Mutex& m, Condition& c) { AlertWait(m, c); },
         Counter::kNubAlertWait, Counter::kNubWait);
   }
+}
+
+// A nonpositive timeout returns at once with m still held: neither the
+// plain nor the alertable timed wait enters the Nub, so neither counts an
+// entry.
+TEST(ObsMetricsTest, ZeroTimeoutWaitsStayOutOfTheNub) {
+  Mutex m;
+  Condition c;
+  m.Acquire();
+  const Stats before = Snapshot();
+  EXPECT_EQ(AlertWaitFor(m, c, std::chrono::nanoseconds(0)),
+            WaitResult::kTimeout);
+  EXPECT_EQ(c.WaitFor(m, std::chrono::nanoseconds(0)), WaitResult::kTimeout);
+  const Stats after = Snapshot();
+  m.Release();
+  EXPECT_EQ(after.NubEntries(), before.NubEntries());
+  EXPECT_EQ(Delta(before, after, Counter::kTimedWaitTimeouts), 2u);
 }
 
 // Eight threads hammering their own mutexes: the sharded cells must not

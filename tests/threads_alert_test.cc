@@ -469,5 +469,63 @@ TEST(AlertTest, MixedWaitsOnOneConditionEachLeaveTheirOwnWay) {
   expect_signal_stays_in_user_code("after absorbed and signalled waits");
 }
 
+// A handle outlives its thread. Alert through it once the thread has been
+// joined does nothing, and once another thread has reused the record, it
+// neither wakes that thread from an alertable wait nor leaves it an alert.
+TEST(AlertTest, AlertOnJoinedThreadIsANoOp) {
+  (void)Thread::Self();  // so this thread's first Alert takes no record
+  Thread gone = Thread::Fork([] {});
+  const ThreadHandle stale = gone.Handle();
+  gone.Join();
+  Alert(stale);
+  Alert(stale);
+
+  Mutex m;
+  Condition c;
+  std::atomic<bool> go{false};
+  WaitResult result = WaitResult::kAlerted;
+  bool pending = true;
+  // Records are reused most recently freed first, so the first fork almost
+  // always takes the joined thread's record; the forks that do not are kept
+  // alive until the end, so the search moves on.
+  Thread reuser;
+  std::vector<Thread> others;
+  for (int i = 0; i < 64 && !reuser.Joinable(); ++i) {
+    Thread t = Thread::Fork([&] {
+      if (Thread::Self().rec == stale.rec) {
+        m.Acquire();
+        result = AlertWaitFor(m, c, std::chrono::seconds(30));
+        m.Release();
+        pending = TestAlert();
+        return;
+      }
+      while (!go.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+    });
+    if (t.Handle().rec == stale.rec) {
+      reuser = std::move(t);
+    } else {
+      others.push_back(std::move(t));
+    }
+  }
+  const bool reused = reuser.Joinable();
+  if (reused) {
+    EXPECT_NE(reuser.Handle().id(), stale.id());
+    AwaitBlocked(reuser);
+    Alert(stale);
+    {
+      Lock l(m);
+    }
+    c.Signal();
+    reuser.Join();
+  }
+  go.store(true, std::memory_order_release);
+  others.clear();
+  ASSERT_TRUE(reused) << "no thread reused the joined thread's record";
+  EXPECT_EQ(result, WaitResult::kSatisfied);
+  EXPECT_FALSE(pending);
+}
+
 }  // namespace
 }  // namespace taos

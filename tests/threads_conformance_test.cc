@@ -234,6 +234,34 @@ TEST_P(ConformanceTest, AlertStorm) {
   CheckConformance();
 }
 
+// Alerts through the handles of joined threads, whose records later threads
+// reuse: each lands on a thread that has exited, and the reusing thread,
+// a different thread to the spec, finds no alert pending.
+TEST_P(ConformanceTest, AlertsOutliveTheirThreads) {
+  const int rounds = 10 * Scale();
+  Mutex m;
+  Condition c;
+  int pending = 0;
+  ThreadHandle stale;
+  for (int r = 0; r < rounds; ++r) {
+    Thread t = Thread::Fork([&] {
+      Lock lock(m);
+      if (TestAlert()) {
+        ++pending;
+      }
+      (void)AlertWaitFor(m, c, std::chrono::microseconds(1));
+    });
+    if (r > 0) {
+      Alert(stale);
+    }
+    t.Join();
+    stale = t.Handle();
+    Alert(stale);
+  }
+  EXPECT_EQ(pending, 0);
+  CheckConformance();
+}
+
 // Two bounded buffers run by disjoint thread pairs: in sharded mode their
 // slow paths never touch a common lock, and the merged trace must still
 // serialize.

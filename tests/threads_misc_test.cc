@@ -1,5 +1,5 @@
-// Odds and ends of the Threads package surface: Thread move semantics, the
-// registry, handles, stats plumbing.
+// Odds and ends of the Threads package surface: Thread move semantics,
+// records, handles, stats plumbing.
 
 #include <atomic>
 #include <utility>
@@ -56,18 +56,18 @@ TEST(ThreadTest, DistinctThreadsDistinctIds) {
   EXPECT_NE(child_id, Thread::Self().id());
 }
 
-TEST(NubTest, RecordForFindsRegisteredThreads) {
-  Nub& nub = Nub::Get();
+TEST(NubTest, SelfHandleNamesTheCurrentRecord) {
   const ThreadHandle self = Thread::Self();
-  EXPECT_EQ(nub.RecordFor(self.id()), self.rec);
-  EXPECT_EQ(nub.RecordFor(0), nullptr);
+  EXPECT_EQ(self.rec, Nub::Get().Current());
+  EXPECT_EQ(self.id(), self.rec->id);
 }
 
 TEST(NubTest, HandleMatchesForkRecord) {
-  Thread t = Thread::Fork([] {});
+  ThreadHandle inside;
+  Thread t = Thread::Fork([&inside] { inside = Thread::Self(); });
   const ThreadHandle h = t.Handle();
-  EXPECT_EQ(Nub::Get().RecordFor(h.id()), h.rec);
   t.Join();
+  EXPECT_EQ(inside, h);
 }
 
 TEST(TimeoutTest, FastPathWhenPredicateAlreadyTrue) {
