@@ -49,6 +49,7 @@ constexpr PointInfo kPoints[kNumPoints] = {
     {"lock.spin_to_enqueue", Category::kBeforePark},
     {"msgq.unlock_to_wake", Category::kBeforeUnpark},
     {"thread.exit_to_reclaim", Category::kGeneric},
+    {"rwlock.bias_recheck", Category::kAfterCas},
 };
 
 constexpr const char* kStrategyNames[] = {"uniform", "preempt-after-cas",

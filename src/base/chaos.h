@@ -104,6 +104,9 @@ enum class Point : std::uint32_t {
   kThreadExitToReclaim,  // a record's last claim dropped (its thread has
                          // exited and been joined), before its id is
                          // retired: a stale Alert here still matches it
+  // The rwlock's biased readers (src/threads/rwmutex.h).
+  kRwlockBiasRecheck,    // reader's slot CAS won, before it re-reads the
+                         // bias flag a revoking writer is clearing
   kCount,
 };
 

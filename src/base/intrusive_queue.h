@@ -56,6 +56,17 @@ class IntrusiveQueue {
     head_.prev = node;
   }
 
+  // Puts `item` ahead of every element already queued.
+  void PushFront(T* item) {
+    QueueNode* node = &item->queue_node;
+    TAOS_DCHECK(!node->InQueue());
+    node->owner = item;
+    node->prev = &head_;
+    node->next = head_.next;
+    head_.next->prev = node;
+    head_.next = node;
+  }
+
   // Removes and returns the oldest element, or nullptr if empty.
   T* PopFront() {
     if (Empty()) {

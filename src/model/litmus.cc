@@ -601,6 +601,38 @@ class SignalUnblocksManyTest : public LitmusTest {
   int resumed_ = 0;
 };
 
+// A thread's Parker (src/waitq/parker.h) in the model: one permit,
+// consumed by Park, which sleeps until an Unpark deposits it. The machine's
+// spin-lock guards the sleep/wake pair.
+struct ModelParker {
+  void Park(Machine& machine) {
+    machine.SpinAcquire();
+    if (permit) {
+      permit = false;
+      machine.SpinRelease();
+      return;
+    }
+    firefly::Fiber* self = Machine::Self();
+    self->block_kind = firefly::Fiber::BlockKind::kSemaphore;
+    sleeper = self;
+    machine.DescheduleSelf();  // Unpark's MakeReady hands the permit over
+  }
+
+  void Unpark(Machine& machine) {
+    machine.SpinAcquire();
+    if (sleeper != nullptr) {
+      machine.MakeReady(sleeper);
+      sleeper = nullptr;
+    } else {
+      permit = true;
+    }
+    machine.SpinRelease();
+  }
+
+  bool permit = false;
+  firefly::Fiber* sleeper = nullptr;
+};
+
 // ---------------------------------------------------------------------------
 // A timed-out waiter dequeuing itself, racing a release's grant
 // ---------------------------------------------------------------------------
@@ -630,7 +662,7 @@ class SelfCancelTimeoutTest : public LitmusTest {
     // Forked first: on two CPUs it is asleep before the releaser runs.
     machine.Fork(
         [this, &machine] {
-          Park(machine, 1);
+          parkers_[1].Park(machine);
           for (;;) {
             machine.Step();  // the retried test-and-set
             if (bit_ == 0) {
@@ -645,15 +677,15 @@ class SelfCancelTimeoutTest : public LitmusTest {
             }
             queue_.push_back(1);
             blocked_[1] = true;
-            Park(machine, 1);
+            parkers_[1].Park(machine);
           }
         },
         /*priority=*/0, "sleeping-waiter");
     machine.Fork(
         [this, &machine] {
           machine.Step();  // the park's timed return
-          if (permit_[0]) {
-            permit_[0] = false;  // the grant landed before the deadline
+          if (parkers_[0].permit) {
+            parkers_[0].permit = false;  // the grant landed before the deadline
           } else if (!safe_) {
             // The bug: kTimeout straight from the parker, without
             // re-testing its queue membership under the object lock. A
@@ -672,7 +704,7 @@ class SelfCancelTimeoutTest : public LitmusTest {
               // A release dequeued it first and is about to deposit the
               // permit: consume it, then retry the test-and-set below.
               grant_race_ = true;
-              Park(machine, 0);
+              parkers_[0].Park(machine);
             }
           }
           machine.Step();  // the retried test-and-set
@@ -704,7 +736,7 @@ class SelfCancelTimeoutTest : public LitmusTest {
       }
       return "stuck: " + result.ToString();
     }
-    if (permit_[0] || permit_[1]) {
+    if (parkers_[0].permit || parkers_[1].permit) {
       return "stray permit: a grant's permit outlived the wait it was for, "
              "and would end the thread's next park while it is queued";
     }
@@ -733,33 +765,7 @@ class SelfCancelTimeoutTest : public LitmusTest {
     const int w = queue_.front();
     queue_.erase(queue_.begin());
     blocked_[w] = false;
-    Unpark(machine, w);
-  }
-
-  // Waiter w's parker: one permit, consumed by Park, which sleeps until an
-  // Unpark deposits it. The machine's spin-lock guards the sleep/wake pair.
-  void Park(Machine& machine, int w) {
-    machine.SpinAcquire();
-    if (permit_[w]) {
-      permit_[w] = false;
-      machine.SpinRelease();
-      return;
-    }
-    firefly::Fiber* self = Machine::Self();
-    self->block_kind = firefly::Fiber::BlockKind::kSemaphore;
-    sleeper_[w] = self;
-    machine.DescheduleSelf();  // Unpark's MakeReady hands the permit over
-  }
-
-  void Unpark(Machine& machine, int w) {
-    machine.SpinAcquire();
-    if (sleeper_[w] != nullptr) {
-      machine.MakeReady(sleeper_[w]);
-      sleeper_[w] = nullptr;
-    } else {
-      permit_[w] = true;
-    }
-    machine.SpinRelease();
+    parkers_[w].Unpark(machine);
   }
 
   const bool safe_;
@@ -767,8 +773,7 @@ class SelfCancelTimeoutTest : public LitmusTest {
   int bit_ = 1;                    // held by the releaser
   std::vector<int> queue_{0, 1};   // both waiters queued behind it...
   bool blocked_[2] = {true, true};  // ...with their blocked state published
-  bool permit_[2] = {false, false};
-  firefly::Fiber* sleeper_[2] = {nullptr, nullptr};
+  ModelParker parkers_[2];
   bool acquired_[2] = {false, false};
   bool timed_out_ = false;  // waiter 0's kTimeout
   bool self_dequeued_ = false;
@@ -1166,6 +1171,142 @@ class AlertExitTest : public LitmusTest {
 };
 
 // ---------------------------------------------------------------------------
+// Biased readers: publish/re-check against revoke/scan, and the drain wake
+// ---------------------------------------------------------------------------
+
+// ReaderWriterMutex's biased reader protocol (src/threads/rwmutex.h),
+// modelled at the granularity of its shared state: the bias flag, the
+// reader's slot, whether the draining writer is queued, and the writer's
+// parker. Every access the protocol makes seq_cst is its own step, and a
+// step under the object lock (the writer's queue-and-re-scan, the
+// release's look for a queued drainer) is one step. One reader and one
+// writer, which already holds the writer bit; a reader that finds the
+// flag cleared takes the word, the Nub protocol the other litmus tests
+// cover, and leaves the scenario.
+class BiasedReaderTest : public LitmusTest {
+ public:
+  BiasedReaderTest(BiasProtocol protocol, Tally* tally)
+      : protocol_(protocol), tally_(tally) {}
+
+  void Setup(Machine& machine) override {
+    machine.Fork([this, &machine] { Reader(machine); }, /*priority=*/0,
+                 "reader");
+    machine.Fork([this, &machine] { Writer(machine); }, /*priority=*/0,
+                 "writer");
+  }
+
+  std::string Verify(const RunResult& result) override {
+    if (tally_ != nullptr) {
+      tally_->completions += result.completed ? 1 : 0;
+      tally_->deadlocks += result.deadlock ? 1 : 0;
+      tally_->biased_entries += entered_biased_ ? 1 : 0;
+      tally_->bias_backouts += backed_out_ ? 1 : 0;
+      tally_->drain_parks += drain_parked_ ? 1 : 0;
+    }
+    if (overlap_) {
+      return "overlap: a biased reader and the writer were both inside";
+    }
+    if (!result.completed) {
+      return "lost drain wake: the writer sleeps draining a slot the reader "
+             "has cleared: " +
+             result.ToString();
+    }
+    if (slot_ || queued_ || parker_.permit) {
+      return "the run ended with a slot, a queued drainer or a permit left";
+    }
+    return "";
+  }
+
+ private:
+  void Reader(Machine& machine) {
+    machine.Step();  // the in-line flag test
+    if (!flag_) {
+      return;
+    }
+    machine.Step();  // the slot CAS
+    slot_ = true;
+    if (protocol_ != BiasProtocol::kNoRecheck) {
+      machine.Step();  // the re-read of the flag
+      if (!flag_) {
+        // Back out: clear the slot, then wake a drainer that saw it.
+        backed_out_ = true;
+        machine.Step();
+        slot_ = false;
+        WakeDrainer(machine);
+        return;
+      }
+    }
+    entered_biased_ = true;
+    in_reader_ = true;
+    machine.Step();  // the read-side critical section
+    overlap_ = overlap_ || in_writer_;
+    in_reader_ = false;
+    bool revoked;
+    if (protocol_ == BiasProtocol::kFlagBeforeClear) {
+      machine.Step();
+      revoked = !flag_;
+      machine.Step();
+      slot_ = false;
+    } else {
+      machine.Step();  // the slot exchange
+      slot_ = false;
+      machine.Step();  // the flag re-read
+      revoked = !flag_;
+    }
+    if (revoked) {
+      WakeDrainer(machine);
+    }
+  }
+
+  void Writer(Machine& machine) {
+    machine.Step();  // clear the flag
+    flag_ = false;
+    for (;;) {
+      machine.Step();  // the scan
+      if (!slot_) {
+        break;
+      }
+      machine.Step();  // under the object lock: queue at the front, re-scan
+      queued_ = true;
+      if (!slot_) {
+        queued_ = false;
+        break;
+      }
+      drain_parked_ = true;
+      parker_.Park(machine);
+    }
+    in_writer_ = true;
+    machine.Step();  // the critical section
+    overlap_ = overlap_ || in_reader_;
+    in_writer_ = false;
+  }
+
+  // Under the object lock: dequeue a queued drainer, then unpark it with
+  // the lock dropped.
+  void WakeDrainer(Machine& machine) {
+    machine.Step();
+    if (!queued_) {
+      return;
+    }
+    queued_ = false;
+    parker_.Unpark(machine);
+  }
+
+  const BiasProtocol protocol_;
+  Tally* const tally_;
+  bool flag_ = true;
+  bool slot_ = false;
+  bool queued_ = false;
+  ModelParker parker_;
+  bool in_reader_ = false;
+  bool in_writer_ = false;
+  bool overlap_ = false;
+  bool entered_biased_ = false;
+  bool backed_out_ = false;
+  bool drain_parked_ = false;
+};
+
+// ---------------------------------------------------------------------------
 // Dining philosophers
 // ---------------------------------------------------------------------------
 
@@ -1238,6 +1379,12 @@ LitmusFactory PollDeregLostWakeupLitmus(bool safe_cancel, Tally* tally) {
 LitmusFactory AlertExitLitmus(RecordReclaim reclaim, Tally* tally) {
   return [reclaim, tally] {
     return std::make_unique<AlertExitTest>(reclaim, tally);
+  };
+}
+
+LitmusFactory BiasedReaderLitmus(BiasProtocol protocol, Tally* tally) {
+  return [protocol, tally] {
+    return std::make_unique<BiasedReaderTest>(protocol, tally);
   };
 }
 

@@ -47,6 +47,20 @@ struct Tally {
   // record released or reused and did nothing.
   std::uint64_t alerts_on_exited = 0;
   std::uint64_t stale_alerts_dropped = 0;
+  // Biased-reader litmus: runs where the reader entered on its slot, where
+  // it published and then backed out because the bias was revoked, and
+  // where the writer parked draining its slot.
+  std::uint64_t biased_entries = 0;
+  std::uint64_t bias_backouts = 0;
+  std::uint64_t drain_parks = 0;
+};
+
+// The biased reader protocol of ReaderWriterMutex, for BiasedReaderLitmus.
+enum class BiasProtocol {
+  kShipped,          // src/threads/rwmutex.h: publish the slot, re-read the
+                     // flag; release clears the slot, then reads the flag
+  kNoRecheck,        // the reader trusts its first read of the flag
+  kFlagBeforeClear,  // the release reads the flag before clearing the slot
 };
 
 // What a thread's exit does with its record, for AlertExitLitmus.
@@ -169,6 +183,17 @@ LitmusFactory PollDeregLostWakeupLitmus(bool safe_cancel,
 // which Alert locks a freed record, and kNoIdCheck one in which the next
 // thread finds the stale alert pending.
 LitmusFactory AlertExitLitmus(RecordReclaim reclaim, Tally* tally = nullptr);
+
+// ReaderWriterMutex's biased readers: a reader publishing its slot and
+// re-reading the bias flag, against a writer (holding the writer bit) that
+// clears the flag, scans, and parks at the front of its queue until the
+// slot is clear; a biased release that finds the flag cleared wakes it.
+// With kShipped every schedule is clean, and the tally shows a biased
+// entry, a back-out and a drain park all occur. kNoRecheck has a schedule
+// with the reader and the writer both inside, and kFlagBeforeClear one in
+// which the release misses the drainer, which then sleeps forever.
+LitmusFactory BiasedReaderLitmus(BiasProtocol protocol,
+                                 Tally* tally = nullptr);
 
 // A reader-preference readers-writer lock (the policy of
 // taos::ReaderWriterMutex: readers are admitted whenever no writer is

@@ -61,6 +61,7 @@ ThreadRecord* Nub::CreateRecord(int owners) {
   rec->alerted.store(false, std::memory_order_relaxed);
   rec->ended_by_alert.store(false, std::memory_order_relaxed);
   rec->poll_latch.store(0, std::memory_order_relaxed);
+  rec->biased_rw = nullptr;
   // The id is the record's generation. It is written under the record lock
   // because a stale handle's Alert may be reading it there right now.
   const spec::ThreadId id =

@@ -86,19 +86,23 @@ void Poll::DeregisterAll(PollNode* nodes) {
   }
 }
 
-// One WaitAny round: per member, (re)register under its lock, then attempt
-// the waiter-side claim. Returns the granted index, or size() if nothing
-// was ready. Registration-before-test is the Dekker pairing with Set's
-// flag-store-then-len-load; the claim itself needs no lock (it is the same
-// atomic exchange/load every consumer uses).
+// One WaitAny round: per member, from ScanStart() round the set,
+// (re)register under its lock, then attempt the waiter-side claim. Returns
+// the granted index, or size() if nothing was ready. Registration-before-
+// test is the Dekker pairing with Set's flag-store-then-len-load; the claim
+// itself needs no lock (it is the same atomic exchange/load every consumer
+// uses).
 std::size_t Poll::ScanAny(PollNode* nodes) {
-  for (std::size_t i = 0; i < n_; ++i) {
+  const std::size_t start = ScanStart();
+  for (std::size_t k = 0; k < n_; ++k) {
+    const std::size_t i = (start + k) % n_;
     Event* ev = events_[i];
     {
       NubGuard g(ev->nub_lock_);
       ev->RegisterPollerLocked(&nodes[i]);
     }
     if (ev->TryConsume(std::memory_order_acquire)) {
+      NoteGranted(i);
       return i;
     }
   }
@@ -305,7 +309,9 @@ Poll::Outcome Poll::TracedWait(ThreadRecord* self, bool all, bool alertable,
         index = 0;
       }
     } else {
-      for (std::size_t i = 0; i < n_; ++i) {
+      const std::size_t start = ScanStart();
+      for (std::size_t k = 0; k < n_; ++k) {
+        const std::size_t i = (start + k) % n_;
         Event* ev = events_[i];
         NubGuard g(ev->nub_lock_);
         if (ev->set_.load(std::memory_order_relaxed) != 0) {
@@ -316,6 +322,7 @@ Poll::Outcome Poll::TracedWait(ThreadRecord* self, bool all, bool alertable,
             ev->set_.store(0, std::memory_order_relaxed);
           }
           nub.EmitTraced(spec::MakePollAny(self->id, ws, ev->id(), consumed));
+          NoteGranted(i);
           ready = true;
           index = i;
           break;

@@ -40,6 +40,7 @@
 #ifndef TAOS_SRC_THREADS_POLL_H_
 #define TAOS_SRC_THREADS_POLL_H_
 
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -68,7 +69,10 @@ class Poll {
   // All waits REQUIRE a non-empty wait set.
 
   // Blocks until some member is set; auto-reset members are consumed by the
-  // grant. Returns the granted member's index (Add order).
+  // grant. Returns the granted member's index (Add order). Each scan starts
+  // one past the member the previous WaitAny granted, so a member that
+  // stays set cannot starve the others: a set member is granted within
+  // size() calls.
   std::size_t WaitAny();
 
   struct AnyResult {
@@ -105,12 +109,22 @@ class Poll {
   Outcome TracedWait(ThreadRecord* self, bool all, bool alertable,
                      std::uint64_t deadline_ns);
   std::size_t ScanAny(PollNode* nodes);
+  // The member the next WaitAny scan starts at: one past the last grant.
+  std::size_t ScanStart() const {
+    return next_.load(std::memory_order_relaxed) % n_;
+  }
+  void NoteGranted(std::size_t i) {
+    next_.store(i + 1, std::memory_order_relaxed);
+  }
   bool ScanAll(PollNode* nodes, spec::ObjId* first_unset);
   void DeregisterAll(PollNode* nodes);
   spec::ObjIdSet WaitSetIds() const;
 
   Event* events_[kMaxWait] = {};
   std::size_t n_ = 0;
+  // Relaxed: the scan order is a fairness hint, and waits on one Poll may
+  // run on several threads at once.
+  std::atomic<std::size_t> next_{0};
 };
 
 }  // namespace taos

@@ -12,12 +12,20 @@
 
 namespace taos {
 
+ReaderWriterMutex::BiasSlot ReaderWriterMutex::bias_slots_[kBiasSlots];
+
 ReaderWriterMutex::ReaderWriterMutex() : id_(Nub::Get().NextObjId()) {}
 
 ReaderWriterMutex::~ReaderWriterMutex() {
   TAOS_CHECK(readers_queue_.Empty());
   TAOS_CHECK(writers_queue_.Empty());
   TAOS_CHECK(word_.load(std::memory_order_relaxed) == 0);
+  TAOS_CHECK(BiasedReaders() == 0);
+}
+
+std::uint32_t ReaderWriterMutex::ReadersForDebug() const {
+  return (word_.load(std::memory_order_relaxed) & ~kWriterBit) +
+         BiasedReaders();
 }
 
 // --- exclusive (writer) mode ---
@@ -37,6 +45,7 @@ void ReaderWriterMutex::AcquireSlow() {
       NubAcquireFor(self, kNoDeadline);
     }
     NoteAcquired(self);
+    RevokeBiasIfSet(self, kNoDeadline);
   });
 }
 
@@ -56,8 +65,12 @@ bool ReaderWriterMutex::TryAcquire() {
   if (!WriterCas()) {
     return false;
   }
-  obs::Inc(obs::Counter::kFastMutexAcquire);
   NoteAcquired(self);
+  // A deadline already passed: biased readers are never waited for.
+  if (!RevokeBiasIfSet(self, /*deadline_ns=*/0)) {
+    return false;
+  }
+  obs::Inc(obs::Counter::kFastMutexAcquire);
   return true;
 }
 
@@ -72,15 +85,21 @@ WaitResult ReaderWriterMutex::AcquireFor(std::chrono::nanoseconds timeout) {
           timeout.count() > 0 ? DeadlineAfter(timeout) : 0;
       result = TracedAcquireFor(self, deadline) ? WaitResult::kSatisfied
                                                 : WaitResult::kTimeout;
-    } else if (WriterCas()) {
-      obs::Inc(obs::Counter::kFastMutexAcquire);
-      NoteAcquired(self);
-    } else if (timeout.count() <= 0) {
-      result = WaitResult::kTimeout;
-    } else if (NubAcquireFor(self, DeadlineAfter(timeout))) {
-      NoteAcquired(self);
     } else {
-      result = WaitResult::kTimeout;
+      // A zero or negative timeout is a deadline already passed: it may
+      // take a free word, but never waits for the word or for a drain.
+      const std::uint64_t deadline =
+          timeout.count() > 0 ? DeadlineAfter(timeout) : 0;
+      if (WriterCas()) {
+        obs::Inc(obs::Counter::kFastMutexAcquire);
+      } else if (deadline == 0 || !NubAcquireFor(self, deadline)) {
+        result = WaitResult::kTimeout;
+        return;
+      }
+      NoteAcquired(self);
+      if (!RevokeBiasIfSet(self, deadline)) {
+        result = WaitResult::kTimeout;
+      }
     }
   });
   obs::Inc(result == WaitResult::kSatisfied
@@ -184,6 +203,141 @@ void ReaderWriterMutex::ReleaseSharedSlow() {
     }
     DropReader();
   });
+}
+
+// --- the word's reader paths ---
+
+bool ReaderWriterMutex::SharedCasLoop() {
+  std::uint32_t w = word_.load(std::memory_order_relaxed);
+  while ((w & kWriterBit) == 0) {
+    if (word_.compare_exchange_weak(w, w + 1, std::memory_order_acquire,
+                                    std::memory_order_relaxed)) {
+      // The reader-admission commit point: a writer's enqueue-then-test
+      // may be racing this CAS.
+      TAOS_CHAOS(kRwlockReaderCas);
+      // Bias return. The reader count just taken keeps every writer out,
+      // so no revocation can be racing this store. It is a release: a
+      // biased reader never reads the word, so the flag it reads set is
+      // what orders the last writer's section before its own.
+      if (!bias_.load(std::memory_order_relaxed) &&
+          obs::NowNanos() >= inhibit_until_.load(std::memory_order_relaxed)) {
+        bias_.store(true, std::memory_order_release);
+      }
+      return true;
+    }
+  }
+  return false;
+}
+
+void ReaderWriterMutex::DropReader() {
+  // REQUIRES SELF IN rw.readers: the word cannot show a writer and must
+  // count at least this reader (set membership proper is the trace
+  // checker's job; the count catches both misuse death-test shapes).
+  const std::uint32_t prev = word_.fetch_sub(1, std::memory_order_seq_cst);
+  TAOS_CHECK((prev & kWriterBit) == 0 && prev != 0);
+  if (prev == 1) {
+    // Last reader out: wake one queued writer. The seq_cst fetch_sub
+    // above against the writer's enqueue-then-test is the same Dekker
+    // pairing as Release's clear-then-scan.
+    TAOS_CHAOS(kRwlockLastReaderWake);
+    if (writer_q_len_.load(std::memory_order_seq_cst) > 0) {
+      NubWakeOneWriter();
+      return;
+    }
+  }
+  obs::Inc(obs::Counter::kFastMutexRelease);
+}
+
+// --- biased readers ---
+
+std::uint32_t ReaderWriterMutex::BiasedReaders() const {
+  std::uint32_t n = 0;
+  for (const BiasSlot& slot : bias_slots_) {
+    n += slot.rw.load(std::memory_order_seq_cst) == this ? 1 : 0;
+  }
+  return n;
+}
+
+bool ReaderWriterMutex::RevokeBias(ThreadRecord* self,
+                                   std::uint64_t deadline_ns) {
+  const std::uint64_t start = obs::NowNanos();
+  // Clear-then-scan: the seq_cst pair against a reader's publish-then-
+  // recheck (TryBiasedShared). A reader that published after this scan
+  // finds the flag cleared and backs out.
+  bias_.store(false, std::memory_order_seq_cst);
+  bool drained = true;
+  while (BiasedReaders() != 0) {
+    if (DeadlinePassed(deadline_ns)) {
+      drained = false;
+      break;
+    }
+    bool parked = false;
+    {
+      NubGuard g(nub_lock_);
+      // At the front of the writer queue, where WakeDrainer looks; then
+      // re-scan. A biased release that cleared its slot after this re-scan
+      // reads the cleared flag and takes this lock after us, so it finds
+      // us queued.
+      writers_queue_.PushFront(self);
+      writer_q_len_.fetch_add(1, std::memory_order_relaxed);
+      if (BiasedReaders() != 0) {
+        SpinGuard tg(self->lock);
+        SetBlockedLocked(self, ThreadRecord::BlockKind::kRwExclusive, this,
+                         id_, &nub_lock_, /*alertable=*/false);
+        parked = true;
+      } else {
+        writers_queue_.Remove(self);
+        writer_q_len_.fetch_sub(1, std::memory_order_relaxed);
+      }
+    }
+    if (parked && ParkBlockedUntil(self, deadline_ns, kLockWait)) {
+      drained = false;
+      break;
+    }
+  }
+  if (!drained) {
+    // Biased readers are still inside, so the flag must be set again
+    // before another writer can take the bit and skip the scan. A release,
+    // as in the bias return (SharedCasLoop).
+    bias_.store(true, std::memory_order_release);
+    if (obs::diag::Enabled()) [[unlikely]] {
+      obs::diag::ClearOwner(id_);
+    }
+    ClearWriter(self);
+    return false;
+  }
+  const std::uint64_t end = obs::NowNanos();
+  inhibit_until_.store(end + kInhibitFactor * (end - start),
+                       std::memory_order_relaxed);
+  return true;
+}
+
+void ReaderWriterMutex::AbandonBias(ThreadRecord* self) {
+  SlotOf(self).exchange(nullptr, std::memory_order_seq_cst);
+  // A writer that scanned while the slot held this lock may be parked.
+  WakeDrainer();
+}
+
+void ReaderWriterMutex::WakeDrainer() {
+  obs::Inc(obs::Counter::kNubRelease);
+  ThreadRecord* wake = nullptr;
+  {
+    NubGuard g(nub_lock_);
+    // Only the writer-bit holder drains, and it queues at the front. A
+    // writer queued there for the word is not the holder and stays put.
+    ThreadRecord* front = writers_queue_.Front();
+    if (front != nullptr &&
+        front->id == holder_.load(std::memory_order_relaxed)) {
+      writers_queue_.PopFront();
+      writer_q_len_.fetch_sub(1, std::memory_order_relaxed);
+      MarkUnblocked(front);
+      wake = front;
+    }
+  }
+  if (wake != nullptr) {
+    obs::Inc(obs::Counter::kHandoffs);
+    wake->park.Unpark();
+  }
 }
 
 // --- Nub (slow-path) subroutines, acquire side ---

@@ -22,21 +22,32 @@
 //     MODIFIES AT MOST [rw]  ENSURES rw.readers' = rw.readers - {SELF}
 //
 // Implementation: the same two-layer design as Mutex. The user-code state
-// is one word — a writer bit plus a 31-bit reader count. The reader fast
+// is one word — a writer bit plus a 31-bit reader count. The word's reader
 // path is a CAS increment while the writer bit is clear; the writer fast
-// path is a CAS of 0 -> writer-bit. Both, and their releases, are compiled
-// in-line below behind one test of the slow-mode word, as in Mutex. The
-// Nub slow paths keep two queues (readers, writers) under the object's
-// ObjLock — intrusive lists, exactly as Mutex — with atomic length mirrors
-// so the release-side "anyone queued?" test is a data-race-free load. The
-// design barges like Mutex: a release makes waiters ready, but any thread
-// may win the retried CAS first, so the spec deliberately says nothing
-// about fairness (the writer-starvation litmus in src/model measures the
-// consequence).
+// path is a CAS of 0 -> writer-bit. The writer's CAS and release are
+// compiled in-line below behind one test of the slow-mode word, as in
+// Mutex; the reader's CAS loop and decrement are out of line, behind the
+// bias test below. The Nub slow paths keep two queues (readers, writers)
+// under the object's ObjLock — intrusive lists, exactly as Mutex — with
+// atomic length mirrors so the release-side "anyone queued?" test is a
+// data-race-free load. The design barges like Mutex: a release makes
+// waiters ready, but any thread may win the retried CAS first, so the spec
+// deliberately says nothing about fairness (the writer-starvation litmus
+// in src/model measures the consequence).
+//
+// Biased readers (BRAVO; DESIGN.md §13): while the lock's bias flag is
+// set, a reader does not touch the word. It publishes the lock in its own
+// cache line of a process-wide slot table and re-reads the flag; the
+// in-line shared acquire and release are that slot CAS and a slot
+// exchange, one atomic RMW each, and the word's CAS loop is out of line. A
+// writer takes the writer bit, clears the flag, and parks until no slot
+// holds the lock. Bias returns on the word path once an inhibit window, 9x
+// the last revocation's cost, has passed.
 //
 // Wakeup policy: an exclusive release wakes every queued reader and one
-// queued writer; the last shared release wakes one queued writer. Readers
-// only ever block on the writer bit, so nothing else can strand them.
+// queued writer; the last shared release wakes one queued writer; a biased
+// release after a revocation wakes the draining writer. Readers only ever
+// block on the writer bit, so nothing else can strand them.
 //
 // rwlock waits are not alertable (like Acquire, unlike Wait/P), and the
 // timed variants follow Mutex::AcquireFor: a grant that races the deadline
@@ -47,6 +58,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 
 #include "src/base/chaos.h"
@@ -72,7 +84,9 @@ class ReaderWriterMutex {
   void Acquire() {
     if (!obs::AnySlowMode() && WriterCas()) [[likely]] {
       obs::Inc(obs::Counter::kFastMutexAcquire);
-      holder_.store(Nub::Current()->id, std::memory_order_relaxed);
+      ThreadRecord* self = Nub::Current();
+      holder_.store(self->id, std::memory_order_relaxed);
+      RevokeBiasIfSet(self, waitq::kNoDeadline);
       return;
     }
     AcquireSlow();
@@ -89,7 +103,7 @@ class ReaderWriterMutex {
 
   // --- shared (reader) mode ---
   void AcquireShared() {
-    if (!obs::AnySlowMode() && SharedCasLoop()) [[likely]] {
+    if (!obs::AnySlowMode() && TryBiasedShared()) [[likely]] {
       obs::Inc(obs::Counter::kFastMutexAcquire);
       return;
     }
@@ -102,6 +116,11 @@ class ReaderWriterMutex {
       ReleaseSharedSlow();
       return;
     }
+    ThreadRecord* self = Nub::Current();
+    if (self->biased_rw == this) [[likely]] {
+      ReleaseBiased(self);
+      return;
+    }
     DropReader();
   }
 
@@ -109,10 +128,9 @@ class ReaderWriterMutex {
   spec::ThreadId HolderForDebug() const {
     return holder_.load(std::memory_order_relaxed);
   }
-  // The reader count. Racy; for debuggers and tests only.
-  std::uint32_t ReadersForDebug() const {
-    return word_.load(std::memory_order_relaxed) & ~kWriterBit;
-  }
+  // The reader count: the word's, plus the slots that hold this lock.
+  // Racy; for debuggers and tests only.
+  std::uint32_t ReadersForDebug() const;
 
   spec::ObjId id() const { return id_; }
 
@@ -121,6 +139,25 @@ class ReaderWriterMutex {
                                waitq::Parker::Spin spin);
 
   static constexpr std::uint32_t kWriterBit = 1u << 31;
+
+  // The biased readers' slots: one cache line each, 16 KB in all, shared
+  // by every ReaderWriterMutex. A thread's slot is picked by its id, so
+  // threads created one after another get different slots; a thread whose
+  // slot is taken (by a colliding thread, or by its own other biased lock)
+  // reads through the word.
+  struct alignas(64) BiasSlot {
+    std::atomic<const ReaderWriterMutex*> rw{nullptr};
+  };
+  static constexpr std::size_t kBiasSlots = 256;
+  static BiasSlot bias_slots_[kBiasSlots];
+  static std::atomic<const ReaderWriterMutex*>& SlotOf(
+      const ThreadRecord* self) {
+    return bias_slots_[self->id & (kBiasSlots - 1)].rw;
+  }
+
+  // Bias stays off for this many times the last revocation's cost (BRAVO's
+  // N), so a lock that writers take often settles on the word.
+  static constexpr std::uint64_t kInhibitFactor = 9;
 
   // The writer's user-code CAS of 0 -> writer-bit (fast path and the Nub
   // retries alike; the caller counts).
@@ -131,20 +168,56 @@ class ReaderWriterMutex {
                                          std::memory_order_relaxed);
   }
 
-  // The reader fast path: CAS-increment while the writer bit is clear.
-  // Returns false once it observes the writer bit (never blocks).
-  bool SharedCasLoop() {
-    std::uint32_t w = word_.load(std::memory_order_relaxed);
-    while ((w & kWriterBit) == 0) {
-      if (word_.compare_exchange_weak(w, w + 1, std::memory_order_acquire,
-                                      std::memory_order_relaxed)) {
-        // The reader-admission commit point: a writer's enqueue-then-test
-        // may be racing this CAS.
-        TAOS_CHAOS(kRwlockReaderCas);
-        return true;
-      }
+  // The biased reader fast path. Publishes this lock in the caller's slot,
+  // then re-reads the flag: a seq_cst CAS and load against the writer's
+  // seq_cst flag clear and slot scan (RevokeBias), so either the reader
+  // sees the flag cleared or the writer sees the slot. Returns false, with
+  // nothing published, if the lock is unbiased, the slot is taken, or the
+  // bias was revoked in between.
+  bool TryBiasedShared() {
+    if (!bias_.load(std::memory_order_relaxed)) {
+      return false;
     }
+    ThreadRecord* self = Nub::Current();
+    const ReaderWriterMutex* expected = nullptr;
+    if (!SlotOf(self).compare_exchange_strong(expected, this,
+                                              std::memory_order_seq_cst,
+                                              std::memory_order_relaxed)) {
+      return false;
+    }
+    // The publish-to-recheck window a revoking writer races.
+    TAOS_CHAOS(kRwlockBiasRecheck);
+    if (bias_.load(std::memory_order_seq_cst)) [[likely]] {
+      self->biased_rw = this;
+      return true;
+    }
+    AbandonBias(self);
     return false;
+  }
+
+  // The biased release: clear the slot, then re-read the flag, the seq_cst
+  // pair that meets the draining writer's re-scan under the object lock.
+  // A cleared flag means a writer may be parked waiting for this slot.
+  void ReleaseBiased(ThreadRecord* self) {
+    self->biased_rw = nullptr;
+    SlotOf(self).exchange(nullptr, std::memory_order_seq_cst);
+    if (!bias_.load(std::memory_order_seq_cst)) [[unlikely]] {
+      WakeDrainer();
+      return;
+    }
+    obs::Inc(obs::Counter::kFastMutexRelease);
+  }
+
+  // The writer's epilogue once it holds the writer bit (and holder_): if
+  // the lock is biased, revoke the bias and wait out the biased readers.
+  // False iff `deadline_ns` passed first; the bias and the writer bit are
+  // then given back. A relaxed load suffices: every store to the flag
+  // happened before this writer's acquire CAS of the word, since a word
+  // reader sets it under its reader count and a writer clears or restores
+  // it under the writer bit.
+  bool RevokeBiasIfSet(ThreadRecord* self, std::uint64_t deadline_ns) {
+    return !bias_.load(std::memory_order_relaxed) ||
+           RevokeBias(self, deadline_ns);
   }
 
   // Release's user code: clear the word; call the Nub only if someone is
@@ -165,25 +238,23 @@ class ReaderWriterMutex {
     }
   }
 
-  // ReleaseShared's user code.
-  void DropReader() {
-    // REQUIRES SELF IN rw.readers: the word cannot show a writer and must
-    // count at least this reader (set membership proper is the trace
-    // checker's job; the count catches both misuse death-test shapes).
-    const std::uint32_t prev = word_.fetch_sub(1, std::memory_order_seq_cst);
-    TAOS_CHECK((prev & kWriterBit) == 0 && prev != 0);
-    if (prev == 1) {
-      // Last reader out: wake one queued writer. The seq_cst fetch_sub
-      // above against the writer's enqueue-then-test is the same Dekker
-      // pairing as Release's clear-then-scan.
-      TAOS_CHAOS(kRwlockLastReaderWake);
-      if (writer_q_len_.load(std::memory_order_seq_cst) > 0) {
-        NubWakeOneWriter();
-        return;
-      }
-    }
-    obs::Inc(obs::Counter::kFastMutexRelease);
-  }
+  // The word's reader paths, out of line: the CAS-increment loop (which
+  // also brings the bias back once the inhibit window has passed), and
+  // ReleaseShared's decrement.
+  bool SharedCasLoop();
+  void DropReader();
+
+  // The bias protocol's out-of-line halves. RevokeBias clears the flag and
+  // parks at the front of the writer queue until no slot holds this lock;
+  // if `deadline_ns` passes first it sets the flag again, since biased
+  // readers remain, and gives back the writer bit as ClearWriter does.
+  // AbandonBias takes back a slot published just as the bias was revoked.
+  // WakeDrainer unparks the writer-bit holder if it is parked draining.
+  bool RevokeBias(ThreadRecord* self, std::uint64_t deadline_ns);
+  void AbandonBias(ThreadRecord* self);
+  void WakeDrainer();
+  // The slots that hold this lock (seq_cst loads).
+  std::uint32_t BiasedReaders() const;
 
   // Out-of-line paths: a slow-mode bit is set, or the acquire CAS failed.
   void AcquireSlow();
@@ -228,6 +299,11 @@ class ReaderWriterMutex {
 
   // Writer bit | 31-bit reader count.
   std::atomic<std::uint32_t> word_{0};
+  // Readers may take the biased path. Cleared only by the writer-bit
+  // holder; set again by a word reader, whose count keeps writers out, with
+  // a release store: a biased reader, which never reads the word, is
+  // ordered after the last writer's section by the store it reads.
+  std::atomic<bool> bias_{true};
   ObjLock nub_lock_;  // guards both queues (the slow paths)
   IntrusiveQueue<ThreadRecord> readers_queue_;
   IntrusiveQueue<ThreadRecord> writers_queue_;
@@ -235,7 +311,17 @@ class ReaderWriterMutex {
   std::atomic<std::int32_t> writer_q_len_{0};
   std::atomic<spec::ThreadId> holder_{spec::kNil};
   spec::ObjId id_;
+  // obs::NowNanos before which a word reader leaves the bias off.
+  std::atomic<std::uint64_t> inhibit_until_{0};
 };
+
+// Every lock in a data structure carries these bytes; the bias flag sits in
+// the padding after the word, and the inhibit deadline is the only field
+// the bias added.
+#if defined(__x86_64__)
+static_assert(sizeof(ReaderWriterMutex) == 96,
+              "ReaderWriterMutex changed size");
+#endif
 
 // RAII brackets, mirroring Lock (threads.h) for the two modes.
 class WriteLock {

@@ -31,6 +31,7 @@ class Mutex;
 class Condition;
 class Semaphore;
 class ObjLock;
+class ReaderWriterMutex;
 
 struct ThreadRecord {
   QueueNode queue_node;
@@ -40,6 +41,12 @@ struct ThreadRecord {
   // it to kNil. Both write it under `lock`, where Alert compares it with
   // the handle's id; the owning thread reads it freely.
   spec::ThreadId id = spec::kNil;
+
+  // The ReaderWriterMutex this thread holds through its bias slot, or null.
+  // Owner-only: a slot that holds a lock does not say which thread put it
+  // there, so a biased release checks this first (rwmutex.h). Reset when
+  // the record is reused.
+  ReaderWriterMutex* biased_rw = nullptr;
 
   // "De-scheduled" threads park here; making a thread ready unparks it.
   // The queue discipline guarantees at most one outstanding unpark. The
@@ -105,9 +112,10 @@ struct ThreadRecord {
 };
 
 // Every live thread carries one record, so its size is part of each
-// thread's RSS (perfbench rpc, kv); a new field should be a choice.
+// thread's RSS (perfbench rpc, kv); a new field should be a choice. 224:
+// biased_rw, the biased ReaderWriterMutex's owner check, added 8 bytes.
 #if defined(__x86_64__)
-static_assert(sizeof(ThreadRecord) == 216, "ThreadRecord changed size");
+static_assert(sizeof(ThreadRecord) == 224, "ThreadRecord changed size");
 #endif
 
 // The diag WaitKind enum mirrors BlockKind value-for-value so the publish

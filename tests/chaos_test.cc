@@ -158,14 +158,51 @@ class ChaosRuntimeTest : public ::testing::Test {
   bool saved_lock_mode_ = false;
 };
 
-// One pass of mixed production traffic: contended mutexes (grants, timeouts,
-// back-outs), semaphore P/V and PFor, condition Wait/WaitFor against a
-// signaller, AlertWaitFor and a contended AlertP against an alerter, rwlock
-// readers against a writer, poll/event/message-queue fan-in, raw spin-lock
-// contention, and thread exit: every forked thread's record is reclaimed
-// by whichever of its exit and its Join comes last.
+// Biased rwlock traffic: readers on the biased fast path against a writer
+// that revokes the bias and drains them, a timed writer whose drain may
+// time out, and readers whose publish lands inside a revocation (the
+// bias-recheck window). It runs with every slow mode off, since slow modes
+// never take the bias.
+void BiasedRwlockPass() {
+  ReaderWriterMutex rw;
+  std::vector<Thread> threads;
+  for (int i = 0; i < 3; ++i) {
+    threads.push_back(Thread::Fork([&, i] {
+      for (int j = 0; j < 200; ++j) {
+        ReadLock rl(rw);
+        if ((j + i) % 50 == 0) {
+          std::this_thread::sleep_for(40us);
+        }
+      }
+    }));
+  }
+  threads.push_back(Thread::Fork([&] {
+    for (int j = 0; j < 20; ++j) {
+      {
+        WriteLock wl(rw);
+      }
+      if (rw.AcquireFor(j % 2 == 0 ? 0ns : 50us) == WaitResult::kSatisfied) {
+        rw.Release();
+      }
+      std::this_thread::sleep_for(30us);
+    }
+  }));
+  for (Thread& t : threads) {
+    t.Join();
+  }
+}
+
+// One pass of mixed production traffic: biased rwlock readers against a
+// writer (first, before the diagnosis layer is switched on), contended
+// mutexes (grants, timeouts, back-outs), semaphore P/V and PFor, condition
+// Wait/WaitFor against a signaller, AlertWaitFor and a contended AlertP
+// against an alerter, word rwlock readers against a writer,
+// poll/event/message-queue fan-in, raw spin-lock contention, and thread
+// exit: every forked thread's record is reclaimed by whichever of its exit
+// and its Join comes last.
 // Everything the named points instrument, in whichever lock mode the caller
-// configured. The diagnosis layer is switched on for the pass and a
+// configured. The diagnosis layer is switched on for the rest of the pass
+// (so its rwlock readers take the word) and a
 // snapshotter thread races SnapshotBlocked against the workload, so the
 // three diag windows (publish-to-park, owner-stamp, snapshot-read) are
 // crossed under injection too.
@@ -178,6 +215,7 @@ void MixedWorkloadPass() {
   int counter = 0;
   std::atomic<bool> stop{false};
 
+  BiasedRwlockPass();
   obs::diag::SetEnabled(true);
   std::thread snapshotter([&stop] {
     while (!stop.load(std::memory_order_acquire)) {

@@ -1,6 +1,9 @@
 // E1, "compiled entirely in-line": the uncontended Acquire and Release
 // each compile to exactly one atomic read-modify-write in the caller — the
-// test-and-set and the clear — so the pair carries two. The functions in
+// test-and-set and the clear — so the pair carries two. ReaderWriterMutex's
+// biased shared pair is held to the same budget: the slot CAS and the slot
+// exchange, with the reader word's CAS loop and decrement out of line
+// behind the bias test. The functions in
 // e1_pair.cc are disassembled out of this test's own executable and their
 // lock-prefixed instructions and memory-operand xchgs (implicitly locked)
 // are counted. x86-64 only; needs objdump; skipped under sanitizers, whose
@@ -17,10 +20,15 @@
 
 #include "src/obs/metrics.h"
 #include "src/threads/mutex.h"
+#include "src/threads/rwmutex.h"
+#include "src/threads/thread.h"
 
 extern "C" void TaosE1Pair(taos::Mutex& m);
 extern "C" void TaosE1Acquire(taos::Mutex& m);
 extern "C" void TaosE1Release(taos::Mutex& m);
+extern "C" void TaosE1SharedPair(taos::ReaderWriterMutex& rw);
+extern "C" void TaosE1SharedAcquire(taos::ReaderWriterMutex& rw);
+extern "C" void TaosE1SharedRelease(taos::ReaderWriterMutex& rw);
 
 namespace taos {
 namespace {
@@ -127,6 +135,39 @@ TEST_F(E1InlineTest, PairRunsOnTheFastPath) {
                 before.Count(obs::Counter::kFastMutexAcquire),
             200u);
   EXPECT_EQ(after.NubEntries(), before.NubEntries());
+}
+
+TEST_F(E1InlineTest, EachBiasedSharedTransitionIsOneAtomicRmw) {
+  EXPECT_EQ(CountAtomicRmws(Listing("TaosE1SharedAcquire")), 1)
+      << Listing("TaosE1SharedAcquire");
+  EXPECT_EQ(CountAtomicRmws(Listing("TaosE1SharedRelease")), 1)
+      << Listing("TaosE1SharedRelease");
+}
+
+TEST_F(E1InlineTest, SharedPairIsAtMostTwoAtomicRmws) {
+  const std::string listing = Listing("TaosE1SharedPair");
+  const int rmws = CountAtomicRmws(listing);
+  EXPECT_GE(rmws, 1) << "no slot CAS in-line:\n" << listing;
+  EXPECT_LE(rmws, 2) << listing;
+}
+
+// The shared pair runs biased: the hold sits in the thread's slot, not in
+// the reader word, and nothing enters the Nub.
+TEST_F(E1InlineTest, SharedPairRunsOnTheBiasedFastPath) {
+  ReaderWriterMutex rw;
+  const obs::Stats before = obs::Snapshot();
+  for (int i = 0; i < 100; ++i) {
+    TaosE1SharedPair(rw);
+    TaosE1SharedAcquire(rw);
+    EXPECT_EQ(Thread::Self().rec->biased_rw, &rw);
+    TaosE1SharedRelease(rw);
+  }
+  const obs::Stats after = obs::Snapshot();
+  EXPECT_EQ(after.Count(obs::Counter::kFastMutexAcquire) -
+                before.Count(obs::Counter::kFastMutexAcquire),
+            200u);
+  EXPECT_EQ(after.NubEntries(), before.NubEntries());
+  EXPECT_EQ(rw.ReadersForDebug(), 0u);
 }
 
 }  // namespace

@@ -204,6 +204,29 @@ TEST(PollTest, WaitAnyDoesNotConsumeManualMembers) {
   EXPECT_EQ(p.WaitAny(), 0u);  // still granted
 }
 
+// A member that stays set (a closed queue's readable edge) must not starve
+// the members after it: each WaitAny starts one past the last grant, so a
+// set member is granted within size() calls.
+TEST(PollTest, WaitAnyRotatesPastAMemberThatStaysSet) {
+  MessageQueue<int> closed(1);
+  closed.Close();
+  Event b(EventReset::kAuto);
+  Poll p;
+  p.Add(closed.readable());
+  p.Add(b);
+  for (int round = 0; round < 3; ++round) {
+    SCOPED_TRACE(round);
+    b.Set();
+    bool granted_b = false;
+    for (std::size_t call = 0; call < p.size() && !granted_b; ++call) {
+      granted_b = p.WaitAny() == 1u;
+    }
+    EXPECT_TRUE(granted_b);
+    EXPECT_FALSE(b.IsSet());
+    EXPECT_TRUE(closed.readable().IsSet());
+  }
+}
+
 TEST(PollTest, WaitAnyBlocksUntilSomeMemberIsSet) {
   Event a(EventReset::kAuto);
   Event b(EventReset::kAuto);

@@ -3,7 +3,9 @@
 // the traced paths lives in threads_conformance_test; this suite pins the
 // runtime behaviour: admission rules, the wakeup policy (exclusive release
 // drains all readers + one writer; last reader out wakes a writer), timed
-// grants racing deadlines, and the workload harness invariant.
+// grants racing deadlines, the biased readers (a writer's blocking drain,
+// the try and timed writers beside a biased reader, slot ownership, bias
+// return), and the workload harness invariant.
 
 #include <atomic>
 #include <chrono>
@@ -13,7 +15,9 @@
 
 #include <gtest/gtest.h>
 
+#include "src/base/spinlock.h"
 #include "src/obs/metrics.h"
+#include "src/threads/thread_record.h"
 #include "src/threads/threads.h"
 #include "src/workload/rwlock.h"
 #include "tests/await_blocked.h"
@@ -22,6 +26,15 @@ namespace taos {
 namespace {
 
 using namespace std::chrono_literals;
+
+// The ReaderWriterMutex the calling thread holds through its bias slot.
+const ReaderWriterMutex* BiasedHold() { return Thread::Self().rec->biased_rw; }
+
+ThreadRecord::BlockKind BlockKindOf(const Thread& t) {
+  ThreadRecord* rec = t.Handle().rec;
+  SpinGuard g(rec->lock);
+  return rec->block_kind;
+}
 
 TEST(RwMutexTest, UncontendedModes) {
   ReaderWriterMutex rw;
@@ -204,6 +217,196 @@ TEST(RwMutexTest, TimedGrantRacingDeadlineIsKept) {
   }
   EXPECT_TRUE(rw.TryAcquire());  // nothing leaked a hold
   rw.Release();
+}
+
+// --- biased readers ---
+
+// A writer that finds a biased reader inside takes the writer bit, revokes
+// the bias and parks until the reader leaves; it must not spin. While it
+// drains, new readers wait on the word behind it.
+TEST(RwMutexTest, WriterDrainingABiasedReaderParks) {
+  ReaderWriterMutex rw;
+  rw.AcquireShared();
+  ASSERT_EQ(BiasedHold(), &rw);
+  std::atomic<bool> wrote{false};
+  std::atomic<bool> read{false};
+  Thread writer = Thread::Fork([&] {
+    rw.Acquire();
+    wrote.store(true, std::memory_order_release);
+    rw.Release();
+  });
+  AwaitBlocked(writer);
+  EXPECT_EQ(BlockKindOf(writer), ThreadRecord::BlockKind::kRwExclusive);
+  EXPECT_EQ(rw.HolderForDebug(), writer.Handle().id());
+  Thread reader = Thread::Fork([&] {
+    ReadLock rl(rw);
+    EXPECT_TRUE(wrote.load(std::memory_order_acquire));
+    read.store(true, std::memory_order_release);
+  });
+  AwaitBlocked(reader);
+  EXPECT_EQ(BlockKindOf(reader), ThreadRecord::BlockKind::kRwShared);
+  // The biased hold lasts across a long wait; the writer stays parked.
+  std::this_thread::sleep_for(20ms);
+  EXPECT_TRUE(IsBlocked(writer));
+  EXPECT_FALSE(wrote.load(std::memory_order_acquire));
+  rw.ReleaseShared();  // wakes the drainer, not a writer queued for the word
+  writer.Join();
+  reader.Join();
+  EXPECT_TRUE(read.load(std::memory_order_acquire));
+  EXPECT_EQ(rw.ReadersForDebug(), 0u);
+}
+
+// TryAcquire never waits for biased readers: it gives the writer bit back
+// and the bias with it, and both modes still work.
+TEST(RwMutexTest, TryAcquireBesideABiasedReaderFailsAtOnce) {
+  ReaderWriterMutex rw;
+  rw.AcquireShared();
+  ASSERT_EQ(BiasedHold(), &rw);
+  EXPECT_FALSE(rw.TryAcquire());
+  EXPECT_EQ(rw.HolderForDebug(), spec::kNil);
+  EXPECT_EQ(rw.ReadersForDebug(), 1u);
+  EXPECT_EQ(rw.AcquireFor(0ns), WaitResult::kTimeout);
+  Thread reader = Thread::Fork([&] {
+    ReadLock rl(rw);
+    EXPECT_EQ(BiasedHold(), &rw);  // the bias was given back too
+    EXPECT_EQ(rw.ReadersForDebug(), 2u);
+  });
+  reader.Join();
+  rw.ReleaseShared();
+  EXPECT_TRUE(rw.TryAcquire());
+  rw.Release();
+  rw.AcquireShared();
+  rw.ReleaseShared();
+  EXPECT_EQ(rw.ReadersForDebug(), 0u);
+}
+
+// A timed writer whose deadline passes while it drains gives back the
+// writer bit: the reader that queued on the word behind it gets in, and a
+// later writer drains the biased reader again and gets in too.
+TEST(RwMutexTest, TimedWriterTimesOutWhileDraining) {
+  ReaderWriterMutex rw;
+  rw.AcquireShared();
+  ASSERT_EQ(BiasedHold(), &rw);
+  Thread timed = Thread::Fork(
+      [&] { EXPECT_EQ(rw.AcquireFor(30ms), WaitResult::kTimeout); });
+  AwaitBlocked(timed);
+  std::atomic<bool> read{false};
+  Thread reader = Thread::Fork([&] {
+    ReadLock rl(rw);
+    read.store(true, std::memory_order_release);
+  });
+  timed.Join();
+  reader.Join();
+  EXPECT_TRUE(read.load(std::memory_order_acquire));
+  EXPECT_EQ(rw.HolderForDebug(), spec::kNil);
+  Thread biased_reader = Thread::Fork([&] {
+    ReadLock rl(rw);
+    EXPECT_EQ(BiasedHold(), &rw);  // the bias was given back too
+  });
+  biased_reader.Join();
+  std::atomic<bool> wrote{false};
+  Thread writer = Thread::Fork([&] {
+    WriteLock wl(rw);
+    wrote.store(true, std::memory_order_release);
+  });
+  AwaitBlocked(writer);
+  EXPECT_FALSE(wrote.load(std::memory_order_acquire));
+  rw.ReleaseShared();
+  writer.Join();
+  EXPECT_TRUE(wrote.load(std::memory_order_acquire));
+  EXPECT_EQ(rw.AcquireFor(2ms), WaitResult::kSatisfied);
+  rw.Release();
+}
+
+// A thread has one bias slot: its second shared lock goes through the
+// word, and each release finds the right one, in either order.
+TEST(RwMutexTest, SecondSharedLockGoesThroughTheWord) {
+  for (bool a_first : {true, false}) {
+    SCOPED_TRACE(a_first ? "release a first" : "release b first");
+    ReaderWriterMutex a;  // fresh locks: biased, no inhibit window
+    ReaderWriterMutex b;
+    a.AcquireShared();
+    b.AcquireShared();
+    EXPECT_EQ(BiasedHold(), &a);
+    EXPECT_EQ(a.ReadersForDebug(), 1u);
+    EXPECT_EQ(b.ReadersForDebug(), 1u);
+    EXPECT_FALSE(b.TryAcquire());  // b's word counts the reader
+    if (a_first) {
+      a.ReleaseShared();
+      EXPECT_EQ(BiasedHold(), nullptr);
+      b.ReleaseShared();
+    } else {
+      b.ReleaseShared();
+      EXPECT_EQ(BiasedHold(), &a);
+      a.ReleaseShared();
+    }
+    EXPECT_EQ(a.ReadersForDebug(), 0u);
+    EXPECT_EQ(b.ReadersForDebug(), 0u);
+    EXPECT_TRUE(a.TryAcquire());
+    a.Release();
+    EXPECT_TRUE(b.TryAcquire());
+    b.Release();
+  }
+}
+
+// A revocation turns the bias off; a word reader turns it back on once the
+// inhibit window has passed, and the next reader is biased again.
+TEST(RwMutexTest, BiasReturnsAfterARevoke) {
+  ReaderWriterMutex rw;
+  rw.AcquireShared();
+  EXPECT_EQ(BiasedHold(), &rw);
+  rw.ReleaseShared();
+  rw.Acquire();
+  rw.Release();
+  // The first reader after the revocation reads through the word, even
+  // past the window: the bias it brings back is for the readers after it.
+  rw.AcquireShared();
+  EXPECT_EQ(BiasedHold(), nullptr);
+  rw.ReleaseShared();
+  bool biased = false;
+  for (int i = 0; i < 1000 && !biased; ++i) {
+    rw.AcquireShared();
+    biased = BiasedHold() == &rw;
+    rw.ReleaseShared();
+    if (!biased) {
+      std::this_thread::sleep_for(1ms);
+    }
+  }
+  EXPECT_TRUE(biased);
+}
+
+// ReadersForDebug counts biased readers with the word's.
+TEST(RwMutexTest, ReadersForDebugCountsBiasedReaders) {
+  constexpr int kReaders = 3;
+  ReaderWriterMutex rw;
+  std::atomic<int> biased{0};
+  std::atomic<bool> go{false};
+  std::vector<Thread> readers;
+  for (int i = 0; i < kReaders; ++i) {
+    readers.push_back(Thread::Fork([&] {
+      ReadLock rl(rw);
+      if (BiasedHold() == &rw) {
+        biased.fetch_add(1, std::memory_order_relaxed);
+      }
+      while (!go.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+    }));
+  }
+  while (rw.ReadersForDebug() < static_cast<std::uint32_t>(kReaders)) {
+    std::this_thread::yield();
+  }
+  EXPECT_GT(biased.load(std::memory_order_relaxed), 0);
+  rw.AcquireShared();  // biased, or through the word on a slot collision
+  EXPECT_TRUE(rw.TryAcquireShared());  // always through the word
+  EXPECT_EQ(rw.ReadersForDebug(), kReaders + 2u);
+  rw.ReleaseShared();
+  rw.ReleaseShared();
+  go.store(true, std::memory_order_release);
+  for (Thread& t : readers) {
+    t.Join();
+  }
+  EXPECT_EQ(rw.ReadersForDebug(), 0u);
 }
 
 TEST(RwMutexTest, StatsSplitFastFromSlow) {
