@@ -1176,13 +1176,15 @@ class AlertExitTest : public LitmusTest {
 
 // ReaderWriterMutex's biased reader protocol (src/threads/rwmutex.h),
 // modelled at the granularity of its shared state: the bias flag, the
-// reader's slot, whether the draining writer is queued, and the writer's
-// parker. Every access the protocol makes seq_cst is its own step, and a
-// step under the object lock (the writer's queue-and-re-scan, the
-// release's look for a queued drainer) is one step. One reader and one
-// writer, which already holds the writer bit; a reader that finds the
-// flag cleared takes the word, the Nub protocol the other litmus tests
-// cover, and leaves the scenario.
+// reader's bitmap bit and slot, whether the draining writer is queued, and
+// the writer's parker. Every access the protocol makes seq_cst is its own
+// step, and a step under the object lock (the writer's queue-and-re-scan,
+// the release's look for a queued drainer) is one step. The drain's spin
+// is kSpinScans lock-free re-scans, each ending the spin if the slot is
+// clear; the budget's clock is not modelled. One reader and one writer,
+// which already holds the writer bit; a reader that finds the flag
+// cleared takes the word, the Nub protocol the other litmus tests cover,
+// and leaves the scenario.
 class BiasedReaderTest : public LitmusTest {
  public:
   BiasedReaderTest(BiasProtocol protocol, Tally* tally)
@@ -1201,6 +1203,7 @@ class BiasedReaderTest : public LitmusTest {
       tally_->deadlocks += result.deadlock ? 1 : 0;
       tally_->biased_entries += entered_biased_ ? 1 : 0;
       tally_->bias_backouts += backed_out_ ? 1 : 0;
+      tally_->drain_spin_hits += drain_spin_hit_ ? 1 : 0;
       tally_->drain_parks += drain_parked_ ? 1 : 0;
     }
     if (overlap_) {
@@ -1223,6 +1226,10 @@ class BiasedReaderTest : public LitmusTest {
     if (!flag_) {
       return;
     }
+    if (protocol_ != BiasProtocol::kMarkAfterPublish) {
+      machine.Step();  // the bitmap mark, first use only
+      marked_ = true;
+    }
     machine.Step();  // the slot CAS
     slot_ = true;
     if (protocol_ != BiasProtocol::kNoRecheck) {
@@ -1235,6 +1242,10 @@ class BiasedReaderTest : public LitmusTest {
         WakeDrainer(machine);
         return;
       }
+    }
+    if (protocol_ == BiasProtocol::kMarkAfterPublish) {
+      machine.Step();
+      marked_ = true;
     }
     entered_biased_ = true;
     in_reader_ = true;
@@ -1261,14 +1272,21 @@ class BiasedReaderTest : public LitmusTest {
   void Writer(Machine& machine) {
     machine.Step();  // clear the flag
     flag_ = false;
-    for (;;) {
-      machine.Step();  // the scan
-      if (!slot_) {
-        break;
+    if (Scan(machine)) {
+      // The drain's spin: re-scan until the slot is clear or it runs out.
+      for (int i = 0; i < kSpinScans; ++i) {
+        if (!Scan(machine)) {
+          drain_spin_hit_ = true;
+          break;
+        }
       }
-      machine.Step();  // under the object lock: queue at the front, re-scan
+    }
+    while (Scan(machine)) {
+      // Under the object lock: queue at the front, re-scan. The mark, if
+      // the scan saw the slot, is already set and never cleared.
+      machine.Step();
       queued_ = true;
-      if (!slot_) {
+      if (!(marked_ && slot_)) {
         queued_ = false;
         break;
       }
@@ -1279,6 +1297,17 @@ class BiasedReaderTest : public LitmusTest {
     machine.Step();  // the critical section
     overlap_ = overlap_ || in_reader_;
     in_writer_ = false;
+  }
+
+  // A lock-free scan: the bitmap load, then the marked slot's load. True
+  // iff the slot holds the lock.
+  bool Scan(Machine& machine) {
+    machine.Step();
+    if (!marked_) {
+      return false;
+    }
+    machine.Step();
+    return slot_;
   }
 
   // Under the object lock: dequeue a queued drainer, then unpark it with
@@ -1292,9 +1321,12 @@ class BiasedReaderTest : public LitmusTest {
     parker_.Unpark(machine);
   }
 
+  static constexpr int kSpinScans = 2;
+
   const BiasProtocol protocol_;
   Tally* const tally_;
   bool flag_ = true;
+  bool marked_ = false;
   bool slot_ = false;
   bool queued_ = false;
   ModelParker parker_;
@@ -1303,6 +1335,7 @@ class BiasedReaderTest : public LitmusTest {
   bool overlap_ = false;
   bool entered_biased_ = false;
   bool backed_out_ = false;
+  bool drain_spin_hit_ = false;
   bool drain_parked_ = false;
 };
 

@@ -48,19 +48,24 @@ struct Tally {
   std::uint64_t alerts_on_exited = 0;
   std::uint64_t stale_alerts_dropped = 0;
   // Biased-reader litmus: runs where the reader entered on its slot, where
-  // it published and then backed out because the bias was revoked, and
-  // where the writer parked draining its slot.
+  // it published and then backed out because the bias was revoked, where
+  // the writer's drain spin saw the slot clear, and where the writer parked
+  // draining its slot.
   std::uint64_t biased_entries = 0;
   std::uint64_t bias_backouts = 0;
+  std::uint64_t drain_spin_hits = 0;
   std::uint64_t drain_parks = 0;
 };
 
 // The biased reader protocol of ReaderWriterMutex, for BiasedReaderLitmus.
 enum class BiasProtocol {
-  kShipped,          // src/threads/rwmutex.h: publish the slot, re-read the
-                     // flag; release clears the slot, then reads the flag
-  kNoRecheck,        // the reader trusts its first read of the flag
-  kFlagBeforeClear,  // the release reads the flag before clearing the slot
+  kShipped,           // src/threads/rwmutex.h: mark the slot's bitmap bit,
+                      // publish the slot, re-read the flag; release clears
+                      // the slot, then reads the flag
+  kNoRecheck,         // the reader trusts its first read of the flag
+  kFlagBeforeClear,   // the release reads the flag before clearing the slot
+  kMarkAfterPublish,  // the bitmap bit is set after the slot CAS and its
+                      // re-read, once the reader is inside
 };
 
 // What a thread's exit does with its record, for AlertExitLitmus.
@@ -184,14 +189,17 @@ LitmusFactory PollDeregLostWakeupLitmus(bool safe_cancel,
 // thread finds the stale alert pending.
 LitmusFactory AlertExitLitmus(RecordReclaim reclaim, Tally* tally = nullptr);
 
-// ReaderWriterMutex's biased readers: a reader publishing its slot and
-// re-reading the bias flag, against a writer (holding the writer bit) that
-// clears the flag, scans, and parks at the front of its queue until the
-// slot is clear; a biased release that finds the flag cleared wakes it.
-// With kShipped every schedule is clean, and the tally shows a biased
-// entry, a back-out and a drain park all occur. kNoRecheck has a schedule
-// with the reader and the writer both inside, and kFlagBeforeClear one in
-// which the release misses the drainer, which then sleeps forever.
+// ReaderWriterMutex's biased readers: a reader marking its slot in the
+// used-slot bitmap, publishing the slot and re-reading the bias flag,
+// against a writer (holding the writer bit) that clears the flag, scans
+// (the bitmap, then the marked slot), re-scans for a bounded spin, and
+// parks at the front of its queue until the slot is clear; a biased
+// release that finds the flag cleared wakes it. With kShipped every
+// schedule is clean, and the tally shows a biased entry, a back-out, a
+// drain spin that sees the slot clear and a drain park all occur.
+// kNoRecheck and kMarkAfterPublish each have a schedule with the reader
+// and the writer both inside, and kFlagBeforeClear one in which the
+// release misses the drainer, which then sleeps forever.
 LitmusFactory BiasedReaderLitmus(BiasProtocol protocol,
                                  Tally* tally = nullptr);
 

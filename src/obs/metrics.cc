@@ -116,6 +116,8 @@ constexpr const char* kCounterNames[] = {
     "lock_spin_misses",
     "lock_spin_skipped",
     "lock_spin_busy",
+    "rw_bias_revocations",
+    "rw_drain_parks",
     "timers_armed",
     "timers_cancelled",
     "timers_expired",

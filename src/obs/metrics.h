@@ -84,13 +84,19 @@ enum class Counter : int {
   kParkSpinMisses,    // the spin ran out its budget, then slept
   kParkSpinSkipped,   // the CPU's SpinGate cell was closed: slept at once
   // The lock-wait spin's ledger (src/threads/lock_spin.h): each Nub Mutex
-  // or Semaphore acquire (LockCore::AcquireFor, unalertable) bumps exactly
-  // one.
-  kLockSpinHits,      // took the lock bit within the budget
+  // or Semaphore acquire (LockCore::AcquireFor, unalertable), each untraced
+  // Nub ReaderWriterMutex acquire, and each bias drain that finds a reader
+  // inside bumps exactly one.
+  kLockSpinHits,      // the acquire (or the drain) succeeded within the budget
   kLockSpinMisses,    // the budget or the deadline ran out first
   kLockSpinSkipped,   // won the spinner flag, but the CPU's SpinGate cell
                       // was closed: queued at once
   kLockSpinBusy,      // another waiter was already spinning: queued at once
+
+  // --- ReaderWriterMutex's reader bias (src/threads/rwmutex.h) ---
+  kRwBiasRevocations,  // a writer cleared the bias flag and drained the slots
+  kRwDrainParks,       // ...and parked, a biased reader still inside after
+                       // the drain's spin
 
   // --- timed waits (src/threads/timer) ---
   kTimersArmed,          // parks with a deadline

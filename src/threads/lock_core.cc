@@ -44,7 +44,9 @@ WaitResult LockCore::AcquireFor(ThreadRecord* self, std::uint64_t deadline_ns,
                                 ThreadRecord::BlockKind kind,
                                 bool alertable) {
   // At most one waiter spins on the bit before queueing (lock_spin.h).
-  if (!alertable && SpinForLockBit(bit_, spinner_, deadline_ns)) {
+  if (!alertable && SpinForLock(&spinner_, deadline_ns, [this] {
+        return bit_.load(std::memory_order_relaxed) == 0 && TestAndSet();
+      })) {
     return WaitResult::kSatisfied;
   }
   if (DeadlinePassed(deadline_ns)) {

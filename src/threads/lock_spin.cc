@@ -9,12 +9,13 @@
 
 namespace taos {
 
-bool SpinForLockBit(std::atomic<std::uint32_t>& bit,
-                    std::atomic<bool>& spinner, std::uint64_t deadline_ns) {
+bool SpinForLock(std::atomic<bool>* spinner, std::uint64_t deadline_ns,
+                 bool (*attempt)(void*), void* arg) {
   // The flag is a heuristic, not a lock: relaxed is enough, and the load
   // keeps a busy flag's line shared among the waiters that find it set.
-  if (spinner.load(std::memory_order_relaxed) ||
-      spinner.exchange(true, std::memory_order_relaxed)) {
+  if (spinner != nullptr &&
+      (spinner->load(std::memory_order_relaxed) ||
+       spinner->exchange(true, std::memory_order_relaxed))) {
     obs::Inc(obs::Counter::kLockSpinBusy);
     TAOS_CHAOS(kLockSpinToEnqueue);
     return false;
@@ -25,22 +26,23 @@ bool SpinForLockBit(std::atomic<std::uint32_t>& bit,
   if (!gate.Admit(cpu)) {
     obs::Inc(obs::Counter::kLockSpinSkipped);
   } else {
-    // One test of the bit, and one clock read, per 32 pauses (~0.8 µs on
-    // a 26 ns pause; see the header for why not every pause).
+    // One attempt, and one clock read, per 32 pauses (~0.8 µs on a 26 ns
+    // pause; see the header for why not every pause).
     const std::uint64_t end = std::min(
         obs::NowNanos() + waitq::Parker::kSpinBudgetNs, deadline_ns);
     do {
       for (int i = 0; i < 32; ++i) {
         SpinLock::Pause();
       }
-      hit = bit.load(std::memory_order_relaxed) == 0 &&
-            bit.exchange(1, std::memory_order_acquire) == 0;
+      hit = attempt(arg);
     } while (!hit && obs::NowNanos() < end);
     gate.Record(cpu, hit);
     obs::Inc(hit ? obs::Counter::kLockSpinHits
                  : obs::Counter::kLockSpinMisses);
   }
-  spinner.store(false, std::memory_order_relaxed);
+  if (spinner != nullptr) {
+    spinner->store(false, std::memory_order_relaxed);
+  }
   if (!hit) {
     TAOS_CHAOS(kLockSpinToEnqueue);
   }

@@ -62,6 +62,7 @@ ThreadRecord* Nub::CreateRecord(int owners) {
   rec->ended_by_alert.store(false, std::memory_order_relaxed);
   rec->poll_latch.store(0, std::memory_order_relaxed);
   rec->biased_rw = nullptr;
+  rec->bias_slot_marked = false;
   // The id is the record's generation. It is written under the record lock
   // because a stale handle's Alert may be reading it there right now.
   const spec::ThreadId id =

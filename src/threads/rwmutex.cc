@@ -1,5 +1,6 @@
 #include "src/threads/rwmutex.h"
 
+#include <bit>
 #include <vector>
 
 #include "src/base/chaos.h"
@@ -7,12 +8,15 @@
 #include "src/obs/metrics.h"
 #include "src/obs/recorder.h"
 #include "src/spec/action.h"
+#include "src/threads/lock_spin.h"
 #include "src/threads/nub.h"
 #include "src/threads/timer.h"
 
 namespace taos {
 
 ReaderWriterMutex::BiasSlot ReaderWriterMutex::bias_slots_[kBiasSlots];
+alignas(64) std::atomic<std::uint64_t>
+    ReaderWriterMutex::bias_marks_[kMarkWords];
 
 ReaderWriterMutex::ReaderWriterMutex() : id_(Nub::Get().NextObjId()) {}
 
@@ -250,10 +254,21 @@ void ReaderWriterMutex::DropReader() {
 
 // --- biased readers ---
 
+void ReaderWriterMutex::MarkBiasSlot(ThreadRecord* self) {
+  const std::size_t i = SlotIndex(self);
+  bias_marks_[i / 64].fetch_or(std::uint64_t{1} << (i % 64),
+                               std::memory_order_seq_cst);
+  self->bias_slot_marked = true;
+}
+
 std::uint32_t ReaderWriterMutex::BiasedReaders() const {
   std::uint32_t n = 0;
-  for (const BiasSlot& slot : bias_slots_) {
-    n += slot.rw.load(std::memory_order_seq_cst) == this ? 1 : 0;
+  for (std::size_t w = 0; w < kMarkWords; ++w) {
+    for (std::uint64_t bits = bias_marks_[w].load(std::memory_order_seq_cst);
+         bits != 0; bits &= bits - 1) {
+      const BiasSlot& slot = bias_slots_[w * 64 + std::countr_zero(bits)];
+      n += slot.rw.load(std::memory_order_seq_cst) == this ? 1 : 0;
+    }
   }
   return n;
 }
@@ -261,11 +276,22 @@ std::uint32_t ReaderWriterMutex::BiasedReaders() const {
 bool ReaderWriterMutex::RevokeBias(ThreadRecord* self,
                                    std::uint64_t deadline_ns) {
   const std::uint64_t start = obs::NowNanos();
-  // Clear-then-scan: the seq_cst pair against a reader's publish-then-
-  // recheck (TryBiasedShared). A reader that published after this scan
-  // finds the flag cleared and backs out.
+  obs::Inc(obs::Counter::kRwBiasRevocations);
+  // Clear-then-scan: the seq_cst chain against a reader's mark, publish
+  // and recheck (TryBiasedShared). A reader whose recheck read the flag
+  // still set marked its slot before this clear, so the scan's bitmap load
+  // sees the mark and its slot load the publish; a reader that published
+  // after the scan finds the flag cleared and backs out.
   bias_.store(false, std::memory_order_seq_cst);
+  // A reader inside usually leaves within microseconds: re-scan as the
+  // lock spin's one spinner (the writer-bit holder is the only drainer)
+  // before queueing to park.
+  if (BiasedReaders() != 0 && !DeadlinePassed(deadline_ns)) {
+    SpinForLock(/*spinner=*/nullptr, deadline_ns,
+                [this] { return BiasedReaders() == 0; });
+  }
   bool drained = true;
+  bool parked_any = false;
   while (BiasedReaders() != 0) {
     if (DeadlinePassed(deadline_ns)) {
       drained = false;
@@ -290,10 +316,14 @@ bool ReaderWriterMutex::RevokeBias(ThreadRecord* self,
         writer_q_len_.fetch_sub(1, std::memory_order_relaxed);
       }
     }
+    parked_any = parked_any || parked;
     if (parked && ParkBlockedUntil(self, deadline_ns, kLockWait)) {
       drained = false;
       break;
     }
+  }
+  if (parked_any) {
+    obs::Inc(obs::Counter::kRwDrainParks);
   }
   if (!drained) {
     // Biased readers are still inside, so the flag must be set again
@@ -345,6 +375,15 @@ void ReaderWriterMutex::WakeDrainer() {
 bool ReaderWriterMutex::NubAcquireFor(ThreadRecord* self,
                                       std::uint64_t deadline_ns) {
   obs::Inc(obs::Counter::kNubAcquire);
+  // At most one writer spins on the word before queueing (lock_spin.h).
+  if (SpinForLock(&writer_spinner_, deadline_ns, [this] {
+        return word_.load(std::memory_order_relaxed) == 0 && WriterCas();
+      })) {
+    return true;
+  }
+  if (DeadlinePassed(deadline_ns)) {
+    return false;
+  }
   for (;;) {
     bool parked = false;
     {
@@ -385,6 +424,14 @@ bool ReaderWriterMutex::NubAcquireFor(ThreadRecord* self,
 bool ReaderWriterMutex::NubAcquireSharedFor(ThreadRecord* self,
                                             std::uint64_t deadline_ns) {
   obs::Inc(obs::Counter::kNubAcquire);
+  // At most one reader spins on the writer bit before queueing.
+  if (SpinForLock(&reader_spinner_, deadline_ns,
+                  [this] { return SharedCasLoop(); })) {
+    return true;
+  }
+  if (DeadlinePassed(deadline_ns)) {
+    return false;
+  }
   for (;;) {
     bool parked = false;
     {

@@ -40,9 +40,15 @@
 // cache line of a process-wide slot table and re-reads the flag; the
 // in-line shared acquire and release are that slot CAS and a slot
 // exchange, one atomic RMW each, and the word's CAS loop is out of line. A
-// writer takes the writer bit, clears the flag, and parks until no slot
-// holds the lock. Bias returns on the word path once an inhibit window, 9x
-// the last revocation's cost, has passed.
+// writer takes the writer bit, clears the flag, and waits until no slot
+// holds the lock: it scans only the slots a used-slot bitmap marks, spins
+// on that scan for the lock spin's budget (lock_spin.h), and only then
+// parks. Bias returns on the word path once an inhibit window, 9x the last
+// revocation's cost, has passed.
+//
+// Word waits spin too: a reader blocked by the writer bit and a writer
+// blocked by the word each retry their CAS as their side's one spinner
+// before they queue (lock_spin.h).
 //
 // Wakeup policy: an exclusive release wakes every queued reader and one
 // queued writer; the last shared release wakes one queued writer; a biased
@@ -150,10 +156,23 @@ class ReaderWriterMutex {
   };
   static constexpr std::size_t kBiasSlots = 256;
   static BiasSlot bias_slots_[kBiasSlots];
+  static std::size_t SlotIndex(const ThreadRecord* self) {
+    return self->id & (kBiasSlots - 1);
+  }
   static std::atomic<const ReaderWriterMutex*>& SlotOf(
       const ThreadRecord* self) {
-    return bias_slots_[self->id & (kBiasSlots - 1)].rw;
+    return bias_slots_[SlotIndex(self)].rw;
   }
+
+  // The used-slot bitmap, one bit per slot, 32 bytes in one cache line: a
+  // thread sets its slot's bit before it first publishes into the slot, so
+  // a revoking writer's scan (BiasedReaders) visits only marked slots. Bits
+  // are never cleared; with all 256 set the scan is the full table's.
+  static constexpr std::size_t kMarkWords = kBiasSlots / 64;
+  alignas(64) static std::atomic<std::uint64_t> bias_marks_[kMarkWords];
+  // Sets the caller's bit (a seq_cst RMW) once per record generation. Out
+  // of line, so the in-line acquire keeps its one RMW.
+  static void MarkBiasSlot(ThreadRecord* self);
 
   // Bias stays off for this many times the last revocation's cost (BRAVO's
   // N), so a lock that writers take often settles on the word.
@@ -168,17 +187,21 @@ class ReaderWriterMutex {
                                          std::memory_order_relaxed);
   }
 
-  // The biased reader fast path. Publishes this lock in the caller's slot,
-  // then re-reads the flag: a seq_cst CAS and load against the writer's
-  // seq_cst flag clear and slot scan (RevokeBias), so either the reader
-  // sees the flag cleared or the writer sees the slot. Returns false, with
-  // nothing published, if the lock is unbiased, the slot is taken, or the
-  // bias was revoked in between.
+  // The biased reader fast path. Marks the caller's slot in the bitmap
+  // (first use only), publishes this lock in the slot, then re-reads the
+  // flag: a seq_cst mark, CAS and load against the writer's seq_cst flag
+  // clear, bitmap load and slot load (RevokeBias), so either the reader
+  // sees the flag cleared or the writer sees the mark and then the slot.
+  // Returns false, with nothing published, if the lock is unbiased, the
+  // slot is taken, or the bias was revoked in between.
   bool TryBiasedShared() {
     if (!bias_.load(std::memory_order_relaxed)) {
       return false;
     }
     ThreadRecord* self = Nub::Current();
+    if (!self->bias_slot_marked) [[unlikely]] {
+      MarkBiasSlot(self);
+    }
     const ReaderWriterMutex* expected = nullptr;
     if (!SlotOf(self).compare_exchange_strong(expected, this,
                                               std::memory_order_seq_cst,
@@ -245,15 +268,17 @@ class ReaderWriterMutex {
   void DropReader();
 
   // The bias protocol's out-of-line halves. RevokeBias clears the flag and
-  // parks at the front of the writer queue until no slot holds this lock;
-  // if `deadline_ns` passes first it sets the flag again, since biased
+  // waits until no slot holds this lock: it re-scans as the lock spin's
+  // spinner first, then parks at the front of the writer queue. If
+  // `deadline_ns` passes first it sets the flag again, since biased
   // readers remain, and gives back the writer bit as ClearWriter does.
   // AbandonBias takes back a slot published just as the bias was revoked.
   // WakeDrainer unparks the writer-bit holder if it is parked draining.
   bool RevokeBias(ThreadRecord* self, std::uint64_t deadline_ns);
   void AbandonBias(ThreadRecord* self);
   void WakeDrainer();
-  // The slots that hold this lock (seq_cst loads).
+  // The marked slots that hold this lock (seq_cst loads: the bitmap, then
+  // each marked slot).
   std::uint32_t BiasedReaders() const;
 
   // Out-of-line paths: a slow-mode bit is set, or the acquire CAS failed.
@@ -262,10 +287,11 @@ class ReaderWriterMutex {
   void AcquireSharedSlow();
   void ReleaseSharedSlow();
 
-  // Nub subroutines: enqueue on the respective queue, re-test the word,
-  // de-schedule if still excluded; retry the whole acquisition from the
-  // CAS. The same shape as Mutex::NubAcquireFor, over two queues: the
-  // untimed entry points pass kNoDeadline. Return false on timeout.
+  // Nub subroutines: spin as the side's one spinner (lock_spin.h), then
+  // enqueue on the respective queue, re-test the word, de-schedule if
+  // still excluded; retry the whole acquisition from the CAS. The same
+  // shape as LockCore::AcquireFor, over two queues: the untimed entry
+  // points pass kNoDeadline. Return false on timeout.
   bool NubAcquireFor(ThreadRecord* self, std::uint64_t deadline_ns);
   bool NubAcquireSharedFor(ThreadRecord* self, std::uint64_t deadline_ns);
 
@@ -304,6 +330,10 @@ class ReaderWriterMutex {
   // a release store: a biased reader, which never reads the word, is
   // ordered after the last writer's section by the store it reads.
   std::atomic<bool> bias_{true};
+  // Set while one waiter of each side spins ahead of queueing
+  // (lock_spin.h); they sit in the same padding as the flag.
+  std::atomic<bool> reader_spinner_{false};
+  std::atomic<bool> writer_spinner_{false};
   ObjLock nub_lock_;  // guards both queues (the slow paths)
   IntrusiveQueue<ThreadRecord> readers_queue_;
   IntrusiveQueue<ThreadRecord> writers_queue_;
@@ -315,9 +345,9 @@ class ReaderWriterMutex {
   std::atomic<std::uint64_t> inhibit_until_{0};
 };
 
-// Every lock in a data structure carries these bytes; the bias flag sits in
-// the padding after the word, and the inhibit deadline is the only field
-// the bias added.
+// Every lock in a data structure carries these bytes; the bias flag and the
+// two spinner flags sit in the padding after the word, and the inhibit
+// deadline is the only field the bias added.
 #if defined(__x86_64__)
 static_assert(sizeof(ReaderWriterMutex) == 96,
               "ReaderWriterMutex changed size");

@@ -106,6 +106,11 @@ struct ThreadRecord {
   // (Nub::ReleaseRecord).
   std::atomic<std::uint8_t> refs{0};
 
+  // Whether this record generation has set its slot's bit in the biased
+  // readers' used-slot bitmap (rwmutex.h). Owner-only; reset on reuse. It
+  // sits here, in the padding after `refs`.
+  bool bias_slot_marked = false;
+
   ThreadRecord() = default;
   ThreadRecord(const ThreadRecord&) = delete;
   ThreadRecord& operator=(const ThreadRecord&) = delete;

@@ -294,21 +294,22 @@ TEST(ModelTest, StaleAlertCatchesEachBrokenReclaim) {
   }
 }
 
-// --- Rwlock: the biased readers' two seq_cst pairs ---
+// --- Rwlock: the biased readers' seq_cst chains and the used-slot bitmap ---
 
 TEST(ModelTest, BiasedReadersAreSafeExhaustively) {
   Tally tally;
-  Explorer ex(Opts(2, 10'000));
+  Explorer ex(Opts(2, 50'000));
   ExplorationResult r =
       ex.Explore(BiasedReaderLitmus(BiasProtocol::kShipped, &tally));
   EXPECT_TRUE(r.exhausted) << r.ToString();
   EXPECT_EQ(r.violations, 0u) << r.ToString();
   EXPECT_EQ(tally.deadlocks, 0u);
   // Every window is reached: a biased entry, a reader backing out of a
-  // revoked bias, and the writer parked on a slot until the release wakes
-  // it.
+  // revoked bias, the writer's drain spin seeing the slot clear, and the
+  // writer parked on a slot until the release wakes it.
   EXPECT_GT(tally.biased_entries, 0u);
   EXPECT_GT(tally.bias_backouts, 0u);
+  EXPECT_GT(tally.drain_spin_hits, 0u);
   EXPECT_GT(tally.drain_parks, 0u);
 }
 
@@ -319,6 +320,7 @@ TEST(ModelTest, BiasedReadersCatchEachBrokenPair) {
   } cases[] = {
       {BiasProtocol::kNoRecheck, "overlap"},
       {BiasProtocol::kFlagBeforeClear, "lost drain wake"},
+      {BiasProtocol::kMarkAfterPublish, "overlap"},
   };
   for (const auto& c : cases) {
     SCOPED_TRACE(c.verdict);

@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "src/threads/threads.h"
+#include "tests/await_blocked.h"
 
 namespace taos {
 namespace {
@@ -162,6 +163,38 @@ TEST(ObsMetricsTest, ZeroTimeoutWaitsStayOutOfTheNub) {
   m.Release();
   EXPECT_EQ(after.NubEntries(), before.NubEntries());
   EXPECT_EQ(Delta(before, after, Counter::kTimedWaitTimeouts), 2u);
+}
+
+// The revocation ledger: every writer that finds ReaderWriterMutex's bias
+// on counts one rw_bias_revocations, whether its scan is clean, it gives up
+// at once (TryAcquire) or it drains; rw_drain_parks counts a revocation
+// whose drain parked, a biased reader still inside after the spin. A
+// writer that finds the bias already off counts neither.
+TEST(ObsMetricsTest, RwBiasRevocationsAndDrainParksAreCounted) {
+  ReaderWriterMutex rw;  // fresh: biased
+  Stats before = Snapshot();
+  rw.Acquire();  // no reader inside: a clean scan
+  rw.Release();
+  rw.Acquire();  // the bias is off: no revocation
+  rw.Release();
+  Stats after = Snapshot();
+  EXPECT_EQ(Delta(before, after, Counter::kRwBiasRevocations), 1u);
+  EXPECT_EQ(Delta(before, after, Counter::kRwDrainParks), 0u);
+
+  ReaderWriterMutex held;
+  held.AcquireShared();  // biased, held across the writer's whole drain
+  before = Snapshot();
+  EXPECT_FALSE(held.TryAcquire());
+  Thread writer = Thread::Fork([&] {
+    held.Acquire();
+    held.Release();
+  });
+  AwaitBlocked(writer);
+  held.ReleaseShared();
+  writer.Join();
+  after = Snapshot();
+  EXPECT_EQ(Delta(before, after, Counter::kRwBiasRevocations), 2u);
+  EXPECT_EQ(Delta(before, after, Counter::kRwDrainParks), 1u);
 }
 
 // Eight threads hammering their own mutexes: the sharded cells must not

@@ -26,6 +26,7 @@
 #include "src/threads/lock.h"
 #include "src/threads/lock_spin.h"
 #include "src/threads/mutex.h"
+#include "src/threads/rwmutex.h"
 #include "src/threads/semaphore.h"
 
 namespace taos::waitq {
@@ -510,24 +511,69 @@ TEST(ParkerLockWaitTest, ContendedMutexSpinsOnTheBitThenParksUngated) {
   }
 }
 
+// Both ReaderWriterMutex word waits spin on the word, then park ungated: a
+// reader blocked by a long-held writer bit, and a writer blocked by it too,
+// each count one lock_spin miss (their sides' spinner flags are separate,
+// so neither is busy) and no park_spin counter.
+TEST(ParkerLockWaitTest, ContendedRwMutexWaitsSpinOnTheWordThenParkUngated) {
+  taos::ReaderWriterMutex rw;
+  OpenSpinGate();
+  rw.Acquire();
+  const Stats before = Snapshot();
+  std::thread reader([&] {
+    rw.AcquireShared();
+    rw.ReleaseShared();
+  });
+  std::thread writer([&] {
+    rw.Acquire();
+    rw.Release();
+  });
+  while (Delta(before, Snapshot(), Counter::kNubAcquire) < 2) {
+    std::this_thread::yield();
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(1));  // let them park
+  const Stats parked = Snapshot();
+  rw.Release();
+  reader.join();
+  writer.join();
+  EXPECT_EQ(Delta(before, parked, Counter::kNubAcquire), 2u);
+  EXPECT_EQ(Delta(before, parked, Counter::kLockSpinMisses), 2u);
+  EXPECT_EQ(LockSpinLedgerTotal(before, parked), 2u);
+  for (Counter c : {Counter::kParkPermitReady, Counter::kParkSpinHits,
+                    Counter::kParkSpinMisses, Counter::kParkSpinSkipped}) {
+    EXPECT_EQ(Delta(before, Snapshot(), c), 0u) << obs::CounterName(c);
+  }
+}
+
 // The exact ledger: every unalertable Nub lock acquire (LockCore::AcquireFor
-// for Mutex and Semaphore) lands in exactly one lock_spin counter, whatever
-// mix of hits, misses, closed gates and busy spinners the contention
-// produces.
+// for Mutex and Semaphore, and both of ReaderWriterMutex's word waits)
+// lands in exactly one lock_spin counter, whatever mix of hits, misses,
+// closed gates and busy spinners the contention produces. The readers take
+// the word (AcquireSharedFor), so no writer finds a biased reader to drain
+// and every ledger entry is a Nub acquire's.
 TEST(ParkerLockWaitTest, EveryNubLockAcquireCountsOnceInTheLockSpinLedger) {
   taos::Mutex m;
   taos::Semaphore s;
+  taos::ReaderWriterMutex rw;
   constexpr int kThreads = 4;
   constexpr int kIters = 20000;
   const Stats before = Snapshot();
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
+    threads.emplace_back([&, t] {
       for (int i = 0; i < kIters; ++i) {
         m.Acquire();
         m.Release();
         s.P();
         s.V();
+        if ((i + t) % 4 == 0) {
+          rw.Acquire();
+          rw.Release();
+        } else {
+          ASSERT_EQ(rw.AcquireSharedFor(std::chrono::seconds(60)),
+                    WaitResult::kSatisfied);
+          rw.ReleaseShared();
+        }
       }
     });
   }
@@ -558,7 +604,9 @@ TEST(ParkerLockWaitTest, AtMostOneWaiterSpinsAtATime) {
     threads.emplace_back([&] {
       for (int i = 0; i < kCalls; ++i) {
         OpenSpinGate();
-        EXPECT_FALSE(SpinForLockBit(bit, spinner, kNoDeadline));
+        EXPECT_FALSE(SpinForLock(&spinner, kNoDeadline, [&] {
+          return bit.exchange(1, std::memory_order_acquire) == 0;
+        }));
       }
     });
   }

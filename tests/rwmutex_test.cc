@@ -3,10 +3,12 @@
 // the traced paths lives in threads_conformance_test; this suite pins the
 // runtime behaviour: admission rules, the wakeup policy (exclusive release
 // drains all readers + one writer; last reader out wakes a writer), timed
-// grants racing deadlines, the biased readers (a writer's blocking drain,
-// the try and timed writers beside a biased reader, slot ownership, bias
-// return), and the workload harness invariant.
+// grants racing deadlines, the biased readers (a writer's drain, spinning
+// then blocking, a reader in the used-slot bitmap's last word, the try and
+// timed writers beside a biased reader, slot ownership, bias return), and
+// the workload harness invariant.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -19,6 +21,7 @@
 #include "src/obs/metrics.h"
 #include "src/threads/thread_record.h"
 #include "src/threads/threads.h"
+#include "src/waitq/parker.h"
 #include "src/workload/rwlock.h"
 #include "tests/await_blocked.h"
 
@@ -222,8 +225,8 @@ TEST(RwMutexTest, TimedGrantRacingDeadlineIsKept) {
 // --- biased readers ---
 
 // A writer that finds a biased reader inside takes the writer bit, revokes
-// the bias and parks until the reader leaves; it must not spin. While it
-// drains, new readers wait on the word behind it.
+// the bias and waits until the reader leaves: it spins at most the budget,
+// then parks. While it drains, new readers wait on the word behind it.
 TEST(RwMutexTest, WriterDrainingABiasedReaderParks) {
   ReaderWriterMutex rw;
   rw.AcquireShared();
@@ -253,6 +256,117 @@ TEST(RwMutexTest, WriterDrainingABiasedReaderParks) {
   writer.Join();
   reader.Join();
   EXPECT_TRUE(read.load(std::memory_order_acquire));
+  EXPECT_EQ(rw.ReadersForDebug(), 0u);
+}
+
+// Gives every cell of the process-wide spin gate full credit, so the next
+// spin on any CPU is admitted.
+void OpenSpinGate() {
+  waitq::SpinGate& gate = waitq::SpinGate::Get();
+  const unsigned cpus = std::max(std::thread::hardware_concurrency(), 1u);
+  for (unsigned cpu = 0; cpu < cpus; ++cpu) {
+    for (int i = 0; i < waitq::SpinGate::kMaxCredit; ++i) {
+      gate.Record(cpu, /*hit=*/true);
+    }
+  }
+}
+
+std::uint64_t Delta(const obs::Stats& before, const obs::Stats& after,
+                    obs::Counter c) {
+  return after.Count(c) - before.Count(c);
+}
+
+// A biased reader that leaves within the spin budget lets the writer in by
+// the drain's spin: a revocation with no drain park and no kRwExclusive
+// block. The reader leaves a delay after it sees the writer's holder
+// stamp. A round whose reader left before the writer's first scan (no
+// spin at all) doubles the delay; one that parked, the reader preempted or
+// slower than the budget, halves it. The test asks for one clean round.
+TEST(RwMutexTest, WriterDrainsABriefBiasedReaderBySpinning) {
+  using obs::Counter;
+  std::uint64_t delay_ns = 1000;
+  bool spun_in = false;
+  for (int round = 0; round < 30 && !spun_in; ++round) {
+    ReaderWriterMutex rw;  // fresh: biased, no inhibit window
+    std::atomic<bool> holding{false};
+    Thread reader = Thread::Fork([&] {
+      rw.AcquireShared();
+      ASSERT_EQ(BiasedHold(), &rw);
+      holding.store(true, std::memory_order_release);
+      while (rw.HolderForDebug() == spec::kNil) {
+        SpinLock::Pause();
+      }
+      const std::uint64_t leave = obs::NowNanos() + delay_ns;
+      while (obs::NowNanos() < leave) {
+        SpinLock::Pause();
+      }
+      rw.ReleaseShared();
+    });
+    while (!holding.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+    OpenSpinGate();
+    const obs::Stats before = obs::Snapshot();
+    rw.Acquire();
+    const obs::Stats after = obs::Snapshot();
+    EXPECT_EQ(rw.ReadersForDebug(), 0u);
+    rw.Release();
+    reader.Join();
+    EXPECT_EQ(Delta(before, after, Counter::kRwBiasRevocations), 1u);
+    const bool parked = Delta(before, after, Counter::kRwDrainParks) != 0;
+    spun_in = !parked && Delta(before, after, Counter::kLockSpinHits) == 1;
+    if (!spun_in) {
+      delay_ns = parked ? std::max<std::uint64_t>(delay_ns / 2, 100)
+                        : std::min<std::uint64_t>(delay_ns * 2, 8000);
+    }
+  }
+  EXPECT_TRUE(spun_in);
+}
+
+// The used-slot bitmap covers every slot: a reader whose slot is in the
+// last bitmap word (id & 255 >= 192) is counted, and a revoking writer
+// drains it.
+TEST(RwMutexTest, RevokingWriterDrainsAReaderInTheLastBitmapWord) {
+  ReaderWriterMutex rw;
+  std::atomic<bool> holding{false};
+  std::atomic<bool> release{false};
+  Thread reader;
+  for (int i = 0; i < 256 && !holding.load(std::memory_order_acquire); ++i) {
+    reader = Thread::Fork([&] {
+      if ((Thread::Self().id() & 255) < 192) {
+        return;
+      }
+      rw.AcquireShared();
+      EXPECT_EQ(BiasedHold(), &rw);
+      holding.store(true, std::memory_order_release);
+      while (!release.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+      rw.ReleaseShared();
+    });
+    if ((reader.Handle().id() & 255) < 192) {
+      reader.Join();
+    } else {
+      while (!holding.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+    }
+  }
+  ASSERT_TRUE(holding.load(std::memory_order_acquire));
+  EXPECT_EQ(rw.ReadersForDebug(), 1u);
+  EXPECT_FALSE(rw.TryAcquire());  // its revocation's scan finds the reader
+  std::atomic<bool> wrote{false};
+  Thread writer = Thread::Fork([&] {
+    WriteLock wl(rw);
+    wrote.store(true, std::memory_order_release);
+  });
+  AwaitBlocked(writer);
+  EXPECT_EQ(BlockKindOf(writer), ThreadRecord::BlockKind::kRwExclusive);
+  EXPECT_FALSE(wrote.load(std::memory_order_acquire));
+  release.store(true, std::memory_order_release);
+  reader.Join();
+  writer.Join();
+  EXPECT_TRUE(wrote.load(std::memory_order_acquire));
   EXPECT_EQ(rw.ReadersForDebug(), 0u);
 }
 
