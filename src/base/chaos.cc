@@ -50,6 +50,7 @@ constexpr PointInfo kPoints[kNumPoints] = {
     {"msgq.unlock_to_wake", Category::kBeforeUnpark},
     {"thread.exit_to_reclaim", Category::kGeneric},
     {"rwlock.bias_recheck", Category::kAfterCas},
+    {"mutex.clear_to_owed_wake", Category::kBeforeUnpark},
 };
 
 constexpr const char* kStrategyNames[] = {"uniform", "preempt-after-cas",

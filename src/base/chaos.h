@@ -107,6 +107,9 @@ enum class Point : std::uint32_t {
   // The rwlock's biased readers (src/threads/rwmutex.h).
   kRwlockBiasRecheck,    // reader's slot CAS won, before it re-reads the
                          // bias flag a revoking writer is clearing
+  // Condition wakes deferred to the mutex release (condition.h, Ready).
+  kMutexClearToOwedWake, // a release cleared the Lock-bit, before it
+                         // unparks the waiters its Signals left parked
   kCount,
 };
 

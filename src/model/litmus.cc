@@ -1340,6 +1340,194 @@ class BiasedReaderTest : public LitmusTest {
 };
 
 // ---------------------------------------------------------------------------
+// A Signal made under the waiter's mutex, its wake deferred to the release
+// ---------------------------------------------------------------------------
+
+// Condition::Ready and WakeOwed (src/threads/condition.cc), modelled on
+// the simulator's own Nub: the mutex's lock bit, holder and queue, the
+// condition's eventcount, waiter count and queue, and each thread's owed
+// wakes. A thread queues and de-schedules in one section under the
+// machine's spin-lock, and a wake takes that lock, so a popped thread is
+// asleep by the time it is made ready. The waiter waits for `ready_` in a
+// predicate loop. The signaller sets it and signals under the mutex, then
+// releases it. The barger sets it under the mutex too, but signals after
+// its release, so a barged re-acquire and an undeferred Signal are on the
+// table as well. A critical section runs in the step of its winning
+// test-and-set, and a Signal's waiter test, eventcount advance and pop are
+// one step: the lock core's and the fast path's own races are covered
+// elsewhere. Thread exit, which would pay a wake still owed, is left out:
+// it must not be what saves a long-lived signaller.
+class SignalUnderLockTest : public LitmusTest {
+ public:
+  SignalUnderLockTest(SignalDeferral protocol, Tally* tally)
+      : protocol_(protocol), tally_(tally) {}
+
+  void Setup(Machine& machine) override {
+    machine.Fork([this, &machine] { Waiter(machine); }, /*priority=*/0,
+                 "waiter");
+    machine.Fork(
+        [this, &machine] {
+          Acquire(machine, kSignaller);
+          ready_ = true;
+          Signal(machine, kSignaller);
+          Release(machine, kSignaller);
+        },
+        /*priority=*/0, "signaller");
+    machine.Fork(
+        [this, &machine] {
+          Acquire(machine, kBarger);
+          ready_ = true;
+          Release(machine, kBarger);
+          Signal(machine, kBarger);
+        },
+        /*priority=*/0, "barger");
+  }
+
+  std::string Verify(const RunResult& result) override {
+    if (tally_ != nullptr) {
+      tally_->completions += result.completed ? 1 : 0;
+      tally_->deadlocks += result.deadlock ? 1 : 0;
+      tally_->cond_wakes_deferred += deferred_ ? 1 : 0;
+    }
+    if (!result.completed) {
+      if (!owed_[kSignaller].empty() || !owed_[kBarger].empty()) {
+        return "lost wakeup: the waiter sleeps on a wake a finished thread "
+               "still owes: " +
+               result.ToString();
+      }
+      return "stuck: " + result.ToString();
+    }
+    if (!mutex_queue_.empty() || cond_queued_ || bit_ != 0) {
+      return "the run ended with a queued thread or the mutex held";
+    }
+    return "";
+  }
+
+ private:
+  enum : int { kWaiter = 0, kSignaller = 1, kBarger = 2 };
+
+  // Starts inside its Wait, in the wakeup-waiting window: it held m, found
+  // `ready_` false, counted itself in at eventcount 0 and released m. Then:
+  // Block unless a Signal moved the eventcount, re-acquire m and re-test
+  // the predicate.
+  void Waiter(Machine& machine) {
+    for (int i = 0;;) {
+      machine.SpinAcquire();
+      if (ec_ != i) {
+        --waiters_;
+        machine.SpinRelease();
+      } else {
+        cond_queued_ = true;
+        Deschedule(machine, kWaiter);
+      }
+      Acquire(machine, kWaiter);
+      if (ready_) {
+        break;
+      }
+      i = ec_;
+      ++waiters_;
+      Release(machine, kWaiter);
+    }
+    Release(machine, kWaiter);
+  }
+
+  // The test-and-set; if it fails, queue, re-test the bit and sleep. The
+  // caller's critical section runs in the step of the winning
+  // test-and-set: no other thread touches its state while the bit is
+  // held.
+  void Acquire(Machine& machine, int self) {
+    for (;;) {
+      machine.Step();
+      if (bit_ == 0) {
+        bit_ = 1;
+        holder_ = self;
+        return;
+      }
+      machine.SpinAcquire();
+      if (bit_ == 0) {
+        machine.SpinRelease();
+        continue;  // freed meanwhile: retry the test-and-set
+      }
+      mutex_queue_.push_back(self);
+      Deschedule(machine, self);
+    }
+  }
+
+  // Clear the bit and test the queue (one step, as the lock core's clear
+  // and queue_len_ load); under the spin-lock, make one queued thread
+  // ready; then pay the owed wakes.
+  void Release(Machine& machine, int self) {
+    machine.Step();
+    holder_ = -1;
+    bit_ = 0;
+    const bool flush = protocol_ != SignalDeferral::kReleaseSkipsFlush &&
+                       !owed_[self].empty();
+    if (mutex_queue_.empty() && !flush) {
+      return;  // the bug, if wakes are owed: they stay owed
+    }
+    machine.SpinAcquire();
+    if (!mutex_queue_.empty()) {
+      machine.MakeReady(fibers_[mutex_queue_.front()]);
+      mutex_queue_.erase(mutex_queue_.begin());
+    }
+    if (flush) {
+      for (int t : owed_[self]) {
+        machine.MakeReady(fibers_[t]);
+      }
+      owed_[self].clear();
+    }
+    machine.SpinRelease();
+  }
+
+  // One step for the waiter test and, under c's lock, the eventcount
+  // advance and the pop; then Ready. Only a wake made now takes the
+  // spin-lock, which the waiter holds from its queueing to its sleep.
+  void Signal(Machine& machine, int self) {
+    machine.Step();
+    if (waiters_ == 0) {
+      return;
+    }
+    ++ec_;
+    if (!cond_queued_) {
+      return;
+    }
+    cond_queued_ = false;
+    --waiters_;
+    const bool defer = protocol_ == SignalDeferral::kDeferIfHeld
+                           ? bit_ != 0
+                           : holder_ == self;
+    if (defer) {
+      deferred_ = true;
+      owed_[self].push_back(kWaiter);
+      return;
+    }
+    machine.SpinAcquire();
+    machine.MakeReady(fibers_[kWaiter]);
+    machine.SpinRelease();
+  }
+
+  // Caller holds the spin-lock and has queued itself.
+  void Deschedule(Machine& machine, int self) {
+    fibers_[self] = Machine::Self();
+    fibers_[self]->block_kind = firefly::Fiber::BlockKind::kSemaphore;
+    machine.DescheduleSelf();
+  }
+
+  const SignalDeferral protocol_;
+  Tally* const tally_;
+  firefly::Fiber* fibers_[3] = {};
+  int bit_ = 0;
+  int holder_ = -1;
+  std::vector<int> mutex_queue_;
+  int ec_ = 0;
+  int waiters_ = 1;
+  bool cond_queued_ = false;  // only the waiter ever waits on c
+  bool ready_ = false;        // the predicate, guarded by the mutex
+  std::vector<int> owed_[3];
+  bool deferred_ = false;
+};
+
+// ---------------------------------------------------------------------------
 // Dining philosophers
 // ---------------------------------------------------------------------------
 
@@ -1418,6 +1606,12 @@ LitmusFactory AlertExitLitmus(RecordReclaim reclaim, Tally* tally) {
 LitmusFactory BiasedReaderLitmus(BiasProtocol protocol, Tally* tally) {
   return [protocol, tally] {
     return std::make_unique<BiasedReaderTest>(protocol, tally);
+  };
+}
+
+LitmusFactory SignalUnderLockLitmus(SignalDeferral protocol, Tally* tally) {
+  return [protocol, tally] {
+    return std::make_unique<SignalUnderLockTest>(protocol, tally);
   };
 }
 

@@ -55,6 +55,9 @@ struct Tally {
   std::uint64_t bias_backouts = 0;
   std::uint64_t drain_spin_hits = 0;
   std::uint64_t drain_parks = 0;
+  // Signal-under-lock litmus: runs where a Signal made under the waiter's
+  // mutex left the wake owed to that mutex's release.
+  std::uint64_t cond_wakes_deferred = 0;
 };
 
 // The biased reader protocol of ReaderWriterMutex, for BiasedReaderLitmus.
@@ -66,6 +69,16 @@ enum class BiasProtocol {
   kFlagBeforeClear,   // the release reads the flag before clearing the slot
   kMarkAfterPublish,  // the bitmap bit is set after the slot CAS and its
                       // re-read, once the reader is inside
+};
+
+// Where a signalled waiter's wake goes, for SignalUnderLockLitmus.
+enum class SignalDeferral {
+  kShipped,            // src/threads/condition.cc: a Signal defers the wake
+                       // iff the signaller holds the waiter's mutex, and
+                       // every release pays the owed wakes after the clear
+  kReleaseSkipsFlush,  // a release clears the bit but pays no owed wake
+  kDeferIfHeld,        // a Signal defers whenever the waiter's mutex is
+                       // held, by the signaller or by another thread
 };
 
 // What a thread's exit does with its record, for AlertExitLitmus.
@@ -202,6 +215,17 @@ LitmusFactory AlertExitLitmus(RecordReclaim reclaim, Tally* tally = nullptr);
 // release misses the drainer, which then sleeps forever.
 LitmusFactory BiasedReaderLitmus(BiasProtocol protocol,
                                  Tally* tally = nullptr);
+
+// A Signal made under the waiter's mutex (Condition::Ready): a waiter in a
+// predicate loop, a signaller that sets the predicate and signals under
+// the mutex and then waits for the waiter's acknowledgement, and a barger
+// that takes and releases the mutex and then signals without holding it.
+// With kShipped every schedule completes and the tally shows the wake
+// deferred; kReleaseSkipsFlush and kDeferIfHeld each have a schedule in
+// which the waiter sleeps on a wake owed by a thread that will not release
+// the mutex again: a lost wakeup.
+LitmusFactory SignalUnderLockLitmus(SignalDeferral protocol,
+                                    Tally* tally = nullptr);
 
 // A reader-preference readers-writer lock (the policy of
 // taos::ReaderWriterMutex: readers are admitted whenever no writer is

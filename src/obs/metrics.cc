@@ -102,6 +102,7 @@ constexpr const char* kCounterNames[] = {
     "wakeup_waiting_hits",
     "spurious_wakeups",
     "handoffs",
+    "cond_wakes_deferred",
     "lock_bit_retries",
     "spin_iterations",
     "contended_spin_acquires",

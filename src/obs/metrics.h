@@ -67,6 +67,8 @@ enum class Counter : int {
                        // moved in the window, a lost wakeup was prevented
   kSpuriousWakeups,    // unparked but the retried test-and-set lost (barging)
   kHandoffs,           // a slow path made another thread ready (unpark)
+  kCondWakesDeferred,  // a Signal/Broadcast under the waiter's mutex left
+                       // its unpark (one handoff) to that mutex's release
   kLockBitRetries,     // failed test-and-set retries inside a Nub slow loop
 
   // --- spin-lock and eventcount internals ---

@@ -67,6 +67,9 @@ WaitResult Condition::WaitUntil(Mutex& m, std::uint64_t deadline_ns,
   if (nub.tracing()) {
     return TracedWaitFor(m, self, deadline_ns, alertable);
   }
+  // Ready reads it to tell whether a Signal's caller holds m. (Traced
+  // Signals never call Ready.)
+  self->wait_mutex = &m;
   // First read c's Eventcount (still inside the critical section)...
   const EventCount::Value i = ec_.Read();
   // ...announce ourselves to Signal's fast path before the critical section
@@ -169,8 +172,53 @@ void Condition::NubSignal() {
     }
   }
   if (wake != nullptr) {
+    Ready(Nub::Current(), wake);
+  }
+}
+
+void Condition::Ready(ThreadRecord* self, ThreadRecord* t) {
+  // Resume's WHEN (m = NIL) cannot hold while the caller holds t's mutex,
+  // so an unpark now would only send t to queue on m. Owe the wake to the
+  // caller's next release instead. t is parked until its permit arrives,
+  // whatever its deadline or an Alert does meanwhile (ParkBlockedUntil,
+  // Alert), so its wait_mutex and queue_node stay as they are.
+  Mutex* m = t->wait_mutex;
+  if (m->holder_.load(std::memory_order_relaxed) == self->id) {
+    obs::Inc(obs::Counter::kCondWakesDeferred);
+    if (obs::diag::Enabled()) [[unlikely]] {
+      // t now waits for m as surely as if it were queued on it: keep the
+      // waits-for edge t -> m -> self visible to the watchdog until
+      // WakeOwed, so a deadlock through this window is still named.
+      SpinGuard g(t->lock);
+      obs::diag::PublishBlocked(t->diag_slot, obs::diag::WaitKind::kMutex,
+                                m->id(), obs::NowNanos(),
+                                /*alertable=*/false);
+    }
+    t->queue_node.next = self->owed_wakes != nullptr
+                             ? &self->owed_wakes->queue_node
+                             : nullptr;
+    self->owed_wakes = t;
+    return;
+  }
+  obs::Inc(obs::Counter::kHandoffs);
+  t->park.Unpark();
+}
+
+void WakeOwed(ThreadRecord* self) {
+  TAOS_CHAOS(kMutexClearToOwedWake);
+  ThreadRecord* t = self->owed_wakes;
+  self->owed_wakes = nullptr;
+  while (t != nullptr) {
+    // Read the link before the unpark: t owns its queue_node again after.
+    QueueNode* next = t->queue_node.next;
+    t->queue_node.next = nullptr;
+    if (obs::diag::Enabled()) [[unlikely]] {
+      SpinGuard g(t->lock);
+      obs::diag::ClearBlocked(t->diag_slot);  // Ready's edge, before t runs
+    }
     obs::Inc(obs::Counter::kHandoffs);
-    wake->park.Unpark();
+    t->park.Unpark();
+    t = next != nullptr ? static_cast<ThreadRecord*>(next->owner) : nullptr;
   }
 }
 
@@ -203,9 +251,9 @@ void Condition::NubBroadcast() {
       wake.push_back(t);
     }
   }
-  obs::Add(obs::Counter::kHandoffs, wake.size());
+  ThreadRecord* self = Nub::Current();
   for (ThreadRecord* t : wake) {
-    t->park.Unpark();
+    Ready(self, t);
   }
 }
 

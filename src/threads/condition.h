@@ -117,6 +117,12 @@ class Condition {
   void NubSignal();
   void NubBroadcast();
 
+  // Makes `t`, which a Signal or Broadcast by `self` just took off the
+  // Queue, ready: unparks it, or, if `self` holds the mutex t waits to
+  // re-acquire (ThreadRecord::wait_mutex), adds it to self's owed wakes
+  // for the release of that mutex to pay (WakeOwed, thread_record.h).
+  static void Ready(ThreadRecord* self, ThreadRecord* t);
+
   // Removes `t`, found blocked here, from the Queue: the dequeue of an
   // expired waiter (alerted false) and of an alerted one. Caller holds
   // nub_lock_ and t's record lock. A traced waiter stays a spec-member of c

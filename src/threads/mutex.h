@@ -104,7 +104,9 @@ class Mutex {
   }
 
   // Release's user code: clear the Lock-bit; the core calls the Nub only if
-  // the Queue is non-empty.
+  // the Queue is non-empty. Then pay the wakes of any Signal this thread
+  // made under a mutex it held (Condition::Ready): a plain load and a
+  // branch, no atomic RMW.
   void ClearBit(ThreadRecord* self) {
     // REQUIRES m = SELF. (Checked here as a library extension; the paper's
     // implementation trusted the caller.)
@@ -112,6 +114,9 @@ class Mutex {
     holder_.store(spec::kNil, std::memory_order_relaxed);
     obs::Inc(core_.Clear() ? obs::Counter::kNubRelease
                            : obs::Counter::kFastMutexRelease);
+    if (self->owed_wakes != nullptr) [[unlikely]] {
+      WakeOwed(self);
+    }
   }
 
   // The out-of-line paths the in-line ones fall back to: taken when a

@@ -18,10 +18,17 @@ namespace {
 // after its thread_local destructors, and drops the thread's claim. A later
 // synchronization call on this thread (from another key's destructor)
 // registers a record again, which re-arms the key, and the next destructor
-// round releases that one too.
+// round releases that one too. Wakes the thread still owes (it exits
+// holding a mutex it signalled under) are paid first: the waiters then
+// queue on that mutex, where the watchdog can see them, instead of staying
+// parked on nothing.
 void ExitRecord(void* arg) {
+  auto* rec = static_cast<ThreadRecord*>(arg);
+  if (rec->owed_wakes != nullptr) {
+    WakeOwed(rec);
+  }
   internal::g_current = nullptr;
-  Nub::Get().ReleaseRecord(static_cast<ThreadRecord*>(arg));
+  Nub::Get().ReleaseRecord(rec);
 }
 
 pthread_key_t RecordKey() {

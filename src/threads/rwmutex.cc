@@ -283,10 +283,15 @@ bool ReaderWriterMutex::RevokeBias(ThreadRecord* self,
   // sees the mark and its slot load the publish; a reader that published
   // after the scan finds the flag cleared and backs out.
   bias_.store(false, std::memory_order_seq_cst);
+  const bool reader_inside = BiasedReaders() != 0;
+  // The bias's own cost: the clear and the first scan. Waiting for a
+  // reader already inside is not part of it, since that reader would hold
+  // off a writer on the plain word just the same.
+  const std::uint64_t cost = obs::NowNanos() - start;
   // A reader inside usually leaves within microseconds: re-scan as the
   // lock spin's one spinner (the writer-bit holder is the only drainer)
   // before queueing to park.
-  if (BiasedReaders() != 0 && !DeadlinePassed(deadline_ns)) {
+  if (reader_inside && !DeadlinePassed(deadline_ns)) {
     SpinForLock(/*spinner=*/nullptr, deadline_ns,
                 [this] { return BiasedReaders() == 0; });
   }
@@ -336,8 +341,7 @@ bool ReaderWriterMutex::RevokeBias(ThreadRecord* self,
     ClearWriter(self);
     return false;
   }
-  const std::uint64_t end = obs::NowNanos();
-  inhibit_until_.store(end + kInhibitFactor * (end - start),
+  inhibit_until_.store(obs::NowNanos() + kInhibitFactor * cost,
                        std::memory_order_relaxed);
   return true;
 }

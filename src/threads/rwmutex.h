@@ -44,7 +44,8 @@
 // holds the lock: it scans only the slots a used-slot bitmap marks, spins
 // on that scan for the lock spin's budget (lock_spin.h), and only then
 // parks. Bias returns on the word path once an inhibit window, 9x the last
-// revocation's cost, has passed.
+// revocation's own cost (its flag clear and first scan, not the wait for a
+// reader already inside), has passed.
 //
 // Word waits spin too: a reader blocked by the writer bit and a writer
 // blocked by the word each retry their CAS as their side's one spinner
@@ -175,7 +176,9 @@ class ReaderWriterMutex {
   static void MarkBiasSlot(ThreadRecord* self);
 
   // Bias stays off for this many times the last revocation's cost (BRAVO's
-  // N), so a lock that writers take often settles on the word.
+  // N), so a lock that writers take often settles on the word. The cost is
+  // the flag clear and the first scan: draining a reader that was already
+  // inside would have delayed a writer on the word too.
   static constexpr std::uint64_t kInhibitFactor = 9;
 
   // The writer's user-code CAS of 0 -> writer-bit (fast path and the Nub

@@ -42,11 +42,36 @@ struct ThreadRecord {
   // the handle's id; the owning thread reads it freely.
   spec::ThreadId id = spec::kNil;
 
+  // Multi-object wait notification latch (src/threads/poll.h). A poll
+  // waiter re-arms it to 0 before each scan of its wait set; an Event::Set
+  // that finds this thread registered exchanges it to 1 and, on the 0->1
+  // edge only, performs the record-lock unblock dance. Living here (not on
+  // the waiter's stack) means granters never dereference stack memory of a
+  // thread that may have already returned from WaitAny. Not guarded by
+  // `lock` — the seq_cst exchange/store pair is the Dekker publication the
+  // protocol's lost-wakeup argument rests on (DESIGN.md §15).
+  std::atomic<std::uint32_t> poll_latch{0};
+
   // The ReaderWriterMutex this thread holds through its bias slot, or null.
   // Owner-only: a slot that holds a lock does not say which thread put it
   // there, so a biased release checks this first (rwmutex.h). Reset when
   // the record is reused.
   ReaderWriterMutex* biased_rw = nullptr;
+
+  // The Mutex this thread re-acquires when its current Condition wait
+  // ends. Written by the owner before it releases that mutex (WaitUntil),
+  // read by the Signal or Broadcast that pops the owner from the
+  // condition's queue, while the owner sits parked.
+  Mutex* wait_mutex = nullptr;
+
+  // Wakes this thread owes: waiters a Signal or Broadcast made under their
+  // own mutex took off a condition's queue and left parked, because they
+  // could not re-acquire that mutex before this thread released it. Linked
+  // through each waiter's free queue_node.next; owner-only. Every untraced
+  // Mutex release pays them after it clears the bit, and so does thread
+  // exit (WakeOwed below; DESIGN.md §13). Traced Signals never defer, so
+  // the traced releases have nothing to pay.
+  ThreadRecord* owed_wakes = nullptr;
 
   // "De-scheduled" threads park here; making a thread ready unparks it.
   // The queue discipline guarantees at most one outstanding unpark. The
@@ -58,6 +83,19 @@ struct ThreadRecord {
   // AlertP / AlertWait. In spec-tracing mode every access that an emitted
   // action depends on happens under `lock`, so the alert actions serialize.
   std::atomic<bool> alerted{false};
+
+  // Set when the thread terminated because Alerted escaped its root
+  // function (see Thread::Fork).
+  std::atomic<bool> ended_by_alert{false};
+
+  // Claims on the record: its running thread, and the Thread object that
+  // forked it until that is joined. The last to drop frees the record
+  // (Nub::ReleaseRecord).
+  std::atomic<std::uint8_t> refs{0};
+
+  // Whether this record generation has set its slot's bit in the biased
+  // readers' used-slot bitmap (rwmutex.h). Owner-only; reset on reuse.
+  bool bias_slot_marked = false;
 
   // The parking-lot lock: guards this record's blocking state against the
   // one operation that cannot reach it through the blocked-on object's
@@ -82,34 +120,11 @@ struct ThreadRecord {
   void* blocked_obj = nullptr;  // the object blocked on (a LockCore for
                                 // kMutex and kSemaphore)
   ObjLock* blocked_lock = nullptr;  // that object's slow-path lock
-  // Multi-object wait notification latch (src/threads/poll.h). A poll
-  // waiter re-arms it to 0 before each scan of its wait set; an Event::Set
-  // that finds this thread registered exchanges it to 1 and, on the 0->1
-  // edge only, performs the record-lock unblock dance. Living here (not on
-  // the waiter's stack) means granters never dereference stack memory of a
-  // thread that may have already returned from WaitAny. Not guarded by
-  // `lock` — the seq_cst exchange/store pair is the Dekker publication the
-  // protocol's lost-wakeup argument rests on (DESIGN.md §15).
-  std::atomic<std::uint32_t> poll_latch{0};
 
   // This thread's waits-for registry slot (src/obs/diag.h), registered
   // lazily at the first blocking episode. Writes to the slot are seqlock
   // publications serialized by `lock`; the watchdog reads it lock-free.
   obs::diag::WaiterSlot* diag_slot = nullptr;
-
-  // Set when the thread terminated because Alerted escaped its root
-  // function (see Thread::Fork).
-  std::atomic<bool> ended_by_alert{false};
-
-  // Claims on the record: its running thread, and the Thread object that
-  // forked it until that is joined. The last to drop frees the record
-  // (Nub::ReleaseRecord).
-  std::atomic<std::uint8_t> refs{0};
-
-  // Whether this record generation has set its slot's bit in the biased
-  // readers' used-slot bitmap (rwmutex.h). Owner-only; reset on reuse. It
-  // sits here, in the padding after `refs`.
-  bool bias_slot_marked = false;
 
   ThreadRecord() = default;
   ThreadRecord(const ThreadRecord&) = delete;
@@ -118,7 +133,9 @@ struct ThreadRecord {
 
 // Every live thread carries one record, so its size is part of each
 // thread's RSS (perfbench rpc, kv); a new field should be a choice. 224:
-// biased_rw, the biased ReaderWriterMutex's owner check, added 8 bytes.
+// biased_rw, the biased ReaderWriterMutex's owner check, added 8 bytes;
+// wait_mutex and owed_wakes took the padding the one-byte and four-byte
+// fields used to leave.
 #if defined(__x86_64__)
 static_assert(sizeof(ThreadRecord) == 224, "ThreadRecord changed size");
 #endif
@@ -220,6 +237,13 @@ inline bool ParkBlocked(ThreadRecord* t, waitq::Parker::Spin spin,
   obs::Record(obs::Histogram::kBlockedNanos, obs::NowNanos() - start);
   return woken;
 }
+
+// Pays the wakes `self` owes (ThreadRecord::owed_wakes): unparks each
+// waiter and empties the list. Called on `self`'s own thread by every
+// untraced Mutex release once the Lock-bit is clear, and by thread exit.
+// Out of line (condition.cc): the in-line Release tests the list before it
+// calls.
+void WakeOwed(ThreadRecord* self);
 
 // Opaque handle clients use to name a thread (e.g. Alert(t)): the record
 // and the id the thread had in it. The handle stays safe to use after the

@@ -286,12 +286,23 @@ void MixedWorkloadPass() {
   }
   threads.push_back(Thread::Fork([&] {
     for (int j = 0; j < 120 && !stop.load(std::memory_order_relaxed); ++j) {
+      // Every other round notifies under m: its wakes are deferred to the
+      // Release, which pays them once the bit is clear.
+      const bool under_m = j % 2 == 1;
+      const auto notify = [&] {
+        if (j % 4 < 2) {
+          c.Broadcast();
+        } else {
+          c.Signal();
+        }
+      };
       m.Acquire();
+      if (under_m) {
+        notify();
+      }
       m.Release();
-      if (j % 4 == 0) {
-        c.Broadcast();
-      } else {
-        c.Signal();
+      if (!under_m) {
+        notify();
       }
       std::this_thread::sleep_for(30us);
     }

@@ -1,7 +1,8 @@
 // The contention-diagnosis layer (src/obs/diag): seqlock slot publication
 // and snapshots, the owner table, cycle detection over the waits-for graph
 // (pure), report formatting, a live blocked-thread snapshot against the
-// real runtime, and the watchdog's stall dump.
+// real runtime, the watchdog's stall dump, and a nested-monitor deadlock
+// through a condition wake deferred to the mutex release.
 //
 // The real-deadlock end-to-end check lives in diag_deadlock_fixture.cc (a
 // deliberately hung process cannot share a gtest binary).
@@ -12,6 +13,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -244,6 +246,101 @@ TEST(DiagWatchdogTest, StallDumpNamesTheBlockedThread) {
   EXPECT_NE(dump.find("taos waits-for snapshot"), std::string::npos) << dump;
   EXPECT_NE(dump.find("blocked on mutex obj"), std::string::npos) << dump;
   EXPECT_NE(dump.find("flight-recorder events"), std::string::npos) << dump;
+}
+
+// A nested-monitor deadlock through a deferred condition wake: W holds m2
+// and waits on c with m; S signals c under m, so W's wake is owed to S's
+// release of m, and then S acquires m2. W is off c's queue, yet it waits
+// for m as surely as if it were queued there: the registry must keep the
+// edge W -> m, or the walk stops at W and the cycle W -> m -> S -> m2 -> W
+// is never named. S's timed acquire ends the deadlock after the watchdog
+// has had its say.
+TEST(DiagWatchdogTest, NamesNestedMonitorDeadlockThroughDeferredWake) {
+  obs::diag::SetEnabled(true);
+  Mutex m;
+  Mutex m2;
+  Condition c;
+  std::atomic<spec::ThreadId> w_tid{spec::kNil};
+  std::atomic<spec::ThreadId> s_tid{spec::kNil};
+  std::atomic<bool> signalled{false};
+  Thread w = Thread::Fork([&] {
+    w_tid.store(Thread::Self().id(), std::memory_order_release);
+    m2.Acquire();
+    m.Acquire();
+    while (!signalled.load(std::memory_order_relaxed)) {
+      c.Wait(m);
+    }
+    m.Release();
+    m2.Release();
+  });
+  // Let W queue on c, so the Signal below finds it there (not in the
+  // wakeup-waiting window, which would send it to queue on m instead).
+  bool queued = false;
+  while (!queued) {
+    for (const BlockedEdge& e : obs::diag::SnapshotBlocked()) {
+      queued |= e.tid == w_tid.load(std::memory_order_acquire) &&
+                e.kind == WaitKind::kCondition && e.obj == c.id();
+    }
+    std::this_thread::sleep_for(100us);
+  }
+
+  std::mutex named_mu;
+  std::vector<Cycle> named;
+  std::FILE* out = std::tmpfile();
+  ASSERT_NE(out, nullptr);
+  obs::diag::Watchdog watchdog;
+  obs::diag::Watchdog::Options options;
+  options.interval_ms = 10;
+  options.stall_ms = 0;  // deadlock detection only
+  options.out = out;
+  options.on_deadlock = [&](const std::string&,
+                            const std::vector<Cycle>& cycles) {
+    std::lock_guard<std::mutex> g(named_mu);
+    named = cycles;
+  };
+  watchdog.Start(options);
+
+  const obs::Stats before = obs::Snapshot();
+  WaitResult acquired = WaitResult::kSatisfied;
+  Thread s = Thread::Fork([&] {
+    s_tid.store(Thread::Self().id(), std::memory_order_relaxed);
+    m.Acquire();
+    signalled.store(true, std::memory_order_relaxed);
+    c.Signal();  // deferred: W re-acquires m, which this thread holds
+    // W holds m2 until it has m. Shorter than two scans of the test
+    // main's own 1 s watchdog, so only this test's watchdog names it.
+    acquired = m2.AcquireFor(500ms);
+    m.Release();
+  });
+  s.Join();
+  w.Join();
+  const obs::Stats after = obs::Snapshot();
+  watchdog.Stop();
+  // The owed wake took W's edge down before W ran again.
+  for (const BlockedEdge& e : obs::diag::SnapshotBlocked()) {
+    EXPECT_NE(e.tid, w_tid.load(std::memory_order_relaxed));
+  }
+  obs::diag::SetEnabled(false);
+  std::fclose(out);
+
+  EXPECT_EQ(after.Count(obs::Counter::kCondWakesDeferred) -
+                before.Count(obs::Counter::kCondWakesDeferred),
+            1u);
+  EXPECT_EQ(acquired, WaitResult::kTimeout);
+  std::lock_guard<std::mutex> g(named_mu);
+  ASSERT_EQ(named.size(), 1u) << "the watchdog never named the cycle";
+  ASSERT_EQ(named[0].edges.size(), 2u);
+  for (const BlockedEdge& e : named[0].edges) {
+    EXPECT_EQ(e.kind, WaitKind::kMutex);
+    if (e.tid == w_tid.load(std::memory_order_relaxed)) {
+      EXPECT_EQ(e.obj, m.id());
+      EXPECT_EQ(e.owner, s_tid.load(std::memory_order_relaxed));
+    } else {
+      EXPECT_EQ(e.tid, s_tid.load(std::memory_order_relaxed));
+      EXPECT_EQ(e.obj, m2.id());
+      EXPECT_EQ(e.owner, w_tid.load(std::memory_order_relaxed));
+    }
+  }
 }
 
 // Watchdog lifecycle: restartable, stop is idempotent, scans advance.

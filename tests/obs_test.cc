@@ -89,9 +89,11 @@ TEST(ObsMetricsTest, SignalWithEmptyConditionIsFast) {
 }
 
 // A forced-contention wait/Signal round trip: the waiter's `wait` and the
-// signaler's Signal each enter the Nub exactly once, and the Signal hands
-// off to exactly one thread. Wait and AlertWait share one Block but keep
-// their own Nub counters: `wait` moves `counted` and never `other`.
+// signaler's Signal each enter the Nub exactly once, and exactly one thread
+// is handed off to. The Signal is made under m, the waiter's mutex, so it
+// only defers the wake (cond_wakes_deferred), and the Release pays it (the
+// handoff). Wait and AlertWait share one Block but keep their own Nub
+// counters: `wait` moves `counted` and never `other`.
 void ExpectWaitSignalRoundTrip(void (*wait)(Mutex&, Condition&),
                                Counter counted, Counter other) {
   Mutex m;
@@ -109,21 +111,27 @@ void ExpectWaitSignalRoundTrip(void (*wait)(Mutex&, Condition&),
   while (!waiting.load(std::memory_order_acquire)) {
     std::this_thread::yield();
   }
-  // Wait releases m only after enqueuing on c, so once we hold m the waiter
-  // is on the condition queue (it may or may not have parked yet).
+  // Wait releases m before its Block enqueues on c: wait until the waiter
+  // is queued (it may or may not have parked yet), so the Signal finds it.
+  AwaitBlocked(waiter);
   m.Acquire();
   const Stats mid = Snapshot();
   c.Signal();
   const Stats after_signal = Snapshot();
   m.Release();
+  const Stats after_release = Snapshot();
   waiter.Join();
   const Stats end = Snapshot();
 
   // Tight bracket around Signal: the waiter is enqueued and we hold m, so
-  // exactly one Nub signal and one handoff happen, and nothing else moves.
+  // exactly one Nub signal and one deferred wake happen, and nothing else
+  // moves: no thread is made ready while m is still held.
   EXPECT_EQ(Delta(mid, after_signal, Counter::kNubSignal), 1u);
   EXPECT_EQ(Delta(mid, after_signal, Counter::kFastSignal), 0u);
-  EXPECT_EQ(Delta(mid, after_signal, Counter::kHandoffs), 1u);
+  EXPECT_EQ(Delta(mid, after_signal, Counter::kCondWakesDeferred), 1u);
+  EXPECT_EQ(Delta(mid, after_signal, Counter::kHandoffs), 0u);
+  // The Release clears the bit and then pays the owed wake: one handoff.
+  EXPECT_EQ(Delta(after_signal, after_release, Counter::kHandoffs), 1u);
 
   // Whole round trip: one wait entered the Nub, one Signal did; the wakeup
   // was a real handoff, not an absorbed (wakeup-waiting) one.

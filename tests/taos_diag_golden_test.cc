@@ -75,7 +75,8 @@ TEST(TaosDiagGoldenTest, BenchReportSummarizesHistograms) {
     "bench": "signal", "quick": true, "wall_seconds": 1.0, "num_cpus": 4,
     "lock_backend": "tas", "global_lock_mode": false,
     "metrics": {
-      "counters": {"handoffs": 100, "spurious_wakeups": 3},
+      "counters": {"handoffs": 100, "cond_wakes_deferred": 40,
+                   "spurious_wakeups": 3},
       "histograms": {"wakeup_latency_ns": [0,0,0,0,0,0,0,0,0,0,2,5,1,0,0,0,
                                            0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}
     },
@@ -85,7 +86,9 @@ TEST(TaosDiagGoldenTest, BenchReportSummarizesHistograms) {
   std::string error;
   ASSERT_TRUE(diagtool::FormatBenchReport(bench, &report, &error)) << error;
   EXPECT_NE(report.find("bench report (signal)"), std::string::npos) << report;
-  EXPECT_NE(report.find("handoffs=100"), std::string::npos) << report;
+  EXPECT_NE(report.find("handoffs=100 cond_wakes_deferred=40"),
+            std::string::npos)
+      << report;
   EXPECT_NE(report.find("wakeup_latency_ns"), std::string::npos) << report;
   EXPECT_NE(report.find("8 samples"), std::string::npos) << report;
 

@@ -398,11 +398,11 @@ bool FormatBenchReport(const std::string& text, std::string* out,
       counters != nullptr && counters->IsObject()) {
     *out += "counters:";
     for (const char* key :
-         {"handoffs", "spurious_wakeups", "wakeup_waiting_hits",
-          "park_futex_waits", "park_condvar_waits", "park_permit_ready",
-          "park_spin_hits", "park_spin_misses", "park_spin_skipped",
-          "lock_spin_hits", "lock_spin_misses", "lock_spin_skipped",
-          "lock_spin_busy"}) {
+         {"handoffs", "cond_wakes_deferred", "spurious_wakeups",
+          "wakeup_waiting_hits", "park_futex_waits", "park_condvar_waits",
+          "park_permit_ready", "park_spin_hits", "park_spin_misses",
+          "park_spin_skipped", "lock_spin_hits", "lock_spin_misses",
+          "lock_spin_skipped", "lock_spin_busy"}) {
       if (const Value* v = counters->Find(key); v != nullptr && v->IsNumber()) {
         AppendF(out, " %s=%.0f", key, v->number);
       }
