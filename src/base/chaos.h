@@ -91,15 +91,15 @@ enum class Point : std::uint32_t {
   kPollDeregister,       // grant taken, before deregistering the rest —
                          // the lost-wakeup window the litmus test models
   kEventSetToResume,     // Set: flag stored, before waking waiters/pollers
-  kMsgqHandoff,          // MessageQueue: state changed under the user
-                         // mutex, before the event edge is published
+  kMsgqHandoff,          // MessageQueue: a Send or TryRecv claimed its
+                         // ring position, before it publishes the cell
   // The lock core's spin on the bit (src/threads/lock_spin).
   kLockSpinToEnqueue,    // the spin did not take the bit (missed, gate
                          // closed, or another waiter spinning), before the
                          // enqueue-then-retest
-  // MessageQueue's edge sets, split across its mutex (message_queue.h).
-  kMsgqUnlockToWake,     // edge Set published and mu_ released, before the
-                         // wake half runs
+  // MessageQueue's readiness pairs (message_queue.h).
+  kMsgqUnlockToWake,     // a cell published (an item in, or a slot
+                         // freed), before the readiness check that may Set
   // Thread exit (src/threads/nub.cc).
   kThreadExitToReclaim,  // a record's last claim dropped (its thread has
                          // exited and been joined), before its id is

@@ -1340,6 +1340,254 @@ class BiasedReaderTest : public LitmusTest {
 };
 
 // ---------------------------------------------------------------------------
+// MessageQueue's readiness without a lock: the ring, readable() and a poller
+// ---------------------------------------------------------------------------
+
+// The readable half of MessageQueue's readiness protocol
+// (src/threads/message_queue.h), modelled at the granularity of its shared
+// state: each cell's sequence number, the head, the tail with its closed
+// bit, readable()'s flag, and the consumer's Poll with a resident
+// registration — the Poll's latch, the consumer's blocked state and its
+// one-permit parker (src/threads/poll.h). Each seq_cst access, and each
+// fence-separated load, is its own step; a claim CAS is one step, as is a
+// notify under the event and record locks. The producer claims a free cell
+// (the scenarios never fill the ring, so writable() is not modelled) and
+// the consumer is the only receiver, so its head CAS cannot fail.
+//
+// A receiver that finds an in-flight Send after Close spins on TryRecv; a
+// spin that re-reads unchanged state is a no-op, so the model parks it
+// until the producer's publish instead.
+class QueueReadinessTest : public LitmusTest {
+ public:
+  QueueReadinessTest(ReadinessProtocol protocol, int cells, bool close,
+                     Tally* tally)
+      : protocol_(protocol), cells_(cells), close_(close), tally_(tally) {
+    for (int i = 0; i < cells_; ++i) {
+      seq_[i] = 2 * static_cast<std::uint64_t>(i);
+    }
+    if (cells_ == 2) {
+      // One item already published at position 0, readable set.
+      seq_[0] = 1;
+      tail_ = 2;
+      flag_ = true;
+      items_ = 1;
+    }
+  }
+
+  void Setup(Machine& machine) override {
+    machine.Fork([this, &machine] { Producer(machine); }, /*priority=*/0,
+                 "producer");
+    machine.Fork([this, &machine] { Consumer(machine); }, /*priority=*/0,
+                 "consumer");
+  }
+
+  std::string Verify(const RunResult& result) override {
+    if (tally_ != nullptr) {
+      tally_->completions += result.completed ? 1 : 0;
+      tally_->deadlocks += result.deadlock ? 1 : 0;
+      tally_->readiness_restores += restored_ ? 1 : 0;
+      tally_->sends_refused += refused_ ? 1 : 0;
+    }
+    const bool item_in_ring = Published(head_);
+    if (!result.completed) {
+      return std::string("lost readiness: the poller sleeps with readable ") +
+             (flag_ ? "set" : "clear") +
+             (item_in_ring ? " and an item in the ring: "
+                           : " and the ring empty: ") +
+             result.ToString();
+    }
+    if (item_in_ring) {
+      return close_ ? "lost readiness: Recv reported closed and drained "
+                      "while an accepted item sits in the ring"
+                    : "lost readiness: the consumer left an item in the ring";
+    }
+    if (received_ != items_) {
+      return "received " + std::to_string(received_) + " of " +
+             std::to_string(items_) + " accepted items";
+    }
+    return "";
+  }
+
+ private:
+  enum class Recv { kOk, kWouldBlock, kClosed };
+
+  bool Published(std::uint64_t pos) const {
+    return seq_[pos % static_cast<std::uint64_t>(cells_)] == 2 * pos + 1;
+  }
+  bool Closed() const {
+    return protocol_ == ReadinessProtocol::kCloseApartFromTail
+               ? closed_flag_
+               : (tail_ & 1) != 0;
+  }
+
+  void Producer(Machine& machine) {
+    if (protocol_ == ReadinessProtocol::kCloseApartFromTail) {
+      machine.Step();  // the closed flag, tested before the claim
+      if (closed_flag_) {
+        refused_ = true;
+        return;
+      }
+    }
+    machine.Step();  // the tail CAS, which fails once the closed bit is set
+    if ((tail_ & 1) != 0) {
+      refused_ = true;
+      return;
+    }
+    const std::uint64_t pos = tail_ >> 1;
+    tail_ += 2;
+    ++items_;
+    bool saw_set = false;
+    if (protocol_ == ReadinessProtocol::kFlagBeforePublish) {
+      machine.Step();
+      saw_set = flag_;
+    }
+    machine.Step();  // the publish
+    seq_[pos % static_cast<std::uint64_t>(cells_)] = 2 * pos + 1;
+    const bool wake_spinner = spinning_;
+    spinning_ = false;
+    if (wake_spinner) {
+      spin_parker_.Unpark(machine);
+    }
+    if (protocol_ != ReadinessProtocol::kFlagBeforePublish) {
+      machine.Step();  // the flag, after the fence
+      saw_set = flag_;
+    }
+    if (!saw_set) {
+      Set(machine);
+    }
+  }
+
+  void Consumer(Machine& machine) {
+    if (close_) {
+      machine.Step();  // Close: the closed bit
+      if (protocol_ == ReadinessProtocol::kCloseApartFromTail) {
+        closed_flag_ = true;
+      } else {
+        tail_ |= 1;
+      }
+      machine.Step();  // the flag, after the fence
+      if (!flag_) {
+        Set(machine);
+      }
+      for (;;) {
+        const Recv r = TryRecv(machine);
+        if (r == Recv::kClosed) {
+          return;
+        }
+        if (r == Recv::kWouldBlock) {
+          // A Send claimed its cell before Close and has not published it.
+          machine.Step();
+          const bool wait = !Published(head_);
+          spinning_ = wait;
+          if (wait) {
+            spin_parker_.Park(machine);
+          }
+        }
+      }
+    }
+    const int want = cells_;
+    while (received_ < want) {
+      if (TryRecv(machine) == Recv::kOk) {
+        continue;
+      }
+      WaitAny(machine);
+    }
+  }
+
+  // One Poll::WaitAny over {readable()} with the registration resident.
+  void WaitAny(Machine& machine) {
+    for (;;) {
+      machine.Step();  // re-arm the latch
+      latch_ = 0;
+      machine.Step();  // the scan
+      if (flag_) {
+        return;
+      }
+      machine.Step();  // the pre-park check under the record lock
+      if (latch_ != 0) {
+        continue;
+      }
+      blocked_ = true;
+      parker_.Park(machine);
+    }
+  }
+
+  Recv TryRecv(Machine& machine) {
+    machine.Step();  // the head cell's sequence number, then the claim
+    if (Published(head_)) {
+      seq_[head_ % static_cast<std::uint64_t>(cells_)] =
+          2 * (head_ + static_cast<std::uint64_t>(cells_));
+      ++head_;
+      ++received_;
+      machine.Step();  // the readable level, after the fence
+      if (!Published(head_) && !Closed()) {
+        ResetUnlessReady(machine);
+      }
+      return Recv::kOk;
+    }
+    if (close_) {
+      machine.Step();  // the tail
+      if (Closed()) {
+        return (tail_ >> 1) == head_ ? Recv::kClosed : Recv::kWouldBlock;
+      }
+    }
+    machine.Step();  // the flag
+    if (flag_) {
+      ResetUnlessReady(machine);
+    }
+    return Recv::kWouldBlock;
+  }
+
+  void ResetUnlessReady(Machine& machine) {
+    machine.Step();  // the Reset
+    flag_ = false;
+    if (protocol_ == ReadinessProtocol::kResetWithoutRecheck) {
+      return;
+    }
+    machine.Step();  // the re-check, after the fence
+    if (Published(head_) || Closed()) {
+      restored_ = true;
+      Set(machine);
+    }
+  }
+
+  // Event::Set with the consumer's registration resident: the flag store
+  // (the Dekker load then always finds the poller), then the notify under
+  // the event and record locks, then the unpark.
+  void Set(Machine& machine) {
+    machine.Step();
+    flag_ = true;
+    machine.Step();
+    const bool edge = latch_ == 0;
+    latch_ = 1;
+    const bool unpark = edge && blocked_;
+    blocked_ = false;
+    if (unpark) {
+      parker_.Unpark(machine);
+    }
+  }
+
+  const ReadinessProtocol protocol_;
+  const int cells_;
+  const bool close_;
+  Tally* const tally_;
+  std::uint64_t seq_[2] = {};
+  std::uint64_t head_ = 0;
+  std::uint64_t tail_ = 0;  // the enqueue position << 1 | the closed bit
+  bool closed_flag_ = false;
+  bool flag_ = false;
+  std::uint32_t latch_ = 0;
+  bool blocked_ = false;
+  ModelParker parker_;
+  bool spinning_ = false;
+  ModelParker spin_parker_;
+  int items_ = 0;
+  int received_ = 0;
+  bool restored_ = false;
+  bool refused_ = false;
+};
+
+// ---------------------------------------------------------------------------
 // A Signal made under the waiter's mutex, its wake deferred to the release
 // ---------------------------------------------------------------------------
 
@@ -1606,6 +1854,13 @@ LitmusFactory AlertExitLitmus(RecordReclaim reclaim, Tally* tally) {
 LitmusFactory BiasedReaderLitmus(BiasProtocol protocol, Tally* tally) {
   return [protocol, tally] {
     return std::make_unique<BiasedReaderTest>(protocol, tally);
+  };
+}
+
+LitmusFactory QueueReadinessLitmus(ReadinessProtocol protocol, int cells,
+                                   bool close, Tally* tally) {
+  return [protocol, cells, close, tally] {
+    return std::make_unique<QueueReadinessTest>(protocol, cells, close, tally);
   };
 }
 

@@ -58,6 +58,11 @@ struct Tally {
   // Signal-under-lock litmus: runs where a Signal made under the waiter's
   // mutex left the wake owed to that mutex's release.
   std::uint64_t cond_wakes_deferred = 0;
+  // Queue-readiness litmus: runs where a receiver's re-check after its
+  // Reset found an item that landed in between and set readable again,
+  // and runs where Close refused the producer's Send.
+  std::uint64_t readiness_restores = 0;
+  std::uint64_t sends_refused = 0;
 };
 
 // The biased reader protocol of ReaderWriterMutex, for BiasedReaderLitmus.
@@ -79,6 +84,20 @@ enum class SignalDeferral {
   kReleaseSkipsFlush,  // a release clears the bit but pays no owed wake
   kDeferIfHeld,        // a Signal defers whenever the waiter's mutex is
                        // held, by the signaller or by another thread
+};
+
+// MessageQueue's lock-free readiness protocol, for QueueReadinessLitmus.
+enum class ReadinessProtocol {
+  kShipped,              // src/threads/message_queue.h: a Send publishes
+                         // its cell, then reads the flag and Sets it if
+                         // clear; a TryRecv that finds the ring empty
+                         // Resets readable, then re-checks the ring; Close
+                         // sets a closed bit in the enqueue position
+  kResetWithoutRecheck,  // the receiver Resets readable and trusts the
+                         // emptiness it saw before the Reset
+  kFlagBeforePublish,    // the Send reads the flag before it publishes
+  kCloseApartFromTail,   // Close sets a flag of its own, which a Send tests
+                         // before it claims the tail
 };
 
 // What a thread's exit does with its record, for AlertExitLitmus.
@@ -226,6 +245,21 @@ LitmusFactory BiasedReaderLitmus(BiasProtocol protocol,
 // the mutex again: a lost wakeup.
 LitmusFactory SignalUnderLockLitmus(SignalDeferral protocol,
                                     Tally* tally = nullptr);
+
+// MessageQueue's readiness without a lock (message_queue.h): a ring of
+// `cells` (1 or 2) cells, a producer that sends one item, and a consumer
+// that receives through TryRecv and a Poll over readable() with a resident
+// registration (latch, record-lock park, one-permit parker). With two
+// cells the ring starts holding one item, readable set, so the producer's
+// item lands behind it. With `close` the consumer Closes the queue instead
+// of polling, then drains it, racing the producer's Send. kShipped is
+// clean on every schedule. kResetWithoutRecheck and kFlagBeforePublish
+// (two cells, no close) each have a schedule in which the consumer parks
+// with readable clear and the item in the ring; kCloseApartFromTail (with
+// close) has one in which the consumer is told "closed and drained" while
+// the accepted item sits in the ring. Each is a lost readiness.
+LitmusFactory QueueReadinessLitmus(ReadinessProtocol protocol, int cells,
+                                   bool close, Tally* tally = nullptr);
 
 // A reader-preference readers-writer lock (the policy of
 // taos::ReaderWriterMutex: readers are admitted whenever no writer is

@@ -109,8 +109,13 @@ enum class Counter : int {
   kTimedWaitAlerted,     // timed alertable waits that ended by Alert
 
   // --- multi-object wait (src/threads/poll) ---
-  kPollRegistrations,    // pollable-list registrations installed
+  kPollRegistrations,    // registrations in force per wait round: one per
+                         // member per scan of the wait set, whether the
+                         // round installed it or found it resident
   kPollSpuriousScans,    // wait-set scans after a wake that granted nothing
+                         // (so spurious / registrations = re-scans per
+                         // registration in force, perfbench's
+                         // poll.spurious_scan_frac)
 
   kNumCounters,
 };

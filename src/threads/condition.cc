@@ -4,6 +4,7 @@
 
 #include "src/base/chaos.h"
 #include "src/base/check.h"
+#include "src/base/small_vector.h"
 #include "src/obs/metrics.h"
 #include "src/obs/recorder.h"
 #include "src/spec/action.h"
@@ -240,7 +241,7 @@ void Condition::Broadcast() {
 
 void Condition::NubBroadcast() {
   obs::Inc(obs::Counter::kNubBroadcast);
-  std::vector<ThreadRecord*> wake;
+  SmallVector<ThreadRecord*> wake;
   {
     NubGuard g(nub_lock_);
     ec_.Advance();
@@ -434,7 +435,7 @@ void Condition::TracedSignal(ThreadRecord* self) {
 
 void Condition::TracedBroadcast(ThreadRecord* self) {
   Nub& nub = Nub::Get();
-  std::vector<ThreadRecord*> wake;
+  SmallVector<ThreadRecord*> wake;
   {
     NubGuard g(nub_lock_);
     ec_.Advance();

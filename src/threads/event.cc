@@ -1,7 +1,5 @@
 #include "src/threads/event.h"
 
-#include <vector>
-
 #include "src/base/chaos.h"
 #include "src/base/check.h"
 #include "src/obs/metrics.h"
@@ -20,21 +18,14 @@ Event::Event(EventReset reset)
 
 Event::~Event() {
   TAOS_CHECK(queue_.Empty());
-  // REQUIRES no live poll registrations: a Poll waiter's PollNode points
-  // into a stack frame that outlives its WaitAny/WaitAll call, not this
-  // object.
+  // REQUIRES no live poll registrations: a PollNode lives in a Poll (or a
+  // waiter's frame) that must not outlive this event, so every Poll it was
+  // added to is destroyed first (poll.h).
   TAOS_CHECK(pollers_.next == &pollers_);
   TAOS_CHECK(pollers_len_.load(std::memory_order_relaxed) == 0);
 }
 
 void Event::Set() {
-  if (PublishSet()) {
-    NubSet();
-  }
-}
-
-bool Event::PublishSet() {
-  bool wake = false;
   obs::WithEvent(obs::Op::kEventSet, id_, [&] {
     Nub& nub = Nub::Get();
     if (nub.tracing()) {
@@ -47,10 +38,21 @@ bool Event::PublishSet() {
     // fetch_add, seq_cst) before testing set_, and a poller registers
     // (pollers_len_ fetch_add, seq_cst) before scanning set_. Either the
     // waiter/poller sees the flag, or this load sees the registration.
-    wake = queue_len_.load(std::memory_order_seq_cst) > 0 ||
-           pollers_len_.load(std::memory_order_seq_cst) > 0;
+    if (queue_len_.load(std::memory_order_seq_cst) == 0 &&
+        pollers_len_.load(std::memory_order_seq_cst) == 0) {
+      return;
+    }
+    obs::Inc(obs::Counter::kNubEventSet);
+    ParkerList unparks;
+    {
+      NubGuard g(nub_lock_);
+      ResumeForSetLocked(&unparks);
+    }
+    for (waitq::Parker* p : unparks) {
+      obs::Inc(obs::Counter::kHandoffs);
+      p->Unpark();
+    }
   });
-  return wake;
 }
 
 void Event::Reset() {
@@ -155,19 +157,6 @@ bool Event::NubWaitFor(ThreadRecord* self, std::uint64_t deadline_ns) {
   }
 }
 
-void Event::NubSet() {
-  obs::Inc(obs::Counter::kNubEventSet);
-  std::vector<waitq::Parker*> unparks;
-  {
-    NubGuard g(nub_lock_);
-    ResumeForSetLocked(&unparks);
-  }
-  for (waitq::Parker* p : unparks) {
-    obs::Inc(obs::Counter::kHandoffs);
-    p->Unpark();
-  }
-}
-
 // The Set policy, factored so Poll's WaitAll rollback (which re-publishes a
 // tentatively consumed flag while already holding this event's ObjLock) and
 // TracedSet share it: auto-reset wakes ONE plain waiter if there is one —
@@ -175,7 +164,7 @@ void Event::NubSet() {
 // falls back to notifying the pollers; manual-reset wakes every plain
 // waiter AND notifies every poller (all of them can observe the flag).
 // REQUIRES nub_lock_ held and set_ already published as 1.
-void Event::ResumeForSetLocked(std::vector<waitq::Parker*>* unparks) {
+void Event::ResumeForSetLocked(ParkerList* unparks) {
   bool woke_plain = false;
   while (ThreadRecord* wake = queue_.PopFront()) {
     queue_len_.fetch_sub(1, std::memory_order_relaxed);
@@ -195,33 +184,40 @@ void Event::ResumeForSetLocked(std::vector<waitq::Parker*>* unparks) {
   }
 }
 
-void Event::NotifyPollersLocked(std::vector<waitq::Parker*>* unparks) {
+void Event::NotifyPollersLocked(ParkerList* unparks) {
   for (PollNode* n = pollers_.next; n != &pollers_; n = n->next) {
-    NotifyPoller(n->rec, unparks);
+    NotifyPoller(n, unparks);
   }
 }
 
 // Notify-only: flips the registrant's latch and, on the 0->1 edge alone,
-// unblocks it. The granter never consumes the event on the poller's behalf
-// and never touches the poller's stack — `rec` is the poller's
-// ThreadRecord, and a registered poller is still inside its wait, so the
-// record is live. At most one notifier wins the edge per re-arm, so a
+// unblocks it. The granter never consumes the event on the poller's behalf.
+// It reads the node under this event's lock, which the node's owner takes
+// to unlink or re-point it, and `rec` stays a valid record even after its
+// thread exits (records are type-stable). A resident node stays linked
+// while its Poll is not waited on, and its record may by then wait on
+// another Poll or belong to another thread: so the unblock happens only if
+// rec is blocked on this node's own latch, which a poller publishes as its
+// blocked object. At most one notifier wins the edge per re-arm, so a
 // parked poller receives at most one unpark per park (the parker's
 // single-permit contract).
-void Event::NotifyPoller(ThreadRecord* rec,
-                         std::vector<waitq::Parker*>* unparks) {
-  if (rec->poll_latch.exchange(1, std::memory_order_seq_cst) != 0) {
+void Event::NotifyPoller(const PollNode* node, ParkerList* unparks) {
+  if (node->latch->exchange(1, std::memory_order_seq_cst) != 0) {
     return;
   }
   TAOS_CHAOS(kPollNotify);
+  ThreadRecord* rec = node->rec;
   SpinGuard tg(rec->lock);
-  if (rec->block_kind == ThreadRecord::BlockKind::kPollAny ||
-      rec->block_kind == ThreadRecord::BlockKind::kPollAll) {
+  if ((rec->block_kind == ThreadRecord::BlockKind::kPollAny ||
+       rec->block_kind == ThreadRecord::BlockKind::kPollAll) &&
+      rec->blocked_obj == node->latch) {
     ClearBlockedLocked(rec);
     unparks->push_back(&rec->park);
   }
-  // Latch already 1 but not blocked: the poller is mid-scan and will see
-  // the latch at its pre-park check — no unpark owed.
+  // Latch already 1 but not blocked on it: the poller is mid-scan and will
+  // see the latch at its pre-park check, or its Poll is not being waited
+  // on and the next wait re-arms the latch before it scans — no unpark
+  // owed.
 }
 
 void Event::RegisterPollerLocked(PollNode* node) {
@@ -234,7 +230,6 @@ void Event::RegisterPollerLocked(PollNode* node) {
   pollers_.prev = node;
   node->linked = true;
   pollers_len_.fetch_add(1, std::memory_order_seq_cst);
-  obs::Inc(obs::Counter::kPollRegistrations);
   TAOS_CHAOS(kPollRegister);
 }
 
@@ -255,7 +250,7 @@ void Event::DeregisterPoller(PollNode* node) {
 void Event::TracedSet(ThreadRecord* self) {
   obs::Inc(obs::Counter::kNubEventSet);
   Nub& nub = Nub::Get();
-  std::vector<waitq::Parker*> unparks;
+  ParkerList unparks;
   {
     NubGuard g(nub_lock_);
     set_.store(1, std::memory_order_relaxed);

@@ -25,17 +25,15 @@
 // Beyond the plain waiter queue (an intrusive queue, exactly Semaphore's),
 // an Event carries a *pollable list*: registrations by Poll::WaitAny/WaitAll
 // waiters that Set must notify, kept as an intrusive doubly-linked list of
-// stack-resident PollNodes guarded by the event's ObjLock.
+// PollNodes guarded by the event's ObjLock. A Poll keeps its nodes linked
+// between waits (poll.h), so a Poll that waits again and again registers
+// once.
 //
-// Set in two halves. A Set is a flag store plus, when a waiter or poller is
-// registered, the wakeups (NubSet: the event lock, the pollers' latches, the
-// unparks). MessageQueue publishes its readiness under its own Mutex, so it
-// runs the halves apart: PublishSet under the mutex, NubSet after the unlock,
-// as Linux's wake_q does. Both halves are private; MessageQueue is the only
-// caller that splits them. Half 2 touches the Event after the caller's lock
-// is released, the same lifetime contract as Mutex::Release, which reads
-// queue_len_ after it clears the Lock-bit: the Event must outlive every call
-// that set it, not just the critical section that published the flag.
+// Set is one call: the flag store, the Dekker load of the waiter and
+// poller counts, and, only when either is non-zero, the wakeups under the
+// event lock with the unparks after it. MessageQueue calls it on its
+// readiness edges from no lock of its own (message_queue.h), so no caller
+// holds a lock a woken thread would need.
 
 #ifndef TAOS_SRC_THREADS_EVENT_H_
 #define TAOS_SRC_THREADS_EVENT_H_
@@ -43,9 +41,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <vector>
 
 #include "src/base/intrusive_queue.h"
+#include "src/base/small_vector.h"
 #include "src/spec/state.h"
 #include "src/threads/nub.h"
 #include "src/threads/thread_record.h"
@@ -56,30 +54,37 @@ namespace taos {
 
 class Poll;
 class Event;
-template <typename T>
-class MessageQueue;
+
+// The parkers a wake path unparks once it has dropped the event lock.
+using ParkerList = SmallVector<waitq::Parker*>;
 
 enum class EventReset : std::uint8_t {
   kManual,  // Set satisfies every waiter until Reset
   kAuto,    // each Set is consumed by exactly one granted waiter
 };
 
-// One Poll waiter's registration on one Event. Lives in the waiter's frame
-// for the duration of the WaitAny/WaitAll call. The list links and `linked`
-// are guarded by the event's ObjLock; granters never dereference a PollNode
-// outside it.
+// One Poll's registration on one Event. Resident in the Poll, linked from
+// its first wait until the Poll is destroyed; or, for a traced wait or a
+// second thread waiting on the same Poll at once, in that waiter's frame
+// for one call. The
+// list links, `rec` and `latch` change only under the event's ObjLock while
+// the node is linked; granters never dereference a PollNode outside it.
 struct PollNode {
   PollNode* prev = nullptr;
   PollNode* next = nullptr;
-  ThreadRecord* rec = nullptr;
-  Event* event = nullptr;
+  ThreadRecord* rec = nullptr;  // the thread a notify may wake
+  // The latch the registrant re-arms and parks on: its Poll's own for a
+  // resident node, rec->poll_latch for a frame node. A notify unblocks rec
+  // only while rec is blocked on this very latch (poll.h).
+  std::atomic<std::uint32_t>* latch = nullptr;
   bool linked = false;
 };
 
 class Event {
  public:
   explicit Event(EventReset reset = EventReset::kManual);
-  // REQUIRES no blocked waiters and no live poll registrations.
+  // REQUIRES no blocked waiters and no live poll registrations: every Poll
+  // this event was added to is already destroyed (poll.h).
   ~Event();
   Event(const Event&) = delete;
   Event& operator=(const Event&) = delete;
@@ -112,8 +117,6 @@ class Event {
 
  private:
   friend class Poll;
-  template <typename T>
-  friend class MessageQueue;
   friend bool ParkBlockedUntil(ThreadRecord* t, std::uint64_t deadline_ns,
                                waitq::Parker::Spin spin);
   friend void Alert(ThreadHandle t);
@@ -122,14 +125,7 @@ class Event {
   // Return false on timeout.
   bool NubWaitFor(ThreadRecord* self, std::uint64_t deadline_ns);
   bool TracedWaitFor(ThreadRecord* self, std::uint64_t deadline_ns);
-  // Half 1 of Set: publishes the flag (seq_cst, then the Dekker load of the
-  // queue and poller counts) and returns true iff a wake is owed, which the
-  // caller pays with NubSet (half 2), after releasing any lock it holds.
-  // Records the kEventSet event. Traced mode runs the whole TracedSet here
-  // and returns false, so the spec trace sees one serialization.
-  bool PublishSet();
-  void NubSet();
-  void ResumeForSetLocked(std::vector<waitq::Parker*>* unparks);
+  void ResumeForSetLocked(ParkerList* unparks);
   void TracedSet(ThreadRecord* self);
   void TracedReset(ThreadRecord* self);
 
@@ -145,7 +141,7 @@ class Event {
   // --- pollable-list plumbing (called by Poll and by Set) ---
 
   // Registers `node` on this event's pollable list (a no-op when it is
-  // already linked). REQUIRES nub_lock_ held and node->event == this.
+  // already linked). REQUIRES nub_lock_ held.
   void RegisterPollerLocked(PollNode* node);
 
   // Removes `node`'s registration, taking the event's ObjLock to unlink.
@@ -154,9 +150,8 @@ class Event {
   // Notifies every registered poller (latch 0->1 edge does the record-lock
   // unblock dance); collects parkers to unpark after the lock drops.
   // REQUIRES nub_lock_ held.
-  void NotifyPollersLocked(std::vector<waitq::Parker*>* unparks);
-  static void NotifyPoller(ThreadRecord* rec,
-                           std::vector<waitq::Parker*>* unparks);
+  void NotifyPollersLocked(ParkerList* unparks);
+  static void NotifyPoller(const PollNode* node, ParkerList* unparks);
 
   std::atomic<std::uint32_t> set_;      // 1 iff set
   ObjLock nub_lock_;                    // guards the queues and poller list

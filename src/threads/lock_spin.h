@@ -15,7 +15,7 @@
 //
 // The paper's Nub queues a thread whose test-and-set failed and
 // de-schedules it; Release then makes it ready to retry. On a
-// multiprocessor the holder of a hot lock (a MessageQueue's mutex, say)
+// multiprocessor the holder of a hot lock (a request mailbox's mutex, say)
 // usually releases it within a few microseconds, while the futex sleep and
 // wake costs the waiter ~6 µs. So a waiter may first spin, retrying its
 // acquire:

@@ -1,51 +1,48 @@
-// Bounded MPMC message queue built from the paper's primitives plus the
-// multi-object wait subsystem: a Mutex guards a ring buffer, and two
-// manual-reset Events publish the queue's *level-triggered* readiness so
-// receivers (and senders) can fold the queue into a Poll wait set:
+// Bounded MPMC message queue plus the multi-object wait subsystem: a
+// lock-free ring, and two manual-reset Events that publish the queue's
+// *level-triggered* readiness so receivers (and senders) can fold the queue
+// into a Poll wait set:
 //
 //   receiver:  Poll p; p.Add(q.readable()); p.Add(shutdown);
 //              switch (p.WaitAny()) { case 0: q.TryRecv(&m); ... }
 //
-// Invariants, maintained under mu_ at every edge:
+// The ring is Vyukov's bounded MPMC queue: a Send or TryRecv claims its
+// position with one CAS, then publishes (or frees) the position's cell by
+// advancing the cell's sequence number. Sequence numbers count in halves
+// (free for position p: 2p; holding p's item: 2p + 1), so capacity 1 works.
 //
-//   readable().IsSet()  ⇔  !empty ∨ closed
-//   writable().IsSet()  ⇔  !full  ∨ closed
+// The levels, kept without a lock by two Dekker pairs (DESIGN.md §15):
+//
+//   readable().IsSet()  ⇔  an item is published at the head  ∨ closed
+//   writable().IsSet()  ⇔  the cell at the tail is free      ∨ closed
+//
+// The party that makes a level true publishes its cell, issues a seq_cst
+// fence and Sets the event only if it reads the flag clear, so a Send into
+// a non-empty queue and a TryRecv from a non-full one issue no Set. The
+// party that may have made a level false (the TryRecv that takes the last
+// item, the Send that fills the queue), or finds it false with the flag set,
+// Resets the event, issues a fence, and Sets it again if a re-check finds
+// the level true. Either the re-check sees the other side's publish, or the
+// other side's flag load sees the Reset.
 //
 // The events are manual-reset and Mesa-style: a wakeup (or a Poll grant) on
 // readable() is a *hint*, not a handoff — another consumer may drain the
-// item first, so every waiter re-tries under the mutex (TryRecv returning
-// kWouldBlock) and re-waits. This is the same barging discipline as
-// Mutex/Condition, and it is what makes the composition safe: the events
-// carry no ownership, only level state.
+// item first, so every waiter re-tries on kWouldBlock and re-waits.
 //
-// Close() is sticky: it sets both events permanently (closed counts as
-// "ready" so blocked parties wake and observe the closure). Send fails on
-// a closed queue; Recv drains remaining items first and fails only on
+// Close() is sticky and linearizes against Send: it sets a closed bit in
+// the enqueue position, which fails every later claim, then sets both
+// events permanently. Recv drains remaining items first, including a Send
+// that claimed its cell before Close and has not yet published it (a
+// receiver retries while such a Send is in flight), and fails only on
 // closed-and-empty.
 //
-// Edge-only sets, woken after the unlock. The queue sets readable() only
-// on the empty -> non-empty edge and writable() only on the full ->
-// not-full edge (and Close on whichever of the two is unset); a Send into
-// a non-empty queue or a TryRecv from a non-full one issues no Set. Each
-// edge Set is split across mu_ (event.h): the flag store and the Dekker
-// load run under mu_, so the invariants above hold at every mu_ boundary,
-// and the wakeups run after mu_ is released, so a woken receiver does not
-// find mu_ still held by its waker. Resets stay under mu_. A Reset that
-// lands between the two halves only makes the wake spurious (the woken
-// poller re-scans and parks again); no wake is lost, because every edge
-// owes its own wake, computed after that edge's flag store.
-//
 // REQUIRES callers never Set or Reset readable()/writable() themselves:
-// the queue owns both, and edge-only sets rely on it (a stray Reset of a
-// non-empty queue's readable() would never be undone by a later Send).
-// Lifetime: the wake half of a Send/TryRecv/Close touches the Events after
-// mu_ is released, so the queue must outlive every call into it, not just
-// the critical sections (the contract of Mutex::Release, which reads its
-// queue length after clearing the Lock-bit).
+// the queue owns both.
 
 #ifndef TAOS_SRC_THREADS_MESSAGE_QUEUE_H_
 #define TAOS_SRC_THREADS_MESSAGE_QUEUE_H_
 
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -56,8 +53,6 @@
 #include "src/base/check.h"
 #include "src/obs/metrics.h"
 #include "src/threads/event.h"
-#include "src/threads/lock.h"
-#include "src/threads/mutex.h"
 #include "src/threads/timer.h"
 #include "src/threads/wait_result.h"
 
@@ -75,26 +70,23 @@ class MessageQueue {
  public:
   // REQUIRES capacity > 0.
   explicit MessageQueue(std::size_t capacity)
-      : cap_(capacity),
-        storage_(new unsigned char[sizeof(T) * capacity]) {
+      : cap_(capacity), cells_(new Cell[capacity]) {
     TAOS_CHECK(capacity > 0);
+    for (std::size_t i = 0; i < capacity; ++i) {
+      cells_[i].seq.store(2 * i, std::memory_order_relaxed);
+    }
     // Empty and not closed: writable, not readable.
     writable_.Set();
   }
 
-  // REQUIRES no call into the queue still running (a returning Send may
-  // still be waking) and no live poll registrations on
-  // readable()/writable() (the Events' destructors check).
+  // REQUIRES no call into the queue still running and no live poll
+  // registrations on readable()/writable() (the Events' destructors check).
   ~MessageQueue() {
-    {
-      Lock l(mu_);
-      while (size_ > 0) {
-        Slot(head_)->~T();
-        head_ = Next(head_);
-        --size_;
-      }
+    for (std::uint64_t pos = head_.load(std::memory_order_relaxed);
+         Lag(cells_[pos % cap_], 2 * pos + 1) == 0; ++pos) {
+      Item(cells_[pos % cap_])->~T();
     }
-    delete[] storage_;
+    delete[] cells_;
   }
 
   MessageQueue(const MessageQueue&) = delete;
@@ -102,80 +94,34 @@ class MessageQueue {
 
   // Blocks while the queue is full; kClosed if the queue is (or becomes)
   // closed before the item is accepted.
-  QueueResult Send(T v) {
-    for (;;) {
-      QueueResult r = TrySendInternal(&v);
-      if (r != QueueResult::kWouldBlock) {
-        return r;
-      }
-      writable_.Wait();
-    }
-  }
+  QueueResult Send(T v) { return SendUntil(&v, kNoDeadline); }
 
   // Single attempt, never blocks.
   QueueResult TrySend(T v) { return TrySendInternal(&v); }
 
   // Send with a deadline on the *full* wait.
   QueueResult SendFor(T v, std::chrono::nanoseconds timeout) {
-    const std::uint64_t deadline =
-        timeout.count() > 0 ? DeadlineAfter(timeout) : 0;
-    for (;;) {
-      QueueResult r = TrySendInternal(&v);
-      if (r != QueueResult::kWouldBlock) {
-        return r;
-      }
-      if (writable_.WaitFor(RemainingUntil(deadline)) == WaitResult::kTimeout) {
-        return QueueResult::kTimeout;
-      }
-    }
+    return SendUntil(&v, timeout.count() > 0 ? DeadlineAfter(timeout) : 0);
   }
 
   // Blocks while the queue is empty and open; kClosed only once closed AND
   // drained.
-  QueueResult Recv(T* out) {
-    for (;;) {
-      QueueResult r = TryRecvInternal(out);
-      if (r != QueueResult::kWouldBlock) {
-        return r;
-      }
-      readable_.Wait();
-    }
-  }
+  QueueResult Recv(T* out) { return RecvUntil(out, kNoDeadline); }
 
   QueueResult TryRecv(T* out) { return TryRecvInternal(out); }
 
   QueueResult RecvFor(T* out, std::chrono::nanoseconds timeout) {
-    const std::uint64_t deadline =
-        timeout.count() > 0 ? DeadlineAfter(timeout) : 0;
-    for (;;) {
-      QueueResult r = TryRecvInternal(out);
-      if (r != QueueResult::kWouldBlock) {
-        return r;
-      }
-      if (readable_.WaitFor(RemainingUntil(deadline)) == WaitResult::kTimeout) {
-        return QueueResult::kTimeout;
-      }
-    }
+    return RecvUntil(out, timeout.count() > 0 ? DeadlineAfter(timeout) : 0);
   }
 
   // Sticky: wakes every blocked sender, receiver and poller. Idempotent.
   void Close() {
-    EdgeSet readable_edge;  // destroyed after l: the wakes run outside mu_
-    EdgeSet writable_edge;
-    Lock l(mu_);
-    if (closed_) {
+    if ((tail_.fetch_or(kClosedBit, std::memory_order_seq_cst) &
+         kClosedBit) != 0) {
       return;
     }
-    closed_ = true;
-    TAOS_CHAOS(kMsgqHandoff);
-    // closed ⇒ both ready, permanently; an event already set by its level
-    // (non-empty, not full) has no edge.
-    if (size_ == 0) {
-      readable_edge.Publish(&readable_);
-    }
-    if (size_ == cap_) {
-      writable_edge.Publish(&writable_);
-    }
+    SetIfClear(readable_);
+    SetIfClear(writable_);
   }
 
   // Level-state events for Poll composition. A grant on readable() means
@@ -186,105 +132,175 @@ class MessageQueue {
   Event& writable() { return writable_; }
 
   bool closed() const {
-    Lock l(mu_);
-    return closed_;
+    return (tail_.load(std::memory_order_acquire) & kClosedBit) != 0;
   }
 
   std::size_t capacity() const { return cap_; }
 
  private:
-  // One edge Set, split across mu_: Publish runs half 1 (Event::PublishSet)
-  // under mu_; the destructor runs half 2 (the wakes, if any are owed) once
-  // mu_ is released. Declared before the function's Lock, so it is
-  // destroyed after the unlock on every return path.
-  class EdgeSet {
-   public:
-    EdgeSet() = default;
-    EdgeSet(const EdgeSet&) = delete;
-    EdgeSet& operator=(const EdgeSet&) = delete;
-    ~EdgeSet() {
-      if (event_ == nullptr) {
-        return;
-      }
-      TAOS_CHAOS(kMsgqUnlockToWake);
-      if (wake_) {
-        event_->NubSet();
-      }
-    }
-    // REQUIRES mu_ held.
-    void Publish(Event* e) {
-      event_ = e;
-      wake_ = e->PublishSet();
-    }
-
-   private:
-    Event* event_ = nullptr;
-    bool wake_ = false;
+  struct Cell {
+    std::atomic<std::uint64_t> seq;
+    alignas(T) unsigned char item[sizeof(T)];
   };
 
-  T* Slot(std::size_t i) {
-    return std::launder(reinterpret_cast<T*>(storage_ + sizeof(T) * i));
-  }
-  std::size_t Next(std::size_t i) const { return (i + 1 == cap_) ? 0 : i + 1; }
+  // The low bit of tail_; the enqueue position is tail_ >> 1.
+  static constexpr std::uint64_t kClosedBit = 1;
 
-  static std::chrono::nanoseconds RemainingUntil(std::uint64_t deadline_ns) {
+  static T* Item(Cell& c) { return std::launder(reinterpret_cast<T*>(c.item)); }
+
+  // How far a cell's sequence number is past the state the caller looks
+  // for: negative while the cell is behind it, positive once another party
+  // has moved past it.
+  static std::int64_t Lag(const Cell& c, std::uint64_t expected) {
+    return static_cast<std::int64_t>(
+        c.seq.load(std::memory_order_seq_cst) - expected);
+  }
+
+  // The levels, for the re-check after a Reset. A position that another
+  // party has already moved past counts as ready: at worst a spurious Set.
+  bool RecvReady() const {
+    const std::uint64_t head = head_.load(std::memory_order_seq_cst);
+    return Lag(cells_[head % cap_], 2 * head + 1) >= 0 || closed();
+  }
+  bool SendReady() const {
+    const std::uint64_t tail = tail_.load(std::memory_order_seq_cst);
+    return (tail & kClosedBit) != 0 ||
+           Lag(cells_[(tail >> 1) % cap_], tail) >= 0;
+  }
+
+  // The two sides of a readiness pair (see the header).
+  static void SetIfClear(Event& e) {
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    if (!e.IsSet()) {
+      e.Set();
+    }
+  }
+
+  void ResetUnlessReady(Event& e, bool (MessageQueue::*ready)() const) {
+    e.Reset();
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    if ((this->*ready)()) {
+      e.Set();
+    }
+  }
+
+  // Waits for `e` until `deadline` (kNoDeadline: for ever); false on
+  // timeout.
+  static bool Await(Event& e, std::uint64_t deadline) {
+    if (deadline == kNoDeadline) {
+      e.Wait();
+      return true;
+    }
     const std::uint64_t now = obs::NowNanos();
-    return std::chrono::nanoseconds(
-        deadline_ns > now ? static_cast<std::int64_t>(deadline_ns - now) : 0);
+    const auto left = std::chrono::nanoseconds(
+        deadline > now ? static_cast<std::int64_t>(deadline - now) : 0);
+    return e.WaitFor(left) == WaitResult::kSatisfied;
+  }
+
+  QueueResult SendUntil(T* v, std::uint64_t deadline) {
+    for (;;) {
+      const QueueResult r = TrySendInternal(v);
+      if (r != QueueResult::kWouldBlock) {
+        return r;
+      }
+      if (!Await(writable_, deadline)) {
+        return QueueResult::kTimeout;
+      }
+    }
+  }
+
+  QueueResult RecvUntil(T* out, std::uint64_t deadline) {
+    for (;;) {
+      const QueueResult r = TryRecvInternal(out);
+      if (r != QueueResult::kWouldBlock) {
+        return r;
+      }
+      if (!Await(readable_, deadline)) {
+        return QueueResult::kTimeout;
+      }
+    }
   }
 
   QueueResult TrySendInternal(T* v) {
-    EdgeSet readable_edge;  // destroyed after l: the wake runs outside mu_
-    Lock l(mu_);
-    if (closed_) {
-      return QueueResult::kClosed;
+    std::uint64_t tail = tail_.load(std::memory_order_relaxed);
+    Cell* c;
+    for (;;) {
+      if ((tail & kClosedBit) != 0) {
+        return QueueResult::kClosed;
+      }
+      c = &cells_[(tail >> 1) % cap_];
+      const std::int64_t lag = Lag(*c, tail);
+      if (lag < 0) {  // full: the cell still holds the item from a lap ago
+        if (writable_.IsSet()) {
+          ResetUnlessReady(writable_, &MessageQueue::SendReady);
+        }
+        return QueueResult::kWouldBlock;
+      }
+      // The CAS fails if Close set the bit since the load.
+      if (lag == 0 && tail_.compare_exchange_weak(tail, tail + 2,
+                                                  std::memory_order_relaxed)) {
+        break;
+      }
+      if (lag > 0) {
+        tail = tail_.load(std::memory_order_relaxed);
+      }
     }
-    if (size_ == cap_) {
-      return QueueResult::kWouldBlock;
-    }
-    new (storage_ + sizeof(T) * tail_) T(std::move(*v));
-    tail_ = Next(tail_);
-    ++size_;
     TAOS_CHAOS(kMsgqHandoff);
-    // Edges under mu_: the queue may have just become non-empty, and it may
-    // have just become full.
-    if (size_ == 1) {
-      readable_edge.Publish(&readable_);
-    }
-    if (size_ == cap_) {
-      writable_.Reset();
+    new (c->item) T(std::move(*v));
+    c->seq.store(tail + 1, std::memory_order_release);
+    TAOS_CHAOS(kMsgqUnlockToWake);
+    SetIfClear(readable_);
+    if (!SendReady() && writable_.IsSet()) {  // this Send filled the queue
+      ResetUnlessReady(writable_, &MessageQueue::SendReady);
     }
     return QueueResult::kOk;
   }
 
   QueueResult TryRecvInternal(T* out) {
-    EdgeSet writable_edge;  // destroyed after l: the wake runs outside mu_
-    Lock l(mu_);
-    if (size_ == 0) {
-      return closed_ ? QueueResult::kClosed : QueueResult::kWouldBlock;
+    std::uint64_t head = head_.load(std::memory_order_relaxed);
+    Cell* c;
+    for (;;) {
+      c = &cells_[head % cap_];
+      const std::int64_t lag = Lag(*c, 2 * head + 1);
+      if (lag < 0) {
+        // Empty, or the Send that claimed this cell has not published it.
+        const std::uint64_t tail = tail_.load(std::memory_order_acquire);
+        if ((tail & kClosedBit) != 0) {
+          return (tail >> 1) == head ? QueueResult::kClosed
+                                     : QueueResult::kWouldBlock;
+        }
+        if (readable_.IsSet()) {
+          ResetUnlessReady(readable_, &MessageQueue::RecvReady);
+        }
+        return QueueResult::kWouldBlock;
+      }
+      if (lag == 0 && head_.compare_exchange_weak(head, head + 1,
+                                                  std::memory_order_relaxed)) {
+        break;
+      }
+      if (lag > 0) {
+        head = head_.load(std::memory_order_relaxed);
+      }
     }
-    *out = std::move(*Slot(head_));
-    Slot(head_)->~T();
-    head_ = Next(head_);
-    --size_;
     TAOS_CHAOS(kMsgqHandoff);
-    if (size_ == 0 && !closed_) {
-      readable_.Reset();
-    }
-    if (size_ + 1 == cap_ && !closed_) {  // was full: the not-full edge
-      writable_edge.Publish(&writable_);
+    *out = std::move(*Item(*c));
+    Item(*c)->~T();
+    c->seq.store(2 * (head + cap_), std::memory_order_release);
+    TAOS_CHAOS(kMsgqUnlockToWake);
+    SetIfClear(writable_);
+    if (!RecvReady()) {  // this TryRecv took the last item
+      ResetUnlessReady(readable_, &MessageQueue::RecvReady);
     }
     return QueueResult::kOk;
   }
 
   const std::size_t cap_;
-  unsigned char* storage_;
-  mutable Mutex mu_;
-  std::size_t head_ = 0;  // index of the oldest item
-  std::size_t tail_ = 0;  // index of the next free slot
-  std::size_t size_ = 0;
-  bool closed_ = false;
-  Event readable_{EventReset::kManual};
+  Cell* const cells_;
+  // The dequeue position, and the enqueue position shifted past the closed
+  // bit: each on its own cache line.
+  alignas(64) std::atomic<std::uint64_t> head_{0};
+  alignas(64) std::atomic<std::uint64_t> tail_{0};
+  alignas(64) Event readable_{EventReset::kManual};
   Event writable_{EventReset::kManual};
 };
 

@@ -1,7 +1,6 @@
 #include "src/threads/poll.h"
 
 #include <algorithm>
-#include <vector>
 
 #include "src/base/chaos.h"
 #include "src/base/check.h"
@@ -70,6 +69,21 @@ void Poll::Add(Event& e) {
     TAOS_CHECK(events_[i] != &e);
   }
   events_[n_++] = &e;
+  owner_ = spec::kNil;  // the next wait points the new node at itself
+}
+
+Poll::~Poll() {
+  TAOS_CHECK(!busy_.load(std::memory_order_acquire));
+  DeregisterAll(resident_);
+}
+
+void Poll::Rebind(ThreadRecord* self) {
+  for (std::size_t i = 0; i < n_; ++i) {
+    NubGuard g(events_[i]->nub_lock_);
+    resident_[i].rec = self;
+    resident_[i].latch = &latch_;
+  }
+  owner_ = self->id;
 }
 
 spec::ObjIdSet Poll::WaitSetIds() const {
@@ -86,22 +100,26 @@ void Poll::DeregisterAll(PollNode* nodes) {
   }
 }
 
-// One WaitAny round: per member, from ScanStart() round the set,
-// (re)register under its lock, then attempt the waiter-side claim. Returns
-// the granted index, or size() if nothing was ready. Registration-before-
-// test is the Dekker pairing with Set's flag-store-then-len-load; the claim
-// itself needs no lock (it is the same atomic exchange/load every consumer
-// uses).
+// One WaitAny round: per member, from ScanStart() round the set, register
+// under its lock if the node is not linked yet, then attempt the
+// waiter-side claim. Returns the granted index, or size() if nothing was
+// ready. Registration-before-test is the Dekker pairing with Set's
+// flag-store-then-len-load; a node still linked from an earlier wait was
+// counted long before. `linked` is read without the lock: only the thread
+// that owns the nodes for this wait writes it. The claim itself needs no
+// lock (it is the same atomic exchange/load every consumer uses); it is
+// seq_cst so that it also pairs with Set's flag store across the latch
+// re-arm.
 std::size_t Poll::ScanAny(PollNode* nodes) {
   const std::size_t start = ScanStart();
   for (std::size_t k = 0; k < n_; ++k) {
     const std::size_t i = (start + k) % n_;
     Event* ev = events_[i];
-    {
+    if (!nodes[i].linked) {
       NubGuard g(ev->nub_lock_);
       ev->RegisterPollerLocked(&nodes[i]);
     }
-    if (ev->TryConsume(std::memory_order_acquire)) {
+    if (ev->TryConsume(std::memory_order_seq_cst)) {
       NoteGranted(i);
       return i;
     }
@@ -120,7 +138,7 @@ std::size_t Poll::ScanAny(PollNode* nodes) {
 // happen in traced runs, where every consumer takes the lock, so the
 // spec-checked WaitAll is genuinely atomic.
 bool Poll::ScanAll(PollNode* nodes, spec::ObjId* first_unset) {
-  std::vector<waitq::Parker*> unparks;
+  ParkerList unparks;
   bool ready = false;
   SpinLock* resolved[kMaxWait];
   for (std::size_t i = 0; i < n_; ++i) {
@@ -177,13 +195,30 @@ Poll::Outcome Poll::WaitInternal(bool all, bool alertable,
   if (nub.tracing()) {
     return TracedWait(self, all, alertable, deadline_ns);
   }
-
+  if (!busy_.exchange(true, std::memory_order_acquire)) {
+    if (owner_ != self->id) {
+      Rebind(self);
+    }
+    const Outcome out =
+        WaitRounds(self, resident_, &latch_, all, alertable, deadline_ns);
+    busy_.store(false, std::memory_order_release);
+    return out;
+  }
+  // Another thread is waiting on this Poll: register for this call only.
   PollNode nodes[kMaxWait];
   for (std::size_t i = 0; i < n_; ++i) {
     nodes[i].rec = self;
-    nodes[i].event = events_[i];
+    nodes[i].latch = &self->poll_latch;
   }
+  const Outcome out = WaitRounds(self, nodes, &self->poll_latch, all,
+                                 alertable, deadline_ns);
+  DeregisterAll(nodes);
+  return out;
+}
 
+Poll::Outcome Poll::WaitRounds(ThreadRecord* self, PollNode* nodes,
+                               std::atomic<std::uint32_t>* latch, bool all,
+                               bool alertable, std::uint64_t deadline_ns) {
   Outcome out{WaitResult::kSatisfied, n_};
   bool parked = false;
   bool expired = false;
@@ -192,7 +227,8 @@ Poll::Outcome Poll::WaitInternal(bool all, bool alertable,
     // Re-arm the latch BEFORE registering and scanning: a Set landing after
     // this store either sees the registration (and flips the latch, which
     // the pre-park check below observes) or is itself seen by the scan.
-    self->poll_latch.store(0, std::memory_order_seq_cst);
+    latch->store(0, std::memory_order_seq_cst);
+    obs::Add(obs::Counter::kPollRegistrations, n_);
     spec::ObjId first_unset = events_[0]->id();
     std::size_t index = 0;
     bool ready;
@@ -228,14 +264,15 @@ Poll::Outcome Poll::WaitInternal(bool all, bool alertable,
         // Pending alert: one more (failed) scan above decides the exit, so
         // a member set in the meantime still beats the alert.
         alert_pending = true;
-      } else if (self->poll_latch.load(std::memory_order_seq_cst) == 0) {
+      } else if (latch->load(std::memory_order_seq_cst) == 0) {
         // Latch still disarmed under the record lock: no Set has notified
         // since the re-arm, so parking cannot strand us — a later notify
-        // wins the 0->1 edge, sees this blocked state, and unparks.
+        // wins the 0->1 edge, sees this thread blocked on its latch, and
+        // unparks.
         SetBlockedLocked(self,
                          all ? ThreadRecord::BlockKind::kPollAll
                              : ThreadRecord::BlockKind::kPollAny,
-                         this, all ? first_unset : events_[0]->id(),
+                         latch, all ? first_unset : events_[0]->id(),
                          /*obj_lock=*/nullptr, alertable);
         parked = true;
       }
@@ -252,7 +289,6 @@ Poll::Outcome Poll::WaitInternal(bool all, bool alertable,
       }
     }
   }
-  DeregisterAll(nodes);
   return out;
 }
 
@@ -264,7 +300,7 @@ Poll::Outcome Poll::TracedWait(ThreadRecord* self, bool all, bool alertable,
   PollNode nodes[kMaxWait];
   for (std::size_t i = 0; i < n_; ++i) {
     nodes[i].rec = self;
-    nodes[i].event = events_[i];
+    nodes[i].latch = &self->poll_latch;
   }
 
   Outcome out{WaitResult::kSatisfied, n_};
@@ -273,6 +309,7 @@ Poll::Outcome Poll::TracedWait(ThreadRecord* self, bool all, bool alertable,
   bool alert_pending = false;
   for (;;) {
     self->poll_latch.store(0, std::memory_order_seq_cst);
+    obs::Add(obs::Counter::kPollRegistrations, n_);
     spec::ObjId first_unset = events_[0]->id();
     std::size_t index = n_;
     bool ready = false;
@@ -362,7 +399,8 @@ Poll::Outcome Poll::TracedWait(ThreadRecord* self, bool all, bool alertable,
         SetBlockedLocked(self,
                          all ? ThreadRecord::BlockKind::kPollAll
                              : ThreadRecord::BlockKind::kPollAny,
-                         this, all ? first_unset : events_[0]->id(),
+                         &self->poll_latch,
+                         all ? first_unset : events_[0]->id(),
                          /*obj_lock=*/nullptr, alertable);
         parked = true;
       }

@@ -14,20 +14,37 @@
 //                        ∧ UNCHANGED [manual members]
 //   Both REQUIRES W # {}.
 //
-// Implementation: the notify-latch protocol (DESIGN.md §15). The waiter
-// owns a per-thread latch (ThreadRecord::poll_latch). Each round it re-arms
-// the latch, registers on every member's pollable list, scans, and — if
-// nothing is ready and the latch is still 0 under its record lock — parks.
-// Event::Set notifies registrants by flipping the latch; the 0->1 winner
-// performs the record-lock unblock dance. Crucially Set is *notify-only*:
-// it never consumes the event on the waiter's behalf, so
+// Implementation: the notify-latch protocol (DESIGN.md §15). Each wait owns
+// a latch. Each round it re-arms the latch, makes sure it is registered on
+// every member's pollable list, scans, and — if nothing is ready and the
+// latch is still 0 under its record lock — parks, publishing the latch as
+// the object it is blocked on. Event::Set notifies registrants by flipping
+// the latch; the 0->1 winner performs the record-lock unblock dance, and
+// unblocks the registrant only if it is blocked on that very latch.
+// Crucially Set is *notify-only*: it never consumes the event on the
+// waiter's behalf, so
 //   - a notification that races a timeout or an Alert is benign (the waiter
 //     re-scans once and takes whichever outcome holds),
-//   - deregistering from the losers after a grant on one member cannot lose
-//     a signal (the flag, not the notification, carries the state), and
+//   - a registration left on a member that was not granted cannot lose a
+//     signal (the flag, not the notification, carries the state), and
 //   - exactly-one-consumption of an auto-reset pulse is decided by the
 //     waiter's own atomic exchange, the same arbitration the single-object
 //     Wait uses.
+//
+// Resident registrations. A Poll keeps one PollNode per member and the
+// latch they notify. An untraced wait links the nodes on first use and
+// leaves them linked when it returns, so the next wait by the same thread
+// only re-arms the latch and scans, and takes no member's lock. While no
+// wait runs, a Set still flips the idle latch, but the Poll's last waiter
+// is not blocked on it, so it wakes nobody; two Polls sharing an Event on
+// one thread therefore never wake each other. A wait by another thread, or
+// by a reused record, first re-points the nodes at its own record under
+// each member's lock. A thread that waits while another thread is already
+// waiting on the same Poll registers nodes of its own, in its frame, on
+// its record's latch (ThreadRecord::poll_latch), and unlinks them before
+// it returns. Traced waits always take that frame path, so residency never
+// changes what a traced run emits. The destructor unlinks the resident
+// nodes, which is why every member must outlive the Poll.
 //
 // Lock ordering (vs the discipline in nub.h): registration and the granter
 // walk take one event's ObjLock at a time (rule 1 shape); WaitAll's scan
@@ -57,11 +74,16 @@ class Poll {
   static constexpr std::size_t kMaxWait = 16;
 
   Poll() = default;
+  // Unlinks the resident registrations. REQUIRES no wait on this Poll still
+  // running.
+  ~Poll();
   Poll(const Poll&) = delete;
   Poll& operator=(const Poll&) = delete;
 
-  // REQUIRES e not already added, fewer than kMaxWait members. The caller
-  // keeps every added Event alive across all waits on this Poll.
+  // REQUIRES e not already added, fewer than kMaxWait members, and no wait
+  // on this Poll running. Every added Event must outlive the Poll: the
+  // Poll's registrations stay on its members between waits, and an Event
+  // destroyed under a live registration panics (event.h).
   void Add(Event& e);
 
   std::size_t size() const { return n_; }
@@ -106,8 +128,14 @@ class Poll {
 
   // The one body of every wait above; the untimed ones pass kNoDeadline.
   Outcome WaitInternal(bool all, bool alertable, std::uint64_t deadline_ns);
+  // The untraced rounds, on the resident nodes or on a frame's own.
+  Outcome WaitRounds(ThreadRecord* self, PollNode* nodes,
+                     std::atomic<std::uint32_t>* latch, bool all,
+                     bool alertable, std::uint64_t deadline_ns);
   Outcome TracedWait(ThreadRecord* self, bool all, bool alertable,
                      std::uint64_t deadline_ns);
+  // Points the resident nodes at `self`, under each member's lock.
+  void Rebind(ThreadRecord* self);
   std::size_t ScanAny(PollNode* nodes);
   // The member the next WaitAny scan starts at: one past the last grant.
   std::size_t ScanStart() const {
@@ -125,6 +153,17 @@ class Poll {
   // Relaxed: the scan order is a fairness hint, and waits on one Poll may
   // run on several threads at once.
   std::atomic<std::size_t> next_{0};
+
+  // The resident registrations, one per member, and the latch they flip.
+  PollNode resident_[kMaxWait];
+  std::atomic<std::uint32_t> latch_{0};
+  // True while a wait uses resident_; a second, concurrent waiter takes
+  // the frame path instead. Its acquire and release hand resident_ and
+  // owner_ from one waiting thread to the next.
+  std::atomic<bool> busy_{false};
+  // The thread id (so also the record generation) resident_ points at;
+  // kNil until the first untraced wait, and again after an Add.
+  spec::ThreadId owner_ = spec::kNil;
 };
 
 }  // namespace taos

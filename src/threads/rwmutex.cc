@@ -1,10 +1,10 @@
 #include "src/threads/rwmutex.h"
 
 #include <bit>
-#include <vector>
 
 #include "src/base/chaos.h"
 #include "src/base/check.h"
+#include "src/base/small_vector.h"
 #include "src/obs/metrics.h"
 #include "src/obs/recorder.h"
 #include "src/spec/action.h"
@@ -476,7 +476,7 @@ void ReaderWriterMutex::NubReleaseExclusive() {
   // An exclusive release wakes EVERY queued reader plus one queued writer:
   // the readers can all be admitted together, and the writer contends with
   // them (barging decides the rest).
-  std::vector<waitq::Parker*> unparks;
+  SmallVector<waitq::Parker*> unparks;
   {
     NubGuard g(nub_lock_);
     for (ThreadRecord* wake = readers_queue_.PopFront(); wake != nullptr;
@@ -582,7 +582,7 @@ bool ReaderWriterMutex::TracedAcquireSharedFor(ThreadRecord* self,
 
 void ReaderWriterMutex::TracedRelease(ThreadRecord* self) {
   Nub& nub = Nub::Get();
-  std::vector<ThreadRecord*> wakes;
+  SmallVector<ThreadRecord*> wakes;
   {
     NubGuard g(nub_lock_);
     TAOS_CHECK(holder_.load(std::memory_order_relaxed) == self->id);

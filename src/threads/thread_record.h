@@ -42,14 +42,15 @@ struct ThreadRecord {
   // the handle's id; the owning thread reads it freely.
   spec::ThreadId id = spec::kNil;
 
-  // Multi-object wait notification latch (src/threads/poll.h). A poll
-  // waiter re-arms it to 0 before each scan of its wait set; an Event::Set
-  // that finds this thread registered exchanges it to 1 and, on the 0->1
-  // edge only, performs the record-lock unblock dance. Living here (not on
-  // the waiter's stack) means granters never dereference stack memory of a
-  // thread that may have already returned from WaitAny. Not guarded by
-  // `lock` — the seq_cst exchange/store pair is the Dekker publication the
-  // protocol's lost-wakeup argument rests on (DESIGN.md §15).
+  // Multi-object wait notification latch (src/threads/poll.h) for the
+  // waits that register nodes in their own frame: traced waits, and a wait
+  // on a Poll another thread is already waiting on (resident registrations
+  // use their Poll's own latch). The waiter re-arms it to 0 before each
+  // scan of its wait set; an Event::Set that finds this thread registered
+  // exchanges it to 1 and, on the 0->1 edge only, performs the record-lock
+  // unblock dance. Not guarded by `lock` — the seq_cst exchange/store pair
+  // is the Dekker publication the protocol's lost-wakeup argument rests on
+  // (DESIGN.md §15).
   std::atomic<std::uint32_t> poll_latch{0};
 
   // The ReaderWriterMutex this thread holds through its bias slot, or null.
@@ -118,7 +119,8 @@ struct ThreadRecord {
   bool alertable = false;    // blocked in AlertP / AlertWait
   bool alert_woken = false;  // dequeued by Alert rather than by V/Signal
   void* blocked_obj = nullptr;  // the object blocked on (a LockCore for
-                                // kMutex and kSemaphore)
+                                // kMutex and kSemaphore; for kPollAny and
+                                // kPollAll, the latch the wait parks on)
   ObjLock* blocked_lock = nullptr;  // that object's slow-path lock
 
   // This thread's waits-for registry slot (src/obs/diag.h), registered

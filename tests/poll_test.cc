@@ -20,6 +20,7 @@
 #include "src/obs/json.h"
 #include "src/obs/metrics.h"
 #include "src/obs/recorder.h"
+#include "tests/await_blocked.h"
 
 namespace taos {
 namespace {
@@ -475,6 +476,149 @@ TEST(PollTest, ManyWaitersOnOverlappingSets) {
   EXPECT_EQ(grants.load(), 2 * kRounds);
 }
 
+// perfbench's poll.spurious_scan_frac divides kPollSpuriousScans by
+// kPollRegistrations, so the denominator must count registrations in force,
+// not registrations installed: a Poll's nodes stay linked between waits and
+// are installed once. It counts one per member per wait round.
+TEST(PollTest, RegistrationsCountOnePerMemberPerRound) {
+  Event a;  // manual: every wait is granted on its first round
+  Event b;
+  Poll p;
+  p.Add(a);
+  p.Add(b);
+  a.Set();
+  const obs::Stats before = obs::Snapshot();
+  constexpr int kWaits = 5;
+  for (int i = 0; i < kWaits; ++i) {
+    (void)p.WaitAny();
+  }
+  const obs::Stats after = obs::Snapshot();
+  EXPECT_EQ(after.Count(obs::Counter::kPollRegistrations) -
+                before.Count(obs::Counter::kPollRegistrations),
+            kWaits * p.size());
+  EXPECT_EQ(after.Count(obs::Counter::kPollSpuriousScans) -
+                before.Count(obs::Counter::kPollSpuriousScans),
+            0u);
+}
+
+// Two Polls on one thread share an Event. The first Poll's registrations
+// stay linked after its wait returns; a Set of a member only it has must
+// not wake the thread while it waits on the second Poll, and a Set of the
+// shared member wakes it through the second.
+TEST(PollTest, AnIdlePollDoesNotWakeItsThread) {
+  Event shared(EventReset::kAuto);
+  Event a_only(EventReset::kAuto);
+  Event b_only(EventReset::kAuto);
+  std::atomic<bool> a_done{false};
+  std::atomic<std::size_t> granted{99};
+  Thread waiter = Thread::Fork([&] {
+    Poll a;
+    a.Add(shared);
+    a.Add(a_only);
+    Poll b;
+    b.Add(shared);
+    b.Add(b_only);
+    a_only.Set();
+    EXPECT_EQ(a.WaitAny(), 1u);  // a's registrations are now resident
+    a_done.store(true, std::memory_order_release);
+    granted.store(b.WaitAny(), std::memory_order_release);
+    granted.store(b.WaitAny(), std::memory_order_release);
+  });
+  while (!a_done.load(std::memory_order_acquire)) {
+    std::this_thread::yield();
+  }
+  AwaitBlocked(waiter);
+  const obs::Stats before = obs::Snapshot();
+  a_only.Set();  // for the Poll not being waited on
+  std::this_thread::sleep_for(20ms);
+  EXPECT_TRUE(IsBlocked(waiter)) << "a Set for the idle Poll woke the thread";
+  EXPECT_EQ(granted.load(std::memory_order_acquire), 99u);
+  EXPECT_TRUE(a_only.IsSet());  // nobody consumed it
+  b_only.Set();
+  while (granted.load(std::memory_order_acquire) != 1u) {
+    std::this_thread::yield();
+  }
+  AwaitBlocked(waiter);
+  shared.Set();
+  waiter.Join();
+  EXPECT_EQ(granted.load(std::memory_order_acquire), 0u);
+  EXPECT_TRUE(a_only.IsSet());
+  EXPECT_EQ(obs::Snapshot().Count(obs::Counter::kPollSpuriousScans) -
+                before.Count(obs::Counter::kPollSpuriousScans),
+            0u);
+}
+
+// A Poll is waited on by one thread, then by others, each after the one
+// before has exited (so its record may be reused, under a new id, or not).
+// Each wait must re-point the resident registrations at its own thread, or
+// the Set below notifies the previous waiter's record and leaves this one
+// parked.
+TEST(PollTest, APollOutlivesItsWaitingThread) {
+  Event e(EventReset::kAuto);
+  Poll p;
+  p.Add(e);
+  e.Set();
+  EXPECT_EQ(p.WaitAny(), 0u);  // resident, on this thread's record
+  for (int round = 0; round < 4; ++round) {
+    SCOPED_TRACE(round);
+    std::atomic<int> result{-1};
+    Thread waiter = Thread::Fork([&] {
+      result.store(static_cast<int>(p.WaitAnyFor(5s).result),
+                   std::memory_order_release);
+    });
+    AwaitBlocked(waiter);
+    const auto set_at = std::chrono::steady_clock::now();
+    e.Set();
+    waiter.Join();
+    // A wake that went to the wrong record shows as the deadline's final
+    // scan granting the member, seconds late.
+    EXPECT_LT(std::chrono::steady_clock::now() - set_at, 4s);
+    EXPECT_EQ(result.load(std::memory_order_acquire),
+              static_cast<int>(WaitResult::kSatisfied));
+  }
+}
+
+// Two threads wait on one Poll at once: the second registers nodes of its
+// own, and each auto-reset pulse releases one of them. A pulse that reaches
+// neither shows as a wait that lasts until its deadline.
+TEST(PollTest, TwoThreadsWaitOnOnePoll) {
+  Event e(EventReset::kAuto);
+  Event unused(EventReset::kAuto);
+  Poll p;
+  p.Add(unused);
+  p.Add(e);
+  constexpr int kRounds = 200;
+  std::atomic<int> grants{0};
+  std::atomic<int> late{0};
+  std::atomic<int> done{0};
+  auto wait_loop = [&] {
+    for (int i = 0; i < kRounds; ++i) {
+      const auto start = std::chrono::steady_clock::now();
+      const Poll::AnyResult r = p.WaitAnyFor(3s);
+      if (r.result != WaitResult::kSatisfied ||
+          std::chrono::steady_clock::now() - start > 2s) {
+        late.fetch_add(1, std::memory_order_relaxed);
+        break;
+      }
+      EXPECT_EQ(r.index, 1u);
+      grants.fetch_add(1, std::memory_order_relaxed);
+    }
+    done.fetch_add(1, std::memory_order_release);
+  };
+  Thread w0 = Thread::Fork(wait_loop);
+  Thread w1 = Thread::Fork(wait_loop);
+  while (done.load(std::memory_order_acquire) < 2) {
+    if (!e.IsSet()) {
+      e.Set();
+    }
+    std::this_thread::yield();
+  }
+  w0.Join();
+  w1.Join();
+  EXPECT_EQ(late.load(), 0) << "a pulse reached neither waiter";
+  EXPECT_EQ(grants.load(), 2 * kRounds);
+}
+
 // --- MessageQueue ---
 
 TEST(MessageQueueTest, FifoWithinCapacity) {
@@ -854,6 +998,118 @@ TEST(MessageQueueTest, PollConsumersDrainEveryItem) {
     for (int i = 0; i < kItems; ++i) {
       ASSERT_EQ(seen[static_cast<std::size_t>(i)].load(), 1) << "item " << i;
     }
+  }
+}
+
+// The lock-free ring at its two smallest capacities (capacity 1 is the one
+// a sequence scheme without half-steps cannot express), two producers and
+// two blocking consumers: every item is received exactly once. A lost
+// readiness would leave a consumer blocked on a non-empty ring; the
+// deadline turns that into a failure instead of a hang.
+TEST(MessageQueueTest, MpmcConservesItemsAtCapacityOneAndTwo) {
+  constexpr int kProducers = 2;
+  constexpr int kConsumers = 2;
+  constexpr int kPerProducer = 5000;
+  constexpr int kItems = kProducers * kPerProducer;
+  for (std::size_t capacity : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE(testing::Message() << "capacity " << capacity);
+    MessageQueue<int> q(capacity);
+    std::vector<std::atomic<int>> seen(kItems);
+    std::atomic<int> received{0};
+    std::vector<Thread> threads;
+    for (int p = 0; p < kProducers; ++p) {
+      threads.push_back(Thread::Fork([&, p] {
+        for (int i = 0; i < kPerProducer; ++i) {
+          if (q.Send(p * kPerProducer + i) != QueueResult::kOk) {
+            return;  // closed by the deadline below
+          }
+        }
+      }));
+    }
+    for (int c = 0; c < kConsumers; ++c) {
+      threads.push_back(Thread::Fork([&] {
+        int item = 0;
+        while (q.Recv(&item) == QueueResult::kOk) {
+          seen[static_cast<std::size_t>(item)].fetch_add(
+              1, std::memory_order_relaxed);
+          received.fetch_add(1, std::memory_order_release);
+        }
+      }));
+    }
+    const auto deadline = std::chrono::steady_clock::now() + 60s;
+    while (received.load(std::memory_order_acquire) < kItems &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(1ms);
+    }
+    EXPECT_EQ(received.load(std::memory_order_acquire), kItems)
+        << "items stopped arriving: a readiness was lost";
+    q.Close();
+    if (received.load(std::memory_order_acquire) < kItems) {
+      // Re-deliver the wakes a lost readiness withheld, so the joins return
+      // (both events stay set once the queue is closed).
+      q.readable().Set();
+      q.writable().Set();
+    }
+    for (Thread& t : threads) {
+      t.Join();
+    }
+    for (int i = 0; i < kItems; ++i) {
+      ASSERT_EQ(seen[static_cast<std::size_t>(i)].load(), 1) << "item " << i;
+    }
+  }
+}
+
+// Close racing Sends in flight: every Send that returned kOk is received,
+// and a Send that starts after Close returned is refused.
+TEST(MessageQueueTest, CloseRacingSendsLosesNoAcceptedItem) {
+  constexpr int kProducers = 3;
+  constexpr int kMaxPerProducer = 1 << 20;
+  for (int round = 0; round < 100; ++round) {
+    SCOPED_TRACE(round);
+    MessageQueue<int> q(4);
+    std::atomic<bool> close_returned{false};
+    std::atomic<int> accepted_after_close{0};
+    std::atomic<std::int64_t> accepted_sum{0};
+    std::atomic<int> accepted{0};
+    std::vector<Thread> producers;
+    for (int p = 0; p < kProducers; ++p) {
+      producers.push_back(Thread::Fork([&, p] {
+        for (int i = 1; i <= kMaxPerProducer; ++i) {
+          const bool after = close_returned.load(std::memory_order_acquire);
+          const int v = p * kMaxPerProducer + i;
+          if (q.Send(v) != QueueResult::kOk) {
+            return;
+          }
+          accepted.fetch_add(1, std::memory_order_relaxed);
+          accepted_sum.fetch_add(v, std::memory_order_relaxed);
+          if (after) {
+            accepted_after_close.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      }));
+    }
+    std::atomic<int> received{0};
+    std::atomic<std::int64_t> received_sum{0};
+    Thread consumer = Thread::Fork([&] {
+      int v = 0;
+      while (q.Recv(&v) == QueueResult::kOk) {
+        received.fetch_add(1, std::memory_order_relaxed);
+        received_sum.fetch_add(v, std::memory_order_relaxed);
+      }
+    });
+    std::this_thread::sleep_for(std::chrono::microseconds(100 + 20 * round));
+    q.Close();
+    close_returned.store(true, std::memory_order_release);
+    for (Thread& t : producers) {
+      t.Join();
+    }
+    consumer.Join();
+    EXPECT_EQ(accepted_after_close.load(), 0);
+    EXPECT_EQ(received.load(), accepted.load());
+    EXPECT_EQ(received_sum.load(), accepted_sum.load());
+    int v = 0;
+    EXPECT_EQ(q.TryRecv(&v), QueueResult::kClosed);
+    EXPECT_EQ(q.TrySend(0), QueueResult::kClosed);
   }
 }
 

@@ -507,10 +507,10 @@ TEST_P(ConformanceTest, PollAlertRaces) {
   CheckConformance();
 }
 
-// The MessageQueue composition in traced mode: its Mutex, Events, and the
+// The MessageQueue composition in traced mode: its readiness Events and the
 // receiver's WaitAny all interleave in one trace, and the checker holds the
-// whole fabric — queue edges under the mutex, level events, poll grants —
-// to a single serialization.
+// whole fabric — the lock-free ring's edge Sets and re-checked Resets,
+// level events, poll grants — to a single serialization.
 TEST_P(ConformanceTest, MessageQueueFanIn) {
   const int items = 12 * Scale();
   MessageQueue<int> q0(2);
