@@ -51,6 +51,7 @@ constexpr PointInfo kPoints[kNumPoints] = {
     {"thread.exit_to_reclaim", Category::kGeneric},
     {"rwlock.bias_recheck", Category::kAfterCas},
     {"mutex.clear_to_owed_wake", Category::kBeforeUnpark},
+    {"thread.exited_to_idle", Category::kGeneric},
 };
 
 constexpr const char* kStrategyNames[] = {"uniform", "preempt-after-cas",

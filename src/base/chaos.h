@@ -110,6 +110,9 @@ enum class Point : std::uint32_t {
   // Condition wakes deferred to the mutex release (condition.h, Ready).
   kMutexClearToOwedWake, // a release cleared the Lock-bit, before it
                          // unparks the waiters its Signals left parked
+  // A pooled host thread between lives (src/threads/thread.cc).
+  kThreadExitedToIdle,   // a life's exit published and its joiner woken,
+                         // before the host returns to the idle pool
   kCount,
 };
 

@@ -1171,6 +1171,157 @@ class AlertExitTest : public LitmusTest {
 };
 
 // ---------------------------------------------------------------------------
+// A pooled host thread's exit/join handoff
+// ---------------------------------------------------------------------------
+
+// Thread::Fork's host pool (src/threads/thread.cc), modelled at the
+// granularity of its shared state: the first record's join word and
+// claims, the pool's idle slot, the host's parker and the joiner's. Each
+// access to the join word is one step, as is each claim drop and each
+// pool operation under the pool's lock; a Park or Unpark takes the steps
+// of ModelParker. The host starts inside its first Fork's life, with the
+// driver about to Join it. The driver then Forks again: it takes the idle
+// host if the pool holds it and hands it the new life, else it would start
+// a new host, which the model does not follow. The host, handed a life,
+// starts it and leaves the scenario; a host still in the pool at the end
+// sleeps there, which is how an idle host ends a run, not a deadlock.
+class ExitJoinTest : public LitmusTest {
+ public:
+  ExitJoinTest(ExitHandoff protocol, Tally* tally)
+      : protocol_(protocol), tally_(tally) {}
+
+  void Setup(Machine& machine) override {
+    machine.Fork([this, &machine] { Host(machine); }, /*priority=*/0, "host");
+    machine.Fork([this, &machine] { Driver(machine); }, /*priority=*/0,
+                 "driver");
+  }
+
+  std::string Verify(const RunResult& result) override {
+    if (tally_ != nullptr) {
+      tally_->completions += result.completed ? 1 : 0;
+      tally_->deadlocks += result.deadlock ? 1 : 0;
+      tally_->hosts_reused += host_reused_ ? 1 : 0;
+      tally_->joins_without_park += join_without_park_ ? 1 : 0;
+    }
+    if (claim_after_join_) {
+      return "claim after join: Join returned while the host still held "
+             "its claim on the record, and the host dropped it after";
+    }
+    if (!driver_done_) {
+      if (exit_unpublished_in_pool_) {
+        return "exit unpublished: the host sleeps in the pool before it "
+               "publishes the exit its joiner waits for: " +
+               result.ToString();
+      }
+      return "lost wakeup: the joiner sleeps on an exit already "
+             "published: " +
+             result.ToString();
+    }
+    if (!result.completed && !(result.stuck_fibers.size() == 1 && idle_)) {
+      return "stuck: " + result.ToString();
+    }
+    if (joiner_park_.permit) {
+      return "stray permit: the joiner's parker kept a permit past Join";
+    }
+    if (claims_ != 0) {
+      return "leak: the record kept a claim after its thread was joined";
+    }
+    return "";
+  }
+
+ private:
+  enum : int { kRunning = 0, kJoinerIn = 1, kExited = 2 };
+
+  void Host(Machine& machine) {
+    machine.Step();  // the life's closure runs and is destroyed
+    if (protocol_ == ExitHandoff::kIdleBeforeExited) {
+      DropClaim(machine, /*host=*/true);
+      exit_unpublished_in_pool_ = true;
+      ReturnToPool(machine);
+      exit_unpublished_in_pool_ = false;
+      Publish(machine);
+    } else {
+      if (protocol_ == ExitHandoff::kExitedBeforeRelease) {
+        Publish(machine);
+        DropClaim(machine, /*host=*/true);
+      } else {
+        DropClaim(machine, /*host=*/true);
+        Publish(machine);
+      }
+      ReturnToPool(machine);
+    }
+    machine.Step();  // the next life starts
+  }
+
+  // Takes the pool's idle slot under its lock and sleeps there until a
+  // Fork hands it a life (thread.exited_to_idle is the window before it).
+  void ReturnToPool(Machine& machine) {
+    machine.Step();
+    pooled_ = true;
+    idle_ = true;
+    host_park_.Park(machine);
+    idle_ = false;
+  }
+
+  // The exchange that publishes the exit, and the joiner's wake.
+  void Publish(Machine& machine) {
+    machine.Step();
+    const int old = word_;
+    word_ = kExited;
+    if (old == kJoinerIn) {
+      joiner_park_.Unpark(machine);
+    }
+  }
+
+  void DropClaim(Machine& machine, bool host) {
+    machine.Step();
+    --claims_;
+    claim_after_join_ = claim_after_join_ || (host && joined_);
+  }
+
+  void Driver(Machine& machine) {
+    machine.Step();  // the CAS; with kJoinWithoutRecheck, a plain read
+    if (word_ == kExited) {
+      join_without_park_ = true;
+    } else if (protocol_ == ExitHandoff::kJoinWithoutRecheck) {
+      machine.Step();  // the plain store
+      word_ = kJoinerIn;
+      joiner_park_.Park(machine);
+    } else {
+      word_ = kJoinerIn;
+      do {
+        joiner_park_.Park(machine);
+        machine.Step();  // the re-check
+      } while (word_ != kExited);
+    }
+    DropClaim(machine, /*host=*/false);
+    joined_ = true;
+    machine.Step();  // the next Fork: the pool's lock
+    if (pooled_) {
+      pooled_ = false;
+      host_reused_ = true;
+      host_park_.Unpark(machine);
+    }
+    driver_done_ = true;
+  }
+
+  const ExitHandoff protocol_;
+  Tally* const tally_;
+  int word_ = kRunning;  // the join word: running, a joiner, exited
+  int claims_ = 2;       // the thread's and the Thread's
+  bool joined_ = false;  // Join has returned
+  ModelParker joiner_park_;
+  ModelParker host_park_;
+  bool pooled_ = false;  // the host is in the pool's idle slot
+  bool idle_ = false;    // the host sleeps in the pool
+  bool driver_done_ = false;
+  bool host_reused_ = false;
+  bool join_without_park_ = false;
+  bool claim_after_join_ = false;
+  bool exit_unpublished_in_pool_ = false;
+};
+
+// ---------------------------------------------------------------------------
 // Biased readers: publish/re-check against revoke/scan, and the drain wake
 // ---------------------------------------------------------------------------
 
@@ -1848,6 +1999,12 @@ LitmusFactory PollDeregLostWakeupLitmus(bool safe_cancel, Tally* tally) {
 LitmusFactory AlertExitLitmus(RecordReclaim reclaim, Tally* tally) {
   return [reclaim, tally] {
     return std::make_unique<AlertExitTest>(reclaim, tally);
+  };
+}
+
+LitmusFactory ExitJoinLitmus(ExitHandoff protocol, Tally* tally) {
+  return [protocol, tally] {
+    return std::make_unique<ExitJoinTest>(protocol, tally);
   };
 }
 

@@ -58,6 +58,10 @@ struct Tally {
   // Signal-under-lock litmus: runs where a Signal made under the waiter's
   // mutex left the wake owed to that mutex's release.
   std::uint64_t cond_wakes_deferred = 0;
+  // Exit/join litmus: runs where the second Fork found the host idle in
+  // the pool, and runs where Join found the exit already published.
+  std::uint64_t hosts_reused = 0;
+  std::uint64_t joins_without_park = 0;
   // Queue-readiness litmus: runs where a receiver's re-check after its
   // Reset found an item that landed in between and set readable again,
   // and runs where Close refused the producer's Send.
@@ -108,6 +112,23 @@ enum class RecordReclaim {
   kFreeOnExit,  // the record goes back to the allocator, which hands the
                 // same block to the next thread
   kNoIdCheck,   // the free list, but Alert does not compare ids
+};
+
+// How a pooled host thread ends a Fork's life and how Join waits for it,
+// for ExitJoinLitmus.
+enum class ExitHandoff {
+  kShipped,              // src/threads/thread.cc: the host drops the
+                         // thread's claim, exchanges "exited" into the
+                         // record's join word and unparks the joiner it
+                         // finds there, then returns to the pool; Join
+                         // installs itself by CAS and parks until the word
+                         // reads "exited"
+  kIdleBeforeExited,     // the host parks in the pool before it publishes
+                         // the exit, which it does once a Fork wakes it
+  kExitedBeforeRelease,  // the host publishes the exit, then drops the
+                         // thread's claim
+  kJoinWithoutRecheck,   // Join reads the word, then stores itself into it
+                         // and parks, without checking the word again
 };
 
 // N fibers each perform `iters` critical sections (with explicit internal
@@ -220,6 +241,16 @@ LitmusFactory PollDeregLostWakeupLitmus(bool safe_cancel,
 // which Alert locks a freed record, and kNoIdCheck one in which the next
 // thread finds the stale alert pending.
 LitmusFactory AlertExitLitmus(RecordReclaim reclaim, Tally* tally = nullptr);
+
+// A pooled host thread's exit/join handoff (src/threads/thread.cc): a host
+// ends a Fork's life and returns to the pool, while a driver Joins that
+// Fork and Forks again, onto the same host when it finds the host idle.
+// With kShipped every schedule is clean, and the tally shows both a reused
+// host and a Join that found the exit already published.
+// kIdleBeforeExited and kJoinWithoutRecheck each leave the joiner asleep
+// forever, and kExitedBeforeRelease lets Join return while the host still
+// holds its claim on the record.
+LitmusFactory ExitJoinLitmus(ExitHandoff protocol, Tally* tally = nullptr);
 
 // ReaderWriterMutex's biased readers: a reader marking its slot in the
 // used-slot bitmap, publishing the slot and re-reading the bias flag,

@@ -14,8 +14,9 @@ constinit thread_local ThreadRecord* g_current = nullptr;
 
 namespace {
 
-// Runs on an exiting thread that adopted or registered `arg` (its record),
-// after its thread_local destructors, and drops the thread's claim. A later
+// Runs on an exiting thread that registered `arg` (its record), after its
+// thread_local destructors, and drops the thread's claim. Nub::ExitCurrent
+// runs it too, at the end of each Fork's life on a pooled host. A later
 // synchronization call on this thread (from another key's destructor)
 // registers a record again, which re-arms the key, and the next destructor
 // round releases that one too. Wakes the thread still owes (it exits
@@ -67,6 +68,7 @@ ThreadRecord* Nub::CreateRecord(int owners) {
   rec->refs.store(owners, std::memory_order_relaxed);
   rec->alerted.store(false, std::memory_order_relaxed);
   rec->ended_by_alert.store(false, std::memory_order_relaxed);
+  rec->join_word.store(0, std::memory_order_relaxed);
   rec->poll_latch.store(0, std::memory_order_relaxed);
   rec->biased_rw = nullptr;
   rec->bias_slot_marked = false;
@@ -85,6 +87,13 @@ ThreadRecord* Nub::CreateRecord(int owners) {
 void Nub::AdoptRecord(ThreadRecord* rec) {
   TAOS_CHECK(internal::g_current == nullptr || internal::g_current == rec);
   SetCurrent(rec);
+}
+
+void Nub::ExitCurrent() {
+  // Cleared first, so the host thread's own exit later finds no record to
+  // release a second time.
+  pthread_setspecific(RecordKey(), nullptr);
+  ExitRecord(internal::g_current);
 }
 
 ThreadRecord* Nub::RegisterCurrent() {

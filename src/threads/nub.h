@@ -122,8 +122,9 @@ class Nub {
   // Takes a record for a thread that has not started yet (Thread::Fork
   // takes the child's record up front so the parent gets a handle
   // immediately), with a fresh id and `owners` claims on it: the thread
-  // itself, plus the Thread object if there is one. The new thread adopts
-  // it via AdoptRecord, and its exit drops the thread's claim.
+  // itself, plus the Thread object if there is one. The host thread that
+  // runs it adopts it via AdoptRecord, and ExitCurrent, at the end of the
+  // thread's life, drops the thread's claim.
   //
   // Records are type-stable: a record whose last claim is dropped goes on a
   // free list, never back to the allocator, and a reused record gets a
@@ -131,6 +132,10 @@ class Nub {
   // its id no longer matches (the check Alert makes under the record lock).
   ThreadRecord* CreateRecord(int owners);
   static void AdoptRecord(ThreadRecord* rec);
+  // Ends the calling thread's life on its record, as its exit would: pays
+  // the wakes it owes, clears the current record and drops the thread's
+  // claim. The host thread lives on with no record.
+  static void ExitCurrent();
 
   // Drops one claim on `rec`; the last one retires its id and frees it.
   void ReleaseRecord(ThreadRecord* rec);

@@ -79,6 +79,20 @@ struct ThreadRecord {
   // backend (futex / condvar) is the process default; see waitq/parker.h.
   waitq::Parker park;
 
+  // A forked thread's end of life, for Thread::Join (thread.cc): 0 while
+  // it runs with no joiner, the joiner's record address once Join waits,
+  // and 1 once the life has ended. The thread's host sets 1 by exchange
+  // after dropping the thread's claim, and unparks the joiner it finds
+  // there; Join installs itself by CAS, so exactly one of them sees the
+  // other. The Thread's own claim keeps the record alive until Join has
+  // seen the 1. Reset when the record is reused.
+  std::atomic<std::uintptr_t> join_word{0};
+
+  // The parking-lot lock: guards this record's blocking state against the
+  // one operation that cannot reach it through the blocked-on object's
+  // ObjLock — Alert(t), which must discover that object from here.
+  SpinLock lock;
+
   // The thread's membership in the spec's global `alerts` set. Set by
   // Alert(t), cleared by TestAlert and by the Alerted-raising paths of
   // AlertP / AlertWait. In spec-tracing mode every access that an emitted
@@ -97,11 +111,6 @@ struct ThreadRecord {
   // Whether this record generation has set its slot's bit in the biased
   // readers' used-slot bitmap (rwmutex.h). Owner-only; reset on reuse.
   bool bias_slot_marked = false;
-
-  // The parking-lot lock: guards this record's blocking state against the
-  // one operation that cannot reach it through the blocked-on object's
-  // ObjLock — Alert(t), which must discover that object from here.
-  SpinLock lock;
 
   // ---- guarded by `lock` ----
   enum class BlockKind : std::uint8_t {
@@ -137,7 +146,8 @@ struct ThreadRecord {
 // thread's RSS (perfbench rpc, kv); a new field should be a choice. 224:
 // biased_rw, the biased ReaderWriterMutex's owner check, added 8 bytes;
 // wait_mutex and owed_wakes took the padding the one-byte and four-byte
-// fields used to leave.
+// fields used to leave, and join_word the padding the one-byte fields
+// left before `lock` once they moved behind it.
 #if defined(__x86_64__)
 static_assert(sizeof(ThreadRecord) == 224, "ThreadRecord changed size");
 #endif

@@ -78,6 +78,31 @@ unsigned SpinGate::CurrentCpu() {
 #endif
 }
 
+#if defined(__linux__)
+static_assert(sizeof(CpuMask::words) == sizeof(cpu_set_t));
+#endif
+
+CpuMask CurrentAffinity() {
+  CpuMask mask;
+#if defined(__linux__)
+  cpu_set_t set;
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    std::memcpy(mask.words, &set, sizeof(set));
+  }
+#endif
+  return mask;
+}
+
+void SetCurrentAffinity(const CpuMask& mask) {
+#if defined(__linux__)
+  cpu_set_t set;
+  std::memcpy(&set, mask.words, sizeof(set));
+  sched_setaffinity(0, sizeof(set), &set);
+#else
+  (void)mask;
+#endif
+}
+
 bool SpinGate::Admit(unsigned cpu) {
   Cell& c = At(cpu);
   if (c.credit.load(std::memory_order_relaxed) > 0) {

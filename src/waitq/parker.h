@@ -148,6 +148,21 @@ class SpinGate {
   const std::unique_ptr<Cell[]> cells_;
 };
 
+// A thread's CPU affinity mask: Linux's cpu_set_t (CPU_SETSIZE bits) as
+// words. Thread::Fork runs each forked thread with its forker's mask, as
+// pthread_create would, on a host thread that may have run under another.
+struct CpuMask {
+  std::uint64_t words[16] = {};
+  bool operator==(const CpuMask&) const = default;
+};
+
+// The calling thread's affinity mask (sched_getaffinity); all zero where
+// it is unavailable.
+CpuMask CurrentAffinity();
+// Sets the calling thread's affinity mask (sched_setaffinity); a no-op
+// where it is unavailable or the mask is refused.
+void SetCurrentAffinity(const CpuMask& mask);
+
 class Parker {
  public:
   enum class Backend { kFutex, kCondvar };

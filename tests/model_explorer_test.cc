@@ -294,6 +294,44 @@ TEST(ModelTest, StaleAlertCatchesEachBrokenReclaim) {
   }
 }
 
+// --- A pooled host's exit, its Join, and the next Fork onto that host ---
+
+TEST(ModelTest, ExitJoinHandoffIsCleanExhaustively) {
+  Tally tally;
+  Explorer ex(Opts(2, 200'000));
+  ExplorationResult r =
+      ex.Explore(ExitJoinLitmus(ExitHandoff::kShipped, &tally));
+  EXPECT_TRUE(r.exhausted) << r.ToString();
+  EXPECT_EQ(r.violations, 0u) << r.ToString();
+  // Both sides of each race occur: the second Fork finding the host idle
+  // (and missing it), and Join finding the exit published (and parking).
+  EXPECT_GT(tally.hosts_reused, 0u);
+  EXPECT_LT(tally.hosts_reused, r.runs);
+  EXPECT_GT(tally.joins_without_park, 0u);
+  EXPECT_LT(tally.joins_without_park, r.runs);
+}
+
+TEST(ModelTest, ExitJoinHandoffCatchesEachPlantedBug) {
+  const struct {
+    ExitHandoff protocol;
+    const char* verdict;
+  } cases[] = {
+      {ExitHandoff::kIdleBeforeExited, "exit unpublished"},
+      {ExitHandoff::kExitedBeforeRelease, "claim after join"},
+      {ExitHandoff::kJoinWithoutRecheck, "lost wakeup"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.verdict);
+    Explorer ex(Opts(2, 200'000));
+    ExplorationResult r = ex.Explore(ExitJoinLitmus(c.protocol));
+    ASSERT_GE(r.violations, 1u) << r.ToString();
+    EXPECT_NE(r.first_violation.find(c.verdict), std::string::npos)
+        << r.first_violation;
+    EXPECT_EQ(ex.Replay(ExitJoinLitmus(c.protocol), r.counterexample),
+              r.first_violation);
+  }
+}
+
 // --- Rwlock: the biased readers' seq_cst chains and the used-slot bitmap ---
 
 TEST(ModelTest, BiasedReadersAreSafeExhaustively) {

@@ -157,9 +157,17 @@ TEST(ObsRecorderTest, PerThreadTimestampsAreMonotone) {
   ClearRings();
   obs::SetRecorderEnabled(true);
   {
+    // Rings belong to host threads, and a Fork that ends before the next
+    // one starts lends its host to it: the four meet before they record,
+    // so they run on four hosts at once.
+    std::atomic<int> arrived{0};
     std::vector<Thread> threads;
     for (int t = 0; t < 4; ++t) {
-      threads.push_back(Thread::Fork([] {
+      threads.push_back(Thread::Fork([&arrived] {
+        arrived.fetch_add(1);
+        while (arrived.load() < 4) {
+          std::this_thread::yield();
+        }
         Mutex m;
         Semaphore s;
         for (int i = 0; i < 300; ++i) {

@@ -15,6 +15,16 @@ namespace {
 
 using RequiresDeathTest = ::testing::Test;
 
+TEST(RequiresDeathTest, MoveAssignOntoAJoinableThreadPanics) {
+  // The overwritten Thread's claim on its record would be lost.
+  EXPECT_DEATH(
+      {
+        Thread t = Thread::Fork([] {});
+        t = Thread::Fork([] {});
+      },
+      "check failed");
+}
+
 TEST(RequiresDeathTest, ReleaseWithoutAcquirePanics) {
   Mutex m;
   EXPECT_DEATH(m.Release(), "check failed");

@@ -1,7 +1,9 @@
 // Thread churn: a thread's record, obs cell and diag slot are reclaimed when
 // the thread exits and reused by later threads, so per-thread state follows
 // the threads alive at once, not the threads ever created, and no count an
-// exited thread made is lost or counted twice.
+// exited thread made is lost or counted twice. A Fork's record is released
+// when its life ends; its host thread, with the host's obs cell, runs later
+// Forks or exits when the idle pool is full (thread.h).
 
 #include <pthread.h>
 #include <unistd.h>
@@ -99,7 +101,8 @@ TEST(ChurnTest, ForkJoinReusesPerThreadState) {
   EXPECT_LE(after.cells, before.cells + kMaxAlive + kSlack);
   EXPECT_LE(after.slots, before.slots + kMaxAlive + kSlack);
 
-  // Every child has exited, so its counts live only in the retired totals.
+  // Every child has ended, so its counts are in its host's cell or, for a
+  // host that has exited since, in the retired totals.
   const obs::Stats s1 = obs::Snapshot();
   EXPECT_EQ(s1.Count(obs::Counter::kTimedWaitTimeouts) -
                 s0.Count(obs::Counter::kTimedWaitTimeouts),
@@ -154,7 +157,8 @@ void BumpFromKeyDestructor(void*) {
 TEST(ChurnTest, CountsMadeLateInThreadExitSurvive) {
   // A key created after the obs layer's own: its destructor runs after the
   // thread's cell was folded and freed, so its bump registers a cell again
-  // and must be folded in turn.
+  // and must be folded in turn. The threads are host threads of their own,
+  // which exit before join returns; a Fork's host may outlive its Join.
   obs::Inc(obs::Counter::kPollSpuriousScans);  // the obs key exists by now
   static const pthread_key_t late_key = [] {
     pthread_key_t k;
@@ -165,18 +169,81 @@ TEST(ChurnTest, CountsMadeLateInThreadExitSurvive) {
   const std::size_t cells = obs::RegisteredCells();
   constexpr int kThreads = 50;
   for (int i = 0; i < kThreads; ++i) {
-    Thread::Fork([] {
+    std::thread([] {
       t_bump_at_exit.armed = true;
       pthread_setspecific(late_key,
                           reinterpret_cast<void*>(std::uintptr_t{1}));
       obs::Inc(obs::Counter::kPollSpuriousScans);
-    }).Join();
+    }).join();
   }
   const obs::Stats s1 = obs::Snapshot();
   EXPECT_EQ(s1.Count(obs::Counter::kPollSpuriousScans) -
                 s0.Count(obs::Counter::kPollSpuriousScans),
             3u * kThreads);
   EXPECT_LE(obs::RegisteredCells(), cells + kSlack);
+}
+
+TEST(ChurnTest, CountsMadeInAForkAreInTheSnapshotAfterJoin) {
+  // The host's cell stays registered, so Snapshot() reads the counts live;
+  // Join's acquire of the exit word orders them before the read.
+  for (int i = 0; i < 200; ++i) {
+    const obs::Stats s0 = obs::Snapshot();
+    Thread::Fork([] {
+      obs::Add(obs::Counter::kRwBiasRevocations, 7);
+    }).Join();
+    const obs::Stats s1 = obs::Snapshot();
+    ASSERT_EQ(s1.Count(obs::Counter::kRwBiasRevocations) -
+                  s0.Count(obs::Counter::kRwBiasRevocations),
+              7u)
+        << "lifetime " << i;
+  }
+}
+
+// Bumps kPollRegistrations as its host thread exits, if a Fork armed it.
+struct BumpAtHostExit {
+  ~BumpAtHostExit() {
+    if (armed) {
+      obs::Inc(obs::Counter::kPollRegistrations);
+    }
+  }
+  bool armed = false;
+};
+thread_local BumpAtHostExit t_bump_at_host_exit;
+
+TEST(ChurnTest, ARetiredHostsThreadLocalCountsSurvive) {
+  // kHosts Forks alive at once occupy every idle host and start the rest;
+  // when they have all ended, kMaxIdleHosts hosts stay idle and the others
+  // exit, each running its thread_local destructor after its Fork's Join.
+  constexpr int kHosts = static_cast<int>(Thread::kMaxIdleHosts) + 4;
+  constexpr std::uint64_t kRetired = kHosts - Thread::kMaxIdleHosts;
+  Mutex m;
+  Condition all_in;
+  int in = 0;
+  const obs::Stats s0 = obs::Snapshot();
+  std::deque<Thread> forks;
+  for (int i = 0; i < kHosts; ++i) {
+    forks.push_back(Thread::Fork([&] {
+      t_bump_at_host_exit.armed = true;
+      Lock l(m);
+      if (++in == kHosts) {
+        all_in.Broadcast();
+      }
+      while (in < kHosts) {
+        all_in.Wait(m);
+      }
+    }));
+  }
+  forks.clear();  // joins them all
+  const auto bumped = [&] {
+    return obs::Snapshot().Count(obs::Counter::kPollRegistrations) -
+           s0.Count(obs::Counter::kPollRegistrations);
+  };
+  const auto give_up = std::chrono::steady_clock::now() + 10s;
+  while (bumped() < kRetired && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(1ms);
+  }
+  std::this_thread::sleep_for(10ms);  // a count made twice would show here
+  EXPECT_EQ(bumped(), kRetired);
 }
 
 }  // namespace

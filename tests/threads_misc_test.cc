@@ -1,7 +1,13 @@
 // Odds and ends of the Threads package surface: Thread move semantics,
 // records, handles, stats plumbing.
 
+#include <pthread.h>
+#include <sched.h>
+
 #include <atomic>
+#include <chrono>
+#include <memory>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -21,6 +27,74 @@ TEST(ThreadTest, MoveTransfersOwnership) {
   b.Join();
   EXPECT_TRUE(ran.load());
   EXPECT_FALSE(b.Joinable());
+}
+
+TEST(ThreadTest, MoveAssignOntoAJoinedThread) {
+  std::atomic<int> ran{0};
+  Thread a = Thread::Fork([&ran] { ran.fetch_add(1); });
+  a.Join();
+  a = Thread::Fork([&ran] { ran.fetch_add(1); });
+  EXPECT_TRUE(a.Joinable());
+  a.Join();
+  EXPECT_EQ(ran.load(), 2);
+}
+
+TEST(ThreadTest, TheClosureIsDestroyedBeforeJoinReturns) {
+  for (int i = 0; i < 200; ++i) {
+    auto token = std::make_shared<int>(i);
+    const std::weak_ptr<int> watch = token;
+    Thread t = Thread::Fork([token = std::move(token)] { (void)*token; });
+    t.Join();
+    ASSERT_TRUE(watch.expired()) << "lifetime " << i;
+  }
+}
+
+cpu_set_t Affinity() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  pthread_getaffinity_np(pthread_self(), sizeof(set), &set);
+  return set;
+}
+
+TEST(ThreadTest, AForkRunsWithItsForkersAffinity) {
+  const cpu_set_t allowed = Affinity();
+  std::vector<int> cpus;
+  for (int cpu = 0; cpu < CPU_SETSIZE && cpus.size() < 2; ++cpu) {
+    if (CPU_ISSET(cpu, &allowed)) {
+      cpus.push_back(cpu);
+    }
+  }
+  if (cpus.size() < 2) {
+    GTEST_SKIP() << "needs two CPUs in the affinity mask";
+  }
+  // The forker pins itself to each CPU in turn, so the host that ran the
+  // last Fork, the most recently pooled one, last ran under the other pin.
+  // A thread of its own keeps the pins off the test's main thread.
+  std::thread forker([&cpus] {
+    int reused = 0;
+    pthread_t last_host{};
+    for (int round = 0; round < 20; ++round) {
+      cpu_set_t pin;
+      CPU_ZERO(&pin);
+      CPU_SET(cpus[round % 2], &pin);
+      ASSERT_EQ(pthread_setaffinity_np(pthread_self(), sizeof(pin), &pin), 0);
+      cpu_set_t seen;
+      pthread_t host{};
+      Thread::Fork([&seen, &host] {
+        seen = Affinity();
+        host = pthread_self();
+      }).Join();
+      EXPECT_TRUE(CPU_EQUAL(&seen, &pin)) << "round " << round;
+      if (round > 0 && pthread_equal(host, last_host)) {
+        ++reused;
+      }
+      last_host = host;
+      // Lets the host get back into the pool before the next Fork.
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_GT(reused, 0) << "no Fork ran on a host pinned otherwise before";
+  });
+  forker.join();
 }
 
 TEST(ThreadTest, DestructorJoins) {
