@@ -4,7 +4,10 @@
 // The queues in the paper's Nub hold thread control blocks; a thread is on at
 // most one queue at a time (a mutex queue, a condition queue, a semaphore
 // queue, or the ready pool), so a single embedded QueueNode per record is
-// enough and no allocation ever happens on a blocking path.
+// enough and no allocation ever happens on a blocking path. The one
+// exception is a simulated fiber the clock readied: runnable while still on
+// its wait queue, it links into the ready pool through a second node
+// (src/firefly/fiber.h).
 
 #ifndef TAOS_SRC_BASE_INTRUSIVE_QUEUE_H_
 #define TAOS_SRC_BASE_INTRUSIVE_QUEUE_H_
@@ -23,8 +26,9 @@ struct QueueNode {
   bool InQueue() const { return prev != nullptr; }
 };
 
-// T must have a public member `QueueNode queue_node`.
-template <typename T>
+// T must have a public member `QueueNode queue_node`, or name the node to
+// link through as `Node` (an object on two queues at once needs two).
+template <typename T, QueueNode T::*Node = &T::queue_node>
 class IntrusiveQueue {
  public:
   IntrusiveQueue() {
@@ -47,7 +51,7 @@ class IntrusiveQueue {
   }
 
   void PushBack(T* item) {
-    QueueNode* node = &item->queue_node;
+    QueueNode* node = &(item->*Node);
     TAOS_DCHECK(!node->InQueue());
     node->owner = item;
     node->prev = head_.prev;
@@ -58,7 +62,7 @@ class IntrusiveQueue {
 
   // Puts `item` ahead of every element already queued.
   void PushFront(T* item) {
-    QueueNode* node = &item->queue_node;
+    QueueNode* node = &(item->*Node);
     TAOS_DCHECK(!node->InQueue());
     node->owner = item;
     node->prev = &head_;
@@ -79,13 +83,13 @@ class IntrusiveQueue {
 
   // Removes `item` from the queue; it must currently be enqueued here.
   void Remove(T* item) {
-    QueueNode* node = &item->queue_node;
+    QueueNode* node = &(item->*Node);
     TAOS_DCHECK(node->InQueue());
     Unlink(node);
   }
 
   bool Contains(const T* item) const {
-    const QueueNode* target = &item->queue_node;
+    const QueueNode* target = &(item->*Node);
     for (QueueNode* p = head_.next; p != &head_; p = p->next) {
       if (p == target) {
         return true;

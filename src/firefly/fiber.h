@@ -24,13 +24,19 @@ namespace taos::firefly {
 
 class Machine;
 
+// The deadline (and the timeout_steps) of a wait that has none.
+inline constexpr std::uint64_t kNoDeadline = ~std::uint64_t{0};
+
 // Thrown from a parked fiber's suspend point when the Machine is torn down
 // with fibers still blocked (e.g. after a detected deadlock), unwinding its
 // stack so its destructors run before the stack is reused.
 struct FiberKilled {};
 
 struct Fiber {
-  QueueNode queue_node;  // ready pool or a wait queue
+  QueueNode queue_node;  // a wait queue
+  // The ready pool. A fiber the clock readied is on both: runnable, and
+  // still on the wait queue it will dequeue itself from.
+  QueueNode ready_node;
 
   Machine* machine = nullptr;
   spec::ThreadId id = spec::kNil;
@@ -64,19 +70,14 @@ struct Fiber {
   bool alert_woken = false;
   void* blocked_obj = nullptr;
 
-  // Timed-wait bookkeeping. Virtual time is the machine's step counter: a
-  // timed block sets `timed` and an absolute `deadline_step` before
-  // de-scheduling, and names the routine that removes it from its wait
-  // queue should the clock win. The driver plays the clock interrupt: when
-  // steps_ reaches the deadline (or when the machine would otherwise be
-  // idle, in which case it jumps the clock forward), it dequeues the fiber
-  // via `timeout_dequeue`, sets `timeout_woken`, and makes it ready. A
-  // grant that dequeues the fiber first wins: MakeReady clears `timed`, so
-  // the expiry never fires on a fiber some Signal/Release already took.
-  bool timed = false;
-  std::uint64_t deadline_step = 0;
-  bool timeout_woken = false;
-  void (*timeout_dequeue)(Fiber*) = nullptr;
+  // The deadline of the current de-scheduling, on the virtual clock (the
+  // machine's step counter); kNoDeadline when it has none. The driver plays
+  // the clock interrupt: once steps_ reaches the deadline, it puts a fiber
+  // still blocked into the ready pool and does nothing else. The fiber
+  // stays on its wait queue with block_kind set, and dequeues itself under
+  // the spin-lock when it runs again (Machine::DescheduleSelfUntil), unless
+  // a grant or an Alert dequeued it first.
+  std::uint64_t deadline_step = kNoDeadline;
 
   // Membership in the spec's `alerts` set.
   bool alerted = false;

@@ -5,7 +5,6 @@
 
 #include "src/base/alerted.h"
 #include "src/base/check.h"
-#include "src/obs/metrics.h"
 
 namespace taos::firefly {
 
@@ -179,23 +178,25 @@ void Machine::SpinRelease() {
   spin_holder_ = nullptr;
 }
 
-void Machine::DescheduleSelf() {
+bool Machine::DescheduleSelfUntil(std::uint64_t deadline_step) {
   Fiber* f = Self();
   if (shutting_down_) {
-    return;
+    return true;  // tearing down: the caller's ShuttingDown check ends it
   }
   TAOS_CHECK(spin_holder_ == f);
   TAOS_CHECK(f->block_kind != Fiber::BlockKind::kNone);
   // De-schedule: free the processor, hand back the spin-lock, and wait for
-  // MakeReady + dispatch. Within the simulation this whole transition is one
-  // step (nothing else runs between its parts).
+  // MakeReady or the clock, then dispatch. Within the simulation this whole
+  // transition is one step (nothing else runs between its parts).
   Step();
+  f->deadline_step = deadline_step;
   f->run_state = Fiber::Run::kBlocked;
   cpu_fiber_[static_cast<std::size_t>(f->cpu)] = nullptr;
   f->cpu = -1;
   spin_bit_ = false;
   spin_holder_ = nullptr;
   YieldToDriver();
+  return f->block_kind == Fiber::BlockKind::kNone;
 }
 
 void Machine::MakeReady(Fiber* f) {
@@ -203,54 +204,45 @@ void Machine::MakeReady(Fiber* f) {
     return;
   }
   TAOS_CHECK(spin_holder_ == Self());
-  TAOS_CHECK(f->run_state == Fiber::Run::kBlocked);
-  ReadyCommon(f);
-}
-
-void Machine::ReadyCommon(Fiber* f) {
+  TAOS_CHECK(f->block_kind != Fiber::BlockKind::kNone);
   f->block_kind = Fiber::BlockKind::kNone;
   f->blocked_obj = nullptr;
-  // A grant (or alert) that readies the fiber first disarms its deadline;
-  // the clock interrupt only ever expires fibers still marked timed.
-  f->timed = false;
-  f->timeout_dequeue = nullptr;
+  if (f->run_state == Fiber::Run::kBlocked) {
+    Ready(f);  // otherwise the clock readied f and it is already runnable
+  }
+}
+
+void Machine::Ready(Fiber* f) {
   f->run_state = Fiber::Run::kReadyPool;
   f->slice_steps = 0;
   ready_pool_[f->priority].PushBack(f);
 }
 
-void Machine::ExpireDueTimedWaits() {
+void Machine::ReadyDueTimedWaits() {
   if (spin_bit_) {
     return;  // a fiber is inside the Nub; the interrupt stays masked
   }
   for (auto& f : fibers_) {
-    if (f->run_state != Fiber::Run::kBlocked || !f->timed ||
-        f->deadline_step > steps_) {
-      continue;
+    if (f->run_state == Fiber::Run::kBlocked && f->deadline_step <= steps_) {
+      ++timer_expiries_;
+      Ready(f.get());
     }
-    TAOS_CHECK(f->timeout_dequeue != nullptr);
-    f->timeout_dequeue(f.get());
-    f->timeout_woken = true;
-    ++timer_expiries_;
-    obs::Inc(obs::Counter::kTimersExpired);
-    ReadyCommon(f.get());
   }
 }
 
 bool Machine::JumpToNextDeadline() {
-  std::uint64_t earliest = UINT64_MAX;
+  std::uint64_t earliest = kNoDeadline;
   for (const auto& f : fibers_) {
-    if (f->run_state == Fiber::Run::kBlocked && f->timed &&
-        f->deadline_step < earliest) {
+    if (f->run_state == Fiber::Run::kBlocked && f->deadline_step < earliest) {
       earliest = f->deadline_step;
     }
   }
-  if (earliest == UINT64_MAX) {
+  if (earliest == kNoDeadline) {
     return false;
   }
   // The machine is idle until the next clock interrupt: virtual time skips
   // straight to it. (If nothing was runnable the spin-lock is free — a
-  // holder would be on a processor — so the expiry fires next iteration.)
+  // holder would be on a processor — so the clock fires next iteration.)
   if (steps_ < earliest) {
     steps_ = earliest;
   }
@@ -316,12 +308,12 @@ RunResult Machine::Run() {
   RunResult result;
   std::vector<Fiber*> runnable;
   for (;;) {
-    ExpireDueTimedWaits();
+    ReadyDueTimedWaits();
     Dispatch();
     CollectRunnable(&runnable);
     if (runnable.empty()) {
       if (JumpToNextDeadline()) {
-        continue;  // not deadlock: a timed wait will expire at the new now
+        continue;  // not deadlock: the clock readies a waiter at the new now
       }
       bool all_done = true;
       for (const auto& f : fibers_) {

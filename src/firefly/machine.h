@@ -129,14 +129,23 @@ class Machine {
   void SpinRelease();
   bool SpinHeldBySelf() const { return spin_holder_ == Self(); }
 
-  // De-schedules the calling fiber (which must hold the spin-lock and have
-  // enqueued itself on some wait queue), releasing the spin-lock and
-  // freeing its processor. Returns when another fiber calls MakeReady on it
-  // and the scheduler assigns it a processor again.
-  void DescheduleSelf();
+  // De-schedules the calling fiber (which must hold the spin-lock, have
+  // enqueued itself on some wait queue and set its block_kind), releasing
+  // the spin-lock and freeing its processor, until it is readied and the
+  // scheduler assigns it a processor again. Returns true if a MakeReady (a
+  // grant or an Alert) has dequeued it by then. Returns false if only the
+  // clock has readied it, once steps() reached `deadline_step`: the fiber is
+  // then still on its wait queue with block_kind set, and must take the
+  // spin-lock and dequeue itself, unless a MakeReady lands first. This is
+  // the simulator's Parker::Park(deadline); the self-dequeue on top of it
+  // is sync.cc's twin of ParkBlockedUntil (src/threads/timer.h).
+  bool DescheduleSelfUntil(std::uint64_t deadline_step);
+  void DescheduleSelf() { DescheduleSelfUntil(kNoDeadline); }
 
-  // Adds a blocked fiber to the ready pool; the scheduler will find it a
-  // processor. Caller must hold the spin-lock.
+  // Ends a blocked fiber's wait: clears its blocked state and, unless the
+  // clock already readied it, adds it to the ready pool, where the
+  // scheduler will find it a processor. Caller must hold the spin-lock and
+  // have taken f off its wait queue.
   void MakeReady(Fiber* f);
 
   // Changes a fiber's effective priority (requeueing it if it sits in the
@@ -160,7 +169,9 @@ class Machine {
   // Failed test-and-set attempts on the Nub spin-lock (contention events).
   std::uint64_t spin_contentions() const { return spin_contentions_; }
 
-  // Timed waits the simulated clock interrupt expired (for tests).
+  // Timed waits the simulated clock interrupt readied (for tests). Each
+  // such waiter then dequeued itself, or found that a grant or an Alert had
+  // dequeued it first.
   std::uint64_t timer_expiries() const { return timer_expiries_; }
 
   // True once Run() ended in deadlock or at the step limit. Simulated
@@ -183,12 +194,13 @@ class Machine {
   void CollectRunnable(std::vector<Fiber*>* out) const;
   void MaybePreempt(Fiber* f);
   bool ReadyFiberAtOrAbove(int priority) const;
-  void ReadyCommon(Fiber* f);  // shared tail of MakeReady / timed expiry
+  void Ready(Fiber* f);  // into the ready pool
 
-  // The simulated clock interrupt: expires due timed waits. Fires only with
-  // the spin-lock free (a real Nub's interrupt handler would acquire it; the
+  // The simulated clock interrupt: readies each blocked fiber whose
+  // deadline has passed, leaving it on its wait queue. Fires only with the
+  // spin-lock free (a real Nub's interrupt handler would acquire it; the
   // driver runs the whole handler between steps instead).
-  void ExpireDueTimedWaits();
+  void ReadyDueTimedWaits();
   // When nothing is runnable but timed waits are pending, advances steps_
   // to the earliest deadline (the idle machine sleeps until the next clock
   // interrupt). Returns false if no timed-blocked fiber exists.
@@ -200,7 +212,7 @@ class Machine {
 
   std::vector<std::unique_ptr<Fiber>> fibers_;
   std::vector<Fiber*> cpu_fiber_;  // per-processor current fiber (or null)
-  IntrusiveQueue<Fiber> ready_pool_[kMaxPriority];
+  IntrusiveQueue<Fiber, &Fiber::ready_node> ready_pool_[kMaxPriority];
 
   bool spin_bit_ = false;
   Fiber* spin_holder_ = nullptr;

@@ -23,6 +23,71 @@ std::uint32_t Tid(const Fiber* f) { return static_cast<std::uint32_t>(f->id); }
 
 }  // namespace
 
+// The one per-kind dequeue of Alert and of a waiter whose deadline passed
+// (the simulator twin of DequeueBlockedLocked, src/threads/timer.h): takes
+// the blocked fiber t off what its block_kind names. A Condition waiter
+// stays a spec-member of c until its resume action fires, in
+// pending_raise_ when alerted and in pending_timeout_ otherwise. REQUIRES
+// the spin-lock held; leaves t's blocked state to the caller.
+void DequeueBlocked(Fiber* t, bool alerted) {
+  switch (t->block_kind) {
+    case Fiber::BlockKind::kSemaphore:
+      static_cast<Semaphore*>(t->blocked_obj)->queue_.Remove(t);
+      break;
+    case Fiber::BlockKind::kCondition: {
+      auto* c = static_cast<Condition*>(t->blocked_obj);
+      c->queue_.Remove(t);
+      (alerted ? c->pending_raise_ : c->pending_timeout_).push_back(t);
+      break;
+    }
+    case Fiber::BlockKind::kEvent:
+      static_cast<Event*>(t->blocked_obj)->queue_.Remove(t);
+      break;
+    case Fiber::BlockKind::kPoll:
+      static_cast<Poll*>(t->blocked_obj)->DeregisterFiber(t);
+      break;
+    case Fiber::BlockKind::kMutex:  // no Mutex wait is alertable or timed
+    case Fiber::BlockKind::kNone:
+      TAOS_PANIC("dequeue of a fiber with no alertable or timed wait");
+  }
+}
+
+namespace {
+
+// The simulator twin of ParkBlockedUntil (src/threads/timer.cc):
+// de-schedules self, enqueued and blocked under the held spin-lock, until a
+// grant or an Alert readies it or the clock passes `deadline`. Returns true
+// iff the deadline is what dequeued self: the clock readied self, and with
+// the spin-lock retaken self was still blocked, so it took itself off its
+// queue. It then returns with the spin-lock held, so the caller's timeout
+// outcome shares the dequeue's atomic step. On false a grant or an Alert
+// dequeued self, possibly after the clock had readied it, and the spin-lock
+// is free. Counts kTimersArmed per timed wait, then kTimersCancelled or
+// kTimersExpired, as ParkBlockedUntil does.
+bool DescheduleBlockedUntil(Machine& m, Fiber* self, std::uint64_t deadline) {
+  if (deadline == kNoDeadline) {
+    m.DescheduleSelf();
+    return false;
+  }
+  obs::Inc(obs::Counter::kTimersArmed);
+  if (!m.DescheduleSelfUntil(deadline)) {
+    m.SpinAcquire();
+    m.Step();
+    if (self->block_kind != Fiber::BlockKind::kNone) {
+      DequeueBlocked(self, /*alerted=*/false);
+      self->block_kind = Fiber::BlockKind::kNone;
+      self->blocked_obj = nullptr;
+      obs::Inc(obs::Counter::kTimersExpired);
+      return true;
+    }
+    m.SpinRelease();
+  }
+  obs::Inc(obs::Counter::kTimersCancelled);
+  return false;
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // Mutex
 // ---------------------------------------------------------------------------
@@ -186,21 +251,13 @@ bool Condition::ErasePendingTimeout(Fiber* f) {
   return true;
 }
 
-void Condition::TimeoutDequeue(Fiber* f) {
-  auto* c = static_cast<Condition*>(f->blocked_obj);
-  c->queue_.Remove(f);
-  // Still a spec-member of c (and counted in c_size_) until its
-  // TimeoutResume action fires or a Signal/Broadcast removes it.
-  c->pending_timeout_.push_back(f);
-}
-
-void Condition::Wait(Mutex& m) { WaitFor(m, kNoDeadline); }
-
-WaitResult Condition::WaitFor(Mutex& m, std::uint64_t timeout_steps) {
+WaitResult Condition::WaitUntil(Mutex& m, std::uint64_t timeout_steps,
+                                bool alertable) {
   Machine& mach = machine_;
   Fiber* self = Machine::Self();
-  obs::ScopedEvent ev(obs::Op::kWait, id_, Tid(self));
-  obs::Inc(obs::Counter::kNubWait);
+  obs::ScopedEvent ev(alertable ? obs::Op::kAlertWait : obs::Op::kWait, id_,
+                      Tid(self));
+  obs::Inc(alertable ? obs::Counter::kNubAlertWait : obs::Counter::kNubWait);
   TAOS_CHECK(m.holder_ == self || mach.ShuttingDown());  // REQUIRES m = SELF
 
   const bool timed = timeout_steps != kNoDeadline;
@@ -210,64 +267,89 @@ WaitResult Condition::WaitFor(Mutex& m, std::uint64_t timeout_steps) {
     obs::Inc(obs::Counter::kTimedWaitTimeouts);
     return WaitResult::kTimeout;
   }
-  const std::uint64_t deadline = timed ? mach.steps() + timeout_steps : 0;
+  const std::uint64_t deadline =
+      timed ? mach.steps() + timeout_steps : kNoDeadline;
 
   // Enqueue: linearizes at the mutex's clear step — SELF enters c exactly as
-  // m becomes NIL.
+  // m becomes NIL (AlertWait's flavour: UNCHANGED [alerts]).
   std::uint64_t snapshot = 0;
   m.ReleaseInternal([&] {
     snapshot = ec_;
     window_.push_back(self);
     ++c_size_;
-    Emit(mach, spec::MakeEnqueue(self->id, m.id_, id_));
+    Emit(mach, alertable ? spec::MakeAlertEnqueue(self->id, m.id_, id_)
+                         : spec::MakeEnqueue(self->id, m.id_, id_));
   });
 
-  // Nub subroutine Block(c, i), deadline-armed when timed.
-  bool expired = false;
+  // Nub subroutine Block(c, i) (AlertBlock when alertable), deadline-armed
+  // when timed.
   mach.SpinAcquire();
   mach.Step();
   if (mach.ShuttingDown()) {
     return WaitResult::kTimeout;
   }
-  if (!use_eventcount_ || ec_ == snapshot) {
-    EraseWindow(self);  // may already be gone in the no-eventcount ablation
-    queue_.PushBack(self);
-    self->block_kind = Fiber::BlockKind::kCondition;
-    self->blocked_obj = this;
-    self->alertable = false;
-    self->alert_woken = false;
-    if (timed) {
-      self->timed = true;
-      self->deadline_step = deadline;
-      self->timeout_woken = false;
-      self->timeout_dequeue = &Condition::TimeoutDequeue;
+  bool raise = false;
+  bool expired = false;
+  if (alertable && self->alerted) {
+    raise = true;
+    if (EraseWindow(self)) {
+      pending_raise_.push_back(self);  // still in c until AlertResume
     }
-    mach.DescheduleSelf();
-    if (timed) {
-      expired = self->timeout_woken;
-      self->timeout_woken = false;
-    }
-  } else {
+    mach.SpinRelease();
+  } else if (use_eventcount_ && ec_ != snapshot) {
     // Absorbed: an intervening Signal/Broadcast advanced the eventcount and
     // removed us from c (and from window_) when it emitted.
     ++absorbed_;
     obs::Inc(obs::Counter::kWakeupWaitingHits);
     mach.SpinRelease();
+  } else {
+    EraseWindow(self);  // may already be gone in the no-eventcount ablation
+    queue_.PushBack(self);
+    self->block_kind = Fiber::BlockKind::kCondition;
+    self->blocked_obj = this;
+    self->alertable = alertable;
+    self->alert_woken = false;
+    expired = DescheduleBlockedUntil(mach, self, deadline);
+    if (expired) {
+      mach.SpinRelease();
+    }
+    // The three exits are arbitrated by who dequeued us: our own deadline,
+    // an Alert (alert_woken), or a Signal. An alert that arrived around a
+    // signal wakeup still wins, as in AlertWait; a pending alert never
+    // converts a timeout, and is left deliverable.
+    raise = alertable && !expired && (self->alert_woken || self->alerted);
   }
 
   if (expired) {
-    Condition* cp = this;
     m.AcquireInternal(spec::MakeTimeoutResume(self->id, m.id_, id_),
-                      [cp, self] {
-                        if (cp->ErasePendingTimeout(self)) {
-                          cp->DecSize();
+                      [this, self] {
+                        if (ErasePendingTimeout(self)) {
+                          DecSize();
                         }
                       });
     obs::Inc(obs::Counter::kTimedWaitTimeouts);
     return WaitResult::kTimeout;
   }
+  if (raise) {
+    // The alert ends the wait as a reported value; AlertWait raises it.
+    m.AcquireInternal(spec::MakeAlertResumeRaises(self->id, m.id_, id_),
+                      [this, self] {
+                        if (ErasePendingRaise(self)) {
+                          DecSize();
+                        }
+                        self->alerted = false;
+                        self->alert_woken = false;
+                      });
+    if (timed) {
+      obs::Inc(obs::Counter::kTimedWaitAlerted);
+    }
+    return WaitResult::kAlerted;
+  }
   // Resume: re-enter the critical section.
-  m.AcquireInternal(spec::MakeResume(self->id, m.id_, id_));
+  m.AcquireInternal(alertable
+                        ? spec::MakeAlertResumeReturns(self->id, m.id_, id_)
+                        : spec::MakeResume(self->id, m.id_, id_));
+  self->alert_woken = false;
   if (timed) {
     obs::Inc(obs::Counter::kTimedWaitSatisfied);
   }
@@ -453,10 +535,6 @@ Event::~Event() {
   TAOS_CHECK(pollers_.empty());
 }
 
-void Event::TimeoutDequeue(Fiber* f) {
-  static_cast<Event*>(f->blocked_obj)->queue_.Remove(f);
-}
-
 void Event::Set() {
   Machine& m = machine_;
   Fiber* self = Machine::Self();
@@ -538,7 +616,8 @@ WaitResult Event::WaitFor(std::uint64_t timeout_steps) {
     obs::Inc(obs::Counter::kTimedWaitTimeouts);
     return WaitResult::kTimeout;
   }
-  const std::uint64_t deadline = timed ? m.steps() + timeout_steps : 0;
+  const std::uint64_t deadline =
+      timed ? m.steps() + timeout_steps : kNoDeadline;
   for (;;) {
     if (m.ShuttingDown()) {
       return WaitResult::kTimeout;
@@ -561,20 +640,21 @@ WaitResult Event::WaitFor(std::uint64_t timeout_steps) {
       self->blocked_obj = this;
       self->alertable = false;
       self->alert_woken = false;
-      if (timed) {
-        self->timed = true;
-        self->deadline_step = deadline;
-        self->timeout_woken = false;
-        self->timeout_dequeue = &Event::TimeoutDequeue;
+      if (DescheduleBlockedUntil(m, self, deadline)) {
+        // Claim first, deadline second, as the runtime's Event does: a Set
+        // that published its pulse but has not popped a waiter yet still
+        // grants it.
+        const bool claimed = TryClaim(self);
+        if (!claimed) {
+          Emit(m,
+               spec::MakePollTimeout(self->id, spec::ObjIdSet{}.Insert(id_)));
+        }
+        m.SpinRelease();
+        obs::Inc(claimed ? obs::Counter::kTimedWaitSatisfied
+                         : obs::Counter::kTimedWaitTimeouts);
+        return claimed ? WaitResult::kSatisfied : WaitResult::kTimeout;
       }
-      m.DescheduleSelf();
-      if (timed && self->timeout_woken) {
-        self->timeout_woken = false;
-        m.Step();
-        Emit(m, spec::MakePollTimeout(self->id, spec::ObjIdSet{}.Insert(id_)));
-        obs::Inc(obs::Counter::kTimedWaitTimeouts);
-        return WaitResult::kTimeout;
-      }
+      // A Set readied us, maybe after the clock did: claim at the top.
     } else {
       queue_.Remove(self);
       m.SpinRelease();
@@ -600,10 +680,6 @@ spec::ObjIdSet Poll::WaitSetIds() const {
     ws = ws.Insert(events_[i]->id_);
   }
   return ws;
-}
-
-void Poll::TimeoutDequeue(Fiber* f) {
-  static_cast<Poll*>(f->blocked_obj)->DeregisterFiber(f);
 }
 
 void Poll::DeregisterFiber(Fiber* f) {
@@ -667,7 +743,6 @@ WaitResult Poll::WaitInternal(bool all, bool alertable,
   Fiber* self = Machine::Self();
   const spec::ObjIdSet ws = WaitSetIds();
   *index = n_;
-  const bool timed = timeout_steps != kNoDeadline;
   if (timeout_steps == 0) {
     // A single scan in one atomic step; nothing registers, so the spin-lock
     // (which TryGrantLocked otherwise requires) is unnecessary.
@@ -678,7 +753,9 @@ WaitResult Poll::WaitInternal(bool all, bool alertable,
     Emit(m, spec::MakePollTimeout(self->id, ws));
     return WaitResult::kTimeout;
   }
-  const std::uint64_t deadline = timed ? m.steps() + timeout_steps : 0;
+  const std::uint64_t deadline = timeout_steps == kNoDeadline
+                                     ? kNoDeadline
+                                     : m.steps() + timeout_steps;
   bool parked = false;
   for (;;) {
     if (m.ShuttingDown()) {
@@ -714,20 +791,17 @@ WaitResult Poll::WaitInternal(bool all, bool alertable,
     self->blocked_obj = this;
     self->alertable = alertable;
     self->alert_woken = false;
-    if (timed) {
-      self->timed = true;
-      self->deadline_step = deadline;
-      self->timeout_woken = false;
-      self->timeout_dequeue = &Poll::TimeoutDequeue;
+    // Whoever dequeues us deregisters us everywhere.
+    if (DescheduleBlockedUntil(m, self, deadline)) {
+      // Rescan before reporting the timeout: a grant beats an expiry.
+      const bool granted = TryGrantLocked(all, ws, index);
+      if (!granted) {
+        Emit(m, spec::MakePollTimeout(self->id, ws));
+      }
+      m.SpinRelease();
+      return granted ? WaitResult::kSatisfied : WaitResult::kTimeout;
     }
-    m.DescheduleSelf();  // whoever wakes us has deregistered us everywhere
     parked = true;
-    if (timed && self->timeout_woken) {
-      self->timeout_woken = false;
-      m.Step();
-      Emit(m, spec::MakePollTimeout(self->id, ws));
-      return WaitResult::kTimeout;
-    }
     if (alertable && (self->alert_woken || self->alerted)) {
       m.Step();
       self->alerted = false;
@@ -819,30 +893,9 @@ void Alert(FiberHandle h) {
   m.SpinAcquire();
   m.Step();
   t->alerted = true;  // alerts := insert(alerts, t)
-  if (t->run_state == Fiber::Run::kBlocked && t->alertable) {
-    switch (t->block_kind) {
-      case Fiber::BlockKind::kSemaphore: {
-        auto* s = static_cast<Semaphore*>(t->blocked_obj);
-        s->queue_.Remove(t);
-        break;
-      }
-      case Fiber::BlockKind::kCondition: {
-        auto* c = static_cast<Condition*>(t->blocked_obj);
-        c->queue_.Remove(t);
-        // Still a spec-member of c until its AlertResume action fires.
-        c->pending_raise_.push_back(t);
-        break;
-      }
-      case Fiber::BlockKind::kPoll: {
-        auto* p = static_cast<Poll*>(t->blocked_obj);
-        p->DeregisterFiber(t);
-        break;
-      }
-      case Fiber::BlockKind::kEvent:  // Event::Wait is never alertable
-      case Fiber::BlockKind::kMutex:
-      case Fiber::BlockKind::kNone:
-        TAOS_PANIC("alertable fiber blocked on a non-alertable object");
-    }
+  // Blocked, possibly already readied by the clock but not yet dequeued.
+  if (t->block_kind != Fiber::BlockKind::kNone && t->alertable) {
+    DequeueBlocked(t, /*alerted=*/true);
     t->alert_woken = true;
     obs::Inc(obs::Counter::kHandoffs);
     m.MakeReady(t);
@@ -861,112 +914,14 @@ bool TestAlert() {
   return b;
 }
 
-void AlertWait(Mutex& mu, Condition& c) {
-  if (AlertWaitFor(mu, c, kNoDeadline) == WaitResult::kAlerted) {
+void AlertWait(Mutex& m, Condition& c) {
+  if (c.WaitUntil(m, kNoDeadline, /*alertable=*/true) == WaitResult::kAlerted) {
     throw Alerted();
   }
 }
 
-WaitResult AlertWaitFor(Mutex& mu, Condition& c, std::uint64_t timeout_steps) {
-  Machine& m = c.machine_;
-  Fiber* self = Machine::Self();
-  obs::ScopedEvent ev(obs::Op::kAlertWait, c.id_, Tid(self));
-  obs::Inc(obs::Counter::kNubAlertWait);
-  TAOS_CHECK(mu.holder_ == self || m.ShuttingDown());  // REQUIRES m = SELF
-
-  const bool timed = timeout_steps != kNoDeadline;
-  if (timeout_steps == 0) {
-    m.Step();
-    obs::Inc(obs::Counter::kTimedWaitTimeouts);
-    return WaitResult::kTimeout;
-  }
-  const std::uint64_t deadline = timed ? m.steps() + timeout_steps : 0;
-
-  // Enqueue (AlertWait flavour: UNCHANGED [alerts]).
-  std::uint64_t snapshot = 0;
-  mu.ReleaseInternal([&] {
-    snapshot = c.ec_;
-    c.window_.push_back(self);
-    ++c.c_size_;
-    Emit(m, spec::MakeAlertEnqueue(self->id, mu.id_, c.id_));
-  });
-
-  // AlertBlock, deadline-armed when timed.
-  m.SpinAcquire();
-  m.Step();
-  if (m.ShuttingDown()) {
-    return WaitResult::kTimeout;
-  }
-  bool raise = false;
-  bool expired = false;
-  if (self->alerted) {
-    raise = true;
-    if (c.EraseWindow(self)) {
-      c.pending_raise_.push_back(self);  // still in c until AlertResume
-    }
-    m.SpinRelease();
-  } else if (c.use_eventcount_ && c.ec_ != snapshot) {
-    ++c.absorbed_;
-    obs::Inc(obs::Counter::kWakeupWaitingHits);
-    m.SpinRelease();
-  } else {
-    c.EraseWindow(self);
-    c.queue_.PushBack(self);
-    self->block_kind = Fiber::BlockKind::kCondition;
-    self->blocked_obj = &c;
-    self->alertable = true;
-    self->alert_woken = false;
-    if (timed) {
-      self->timed = true;
-      self->deadline_step = deadline;
-      self->timeout_woken = false;
-      self->timeout_dequeue = &Condition::TimeoutDequeue;
-    }
-    m.DescheduleSelf();
-    expired = self->timeout_woken;  // only a timed wait can expire
-    self->timeout_woken = false;
-    // The three exits are arbitrated by who dequeued us: the clock
-    // interrupt (timed cleared only after it fired), an Alert
-    // (alert_woken), or a Signal. An alert that arrived around a signal
-    // wakeup still wins, as in AlertWait; a pending alert never converts a
-    // timeout, and is left deliverable.
-    if (!expired) {
-      raise = self->alert_woken || self->alerted;
-    }
-  }
-
-  Condition* cp = &c;
-  if (expired) {
-    mu.AcquireInternal(spec::MakeTimeoutResume(self->id, mu.id_, c.id_),
-                       [cp, self] {
-                         if (cp->ErasePendingTimeout(self)) {
-                           cp->DecSize();
-                         }
-                       });
-    obs::Inc(obs::Counter::kTimedWaitTimeouts);
-    return WaitResult::kTimeout;
-  }
-  if (raise) {
-    // The alert ends the wait as a reported value; AlertWait raises it.
-    mu.AcquireInternal(spec::MakeAlertResumeRaises(self->id, mu.id_, c.id_),
-                       [cp, self] {
-                         if (cp->ErasePendingRaise(self)) {
-                           cp->DecSize();
-                         }
-                         self->alerted = false;
-                         self->alert_woken = false;
-                       });
-    if (timed) {
-      obs::Inc(obs::Counter::kTimedWaitAlerted);
-    }
-    return WaitResult::kAlerted;
-  }
-  mu.AcquireInternal(spec::MakeAlertResumeReturns(self->id, mu.id_, c.id_));
-  self->alert_woken = false;
-  if (timed) {
-    obs::Inc(obs::Counter::kTimedWaitSatisfied);
-  }
-  return WaitResult::kSatisfied;
+WaitResult AlertWaitFor(Mutex& m, Condition& c, std::uint64_t timeout_steps) {
+  return c.WaitUntil(m, timeout_steps, /*alertable=*/true);
 }
 
 void AlertP(Semaphore& s) { s.PInternal(/*alertable=*/true); }

@@ -37,10 +37,6 @@
 
 namespace taos::firefly {
 
-// The timeout_steps value that means "no deadline": Wait is WaitFor with
-// it, so each wait has one body that carries a deadline.
-inline constexpr std::uint64_t kNoDeadline = ~std::uint64_t{0};
-
 class Condition;
 
 class Mutex {
@@ -67,8 +63,6 @@ class Mutex {
 
  private:
   friend class Condition;
-  friend WaitResult AlertWaitFor(Mutex& m, Condition& c,
-                                 std::uint64_t timeout_steps);
 
   // Acquire loop; emits `emit` at the successful test-and-set, running
   // `at_success` (still within that atomic step) first.
@@ -109,17 +103,19 @@ class Condition {
   Condition(const Condition&) = delete;
   Condition& operator=(const Condition&) = delete;
 
-  void Wait(Mutex& m);
+  void Wait(Mutex& m) { WaitUntil(m, kNoDeadline, /*alertable=*/false); }
 
   // Wait with a deadline, in virtual time: `timeout_steps` machine steps
   // from now. kSatisfied after a Signal/Broadcast wakeup, kTimeout once the
   // simulated clock reached the deadline first; either way m is held again
-  // on return. A Signal that dequeues this fiber always beats the clock
-  // (the expiry only fires on fibers still on the queue). timeout_steps ==
-  // 0 returns kTimeout immediately without releasing m; kNoDeadline waits
-  // as Wait does. On a traced machine the expiry path emits the spec's
-  // TimeoutResume action.
-  WaitResult WaitFor(Mutex& m, std::uint64_t timeout_steps);
+  // on return. The clock only readies the waiter, which then dequeues
+  // itself; a Signal that dequeued it first, even after the clock readied
+  // it, is reported as kSatisfied. timeout_steps == 0 returns kTimeout
+  // immediately without releasing m; kNoDeadline waits as Wait does. On a
+  // traced machine the expiry path emits the spec's TimeoutResume action.
+  WaitResult WaitFor(Mutex& m, std::uint64_t timeout_steps) {
+    return WaitUntil(m, timeout_steps, /*alertable=*/false);
+  }
 
   void Signal();
   void Broadcast();
@@ -139,19 +135,21 @@ class Condition {
   }
 
  private:
-  friend void Alert(FiberHandle t);
+  friend void DequeueBlocked(Fiber* t, bool alerted);
+  friend void AlertWait(Mutex& m, Condition& c);
   friend WaitResult AlertWaitFor(Mutex& m, Condition& c,
                                  std::uint64_t timeout_steps);
+
+  // The one body of Wait, WaitFor, AlertWait and AlertWaitFor (alertable).
+  // An alertable wait returns kAlerted with the alert consumed; kTimeout
+  // never consumes one.
+  WaitResult WaitUntil(Mutex& m, std::uint64_t timeout_steps, bool alertable);
 
   // Signal (all = false) and Broadcast share one body.
   void Wake(bool all);
   bool EraseWindow(Fiber* f);
   bool ErasePendingRaise(Fiber* f);
   bool ErasePendingTimeout(Fiber* f);
-  // Fiber::timeout_dequeue target: the clock interrupt removes the expired
-  // fiber from queue_ (it stays a spec-member of c, in pending_timeout_,
-  // until its TimeoutResume action fires).
-  static void TimeoutDequeue(Fiber* f);
   void DecSize() {
     if (c_size_ > 0) {
       --c_size_;
@@ -168,6 +166,8 @@ class Condition {
   // "no threads to unblock" user-code fast path of Signal/Broadcast.
   int c_size_ = 0;
   std::vector<Fiber*> window_;
+  // Fibers an Alert or their own deadline took off queue_: still members
+  // of c until their AlertResume / TimeoutResume action fires.
   std::vector<Fiber*> pending_raise_;
   std::vector<Fiber*> pending_timeout_;
 
@@ -193,7 +193,7 @@ class Semaphore {
   bool AvailableForDebug() const { return !bit_; }
 
  private:
-  friend void Alert(FiberHandle t);
+  friend void DequeueBlocked(Fiber* t, bool alerted);
   friend void AlertP(Semaphore& s);
 
   // P's acquire loop; alertable for AlertP, which may raise Alerted.
@@ -225,8 +225,9 @@ class Event {
   void Reset();
   void Wait();
   // Deadline in virtual time (machine steps), as Condition::WaitFor
-  // (kNoDeadline waits as Wait does). On the expiry path emits the spec's
-  // WaitFor/TIMEOUT action over {this}.
+  // (kNoDeadline waits as Wait does). A waiter whose deadline dequeued it
+  // still claims the event if it is set, in the same step, and otherwise
+  // emits the spec's WaitFor/TIMEOUT action over {this}.
   WaitResult WaitFor(std::uint64_t timeout_steps);
 
   bool IsSet() const { return set_; }
@@ -235,10 +236,7 @@ class Event {
 
  private:
   friend class Poll;
-  friend void Alert(FiberHandle t);
-
-  // Fiber::timeout_dequeue target for plain timed waiters.
-  static void TimeoutDequeue(Fiber* f);
+  friend void DequeueBlocked(Fiber* t, bool alerted);
 
   // The claim, inside the current step: if set, consume it (auto-reset)
   // and emit the spec action; false if the event is clear.
@@ -255,13 +253,14 @@ class Event {
 // Simulator twin of taos::Poll: WaitAny/WaitAll over a set of Events. The
 // driver serializes everything, so instead of the runtime's notify-latch
 // protocol a blocked poll waiter simply sits on every member's pollers_
-// list; Event::Set (and Alert, and the clock interrupt) deregisters it from
-// ALL members before MakeReady — the simulator's O(1)-equivalent of
+// list; Event::Set (and Alert, and the waiter whose deadline passed)
+// deregisters it from ALL members — the simulator's O(1)-equivalent of
 // atomic deregistration, trivially free of the lost-wakeup window the
 // litmus tests probe because it happens under the Nub spin-lock. Wakeups
 // are hints (Mesa): the waiter re-scans, and consumption happens
 // waiter-side inside one atomic step, which is also where the spec's
-// WaitAny/WaitAll action is emitted.
+// WaitAny/WaitAll action is emitted. A waiter whose deadline passed
+// rescans in the step that deregisters it: a grant beats an expiry.
 class Poll {
  public:
   static constexpr std::size_t kMaxWait = 8;
@@ -293,9 +292,7 @@ class Poll {
 
  private:
   friend class Event;
-  friend void Alert(FiberHandle t);
-
-  static void TimeoutDequeue(Fiber* f);
+  friend void DequeueBlocked(Fiber* t, bool alerted);
 
   // Every public wait: WaitInternal bracketed by the recorder event, plus
   // the timed-wait outcome counters when a deadline is set.
@@ -324,13 +321,12 @@ void AlertP(Semaphore& s);               // raises taos::Alerted
 
 // AlertWait with a virtual-time deadline, reporting all three outcomes as a
 // value instead of raising (the simulator twin of taos::AlertWaitFor):
-// kSatisfied on a signal wakeup, kTimeout when the simulated clock expired
-// the wait first, kAlerted when an Alert ended it (the alert flag is
+// kSatisfied on a signal wakeup, kTimeout when the deadline dequeued the
+// waiter first, kAlerted when an Alert ended it (the alert flag is
 // consumed, no Alerted is thrown). On the kTimeout path a pending alert is
 // deliberately NOT consumed. m is held again on return in every case;
 // timeout_steps == 0 returns kTimeout immediately without releasing m, and
-// kNoDeadline waits as AlertWait does (AlertWait is this call, raising on
-// kAlerted).
+// kNoDeadline waits as AlertWait does.
 WaitResult AlertWaitFor(Mutex& m, Condition& c, std::uint64_t timeout_steps);
 
 }  // namespace taos::firefly

@@ -103,24 +103,12 @@ void Alert(ThreadHandle h) {
     // alert and emit its Raises action before this Alert's own emission.)
     t->alerted.store(true, std::memory_order_relaxed);
     TAOS_CHAOS(kAlertFlagToCancel);
-    switch (t->block_kind) {
-      case ThreadRecord::BlockKind::kMutex:
-      case ThreadRecord::BlockKind::kSemaphore:
-        static_cast<LockCore*>(t->blocked_obj)->DequeueLocked(t);
-        break;
-      case ThreadRecord::BlockKind::kCondition:
-        static_cast<Condition*>(t->blocked_obj)
-            ->DequeueLocked(t, /*alerted=*/true);
-        break;
-      case ThreadRecord::BlockKind::kRwShared:
-      case ThreadRecord::BlockKind::kRwExclusive:
-      case ThreadRecord::BlockKind::kEvent:  // Event::Wait is never alertable
-      case ThreadRecord::BlockKind::kPollAny:
-      case ThreadRecord::BlockKind::kPollAll:  // handled above
-      case ThreadRecord::BlockKind::kNone:
-        PanicUnalertableKind(t->block_kind);
+    if (t->block_kind != ThreadRecord::BlockKind::kMutex &&
+        t->block_kind != ThreadRecord::BlockKind::kSemaphore &&
+        t->block_kind != ThreadRecord::BlockKind::kCondition) {
+      PanicUnalertableKind(t->block_kind);  // Poll kinds are handled above
     }
-    ClearBlockedLocked(t);
+    DequeueBlockedLocked(t, /*alerted=*/true);
     t->alert_woken = true;
     if (nub.tracing()) {
       nub.EmitTraced(spec::MakeAlert(self->id, t->id));

@@ -92,9 +92,7 @@ class Condition {
   void SignalNubPathForBench() { NubSignal(); }
 
  private:
-  friend bool ParkBlockedUntil(ThreadRecord* t, std::uint64_t deadline_ns,
-                               waitq::Parker::Spin spin);
-  friend void Alert(ThreadHandle t);
+  friend void DequeueBlockedLocked(ThreadRecord* t, bool alerted);
   friend void AlertWait(Mutex& m, Condition& c);
   friend WaitResult AlertWaitFor(Mutex& m, Condition& c,
                                  std::chrono::nanoseconds timeout);

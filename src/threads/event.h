@@ -117,9 +117,7 @@ class Event {
 
  private:
   friend class Poll;
-  friend bool ParkBlockedUntil(ThreadRecord* t, std::uint64_t deadline_ns,
-                               waitq::Parker::Spin spin);
-  friend void Alert(ThreadHandle t);
+  friend void DequeueBlockedLocked(ThreadRecord* t, bool alerted);
 
   // The Nub and traced slow paths of Wait (kNoDeadline) and WaitFor.
   // Return false on timeout.

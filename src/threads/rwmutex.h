@@ -142,8 +142,7 @@ class ReaderWriterMutex {
   spec::ObjId id() const { return id_; }
 
  private:
-  friend bool ParkBlockedUntil(ThreadRecord* t, std::uint64_t deadline_ns,
-                               waitq::Parker::Spin spin);
+  friend void DequeueBlockedLocked(ThreadRecord* t, bool alerted);
 
   static constexpr std::uint32_t kWriterBit = 1u << 31;
 

@@ -11,6 +11,43 @@
 
 namespace taos {
 
+void DequeueBlockedLocked(ThreadRecord* t, bool alerted) {
+  switch (t->block_kind) {
+    case ThreadRecord::BlockKind::kMutex:
+    case ThreadRecord::BlockKind::kSemaphore:
+      static_cast<LockCore*>(t->blocked_obj)->DequeueLocked(t);
+      break;
+    case ThreadRecord::BlockKind::kCondition:
+      static_cast<Condition*>(t->blocked_obj)->DequeueLocked(t, alerted);
+      break;
+    case ThreadRecord::BlockKind::kRwShared: {
+      auto* rw = static_cast<ReaderWriterMutex*>(t->blocked_obj);
+      rw->readers_queue_.Remove(t);
+      rw->reader_q_len_.fetch_sub(1, std::memory_order_relaxed);
+      break;
+    }
+    case ThreadRecord::BlockKind::kRwExclusive: {
+      auto* rw = static_cast<ReaderWriterMutex*>(t->blocked_obj);
+      rw->writers_queue_.Remove(t);
+      rw->writer_q_len_.fetch_sub(1, std::memory_order_relaxed);
+      break;
+    }
+    case ThreadRecord::BlockKind::kEvent: {
+      auto* ev = static_cast<Event*>(t->blocked_obj);
+      ev->queue_.Remove(t);
+      ev->queue_len_.fetch_sub(1, std::memory_order_relaxed);
+      break;
+    }
+    case ThreadRecord::BlockKind::kPollAny:
+    case ThreadRecord::BlockKind::kPollAll:
+      // Registered on the members, not queued on one: clearing the
+      // blocked state below is the whole cancellation.
+    case ThreadRecord::BlockKind::kNone:
+      break;
+  }
+  ClearBlockedLocked(t);
+}
+
 bool ParkBlockedUntil(ThreadRecord* t, std::uint64_t deadline_ns,
                       waitq::Parker::Spin spin) {
   if (deadline_ns == kNoDeadline) {
@@ -44,42 +81,8 @@ bool ParkBlockedUntil(ThreadRecord* t, std::uint64_t deadline_ns,
   }
   t->lock.Acquire();
   const bool expired = t->block_kind != ThreadRecord::BlockKind::kNone;
-  switch (t->block_kind) {
-    case ThreadRecord::BlockKind::kMutex:
-    case ThreadRecord::BlockKind::kSemaphore:
-      static_cast<LockCore*>(t->blocked_obj)->DequeueLocked(t);
-      break;
-    case ThreadRecord::BlockKind::kCondition:
-      static_cast<Condition*>(t->blocked_obj)
-          ->DequeueLocked(t, /*alerted=*/false);
-      break;
-    case ThreadRecord::BlockKind::kRwShared: {
-      auto* rw = static_cast<ReaderWriterMutex*>(t->blocked_obj);
-      rw->readers_queue_.Remove(t);
-      rw->reader_q_len_.fetch_sub(1, std::memory_order_relaxed);
-      break;
-    }
-    case ThreadRecord::BlockKind::kRwExclusive: {
-      auto* rw = static_cast<ReaderWriterMutex*>(t->blocked_obj);
-      rw->writers_queue_.Remove(t);
-      rw->writer_q_len_.fetch_sub(1, std::memory_order_relaxed);
-      break;
-    }
-    case ThreadRecord::BlockKind::kEvent: {
-      auto* ev = static_cast<Event*>(t->blocked_obj);
-      ev->queue_.Remove(t);
-      ev->queue_len_.fetch_sub(1, std::memory_order_relaxed);
-      break;
-    }
-    case ThreadRecord::BlockKind::kPollAny:
-    case ThreadRecord::BlockKind::kPollAll:
-      // Registered on the members, not queued on one: clearing the
-      // blocked state below is the whole cancellation.
-    case ThreadRecord::BlockKind::kNone:
-      break;
-  }
   if (expired) {
-    ClearBlockedLocked(t);
+    DequeueBlockedLocked(t, /*alerted=*/false);
   }
   t->lock.Release();
   if (obj_lock != nullptr) {

@@ -66,6 +66,13 @@ class Timer {
   }
 };
 
+// Takes the blocked thread t off what its published blocking state names
+// and clears that state: the one per-kind dequeue of Alert and of a timed
+// waiter cancelling itself. A Condition waiter moves to the list `alerted`
+// selects (Condition::DequeueLocked). REQUIRES t's record lock held, and
+// the lock of the object t blocked on, if it has one (rule 1 in nub.h).
+void DequeueBlockedLocked(ThreadRecord* t, bool alerted);
+
 // Parks the calling thread t on the episode it just published with
 // SetBlockedLocked, with no lock held (`spin` as for ParkBlocked), until a
 // dequeuer unparks it or `deadline_ns` passes. Returns true iff the

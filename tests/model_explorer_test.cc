@@ -11,6 +11,7 @@
 
 #include "src/firefly/sync.h"
 #include "src/model/litmus.h"
+#include "src/obs/metrics.h"
 
 namespace taos::model {
 namespace {
@@ -204,6 +205,147 @@ TEST(ModelTest, TimeoutStraightFromTheParkerLosesAWakeup) {
   std::string replayed =
       ex.Replay(SelfCancelTimeoutLitmus(false), r.counterexample);
   EXPECT_EQ(replayed, r.first_violation);
+}
+
+// --- Timed sim waits: the clock readies, the waiter dequeues itself ---
+//
+// The simulator's own primitives, not a model of them: a timed wait the
+// clock readies is still on its wait queue, and takes the spin-lock to
+// dequeue itself unless a grant got there first (the runtime's
+// ParkBlockedUntil). A grant that dequeued the waiter (a handoff) must be
+// reported as one, whenever it landed. Each run also reads the timer
+// counters: a kTimersExpired is a self-dequeue, and a kTimersCancelled in a
+// run where the clock fired (Machine::timer_expiries) is a grant that
+// landed after the clock readied the waiter. On two CPUs the Condition tree
+// is 2,600 runs and the Event tree 529, each with both sides.
+
+struct DeadlineRaceTally {
+  std::uint64_t self_dequeues = 0;
+  std::uint64_t late_grants = 0;
+};
+
+class TimedWaitRaceLitmus : public LitmusTest {
+ public:
+  // The waiter's timeout, in machine steps: short enough that the clock
+  // fires mid-way through the granter's steps in some schedules.
+  static constexpr std::uint64_t kTimeoutSteps = 8;
+
+  explicit TimedWaitRaceLitmus(DeadlineRaceTally* tally) : tally_(tally) {}
+
+  void Setup(firefly::Machine& machine) override {
+    machine_ = &machine;
+    before_ = obs::Snapshot();
+    SetupRace(machine);
+  }
+
+  std::string Verify(const firefly::RunResult& result) override {
+    const obs::Stats after = obs::Snapshot();
+    auto delta = [&](obs::Counter c) {
+      return after.Count(c) - before_.Count(c);
+    };
+    const bool late_grant = delta(obs::Counter::kTimersCancelled) == 1 &&
+                            machine_->timer_expiries() == 1;
+    tally_->self_dequeues += delta(obs::Counter::kTimersExpired);
+    tally_->late_grants += late_grant ? 1 : 0;
+    if (!result.completed) {
+      return "stuck: " + result.ToString();
+    }
+    if (delta(obs::Counter::kHandoffs) == 1 &&
+        result_ != WaitResult::kSatisfied) {
+      return "a grant that dequeued the waiter was reported as a timeout";
+    }
+    return VerifyRace();
+  }
+
+ protected:
+  virtual void SetupRace(firefly::Machine& machine) = 0;
+  virtual std::string VerifyRace() = 0;
+
+  WaitResult result_ = WaitResult::kSatisfied;
+
+ private:
+  DeadlineRaceTally* const tally_;
+  firefly::Machine* machine_ = nullptr;
+  obs::Stats before_;
+};
+
+// A timed Condition::WaitFor against one Signal.
+class ConditionDeadlineRace : public TimedWaitRaceLitmus {
+ public:
+  using TimedWaitRaceLitmus::TimedWaitRaceLitmus;
+
+ private:
+  void SetupRace(firefly::Machine& machine) override {
+    mu_ = std::make_unique<firefly::Mutex>(machine);
+    cv_ = std::make_unique<firefly::Condition>(machine);
+    machine.Fork(
+        [this] {
+          mu_->Acquire();
+          result_ = cv_->WaitFor(*mu_, kTimeoutSteps);
+          mu_->Release();
+        },
+        /*priority=*/0, "waiter");
+    machine.Fork([this] { cv_->Signal(); }, /*priority=*/0, "signaller");
+  }
+
+  std::string VerifyRace() override { return ""; }
+
+  std::unique_ptr<firefly::Mutex> mu_;
+  std::unique_ptr<firefly::Condition> cv_;
+};
+
+// An auto-reset Event::WaitFor against one Set: exactly one of the waiter
+// and the event ends up with the pulse, whoever dequeued the waiter.
+class EventDeadlineRace : public TimedWaitRaceLitmus {
+ public:
+  using TimedWaitRaceLitmus::TimedWaitRaceLitmus;
+
+ private:
+  void SetupRace(firefly::Machine& machine) override {
+    e_ = std::make_unique<firefly::Event>(machine, firefly::EventReset::kAuto);
+    machine.Fork([this] { result_ = e_->WaitFor(kTimeoutSteps); },
+                 /*priority=*/0, "waiter");
+    machine.Fork([this] { e_->Set(); }, /*priority=*/0, "setter");
+  }
+
+  std::string VerifyRace() override {
+    if ((result_ == WaitResult::kSatisfied) == e_->IsSet()) {
+      return result_ == WaitResult::kSatisfied
+                 ? "the waiter reported the pulse but the event kept it"
+                 : "the pulse was lost to a timeout";
+    }
+    return "";
+  }
+
+  std::unique_ptr<firefly::Event> e_;
+};
+
+ExplorerOptions TimedRaceOpts() {
+  ExplorerOptions o = Opts(2, 20'000, /*check_traces=*/true);
+  o.spec_config.model_timeouts = true;
+  return o;
+}
+
+TEST(ModelTest, ConditionDeadlineRacesSignalExhaustively) {
+  DeadlineRaceTally tally;
+  Explorer ex(TimedRaceOpts());
+  ExplorationResult r = ex.Explore(
+      [&] { return std::make_unique<ConditionDeadlineRace>(&tally); });
+  EXPECT_TRUE(r.exhausted) << r.ToString();
+  EXPECT_EQ(r.violations, 0u) << r.ToString();
+  EXPECT_GT(tally.self_dequeues, 0u) << r.ToString();
+  EXPECT_GT(tally.late_grants, 0u) << r.ToString();
+}
+
+TEST(ModelTest, EventDeadlineRacesSetExhaustively) {
+  DeadlineRaceTally tally;
+  Explorer ex(TimedRaceOpts());
+  ExplorationResult r = ex.Explore(
+      [&] { return std::make_unique<EventDeadlineRace>(&tally); });
+  EXPECT_TRUE(r.exhausted) << r.ToString();
+  EXPECT_EQ(r.violations, 0u) << r.ToString();
+  EXPECT_GT(tally.self_dequeues, 0u) << r.ToString();
+  EXPECT_GT(tally.late_grants, 0u) << r.ToString();
 }
 
 // --- Multi-object wait: double grant and the deregistration window ---
